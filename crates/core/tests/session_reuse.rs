@@ -6,6 +6,10 @@
 //!   calls;
 //! * synthesis through one shared session visits no more states than
 //!   per-goal cold synthesis, and both produce correct rewritings.
+//!
+//! The tests that compare search counters between two runs use sequential
+//! branch search: with `parallel_branches` on, branch threads race for the
+//! shared memo and the counters vary from run to run.
 
 use nrs_delta0::macros as d0;
 use nrs_delta0::{InContext, Term};
@@ -50,10 +54,18 @@ fn cross_goal_memo_reuse_strictly_reduces_visited_states() {
     assert_eq!(session.goal_cache_len(), 1);
 }
 
+/// Sequential branch search, so search counters are identical across runs.
+fn sequential() -> ProverConfig {
+    ProverConfig {
+        parallel_branches: false,
+        ..ProverConfig::default()
+    }
+}
+
 #[test]
 fn rewrite_candidate_cache_persists_across_batches() {
     let seq = e2_determinacy_sequent();
-    let session = ProverSession::new(ProverConfig::default());
+    let session = ProverSession::new(sequential());
     let first = session.prove_batch(std::slice::from_ref(&seq));
     let (_, s1) = first[0].as_ref().expect("determinacy provable");
     assert!(
@@ -65,7 +77,7 @@ fn rewrite_candidate_cache_persists_across_batches() {
     // A second fresh session reproduces the same hit profile (the cache is
     // deterministic), while the original warm session replays the settled
     // goal without disturbing its persisted entries.
-    let session2 = ProverSession::new(ProverConfig::default());
+    let session2 = ProverSession::new(sequential());
     let cold = session2.prove_batch(std::slice::from_ref(&seq));
     let (_, c1) = cold[0].as_ref().expect("provable");
     assert_eq!(
@@ -106,10 +118,12 @@ fn e2_membership_goal_hits_the_rewrite_candidate_cache() {
 fn shared_session_synthesis_matches_cold_synthesis() {
     let problem = partition_problem();
     let shared_cfg = SynthesisConfig {
+        prover: sequential(),
         check_determinacy: true,
         ..Default::default()
     };
     let cold_cfg = SynthesisConfig {
+        prover: sequential(),
         check_determinacy: true,
         share_prover_session: false,
         ..Default::default()

@@ -6,10 +6,19 @@
 //! * `Union`/`Diff` keep their own materialized output and re-derive
 //!   membership transitions of touched elements from the children's exact
 //!   deltas;
-//! * `ForUnion` keeps a per-member cache of evaluated loop bodies plus
-//!   **multiset support counts** of the output elements, so deletions (a
-//!   member leaving, or a body shrinking) are sound even when several
-//!   members contribute the same tuple;
+//! * a **filter** — the loop shape `⋃{ guard(φ(x); {x}) | x ∈ R }`, i.e.
+//!   `{x ∈ R | φ(x)}`, which every synthesized view, shared fragment and
+//!   answer compiles to — keeps **no per-member state**: each output
+//!   element is produced only by the member equal to it, so the output set
+//!   itself records which members pass.  A round retires deleted members,
+//!   re-evaluates `φ` for the surviving members a probe delta lists, and
+//!   evaluates `φ` for inserted members, each an exact transition against
+//!   the output;
+//! * every other `ForUnion` (projections, flattens, nested loops) keeps a
+//!   per-member cache of evaluated loop bodies plus **multiset support
+//!   counts** of the output elements, so deletions (a member leaving, or a
+//!   body shrinking) are sound even when several members contribute the
+//!   same tuple;
 //! * `HashJoin` keeps both key indexes and applies the bilinear rule
 //!   `Δ(A ⋈ B) = ΔA ⋈ B ∪ A' ⋈ ΔB`, with the same support counts on the
 //!   produced tuples;
@@ -32,7 +41,9 @@
 //! else is a **hard dependency** and falls back to a full refill of that
 //! node.  This is what makes the synthesized rewritings maintainable in
 //! O(|Δ| log n): their bodies only touch other relations through such
-//! probes.
+//! probes.  Bodies, conditions and join keys are evaluated with the binder
+//! on the executor's frame stack ([`exec_plan_bound`]), not in a copied
+//! environment.
 //!
 //! All node outputs are updated **in place** through
 //! [`SetValue::make_mut`][nrs_value::SetValue::make_mut], so a steady stream
@@ -43,12 +54,13 @@
 //! ### Sharded parallel maintenance
 //!
 //! The expensive part of a `ForUnion`/`HashJoin` delta round is **pure**:
-//! re-evaluating loop bodies for affected members, evaluating join bodies
-//! for matching pairs.  With [`MaintainedQuery::set_workers`] above 1, each
-//! round splits its work items (members, delta tuples — already in key
-//! order, so chunks are contiguous key ranges) across `std::thread::scope`
-//! workers for the evaluations only, then replays all cache/index/count
-//! mutations **sequentially in the original item order**.  The maintained
+//! re-evaluating loop bodies (or filter conditions) for affected members,
+//! evaluating join bodies for matching pairs.  With
+//! [`MaintainedQuery::set_workers`] above 1, each round splits its work
+//! items (members, delta tuples — already in key order, so chunks are
+//! contiguous key ranges) across `std::thread::scope` workers for the
+//! evaluations only, then replays all cache/index/count/output mutations
+//! **sequentially in the original item order**.  The maintained
 //! state after a parallel round is therefore *bit-identical* to the
 //! sequential round by construction — the only thing parallelism changes is
 //! which thread computed a pure value (property-tested in
@@ -57,7 +69,7 @@
 
 use crate::batch::{DeltaSet, UpdateBatch};
 use crate::IvmError;
-use nrs_nrc::{exec_plan, CompiledQuery, Plan};
+use nrs_nrc::{exec_plan, exec_plan_bound, CompiledQuery, Plan};
 use nrs_value::{Instance, Name, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -542,6 +554,7 @@ fn collect_coverage(node: &Node, degraded: &BTreeSet<usize>, out: &mut Vec<Opera
             collect_coverage(body, degraded, out);
         }
         Kind::ForUnion(st) => collect_coverage(&st.over, degraded, out),
+        Kind::Filter(st) => collect_coverage(&st.over, degraded, out),
         Kind::HashJoin(st) => {
             collect_coverage(&st.left, degraded, out);
             collect_coverage(&st.right, degraded, out);
@@ -559,7 +572,9 @@ fn kind_name(kind: &Kind) -> &'static str {
         Kind::Union(..) => "union",
         Kind::Diff(..) => "difference",
         Kind::Guard { .. } => "guard",
-        Kind::ForUnion(_) => "for-union",
+        // a filter is a `ForUnion` of the plan: same coverage kind, fault
+        // site and operator timer
+        Kind::ForUnion(_) | Kind::Filter(_) => "for-union",
         Kind::HashJoin(_) => "join",
         Kind::Let { .. } => "let",
         Kind::Opaque { .. } => "opaque",
@@ -573,7 +588,7 @@ fn fault_site(kind: &Kind) -> &'static str {
         Kind::Union(..) => "ivm.union.update",
         Kind::Diff(..) => "ivm.difference.update",
         Kind::Guard { .. } => "ivm.guard.update",
-        Kind::ForUnion(_) => "ivm.for-union.update",
+        Kind::ForUnion(_) | Kind::Filter(_) => "ivm.for-union.update",
         Kind::HashJoin(_) => "ivm.join.update",
         Kind::Let { .. } => "ivm.let.update",
         Kind::Opaque { .. } => "ivm.opaque.update",
@@ -772,6 +787,7 @@ enum Kind {
         nonempty: bool,
     },
     ForUnion(Box<ForUnionState>),
+    Filter(Box<FilterState>),
     HashJoin(Box<HashJoinState>),
     Let {
         var: Name,
@@ -792,14 +808,60 @@ struct ForUnionState {
     var: Name,
     over: Node,
     body: Plan,
-    /// Relations the body touches only through `member(var, R)` probes.
-    probe_deps: BTreeSet<Name>,
-    /// Relations the body touches any other way (delta ⇒ full refill).
-    hard_deps: BTreeSet<Name>,
+    deps: LoopDeps,
     /// member → evaluated body (a set value).
     cache: HashMap<Value, Value>,
     /// Multiset support: output element → number of members producing it.
     counts: HashMap<Value, usize>,
+}
+
+/// `{var ∈ over | cond(var)}`: the output (`Node::current`) is the whole
+/// state — a member passes exactly when it is in the output.
+#[derive(Debug)]
+struct FilterState {
+    var: Name,
+    over: Node,
+    cond: Plan,
+    deps: LoopDeps,
+}
+
+/// The free relations of a loop body (or filter condition), split by how a
+/// delta on them reaches the loop (see [`analyze_body`]).
+#[derive(Debug)]
+struct LoopDeps {
+    /// Relations touched only through `member(var, R)` probes.
+    probe: BTreeSet<Name>,
+    /// Relations touched any other way (delta ⇒ full refill).
+    hard: BTreeSet<Name>,
+}
+
+impl LoopDeps {
+    /// Did a dependency change in a way the targeted rules don't cover — a
+    /// hard dependency, or a probe dependency without a set delta?
+    fn need_refill(&self, ctx: &Ctx) -> bool {
+        self.hard.iter().any(|n| ctx.changes.contains_key(n))
+            || self
+                .probe
+                .iter()
+                .any(|n| matches!(ctx.changes.get(n), Some(nc) if nc.delta.is_none()))
+    }
+
+    fn probe_changed(&self, ctx: &Ctx) -> bool {
+        self.probe.iter().any(|n| ctx.changes.contains_key(n))
+    }
+
+    /// The members whose probes this round's deltas answer differently:
+    /// exactly the delta elements (the probe needle is the member), kept
+    /// when `live`.
+    fn probed(&self, ctx: &Ctx, live: impl Fn(&Value) -> bool) -> BTreeSet<Value> {
+        let mut out = BTreeSet::new();
+        for n in &self.probe {
+            if let Some(NameChange { delta: Some(d), .. }) = ctx.changes.get(n) {
+                out.extend(d.elems().filter(|x| live(x)).cloned());
+            }
+        }
+        out
+    }
 }
 
 #[derive(Debug)]
@@ -1005,13 +1067,26 @@ impl<'a> Builder<'a> {
             Plan::ForUnion { var, over, body } => {
                 let over = self.build(over, env)?;
                 self.skip(body);
-                let (probe_deps, hard_deps) = analyze_body(body, &[*var]);
+                let deps = analyze_body(body, &[*var]);
+                if let Some(cond) = filter_cond(*var, body) {
+                    let state = FilterState {
+                        var: *var,
+                        over,
+                        cond: cond.clone(),
+                        deps,
+                    };
+                    let current = state.fill(env)?;
+                    return Ok(Node {
+                        id,
+                        current,
+                        kind: Kind::Filter(Box::new(state)),
+                    });
+                }
                 let mut state = ForUnionState {
                     var: *var,
                     over,
                     body: (**body).clone(),
-                    probe_deps,
-                    hard_deps,
+                    deps,
                     cache: HashMap::new(),
                     counts: HashMap::new(),
                 };
@@ -1088,6 +1163,17 @@ impl<'a> Builder<'a> {
     }
 }
 
+/// The condition `φ` of a filter-shaped loop body `guard(φ; {var})`.
+fn filter_cond(var: Name, body: &Plan) -> Option<&Plan> {
+    match body {
+        Plan::Guard { cond, body } => match &**body {
+            Plan::Singleton(elem) if matches!(**elem, Plan::Var(v) if v == var) => Some(cond),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 fn set_of<'a>(v: &'a Value, what: &str) -> Result<&'a BTreeSet<Value>, IvmError> {
     v.as_set()
         .map_err(|_| IvmError::Internal(format!("{what} is not a set")))
@@ -1096,13 +1182,13 @@ fn set_of<'a>(v: &'a Value, what: &str) -> Result<&'a BTreeSet<Value>, IvmError>
 /// Classify the free names of a loop body (w.r.t. the loop binders): names
 /// occurring only as `member(binder, R)` probe haystacks are probe
 /// dependencies; every other occurrence makes a name a hard dependency.
-fn analyze_body(body: &Plan, binders: &[Name]) -> (BTreeSet<Name>, BTreeSet<Name>) {
+fn analyze_body(body: &Plan, binders: &[Name]) -> LoopDeps {
     let mut probe = BTreeSet::new();
     let mut hard = BTreeSet::new();
     let mut bound: Vec<Name> = binders.to_vec();
     walk_body(body, binders, &mut bound, &mut probe, &mut hard);
     probe.retain(|n| !hard.contains(n));
-    (probe, hard)
+    LoopDeps { probe, hard }
 }
 
 fn walk_body(
@@ -1331,6 +1417,10 @@ impl Node {
                 let delta = state.update(ctx, env, &mut self.current)?;
                 Ok(Change::from_delta(delta))
             }
+            Kind::Filter(state) => {
+                let delta = state.update(ctx, env, &mut self.current)?;
+                Ok(Change::from_delta(delta))
+            }
             Kind::HashJoin(state) => {
                 let delta = state.update(ctx, env, &mut self.current)?;
                 Ok(Change::from_delta(delta))
@@ -1412,15 +1502,15 @@ impl ForUnionState {
     fn fill(&mut self, env: &Instance) -> Result<Value, IvmError> {
         self.cache.clear();
         self.counts.clear();
-        let members = set_of(self.over.value(env), "binding union over")?.clone();
+        let members = set_of(self.over.value(env), "binding union over")?;
         let mut out: BTreeSet<Value> = BTreeSet::new();
         for m in members {
-            let body_v = exec_plan(&self.body, &env.with(self.var, m.clone()))?;
+            let body_v = bound_exec1(&self.body, self.var, m, env)?;
             for e in set_of(&body_v, "binding union body")? {
                 *self.counts.entry(e.clone()).or_insert(0) += 1;
                 out.insert(e.clone());
             }
-            self.cache.insert(m, body_v);
+            self.cache.insert(m.clone(), body_v);
         }
         Ok(Value::from_set(out))
     }
@@ -1433,23 +1523,11 @@ impl ForUnionState {
     ) -> Result<DeltaSet, IvmError> {
         let co = self.over.update(ctx, env)?;
         let over_delta = co.into_set_delta(self.over.value(env), "binding union over")?;
-        let hard_dirty = self.hard_deps.iter().any(|n| ctx.changes.contains_key(n));
-        let probe_unknown = self
-            .probe_deps
-            .iter()
-            .any(|n| matches!(ctx.changes.get(n), Some(nc) if nc.delta.is_none()));
-        if hard_dirty || probe_unknown {
-            // A dependency changed in a way the targeted rules don't cover:
-            // rebuild this operator's state and report the exact diff.
-            let old = std::mem::replace(current, Value::empty_set());
-            *current = self.fill(env)?;
-            return Ok(DeltaSet::diff(
-                set_of(&old, "binding union output")?,
-                set_of(current, "binding union output")?,
-            ));
+        if self.deps.need_refill(ctx) {
+            let new = self.fill(env)?;
+            return replace_output(current, new, "binding union output");
         }
-        let no_probe_change = !self.probe_deps.iter().any(|n| ctx.changes.contains_key(n));
-        if over_delta.is_none() && no_probe_change {
+        if over_delta.is_none() && !self.deps.probe_changed(ctx) {
             return Ok(DeltaSet::new());
         }
         let mut trans = CountDelta::new(&mut self.counts);
@@ -1469,19 +1547,10 @@ impl ForUnionState {
         //    Body evaluations are pure, so they run as one (possibly
         //    parallel) round; the cache/count mutations replay in member
         //    order below.
-        let mut affected: BTreeSet<Value> = BTreeSet::new();
-        for n in &self.probe_deps {
-            if let Some(NameChange { delta: Some(d), .. }) = ctx.changes.get(n) {
-                for x in d.elems() {
-                    if self.cache.contains_key(x) {
-                        affected.insert(x.clone());
-                    }
-                }
-            }
-        }
+        let affected = self.deps.probed(ctx, |x| self.cache.contains_key(x));
         let (body, var) = (&self.body, self.var);
         let evals = par_eval(ctx, affected.into_iter().collect(), |m| {
-            Ok(exec_plan(body, &env.with(var, m.clone()))?)
+            bound_exec1(body, var, m, env)
         })?;
         for (m, new_body) in evals {
             let old_body = self
@@ -1503,7 +1572,7 @@ impl ForUnionState {
         //    eval round / sequential merge split)
         if let Some(d) = &over_delta {
             let evals = par_eval(ctx, d.inserts.iter().cloned().collect(), |m| {
-                Ok(exec_plan(body, &env.with(var, m.clone()))?)
+                bound_exec1(body, var, m, env)
             })?;
             for (m, body_v) in evals {
                 for e in set_of(&body_v, "binding union body")? {
@@ -1518,9 +1587,89 @@ impl ForUnionState {
     }
 }
 
-/// Evaluate a key plan under one binder.
+impl FilterState {
+    /// Does member `m` pass the condition?
+    fn passes(cond: &Plan, var: Name, m: &Value, env: &Instance) -> Result<bool, IvmError> {
+        let v = bound_exec1(cond, var, m, env)?;
+        Ok(!set_of(&v, "filter condition")?.is_empty())
+    }
+
+    /// Evaluate from scratch: the members that pass, as the output.
+    fn fill(&self, env: &Instance) -> Result<Value, IvmError> {
+        let mut out = Vec::new();
+        for m in set_of(self.over.value(env), "filter over")? {
+            if FilterState::passes(&self.cond, self.var, m, env)? {
+                out.push(m.clone());
+            }
+        }
+        // members iterate in order, so this is a bulk build
+        Ok(Value::from_set(out.into_iter().collect()))
+    }
+
+    fn update(
+        &mut self,
+        ctx: &mut Ctx,
+        env: &Instance,
+        current: &mut Value,
+    ) -> Result<DeltaSet, IvmError> {
+        let co = self.over.update(ctx, env)?;
+        let over_delta = co.into_set_delta(self.over.value(env), "filter over")?;
+        if self.deps.need_refill(ctx) {
+            let new = self.fill(env)?;
+            return replace_output(current, new, "filter output");
+        }
+        if over_delta.is_none() && !self.deps.probe_changed(ctx) {
+            return Ok(DeltaSet::new());
+        }
+        let out = set_of(current, "filter output")?;
+        let mut delta = DeltaSet::new();
+        // 1. members leaving the loop leave the output if they were in it
+        if let Some(d) = &over_delta {
+            delta
+                .deletes
+                .extend(d.deletes.iter().filter(|m| out.contains(*m)).cloned());
+        }
+        // 2. surviving members a probe delta lists: re-evaluate the
+        //    condition (one pure, possibly parallel round) and record each
+        //    member's transition in member order
+        let over_now = set_of(self.over.value(env), "filter over")?;
+        let inserted = |x: &Value| over_delta.as_ref().is_some_and(|d| d.inserts.contains(x));
+        let affected = self
+            .deps
+            .probed(ctx, |x| over_now.contains(x) && !inserted(x));
+        let (cond, var) = (&self.cond, self.var);
+        let evals = par_eval(ctx, affected.into_iter().collect(), |m| {
+            FilterState::passes(cond, var, m, env)
+        })?;
+        for (m, pass) in evals {
+            let was = out.contains(&m);
+            record(&mut delta, &m, was, pass);
+        }
+        // 3. members entering the loop are kept when the condition holds
+        if let Some(d) = &over_delta {
+            let evals = par_eval(ctx, d.inserts.iter().cloned().collect(), |m| {
+                FilterState::passes(cond, var, m, env)
+            })?;
+            delta
+                .inserts
+                .extend(evals.into_iter().filter(|(_, pass)| *pass).map(|(m, _)| m));
+        }
+        apply_delta_value(current, &delta, "filter")?;
+        Ok(delta)
+    }
+}
+
+/// Replace an operator's output after a refill — the fallback when a
+/// dependency changed in a way the targeted rules don't cover — and report
+/// the exact diff.
+fn replace_output(current: &mut Value, new: Value, what: &str) -> Result<DeltaSet, IvmError> {
+    let old = std::mem::replace(current, new);
+    Ok(DeltaSet::diff(set_of(&old, what)?, set_of(current, what)?))
+}
+
+/// Evaluate a plan (loop body, filter condition, join key) under one binder.
 fn bound_exec1(plan: &Plan, var: Name, m: &Value, env: &Instance) -> Result<Value, IvmError> {
-    Ok(exec_plan(plan, &env.with(var, m.clone()))?)
+    Ok(exec_plan_bound(plan, env, &[(var, m.clone())])?)
 }
 
 /// Evaluate a join body under both binders, as a set.
@@ -1532,7 +1681,7 @@ fn bound_exec2(
     y: &Value,
     env: &Instance,
 ) -> Result<BTreeSet<Value>, IvmError> {
-    let v = exec_plan(plan, &env.with(lvar, x.clone()).with(rvar, y.clone()))?;
+    let v = exec_plan_bound(plan, env, &[(lvar, x.clone()), (rvar, y.clone())])?;
     Ok(set_of(&v, "join body")?.clone())
 }
 
@@ -1576,12 +1725,8 @@ impl HashJoinState {
         let cr = self.right.update(ctx, env)?;
         let dr = cr.into_set_delta(self.right.value(env), "join build side")?;
         if self.hard_deps.iter().any(|n| ctx.changes.contains_key(n)) {
-            let old = std::mem::replace(current, Value::empty_set());
-            *current = self.fill(env)?;
-            return Ok(DeltaSet::diff(
-                set_of(&old, "join output")?,
-                set_of(current, "join output")?,
-            ));
+            let new = self.fill(env)?;
+            return replace_output(current, new, "join output");
         }
         if dl.is_none() && dr.is_none() {
             return Ok(DeltaSet::new());
@@ -1761,6 +1906,73 @@ mod tests {
         let d = step(&mut mq, &b);
         assert_eq!(d.deletes, atoms([3]).into_set().unwrap());
         assert_eq!(mq.value(), &atoms([5, 9]));
+    }
+
+    /// Per-member operator state held in a node subtree: cached loop bodies
+    /// plus support-count entries.
+    fn member_state(node: &Node) -> usize {
+        match &node.kind {
+            Kind::Var(_) | Kind::Opaque { .. } => 0,
+            Kind::Union(a, b) | Kind::Diff(a, b) => member_state(a) + member_state(b),
+            Kind::Guard { cond, body, .. } => member_state(cond) + member_state(body),
+            Kind::ForUnion(st) => st.cache.len() + st.counts.len() + member_state(&st.over),
+            Kind::Filter(st) => member_state(&st.over),
+            Kind::HashJoin(st) => {
+                st.counts.len() + member_state(&st.left) + member_state(&st.right)
+            }
+            Kind::Let { value, body, .. } => member_state(value) + member_state(body),
+        }
+    }
+
+    #[test]
+    fn filter_loops_keep_no_per_member_state() {
+        // { x ∈ S | x ∈ F } is filter-shaped; the projection ⋃{ {π1 b} | b ∈ B }
+        // is not, and keeps the general body cache and support counts.
+        let mut gen = NameGen::new();
+        let member = macros::member(&Type::Ur, Expr::var("x"), Expr::var("F"), &mut gen);
+        let filter = Expr::big_union(
+            "x",
+            Expr::var("S"),
+            macros::guard(member, Expr::singleton(Expr::var("x")), &mut gen),
+        );
+        let env = inst(vec![("S", atoms([1, 2, 3])), ("F", atoms([2, 3, 9]))]);
+        let mut mq = MaintainedQuery::new(&CompiledQuery::compile(&filter), &env).unwrap();
+        assert!(
+            matches!(mq.root.kind, Kind::Filter(_)),
+            "{}",
+            mq.query.plan()
+        );
+        assert_eq!(member_state(&mq.root), 0);
+        let cov = mq.coverage();
+        assert!(cov.fully_incremental());
+        assert_eq!(cov.ops[0].kind, "for-union");
+        let mut b = UpdateBatch::new();
+        b.insert("S", Value::atom(9)).delete("S", Value::atom(2));
+        step(&mut mq, &b);
+        let mut b = UpdateBatch::new();
+        b.delete("F", Value::atom(3)).insert("F", Value::atom(1));
+        step(&mut mq, &b);
+        assert_eq!(mq.value(), &atoms([1, 9]));
+        assert_eq!(member_state(&mq.root), 0);
+
+        let projection = Expr::big_union(
+            "b",
+            Expr::var("B"),
+            Expr::singleton(Expr::proj1(Expr::var("b"))),
+        );
+        let r = |k: u64, v: u64| Value::pair(Value::atom(k), Value::atom(v));
+        let env = inst(vec![("B", Value::set([r(1, 10), r(1, 11), r(2, 12)]))]);
+        let mut mq = MaintainedQuery::new(&CompiledQuery::compile(&projection), &env).unwrap();
+        assert!(matches!(mq.root.kind, Kind::ForUnion(_)));
+        assert_eq!(
+            member_state(&mq.root),
+            3 + 2,
+            "three cached bodies, two counts"
+        );
+        let mut b = UpdateBatch::new();
+        b.delete("B", r(1, 10));
+        step(&mut mq, &b);
+        assert_eq!(member_state(&mq.root), 2 + 2);
     }
 
     #[test]

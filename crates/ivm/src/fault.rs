@@ -202,9 +202,11 @@ pub fn global_fired() -> Option<&'static str> {
 }
 
 /// RAII guard for a process-global plan: arms on construction, disarms on
-/// drop.  Tests arming this must not run concurrently with other fault
-/// tests (`cargo test` runs each *test binary*'s chaos tests in one
-/// process; the suites using this serialize themselves).
+/// drop.  Tests arming this must not run concurrently with any other test
+/// that reaches a `hit()` site (`cargo test` runs each *test binary*'s tests
+/// in one process), so they live in binaries of their own
+/// (`tests/global_fault.rs` here, `pipeline_chaos.rs` in `nrs-serve`) and
+/// serialize among themselves.
 #[cfg(feature = "fault-injection")]
 pub struct GlobalFaultScope {
     _priv: (),
@@ -326,31 +328,6 @@ mod tests {
         assert_eq!(fired(), Some("b"));
         drop(scope);
         assert!(hit("d").is_ok(), "disarmed hooks are inert");
-    }
-
-    #[test]
-    fn global_plan_reaches_other_threads_and_is_shadowed_locally() {
-        let scope = GlobalFaultScope::new(FaultPlan::fail_nth(1));
-        // another thread, no local plan: counts against the global plan
-        std::thread::spawn(|| {
-            assert!(hit("w0").is_ok());
-            let e = hit("w1").unwrap_err();
-            assert!(matches!(e, IvmError::FaultInjected { site: "w1" }));
-            assert!(hit("w2").is_ok(), "global plans are one-shot too");
-        })
-        .join()
-        .unwrap();
-        assert_eq!(scope.hits(), 3);
-        assert_eq!(global_fired(), Some("w1"));
-        // an armed local plan shadows the global one on its thread
-        {
-            let local = FaultScope::new(FaultPlan::count_only());
-            assert!(hit("local").is_ok());
-            assert_eq!(local.hits(), 1);
-            assert_eq!(scope.hits(), 3, "shadowed: the global count is frozen");
-        }
-        drop(scope);
-        assert!(hit("idle").is_ok(), "disarmed global plans are inert");
     }
 
     #[test]

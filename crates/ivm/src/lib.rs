@@ -15,7 +15,11 @@
 //! state — membership materializations, per-member loop-body caches, join
 //! key indexes, and **multiset support counts** that make deletions sound
 //! for union, projection-like loops and joins (an output tuple disappears
-//! only when its *last* producer does).  [`MaintainedQuery::apply`]
+//! only when its *last* producer does).  Filter loops `{x ∈ R | φ(x)}` — the
+//! shape of every synthesized view and answer — keep **no per-member
+//! state** at all: each output element is produced only by the member equal
+//! to it, so the output set alone says which members pass, and a batch
+//! costs one condition evaluation per inserted or probe-touched member.  [`MaintainedQuery::apply`]
 //! propagates a batch through the operator tree and returns the exact
 //! [`DeltaSet`] of the output; the materialized value is always available
 //! through [`MaintainedQuery::value`] as the same `Arc`-shared

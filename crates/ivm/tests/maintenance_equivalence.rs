@@ -111,8 +111,39 @@ fn families() -> Vec<(&'static str, Expr)> {
         Expr::var("F"),
         &mut gen,
     );
+    // { r ∈ S ∪ F | r ∈ F ∨ r ∈ S } — the served-answer shape: one tuple
+    // can be a delta of the loop's range and of a probed relation at once.
+    let answer_filter = Expr::big_union(
+        "r",
+        Expr::union(Expr::var("S"), Expr::var("F")),
+        macros::guard(
+            macros::or(
+                macros::member(&Type::Ur, Expr::var("r"), Expr::var("F"), &mut gen),
+                macros::member(&Type::Ur, Expr::var("r"), Expr::var("S"), &mut gen),
+            ),
+            Expr::singleton(Expr::var("r")),
+            &mut gen,
+        ),
+    );
+    // { x ∈ S | x ∈ F ∧ G ≠ ∅ } — a filter whose condition has a hard
+    // dependency (G), so a delta on G refills the filter.
+    let hard_filter = Expr::big_union(
+        "x",
+        Expr::var("S"),
+        macros::guard(
+            macros::and(
+                macros::member(&Type::Ur, Expr::var("x"), Expr::var("F"), &mut gen),
+                macros::nonempty(Expr::var("G"), &mut gen),
+                &mut gen,
+            ),
+            Expr::singleton(Expr::var("x")),
+            &mut gen,
+        ),
+    );
     vec![
         ("member_filter", member_filter),
+        ("answer_filter", answer_filter),
+        ("hard_filter", hard_filter),
         ("not_member_filter", not_member_filter),
         ("algebra", algebra),
         ("flatten", flatten),

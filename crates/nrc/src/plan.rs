@@ -992,11 +992,13 @@ pub fn lower(expr: &Expr) -> Plan {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// The executor environment: the base instance plus a scope stack of loop /
-/// let bindings.  Pushing a frame is O(1); lookup scans the (shallow) stack
-/// innermost-first and falls back to the instance.
+/// The executor environment: the base instance, the caller's bindings, and
+/// a scope stack of loop / let bindings.  Pushing a frame is O(1); lookup
+/// scans the (shallow) stack innermost-first, then the caller's bindings
+/// last-first, and falls back to the instance.
 struct Frames<'a> {
     base: &'a Instance,
+    bound: &'a [(Name, Value)],
     stack: Vec<(Name, Value)>,
 }
 
@@ -1005,6 +1007,7 @@ impl<'a> Frames<'a> {
         self.stack
             .iter()
             .rev()
+            .chain(self.bound.iter().rev())
             .find(|(k, _)| k == n)
             .map(|(_, v)| v)
             .or_else(|| self.base.try_get(n))
@@ -1024,8 +1027,22 @@ impl<'a> Frames<'a> {
 /// per-member extended environments — against the same executor the batch
 /// pipeline uses.
 pub fn exec_plan(plan: &Plan, env: &Instance) -> Result<Value, NrcError> {
+    exec_plan_bound(plan, env, &[])
+}
+
+/// Execute a plan in `env` extended by `bindings` (later entries shadow
+/// earlier ones, and all of them shadow `env`) — the result of
+/// `exec_plan(plan, &env.with(x, v)…)` without copying the instance's
+/// treap path per call.  This is how `nrs-ivm` evaluates a loop body,
+/// filter condition or join key for one member.
+pub fn exec_plan_bound(
+    plan: &Plan,
+    env: &Instance,
+    bindings: &[(Name, Value)],
+) -> Result<Value, NrcError> {
     let mut frames = Frames {
         base: env,
+        bound: bindings,
         stack: Vec::new(),
     };
     exec(plan, &mut frames)
@@ -1511,5 +1528,42 @@ mod tests {
             ),
             Err(NrcError::Stuck(_))
         ));
+    }
+
+    #[test]
+    fn bound_execution_matches_an_extended_environment() {
+        // Caller bindings shadow the instance and later ones shadow earlier
+        // ones, exactly like `env.with(..).with(..)`; loop binders inside
+        // the plan shadow the caller's bindings.
+        let (x, y, s) = (Name::new("x"), Name::new("y"), Name::new("S"));
+        let env = Instance::from_bindings([
+            (x, Value::atom(1)),
+            (s, Value::set([Value::atom(5), Value::atom(6)])),
+        ]);
+        let pair = Plan::Pair(Plan::Var(x).boxed(), Plan::Var(y).boxed());
+        let loop_over_s = Plan::ForUnion {
+            var: x,
+            over: Plan::Var(s).boxed(),
+            body: Plan::Singleton(pair.clone().boxed()).boxed(),
+        };
+        let bindings = [
+            (x, Value::atom(2)),
+            (y, Value::atom(3)),
+            (x, Value::atom(4)),
+        ];
+        let extended = bindings
+            .iter()
+            .fold(env.clone(), |e, (n, v)| e.with(*n, v.clone()));
+        for plan in [&pair, &loop_over_s] {
+            assert_eq!(
+                exec_plan_bound(plan, &env, &bindings).unwrap(),
+                exec_plan(plan, &extended).unwrap(),
+                "{plan}"
+            );
+        }
+        assert_eq!(
+            exec_plan_bound(&pair, &env, &bindings).unwrap(),
+            Value::pair(Value::atom(4), Value::atom(3))
+        );
     }
 }
