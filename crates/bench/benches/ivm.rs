@@ -13,13 +13,18 @@
 //!   materialized views (what E5's `from_views` measures per query);
 //! * `recompute_pipeline` — re-materializing the views and re-running the
 //!   rewriting, the full non-incremental reaction to a base update.
+//!
+//! `ivm_build` measures set-up instead: `MaintainedWorkload::new` for the
+//! one-query partition workload, filling every view and the answer from
+//! scratch (what serving set-up and a rollback rebuild run), at |S| up to
+//! 10⁵.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nrs_ivm::UpdateBatch;
-use nrs_synthesis::ivm::MaintainedRewriting;
+use nrs_synthesis::ivm::{MaintainedRewriting, MaintainedWorkload};
 use nrs_synthesis::views::{materialize_views, partition_instance, partition_problem};
-use nrs_synthesis::SynthesisConfig;
-use nrs_value::Value;
+use nrs_synthesis::{overlapping_workload_problem, SynthesisConfig};
+use nrs_value::{Name, Value};
 use std::time::Duration;
 
 fn bench_ivm(c: &mut Criterion) {
@@ -32,11 +37,8 @@ fn bench_ivm(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
-    let sizes: &[usize] = if std::env::var_os("NRS_BENCH_FAST").is_some() {
-        &[1_000]
-    } else {
-        &[1_000, 10_000]
-    };
+    let fast = std::env::var_os("NRS_BENCH_FAST").is_some();
+    let sizes: &[usize] = if fast { &[1_000] } else { &[1_000, 10_000] };
     for &size in sizes {
         let base = partition_instance(size, 42);
         let views = materialize_views(&problem, &base).unwrap();
@@ -107,6 +109,23 @@ fn bench_ivm(c: &mut Criterion) {
         // the maintained pipeline is still consistent with the oracle after
         // all those batches
         assert!(maintained.cross_check(&rewriting).unwrap());
+    }
+
+    let mut workload = overlapping_workload_problem(1);
+    workload.queries[0].name = Name::new("Q");
+    let workload = workload
+        .derive_workload(&SynthesisConfig::default())
+        .expect("workload rewriting");
+    let build_sizes: &[usize] = if fast {
+        &[1_000]
+    } else {
+        &[1_000, 10_000, 100_000]
+    };
+    for &size in build_sizes {
+        let base = partition_instance(size, 42);
+        group.bench_with_input(BenchmarkId::new("ivm_build", size), &size, |b, _| {
+            b.iter(|| MaintainedWorkload::new(&workload, &base).unwrap())
+        });
     }
     group.finish();
 }

@@ -25,7 +25,7 @@
 //! overlap and exactness checks.
 
 use crate::IvmError;
-use nrs_value::{Instance, Name, Schema, Value};
+use nrs_value::{Instance, Name, Schema, SetValue, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// An exact set delta: disjoint inserts and deletes.
@@ -78,16 +78,14 @@ impl DeltaSet {
         }
     }
 
-    /// Apply the delta to a set (deletes then inserts).
-    pub fn apply_to(&self, set: &BTreeSet<Value>) -> BTreeSet<Value> {
-        let mut out = set.clone();
+    /// Apply the delta to a set in place (deletes then inserts).
+    pub fn apply_to(&self, set: &mut BTreeSet<Value>) {
         for d in &self.deletes {
-            out.remove(d);
+            set.remove(d);
         }
         for i in &self.inserts {
-            out.insert(i.clone());
+            set.insert(i.clone());
         }
-        out
     }
 
     /// A tuple listed on both sides, if any — such a delta is malformed
@@ -204,11 +202,16 @@ impl UpdateBatch {
         self.check_disjoint()?;
         let mut bindings = Vec::with_capacity(self.rels.len());
         for (name, delta) in &self.rels {
-            let old = match inst.try_get(name) {
-                None => BTreeSet::new(),
-                Some(v) => v.as_set().map_err(|_| IvmError::NotASet(*name))?.clone(),
+            let mut set = match inst.try_get(name) {
+                None => SetValue::empty(),
+                Some(v) => v
+                    .as_set_value()
+                    .map_err(|_| IvmError::NotASet(*name))?
+                    .clone(),
             };
-            bindings.push((*name, Value::from_set(delta.apply_to(&old))));
+            // the one copy of a shared relation: `make_mut` on the clone
+            delta.apply_to(set.make_mut());
+            bindings.push((*name, Value::Set(set)));
         }
         Ok(inst.with_many(bindings))
     }
@@ -430,7 +433,9 @@ mod tests {
         let d = DeltaSet::diff(&old, &new);
         assert_eq!(d.inserts, atoms([4, 5]));
         assert_eq!(d.deletes, atoms([1]));
-        assert_eq!(d.apply_to(&old), new);
+        let mut applied = old.clone();
+        d.apply_to(&mut applied);
+        assert_eq!(applied, new);
         assert!(d.was_member(&new, &Value::atom(1)));
         assert!(!d.was_member(&new, &Value::atom(4)));
         assert!(d.was_member(&new, &Value::atom(2)));

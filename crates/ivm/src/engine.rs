@@ -13,7 +13,12 @@
 //!   itself records which members pass.  A round retires deleted members,
 //!   re-evaluates `φ` for the surviving members a probe delta lists, and
 //!   evaluates `φ` for inserted members, each an exact transition against
-//!   the output;
+//!   the output.  The fill (build, refill) is the set-at-a-time kernel
+//!   [`exec_filter`]: a `φ` over probes `member(x, H)` evaluates each
+//!   haystack once and walks `R` in order against it, merging (or probing
+//!   a haystack much larger than `R`), so a fill allocates per output node,
+//!   not per member.  Per-member tests go through [`holds_bound`], which
+//!   decides `φ` without building `Set(Unit)` Booleans;
 //! * every other `ForUnion` (projections, flattens, nested loops) keeps a
 //!   per-member cache of evaluated loop bodies plus **multiset support
 //!   counts** of the output elements, so deletions (a member leaving, or a
@@ -69,7 +74,9 @@
 
 use crate::batch::{DeltaSet, UpdateBatch};
 use crate::IvmError;
-use nrs_nrc::{exec_plan, exec_plan_bound, CompiledQuery, Plan};
+use nrs_nrc::{
+    exec_filter, exec_plan, exec_plan_bound, filter_cond, holds_bound, CompiledQuery, Plan,
+};
 use nrs_value::{Instance, Name, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -596,15 +603,8 @@ fn fault_site(kind: &Kind) -> &'static str {
 }
 
 fn apply_delta(sv: &mut nrs_value::SetValue, delta: &DeltaSet) {
-    if delta.is_empty() {
-        return;
-    }
-    let elems = sv.make_mut();
-    for d in &delta.deletes {
-        elems.remove(d);
-    }
-    for i in &delta.inserts {
-        elems.insert(i.clone());
+    if !delta.is_empty() {
+        delta.apply_to(sv.make_mut());
     }
 }
 
@@ -1022,26 +1022,26 @@ impl<'a> Builder<'a> {
             Plan::Union(a, b) => {
                 let a = self.build(a, env)?;
                 let b = self.build(b, env)?;
-                let mut elems = set_of(a.value(env), "union lhs")?.clone();
-                elems.extend(set_of(b.value(env), "union rhs")?.iter().cloned());
+                let current = a
+                    .value(env)
+                    .union(b.value(env))
+                    .map_err(|e| IvmError::Internal(format!("union: {e}")))?;
                 Ok(Node {
                     id,
-                    current: Value::from_set(elems),
+                    current,
                     kind: Kind::Union(Box::new(a), Box::new(b)),
                 })
             }
             Plan::Diff(a, b) => {
                 let a = self.build(a, env)?;
                 let b = self.build(b, env)?;
-                let bset = set_of(b.value(env), "difference rhs")?;
-                let elems = set_of(a.value(env), "difference lhs")?
-                    .iter()
-                    .filter(|v| !bset.contains(*v))
-                    .cloned()
-                    .collect();
+                let current = a
+                    .value(env)
+                    .difference(b.value(env))
+                    .map_err(|e| IvmError::Internal(format!("difference: {e}")))?;
                 Ok(Node {
                     id,
-                    current: Value::from_set(elems),
+                    current,
                     kind: Kind::Diff(Box::new(a), Box::new(b)),
                 })
             }
@@ -1160,17 +1160,6 @@ impl<'a> Builder<'a> {
             }
             other => self.opaque(id, other, env),
         }
-    }
-}
-
-/// The condition `φ` of a filter-shaped loop body `guard(φ; {var})`.
-fn filter_cond(var: Name, body: &Plan) -> Option<&Plan> {
-    match body {
-        Plan::Guard { cond, body } => match &**body {
-            Plan::Singleton(elem) if matches!(**elem, Plan::Var(v) if v == var) => Some(cond),
-            _ => None,
-        },
-        _ => None,
     }
 }
 
@@ -1590,20 +1579,15 @@ impl ForUnionState {
 impl FilterState {
     /// Does member `m` pass the condition?
     fn passes(cond: &Plan, var: Name, m: &Value, env: &Instance) -> Result<bool, IvmError> {
-        let v = bound_exec1(cond, var, m, env)?;
-        Ok(!set_of(&v, "filter condition")?.is_empty())
+        Ok(holds_bound(cond, env, &[(var, m.clone())])?)
     }
 
-    /// Evaluate from scratch: the members that pass, as the output.
+    /// Evaluate from scratch: the members that pass, as the output (one
+    /// merge walk of `over` for probe-shaped conditions, see
+    /// [`exec_filter`]).
     fn fill(&self, env: &Instance) -> Result<Value, IvmError> {
-        let mut out = Vec::new();
-        for m in set_of(self.over.value(env), "filter over")? {
-            if FilterState::passes(&self.cond, self.var, m, env)? {
-                out.push(m.clone());
-            }
-        }
-        // members iterate in order, so this is a bulk build
-        Ok(Value::from_set(out.into_iter().collect()))
+        let over = set_of(self.over.value(env), "filter over")?;
+        Ok(exec_filter(self.var, over, &self.cond, env)?)
     }
 
     fn update(
@@ -1672,7 +1656,7 @@ fn bound_exec1(plan: &Plan, var: Name, m: &Value, env: &Instance) -> Result<Valu
     Ok(exec_plan_bound(plan, env, &[(var, m.clone())])?)
 }
 
-/// Evaluate a join body under both binders, as a set.
+/// Evaluate a join body under both binders (a set value).
 fn bound_exec2(
     plan: &Plan,
     lvar: Name,
@@ -1680,9 +1664,12 @@ fn bound_exec2(
     rvar: Name,
     y: &Value,
     env: &Instance,
-) -> Result<BTreeSet<Value>, IvmError> {
-    let v = exec_plan_bound(plan, env, &[(lvar, x.clone()), (rvar, y.clone())])?;
-    Ok(set_of(&v, "join body")?.clone())
+) -> Result<Value, IvmError> {
+    Ok(exec_plan_bound(
+        plan,
+        env,
+        &[(lvar, x.clone()), (rvar, y.clone())],
+    )?)
 }
 
 impl HashJoinState {
@@ -1692,24 +1679,23 @@ impl HashJoinState {
         self.lindex.clear();
         self.rindex.clear();
         self.counts.clear();
-        let left = set_of(self.left.value(env), "join probe side")?.clone();
-        let right = set_of(self.right.value(env), "join build side")?.clone();
+        let left = set_of(self.left.value(env), "join probe side")?;
+        let right = set_of(self.right.value(env), "join build side")?;
         for y in right {
-            let k = bound_exec1(&self.rkey, self.rvar, &y, env)?;
-            self.rindex.entry(k).or_default().insert(y);
+            let k = bound_exec1(&self.rkey, self.rvar, y, env)?;
+            self.rindex.entry(k).or_default().insert(y.clone());
         }
         let mut out: BTreeSet<Value> = BTreeSet::new();
         for x in left {
-            let k = bound_exec1(&self.lkey, self.lvar, &x, env)?;
-            if let Some(matches) = self.rindex.get(&k) {
-                for y in matches.clone() {
-                    for e in bound_exec2(&self.body, self.lvar, &x, self.rvar, &y, env)? {
-                        *self.counts.entry(e.clone()).or_insert(0) += 1;
-                        out.insert(e);
-                    }
+            let k = bound_exec1(&self.lkey, self.lvar, x, env)?;
+            for y in self.rindex.get(&k).into_iter().flatten() {
+                let body_v = bound_exec2(&self.body, self.lvar, x, self.rvar, y, env)?;
+                for e in set_of(&body_v, "join body")? {
+                    *self.counts.entry(e.clone()).or_insert(0) += 1;
+                    out.insert(e.clone());
                 }
             }
-            self.lindex.entry(k).or_default().insert(x);
+            self.lindex.entry(k).or_default().insert(x.clone());
         }
         Ok(Value::from_set(out))
     }
@@ -1749,7 +1735,8 @@ impl HashJoinState {
                 let mut elems = Vec::new();
                 if let Some(matches) = rindex.get(&k) {
                     for y in matches {
-                        elems.extend(bound_exec2(body, lvar, x, rvar, y, env)?);
+                        let body_v = bound_exec2(body, lvar, x, rvar, y, env)?;
+                        elems.extend(set_of(&body_v, "join body")?.iter().cloned());
                     }
                 }
                 Ok((k, elems))
@@ -1784,7 +1771,8 @@ impl HashJoinState {
                 let mut elems = Vec::new();
                 if let Some(matches) = lindex.get(&k) {
                     for x in matches {
-                        elems.extend(bound_exec2(body, lvar, x, rvar, y, env)?);
+                        let body_v = bound_exec2(body, lvar, x, rvar, y, env)?;
+                        elems.extend(set_of(&body_v, "join body")?.iter().cloned());
                     }
                 }
                 Ok((k, elems))

@@ -34,7 +34,10 @@ pub mod spec;
 pub mod typing;
 
 pub use expr::Expr;
-pub use plan::{eval_optimized, exec_plan, exec_plan_bound, CompiledQuery, Plan};
+pub use plan::{
+    eval_optimized, exec_filter, exec_plan, exec_plan_bound, filter_cond, holds_bound,
+    CompiledQuery, Plan,
+};
 pub use spec::{GenExpr, Generator, ViewDef};
 
 pub use nrs_delta0::{Formula, Term};

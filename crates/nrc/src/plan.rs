@@ -14,13 +14,26 @@
 //! `BTreeSet`, equality joins become hash joins over a [`HashMap`]-keyed
 //! index, Boolean guards short-circuit, and loop-invariant subplans are
 //! hoisted into [`Plan::Let`] bindings evaluated once and shared by
-//! reference.  Lowering is purely structural — every recognizer is justified
+//! reference.
+//!
+//! Conditions are decided, not built: a guard's condition goes through
+//! [`holds_bound`]'s kernel, which turns `member` into a probe, `eq` into a
+//! value comparison, `∪` into `||`, `guard` into `&&` and `{()} \ b` into
+//! `!b`, so no `Set(Unit)` Boolean is allocated.  A filter loop
+//! `for[x in R]{guard(φ; {x})}` — the shape of every synthesized view and
+//! answer — runs set at a time ([`exec_filter`]): when `φ` is those
+//! connectives over probes `member(x, H)` and `x`-free sub-conditions, each
+//! haystack is evaluated once and `R` is walked in order with one forward
+//! cursor per haystack (a haystack much larger than `R` is probed instead),
+//! and the output is bulk-built.  Lowering is purely structural — every recognizer is justified
 //! by an NRC equivalence on canonical values, and the naive
 //! [`crate::eval::eval`] stays available as an oracle (see
 //! `tests/opt_equivalence.rs`).
 //!
 //! Entry points: [`CompiledQuery::compile`] (simplify → lower → hoist) and
-//! [`eval_optimized`] for one-shot use.
+//! [`eval_optimized`] for one-shot use; [`exec_plan_bound`],
+//! [`holds_bound`] and [`exec_filter`] are the executor's pieces that
+//! `nrs-ivm` reuses.
 
 use crate::expr::Expr;
 use crate::opt;
@@ -1003,6 +1016,14 @@ struct Frames<'a> {
 }
 
 impl<'a> Frames<'a> {
+    fn new(base: &'a Instance, bound: &'a [(Name, Value)]) -> Frames<'a> {
+        Frames {
+            base,
+            bound,
+            stack: Vec::new(),
+        }
+    }
+
     fn lookup(&self, n: &Name) -> Option<&Value> {
         self.stack
             .iter()
@@ -1040,12 +1061,35 @@ pub fn exec_plan_bound(
     env: &Instance,
     bindings: &[(Name, Value)],
 ) -> Result<Value, NrcError> {
-    let mut frames = Frames {
-        base: env,
-        bound: bindings,
-        stack: Vec::new(),
-    };
-    exec(plan, &mut frames)
+    exec(plan, &mut Frames::new(env, bindings))
+}
+
+/// Decide a condition plan in `env` extended by `bindings`: exactly
+/// `!exec_plan_bound(plan, env, bindings)?.is_empty()` on well-typed plans,
+/// but without building the `Set(Unit)` Booleans of `member`, `eq`, `∪`,
+/// `guard` and `{()} \ b`.  This is how `nrs-ivm` re-decides a filter
+/// condition for one member.
+pub fn holds_bound(
+    plan: &Plan,
+    env: &Instance,
+    bindings: &[(Name, Value)],
+) -> Result<bool, NrcError> {
+    holds(plan, &mut Frames::new(env, bindings))
+}
+
+/// `{var ∈ over | cond(var)}` in `env`: the set-at-a-time filter kernel the
+/// executor runs for `for[var in R]{guard(cond; {var})}` (see
+/// [`filter_cond`]) and `nrs-ivm` fills its filter nodes with.  A condition
+/// made of probes `member(var, H)` and `var`-free sub-conditions under
+/// `∪`, `guard` and `{()} \ ·` costs one evaluation of each haystack and
+/// one ordered walk of `over`; any other condition is decided per member.
+pub fn exec_filter(
+    var: Name,
+    over: &BTreeSet<Value>,
+    cond: &Plan,
+    env: &Instance,
+) -> Result<Value, NrcError> {
+    filter(var, over, cond, &mut Frames::new(env, &[]))
 }
 
 fn set_of(v: &Value, what: &str) -> Result<SetValue, NrcError> {
@@ -1098,6 +1142,9 @@ fn exec(plan: &Plan, fr: &mut Frames<'_>) -> Result<Value, NrcError> {
         Plan::ForUnion { var, over, body } => {
             let over_v = exec(over, fr)?;
             let members = set_of(&over_v, "binding union over")?;
+            if let Some(cond) = filter_cond(*var, body) {
+                return filter(*var, &members, cond, fr);
+            }
             let mut out: BTreeSet<Value> = BTreeSet::new();
             for m in members.iter() {
                 let body_v = fr.scoped(*var, m.clone(), |fr| exec(body, fr))?;
@@ -1109,9 +1156,7 @@ fn exec(plan: &Plan, fr: &mut Frames<'_>) -> Result<Value, NrcError> {
             Ok(Value::from_set(out))
         }
         Plan::Guard { cond, body } => {
-            let cond_v = exec(cond, fr)?;
-            let nonempty = !set_of(&cond_v, "guard condition")?.is_empty();
-            if nonempty {
+            if holds(cond, fr)? {
                 exec(body, fr)
             } else {
                 Ok(Value::empty_set())
@@ -1170,6 +1215,197 @@ fn exec(plan: &Plan, fr: &mut Frames<'_>) -> Result<Value, NrcError> {
             fr.scoped(*var, v, |fr| exec(body, fr))
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Conditions and filters
+// ---------------------------------------------------------------------------
+
+/// Decide a condition: `!exec(plan)?.is_empty()`, without building the
+/// `Set(Unit)` Booleans of the connectives.  `member` is a probe and `eq` a
+/// value comparison; `∪` is `||` with both sides evaluated, so errors surface
+/// as in [`exec`]; `guard` is a short-circuit `&&`; `{()} \ b` is `!b`
+/// (sound because `b : Set(Unit)` in a well-typed plan); `∅` and singletons
+/// are constants.  Anything else is executed and tested for emptiness.
+fn holds(plan: &Plan, fr: &mut Frames<'_>) -> Result<bool, NrcError> {
+    match plan {
+        Plan::Empty => Ok(false),
+        Plan::Singleton(x) => exec(x, fr).map(|_| true),
+        Plan::Member { elem, set } => {
+            let members = set_of(&exec(set, fr)?, "membership haystack")?;
+            Ok(members.contains(&exec(elem, fr)?))
+        }
+        Plan::Eq(a, b) => Ok(exec(a, fr)? == exec(b, fr)?),
+        Plan::Union(a, b) => {
+            let lhs = holds(a, fr)?;
+            Ok(holds(b, fr)? || lhs)
+        }
+        Plan::Guard { cond, body } => Ok(holds(cond, fr)? && holds(body, fr)?),
+        Plan::Diff(tt, b) if is_tt_plan(tt) => Ok(!holds(b, fr)?),
+        other => Ok(!set_of(&exec(other, fr)?, "condition")?.is_empty()),
+    }
+}
+
+/// The condition `φ` of a filter-shaped loop body `guard(φ; {var})`: the
+/// loop `for[var in R]{guard(φ; {var})}` is the filter `{var ∈ R | φ(var)}`,
+/// the shape of every synthesized view, shared fragment and answer.
+pub fn filter_cond(var: Name, body: &Plan) -> Option<&Plan> {
+    match body {
+        Plan::Guard { cond, body } => match &**body {
+            Plan::Singleton(elem) if matches!(**elem, Plan::Var(v) if v == var) => Some(cond),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// A haystack at most this many times larger than the filtered set is
+/// merged with it; a larger one is probed, so a small `over` against a huge
+/// haystack stays `O(|over| log |H|)`.
+const MERGE_RATIO: usize = 16;
+
+/// A filter condition compiled for the merge walk: the connectives
+/// [`holds`] decides directly, over [`Leaf`] answers.
+enum Test {
+    Leaf(usize),
+    Or(Box<Test>, Box<Test>),
+    And(Box<Test>, Box<Test>),
+    Not(Box<Test>),
+}
+
+/// A leaf of a [`Test`]; neither kind depends on the filtered member, so
+/// each is evaluated once per fill.
+#[derive(PartialEq)]
+enum Leaf<'p> {
+    /// `member(var, H)`: the haystack `H`.
+    Probe(&'p Plan),
+    /// A sub-condition free of `var`.
+    Fixed(&'p Plan),
+}
+
+/// A [`Leaf`] evaluated for one fill.
+enum LeafValue {
+    Haystack(SetValue),
+    Fixed(bool),
+}
+
+/// A leaf's answer source during the walk.
+enum Probe<'v> {
+    /// One forward cursor over the haystack.
+    Merge(std::iter::Peekable<std::collections::btree_set::Iter<'v, Value>>),
+    /// `O(log n)` lookups in a haystack much larger than `over`.
+    Lookup(&'v BTreeSet<Value>),
+    Fixed(bool),
+}
+
+impl Test {
+    /// Compile `p`, a condition on `var`; `None` when it uses anything but
+    /// the connectives over probes and `var`-free sub-conditions.
+    fn compile<'p>(var: Name, p: &'p Plan, leaves: &mut Vec<Leaf<'p>>) -> Option<Test> {
+        if !p.free_vars().contains(&var) {
+            return Some(Test::leaf(Leaf::Fixed(p), leaves));
+        }
+        let mut sub = |q: &'p Plan| Test::compile(var, q, leaves).map(Box::new);
+        Some(match p {
+            Plan::Member { elem, set }
+                if **elem == Plan::Var(var) && !set.free_vars().contains(&var) =>
+            {
+                Test::leaf(Leaf::Probe(set), leaves)
+            }
+            Plan::Union(a, b) => Test::Or(sub(a)?, sub(b)?),
+            Plan::Guard { cond, body } => Test::And(sub(cond)?, sub(body)?),
+            Plan::Diff(tt, b) if is_tt_plan(tt) => Test::Not(sub(b)?),
+            _ => return None,
+        })
+    }
+
+    /// The leaf for `l`, shared with an equal earlier leaf.
+    fn leaf<'p>(l: Leaf<'p>, leaves: &mut Vec<Leaf<'p>>) -> Test {
+        Test::Leaf(leaves.iter().position(|x| *x == l).unwrap_or_else(|| {
+            leaves.push(l);
+            leaves.len() - 1
+        }))
+    }
+
+    fn eval(&self, hits: &[bool]) -> bool {
+        match self {
+            Test::Leaf(i) => hits[*i],
+            Test::Or(a, b) => a.eval(hits) || b.eval(hits),
+            Test::And(a, b) => a.eval(hits) && b.eval(hits),
+            Test::Not(a) => !a.eval(hits),
+        }
+    }
+}
+
+impl Probe<'_> {
+    /// Is `m` in the haystack?  Members must arrive in ascending order.
+    fn test(&mut self, m: &Value) -> bool {
+        match self {
+            Probe::Merge(cursor) => {
+                while cursor.next_if(|h| *h < m).is_some() {}
+                cursor.peek() == Some(&m)
+            }
+            Probe::Lookup(set) => set.contains(m),
+            Probe::Fixed(b) => *b,
+        }
+    }
+}
+
+/// The filter kernel: `{var ∈ over | cond(var)}`, set at a time.
+///
+/// When `cond` compiles to a [`Test`], each haystack and `var`-free
+/// sub-condition is evaluated once — and only for a non-empty `over` — and
+/// `over` is walked in order, each haystack either merged with one forward
+/// cursor or, when it is more than [`MERGE_RATIO`] times larger, probed.
+/// Any other condition is decided per member by [`holds`].  Members pass in
+/// order, so the output is a bulk build.
+fn filter(
+    var: Name,
+    over: &BTreeSet<Value>,
+    cond: &Plan,
+    fr: &mut Frames<'_>,
+) -> Result<Value, NrcError> {
+    let mut out = Vec::new();
+    let mut leaves = Vec::new();
+    if over.is_empty() {
+        // nothing to evaluate: not even the haystacks
+    } else if let Some(test) = Test::compile(var, cond, &mut leaves) {
+        let values = leaves
+            .iter()
+            .map(|leaf| match leaf {
+                Leaf::Probe(hay) => {
+                    set_of(&exec(hay, fr)?, "membership haystack").map(LeafValue::Haystack)
+                }
+                Leaf::Fixed(p) => holds(p, fr).map(LeafValue::Fixed),
+            })
+            .collect::<Result<Vec<_>, NrcError>>()?;
+        let mut probes: Vec<Probe<'_>> = values
+            .iter()
+            .map(|v| match v {
+                LeafValue::Haystack(h) if h.len() <= MERGE_RATIO.saturating_mul(over.len()) => {
+                    Probe::Merge(h.iter().peekable())
+                }
+                LeafValue::Haystack(h) => Probe::Lookup(h),
+                LeafValue::Fixed(b) => Probe::Fixed(*b),
+            })
+            .collect();
+        let mut hits = vec![false; probes.len()];
+        for m in over {
+            for (hit, probe) in hits.iter_mut().zip(&mut probes) {
+                *hit = probe.test(m);
+            }
+            if test.eval(&hits) {
+                out.push(m.clone());
+            }
+        }
+    } else {
+        for m in over {
+            if fr.scoped(var, m.clone(), |fr| holds(cond, fr))? {
+                out.push(m.clone());
+            }
+        }
+    }
+    Ok(Value::from_set(out.into_iter().collect()))
 }
 
 // ---------------------------------------------------------------------------
@@ -1526,6 +1762,39 @@ mod tests {
                 ),
                 &inst
             ),
+            Err(NrcError::Stuck(_))
+        ));
+    }
+
+    #[test]
+    fn empty_filters_never_evaluate_their_haystacks() {
+        // `{x ∈ S | x ∈ F}` with S = ∅ and an ill-typed (non-set) F: the
+        // kernel evaluates haystacks only for a non-empty `over`, so this is
+        // ∅ and not an error — as with per-member evaluation.
+        let (x, s, f) = (Name::new("x"), Name::new("S"), Name::new("F"));
+        let cond = Plan::Member {
+            elem: Plan::Var(x).boxed(),
+            set: Plan::Var(f).boxed(),
+        };
+        let filter_loop = Plan::ForUnion {
+            var: x,
+            over: Plan::Var(s).boxed(),
+            body: Plan::Guard {
+                cond: cond.clone().boxed(),
+                body: Plan::Singleton(Plan::Var(x).boxed()).boxed(),
+            }
+            .boxed(),
+        };
+        let env = Instance::from_bindings([(s, Value::empty_set()), (f, Value::atom(1))]);
+        assert_eq!(exec_plan(&filter_loop, &env).unwrap(), Value::empty_set());
+        assert_eq!(
+            exec_filter(x, &BTreeSet::new(), &cond, &env).unwrap(),
+            Value::empty_set()
+        );
+        // a non-empty `over` does evaluate it, and reports the bad haystack
+        let env = env.with(s, Value::set([Value::atom(1)]));
+        assert!(matches!(
+            exec_plan(&filter_loop, &env),
             Err(NrcError::Stuck(_))
         ));
     }

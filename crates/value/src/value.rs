@@ -398,9 +398,18 @@ impl Value {
         if lhs.is_empty() {
             return Ok(Value::Set(rhs.clone()));
         }
-        let mut s = lhs.elems().clone();
-        s.extend(rhs.iter().cloned());
-        Ok(Value::from_set(s))
+        // one ordered merge of the two sides, then a bulk build of the
+        // (already sorted) result
+        let (mut l, mut r) = (lhs.iter().peekable(), rhs.iter().peekable());
+        let merged = std::iter::from_fn(|| match (l.peek(), r.peek()) {
+            (Some(a), Some(b)) => match a.cmp(b) {
+                std::cmp::Ordering::Less => l.next(),
+                std::cmp::Ordering::Greater => r.next(),
+                std::cmp::Ordering::Equal => r.next().and(l.next()),
+            },
+            _ => l.next().or_else(|| r.next()),
+        });
+        Ok(Value::set(merged.cloned()))
     }
 
     /// Set difference (errors if either value is not a set).
