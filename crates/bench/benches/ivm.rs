@@ -2,8 +2,8 @@
 //! rewriting's answer up to date under base updates, against the two
 //! re-evaluation baselines it replaces.
 //!
-//! Workload: the partition problem (as in E5).  For each base size |S| the
-//! group measures, per update batch:
+//! Workload: the partition problem (as in E5), maintained as a one-entry
+//! workload.  For each base size |S| the group measures, per update batch:
 //!
 //! * `ivm_single`   — a single-tuple insert/delete on `S` through the full
 //!   maintained pipeline (base → views → answer), the O(|Δ|·log n) path;
@@ -14,24 +14,24 @@
 //! * `recompute_pipeline` — re-materializing the views and re-running the
 //!   rewriting, the full non-incremental reaction to a base update.
 //!
-//! `ivm_build` measures set-up instead: `MaintainedWorkload::new` for the
-//! one-query partition workload, filling every view and the answer from
-//! scratch (what serving set-up and a rollback rebuild run), at |S| up to
-//! 10⁵.
+//! `ivm_build` measures set-up instead: `MaintainedWorkload::new`, filling
+//! every view and the answer from scratch (what serving set-up and a
+//! rollback rebuild run), at |S| up to 10⁵.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nrs_ivm::UpdateBatch;
-use nrs_synthesis::ivm::{MaintainedRewriting, MaintainedWorkload};
-use nrs_synthesis::views::{materialize_views, partition_instance, partition_problem};
-use nrs_synthesis::{overlapping_workload_problem, SynthesisConfig};
-use nrs_value::{Name, Value};
+use nrs_synthesis::ivm::MaintainedWorkload;
+use nrs_synthesis::views::{partition_instance, partition_problem};
+use nrs_synthesis::SynthesisConfig;
+use nrs_value::Value;
 use std::time::Duration;
 
 fn bench_ivm(c: &mut Criterion) {
     let problem = partition_problem();
     let rewriting = problem
-        .derive_rewriting(&SynthesisConfig::default())
+        .derive_workload(&SynthesisConfig::default())
         .expect("rewriting");
+    let definition = &rewriting.queries()[0].1;
 
     let mut group = c.benchmark_group("E8_incremental_maintenance");
     group
@@ -41,12 +41,12 @@ fn bench_ivm(c: &mut Criterion) {
     let sizes: &[usize] = if fast { &[1_000] } else { &[1_000, 10_000] };
     for &size in sizes {
         let base = partition_instance(size, 42);
-        let views = materialize_views(&problem, &base).unwrap();
+        let views = problem.materialize_views(&base).unwrap();
 
-        let mut maintained = MaintainedRewriting::new(&rewriting, &base).expect("materialize");
+        let mut maintained = MaintainedWorkload::new(&rewriting, &base).expect("materialize");
         assert_eq!(
-            maintained.answer(),
-            &rewriting.answer_from_views(&views).unwrap(),
+            maintained.answers()[0].1,
+            &definition.evaluate(&views).unwrap(),
             "maintained pipeline starts consistent"
         );
         // Tuples outside the generated universe (atoms < 2·size), so the
@@ -94,15 +94,15 @@ fn bench_ivm(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("reeval_from_views", size),
             &size,
-            |b, _| b.iter(|| rewriting.answer_from_views(&views).unwrap()),
+            |b, _| b.iter(|| definition.evaluate(&views).unwrap()),
         );
         group.bench_with_input(
             BenchmarkId::new("recompute_pipeline", size),
             &size,
             |b, _| {
                 b.iter(|| {
-                    let views = materialize_views(&problem, &base).unwrap();
-                    rewriting.answer_from_views(&views).unwrap()
+                    let views = problem.materialize_views(&base).unwrap();
+                    definition.evaluate(&views).unwrap()
                 })
             },
         );
@@ -111,11 +111,6 @@ fn bench_ivm(c: &mut Criterion) {
         assert!(maintained.cross_check(&rewriting).unwrap());
     }
 
-    let mut workload = overlapping_workload_problem(1);
-    workload.queries[0].name = Name::new("Q");
-    let workload = workload
-        .derive_workload(&SynthesisConfig::default())
-        .expect("workload rewriting");
     let build_sizes: &[usize] = if fast {
         &[1_000]
     } else {
@@ -124,7 +119,7 @@ fn bench_ivm(c: &mut Criterion) {
     for &size in build_sizes {
         let base = partition_instance(size, 42);
         group.bench_with_input(BenchmarkId::new("ivm_build", size), &size, |b, _| {
-            b.iter(|| MaintainedWorkload::new(&workload, &base).unwrap())
+            b.iter(|| MaintainedWorkload::new(&rewriting, &base).unwrap())
         });
     }
     group.finish();

@@ -2,13 +2,14 @@
 //! materialized views versus recomputing it from the base data.
 //!
 //! Workload: the partition problem over growing base sets.  The rewriting is
-//! synthesized once; each size then measures (a) evaluating the rewriting on
-//! the materialized views and (b) evaluating the original query on the base.
+//! synthesized once (a one-query workload); each size then measures (a)
+//! evaluating the rewriting on the materialized views and (b) evaluating the
+//! original query on the base.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nrs_delta0::typing::TypeEnv;
 use nrs_nrc::eval::eval;
-use nrs_synthesis::views::{materialize_views, partition_instance, partition_problem};
+use nrs_synthesis::views::{partition_instance, partition_problem};
 use nrs_synthesis::SynthesisConfig;
 use nrs_value::NameGen;
 use std::time::Duration;
@@ -16,11 +17,12 @@ use std::time::Duration;
 fn bench_rewriting(c: &mut Criterion) {
     let problem = partition_problem();
     let rewriting = problem
-        .derive_rewriting(&SynthesisConfig::default())
+        .derive_workload(&SynthesisConfig::default())
         .expect("rewriting");
+    let definition = &rewriting.queries()[0].1;
     let env = TypeEnv::from_pairs(problem.base.iter().cloned());
     let mut gen = NameGen::new();
-    let query_expr = problem.query.to_nrc(&env, &mut gen).unwrap();
+    let query_expr = problem.queries[0].to_nrc(&env, &mut gen).unwrap();
 
     let mut group = c.benchmark_group("E5_rewriting_vs_recomputation");
     group
@@ -38,8 +40,8 @@ fn bench_rewriting(c: &mut Criterion) {
     };
     for &size in sizes {
         let base = partition_instance(size, 42);
-        let views = materialize_views(&problem, &base).unwrap();
-        let from_views = rewriting.answer_from_views(&views).unwrap();
+        let views = problem.materialize_views(&base).unwrap();
+        let from_views = definition.evaluate(&views).unwrap();
         let direct = eval(&query_expr, &base).unwrap();
         assert_eq!(from_views, direct);
         println!(
@@ -47,7 +49,7 @@ fn bench_rewriting(c: &mut Criterion) {
             direct.as_set().map(|s| s.len()).unwrap_or(0)
         );
         group.bench_with_input(BenchmarkId::new("from_views", size), &size, |b, _| {
-            b.iter(|| rewriting.answer_from_views(&views).unwrap())
+            b.iter(|| definition.evaluate(&views).unwrap())
         });
         group.bench_with_input(
             BenchmarkId::new("recompute_from_base", size),

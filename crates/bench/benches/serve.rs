@@ -1,7 +1,8 @@
 //! E9 — serving maintained views: the cost of the fault-tolerance layer on
 //! top of the E8 maintenance path, and snapshot-read latency under load.
 //!
-//! Workload: the partition problem (as in E5/E8) behind a `ViewServer`.
+//! Workload: the partition problem (as in E5/E8, one query served as a
+//! one-entry workload) behind a `ViewServer`.
 //! For each base size |S| the group measures:
 //!
 //! * `serve_update` — one validated, transactional single-tuple update
@@ -29,7 +30,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nrs_ivm::UpdateBatch;
-use nrs_serve::{ServerConfig, ViewServer};
+use nrs_serve::ViewServer;
 use nrs_synthesis::views::{partition_instance, partition_problem};
 use nrs_synthesis::SynthesisConfig;
 use nrs_value::Value;
@@ -71,7 +72,7 @@ fn batched_toggle(size: usize, j: usize, present: bool) -> UpdateBatch {
 fn bench_serve(c: &mut Criterion) {
     let problem = partition_problem();
     let rewriting = problem
-        .derive_rewriting(&SynthesisConfig::default())
+        .derive_workload(&SynthesisConfig::default())
         .expect("rewriting");
 
     let mut group = c.benchmark_group("E9_serving");
@@ -85,7 +86,9 @@ fn bench_serve(c: &mut Criterion) {
     };
     for &size in sizes {
         let base = partition_instance(size, 42);
-        let server = ViewServer::new(&rewriting, &base).expect("server");
+        let server = ViewServer::builder()
+            .serve_workload(&rewriting, &base)
+            .expect("server");
 
         // Warm the maintenance operators before measuring: the harness
         // calibrates its iteration count from the first call, and a cold
@@ -176,15 +179,10 @@ fn bench_serve(c: &mut Criterion) {
         // queue fills, backpressure throttles the measured submit to the
         // pipeline's steady-state per-update rate.
         let pipe_server = Arc::new(
-            ViewServer::with_config(
-                &rewriting,
-                &base,
-                ServerConfig {
-                    batch_window: Duration::from_micros(200),
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("pipeline server"),
+            ViewServer::builder()
+                .batch_window(Duration::from_micros(200))
+                .serve_workload(&rewriting, &base)
+                .expect("pipeline server"),
         );
         let mut warm = false;
         for _ in 0..8 {

@@ -1,8 +1,8 @@
 //! E2 — Theorem 2: synthesis is polynomial in the (focused) proof size.
 //!
-//! Workload: the partition rewriting problem with a growing number of
-//! redundant constraint copies (which inflate the specification and the
-//! proofs).  We report the total proof sizes and the size of the synthesized
+//! Workload: the partition rewriting problem (one query, derived as a
+//! one-entry workload) with a growing number of redundant constraint copies
+//! (which inflate the specification and the proofs).  We report the total proof sizes and the size of the synthesized
 //! expression; the claim reproduced is the absence of exponential blow-up.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -29,12 +29,13 @@ fn bench_synthesis(c: &mut Criterion) {
             problem.constraints.push(extra);
         }
         let result = problem
-            .derive_rewriting(&SynthesisConfig::default())
+            .derive_workload(&SynthesisConfig::default())
             .expect("rewriting");
+        let definition = &result.queries()[0].1;
         println!(
             "E2 row: extra_constraints={copies} proof_sizes={:?} rewriting_size={}",
-            result.definition.report.proof_sizes,
-            result.expr().size()
+            definition.report.proof_sizes,
+            definition.expr().size()
         );
         // Cold path: a fresh prover session per derivation (spec build +
         // full proof search + extraction).
@@ -44,7 +45,7 @@ fn bench_synthesis(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     problem
-                        .derive_rewriting(&SynthesisConfig::default())
+                        .derive_workload(&SynthesisConfig::default())
                         .unwrap()
                 })
             },
@@ -57,7 +58,7 @@ fn bench_synthesis(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("derive_rewriting_warm", copies),
             &copies,
-            |b, _| b.iter(|| problem.derive_rewriting_with(&cfg, &session).unwrap()),
+            |b, _| b.iter(|| problem.derive_workload_with(&cfg, &session).unwrap()),
         );
     }
     group.finish();

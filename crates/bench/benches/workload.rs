@@ -10,22 +10,32 @@
 //! * `workload_synth/{2,4,8}`     — one `derive_workload` pass: every
 //!   template planned into a single deduplicated goal batch, proved through
 //!   one prover session, shared fragments hoisted into common views;
-//! * `independent_synth/{2,4,8}`  — the baseline: `n` cold `derive_rewriting`
-//!   runs, one fresh session each, no goal sharing;
+//! * `independent_synth/{2,4,8}`  — the baseline: `n` cold one-query
+//!   `derive_workload` runs, one fresh session each, no goal sharing;
 //! * `workload_ivm_update/1000`   — a single-tuple update batch through one
 //!   `MaintainedWorkload` (each shared view maintained once per batch,
 //!   every named answer refreshed from the shared deltas);
 //! * `independent_ivm_update/1000` — the same batch applied to `n`
-//!   independent `MaintainedRewriting`s, each re-maintaining its own copy
-//!   of the view pipeline.
+//!   independent one-query `MaintainedWorkload`s, each re-maintaining its
+//!   own copy of the view pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nrs_ivm::UpdateBatch;
-use nrs_synthesis::ivm::MaintainedRewriting;
 use nrs_synthesis::views::partition_instance;
-use nrs_synthesis::{overlapping_workload_problem, MaintainedWorkload, SynthesisConfig};
+use nrs_synthesis::{
+    overlapping_workload_problem, MaintainedWorkload, SynthesisConfig, WorkloadProblem,
+};
 use nrs_value::Value;
 use std::time::Duration;
+
+/// Query `i` of `problem` as a problem of its own: the independent baseline
+/// the shared workload path amortizes against.
+fn single(problem: &WorkloadProblem, i: usize) -> WorkloadProblem {
+    WorkloadProblem {
+        queries: vec![problem.queries[i].clone()],
+        ..problem.clone()
+    }
+}
 
 fn bench_workload(c: &mut Criterion) {
     let cfg = SynthesisConfig::default();
@@ -46,9 +56,8 @@ fn bench_workload(c: &mut Criterion) {
             b.iter(|| {
                 (0..n)
                     .map(|i| {
-                        problem
-                            .single(i)
-                            .derive_rewriting(&cfg)
+                        single(&problem, i)
+                            .derive_workload(&cfg)
                             .expect("independent synthesis")
                     })
                     .collect::<Vec<_>>()
@@ -63,9 +72,8 @@ fn bench_workload(c: &mut Criterion) {
     let workload_rw = problem.derive_workload(&cfg).expect("workload synthesis");
     let independent_rws: Vec<_> = (0..n)
         .map(|i| {
-            problem
-                .single(i)
-                .derive_rewriting(&cfg)
+            single(&problem, i)
+                .derive_workload(&cfg)
                 .expect("independent synthesis")
         })
         .collect();
@@ -92,9 +100,9 @@ fn bench_workload(c: &mut Criterion) {
     );
     assert!(maintained.cross_check(&workload_rw).unwrap());
 
-    let mut independents: Vec<MaintainedRewriting> = independent_rws
+    let mut independents: Vec<MaintainedWorkload> = independent_rws
         .iter()
-        .map(|rw| MaintainedRewriting::new(rw, &base).expect("materialize"))
+        .map(|rw| MaintainedWorkload::new(rw, &base).expect("materialize"))
         .collect();
     let mut present = false;
     group.bench_with_input(

@@ -1,28 +1,22 @@
 //! Maintained synthesized views (the paper's use case, kept live).
 //!
-//! Synthesis turns an implicit specification into an explicit NRC
-//! definition; Corollary 3 turns views + query into a rewriting.  Both are
-//! *views over changing data*: this module keeps their materializations up
-//! to date under [`UpdateBatch`]es using the delta engine of `nrs-ivm`,
-//! instead of re-running the compiled plans per update.
+//! Corollary 3 turns views + queries into rewritings over the views; the
+//! rewritings are *views over changing data*.  [`MaintainedWorkload`] keeps
+//! a whole [`WorkloadRewriting`] materialized over a *base* instance under
+//! [`UpdateBatch`]es, using the delta engine of `nrs-ivm` instead of
+//! re-running the compiled plans per update: a batch on the base relations
+//! is propagated through every maintained view materialization, the view
+//! deltas are assembled into a batch on the view names, and that batch
+//! drives the shared fragments and every query answer — so a single-tuple
+//! base update reaches the answers in O(|Δ| · log n) end to end.  A single
+//! query is a one-entry workload.
 //!
-//! * [`MaintainedView`] wraps one [`SynthesizedDefinition`] over an instance
-//!   binding its inputs: apply batches against the *inputs*, read the
-//!   maintained output.
-//! * [`MaintainedRewriting`] wraps a whole [`RewritingResult`] pipeline over
-//!   a *base* instance: a batch on the base relations is propagated through
-//!   every maintained view materialization, the view deltas are assembled
-//!   into a batch on the view names, and that batch drives the maintained
-//!   rewriting — so a single-tuple base update reaches the query answer in
-//!   O(|Δ| · log n) end to end.
-//!
-//! Both handles carry a `cross_check` that re-evaluates naively from
-//! scratch — every maintained value doubles as an incremental-vs-oracle
-//! equivalence check (see `nrs-ivm`'s `tests/maintenance_equivalence.rs` for
-//! the randomized harness).
+//! [`MaintainedWorkload::cross_check`] re-evaluates naively from scratch —
+//! every maintained value doubles as an incremental-vs-oracle equivalence
+//! check (see `nrs-ivm`'s `tests/maintenance_equivalence.rs` for the
+//! randomized harness).
 
-use crate::synthesis::{SynthesisError, SynthesizedDefinition};
-use crate::views::RewritingResult;
+use crate::synthesis::SynthesisError;
 use crate::workload::WorkloadRewriting;
 use nrs_ivm::{CoverageReport, DeltaSet, IvmError, MaintainedQuery, UpdateBatch};
 use nrs_nrc::{eval as nrc_eval, CompiledQuery};
@@ -36,76 +30,6 @@ impl From<IvmError> for SynthesisError {
     }
 }
 
-/// A synthesized definition kept materialized under input updates.
-#[derive(Debug)]
-pub struct MaintainedView {
-    definition: SynthesizedDefinition,
-    maintained: MaintainedQuery,
-}
-
-impl MaintainedView {
-    /// Materialize the definition over an instance binding its inputs and
-    /// set up the maintenance state.
-    pub fn new(
-        definition: &SynthesizedDefinition,
-        inputs: &Instance,
-    ) -> Result<MaintainedView, SynthesisError> {
-        let maintained = MaintainedQuery::new(definition.compiled(), inputs)?;
-        Ok(MaintainedView {
-            definition: definition.clone(),
-            maintained,
-        })
-    }
-
-    /// Apply an update batch to the inputs; returns the exact delta of the
-    /// view's materialization.
-    pub fn apply(&mut self, batch: &UpdateBatch) -> Result<DeltaSet, SynthesisError> {
-        Ok(self.maintained.apply(batch)?)
-    }
-
-    /// Like [`MaintainedView::apply`], but all-or-nothing: if propagation
-    /// fails mid-batch, the inputs and every operator cache are restored to
-    /// their pre-batch state before the error is returned.
-    pub fn apply_transactional(&mut self, batch: &UpdateBatch) -> Result<DeltaSet, SynthesisError> {
-        Ok(self.maintained.apply_transactional(batch)?)
-    }
-
-    /// Per-operator maintenance modes of the compiled definition (ROADMAP
-    /// item 5: which operators are delta-maintained vs recomputed).
-    pub fn coverage(&self) -> CoverageReport {
-        self.maintained.coverage()
-    }
-
-    /// Use up to `workers` threads for the evaluation phase of delta rounds
-    /// (bit-identical state for every count; a pure throughput knob).
-    pub fn set_workers(&mut self, workers: usize) {
-        self.maintained.set_workers(workers);
-    }
-
-    /// The maintained materialization of the view.
-    pub fn value(&self) -> &Value {
-        self.maintained.value()
-    }
-
-    /// The inputs at their current (post-batch) state.
-    pub fn inputs(&self) -> &Instance {
-        self.maintained.env()
-    }
-
-    /// The wrapped definition.
-    pub fn definition(&self) -> &SynthesizedDefinition {
-        &self.definition
-    }
-
-    /// Re-evaluate the definition from scratch with the **naive** evaluator
-    /// on the current inputs and compare with the maintained value — the
-    /// incremental pipeline checked against the oracle in one call.
-    pub fn cross_check(&self) -> Result<bool, SynthesisError> {
-        let naive = self.definition.evaluate_naive(self.maintained.env())?;
-        Ok(&naive == self.value())
-    }
-}
-
 /// One maintained view-materialization stage of a rewriting pipeline.
 #[derive(Debug)]
 struct MaintainedStage {
@@ -113,344 +37,31 @@ struct MaintainedStage {
     maintained: MaintainedQuery,
 }
 
-/// Where in a rewriting pipeline a maintenance failure occurred.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FailLoc {
-    /// The view-materialization stage at this index.
-    Stage(usize),
-    /// The answer query over the views.
-    Answer,
-}
-
-/// An operator the self-healing apply demoted to recompute-on-dirty:
-/// which query it belongs to (a view stage or the answer) and its stable
-/// preorder id within that query's plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegradedOperator {
-    /// The view the operator belongs to, or `None` for the answer query.
-    pub view: Option<Name>,
-    /// Stable preorder operator id within the owning plan.
-    pub op: usize,
-}
-
-impl fmt::Display for DegradedOperator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.view {
-            Some(name) => write!(f, "view {name} operator #{}", self.op),
-            None => write!(f, "answer operator #{}", self.op),
-        }
-    }
-}
-
-/// Per-query coverage of a maintained rewriting pipeline (ROADMAP item 5):
-/// one [`CoverageReport`] per view stage plus one for the answer, including
-/// any operators the self-healing apply has degraded.
-#[derive(Debug, Clone)]
-pub struct RewritingCoverage {
-    /// Coverage of each view-materialization stage, in pipeline order.
-    pub views: Vec<(Name, CoverageReport)>,
-    /// Coverage of the answer query over the views.
-    pub answer: CoverageReport,
-}
-
-impl RewritingCoverage {
-    /// Is every operator of every stage delta-maintained (nothing opaque,
-    /// nothing degraded)?
-    pub fn fully_incremental(&self) -> bool {
-        self.views.iter().all(|(_, c)| c.fully_incremental()) && self.answer.fully_incremental()
-    }
-
-    /// Total number of degraded operators across the pipeline.
-    pub fn degraded(&self) -> usize {
-        self.views.iter().map(|(_, c)| c.degraded()).sum::<usize>() + self.answer.degraded()
-    }
-}
-
-impl fmt::Display for RewritingCoverage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (name, c) in &self.views {
-            writeln!(f, "view {name}: {c}")?;
-        }
-        write!(f, "answer: {}", self.answer)
-    }
-}
-
-/// A full Corollary 3 pipeline kept materialized under *base* updates: the
-/// view materializations and the rewriting's answer, all incremental.
-#[derive(Debug)]
-pub struct MaintainedRewriting {
-    stages: Vec<MaintainedStage>,
-    answer: MaintainedQuery,
-}
-
-impl MaintainedRewriting {
-    /// Materialize every view of the problem over `base`, materialize the
-    /// rewriting over the views, and set up maintenance state for all of
-    /// them.
-    pub fn new(
-        result: &RewritingResult,
-        base: &Instance,
-    ) -> Result<MaintainedRewriting, SynthesisError> {
-        let env = result.problem.base_env();
-        let mut gen = nrs_value::NameGen::new();
-        let mut stages = Vec::with_capacity(result.problem.views.len());
-        let mut view_inst = Instance::new();
-        for view in &result.problem.views {
-            let expr = view
-                .to_nrc(&env, &mut gen)
-                .map_err(|e| SynthesisError::Ill(e.to_string()))?;
-            let compiled = CompiledQuery::compile(&expr);
-            let maintained = MaintainedQuery::new(&compiled, base)?;
-            view_inst.bind(view.name, maintained.value().clone());
-            stages.push(MaintainedStage {
-                name: view.name,
-                maintained,
-            });
-        }
-        let answer = MaintainedQuery::new(result.definition.compiled(), &view_inst)?;
-        Ok(MaintainedRewriting { stages, answer })
-    }
-
-    /// Use up to `workers` threads for the pure evaluation phase of every
-    /// stage's (and the answer's) delta rounds.  Maintained state stays
-    /// bit-identical to the sequential path for every worker count — see
-    /// `nrs_ivm::engine`'s module docs — so this only trades threads for
-    /// wall-clock on large deltas.
-    pub fn set_workers(&mut self, workers: usize) {
-        for stage in &mut self.stages {
-            stage.maintained.set_workers(workers);
-        }
-        self.answer.set_workers(workers);
-    }
-
-    /// Cumulative sharded-evaluation counters summed across every view
-    /// stage and the answer query.  Snapshot before/after a flush and
-    /// subtract to attribute rounds to it (the serving layer surfaces that
-    /// delta in its `FlushReport`).
-    pub fn maint_stats(&self) -> nrs_ivm::MaintStats {
-        let mut total = self.answer.maint_stats();
-        for stage in &self.stages {
-            total += stage.maintained.maint_stats();
-        }
-        total
-    }
-
-    /// Apply a batch of *base* updates: every view materialization is
-    /// maintained, their deltas are assembled into a batch over the view
-    /// names, and the rewriting's answer is maintained from that.  Returns
-    /// the exact delta of the answer.
-    pub fn apply(&mut self, batch: &UpdateBatch) -> Result<DeltaSet, SynthesisError> {
-        self.apply_inner(batch).map_err(|(_, e)| e.into())
-    }
-
-    /// The shared propagation step, reporting *where* a failure occurred so
-    /// the transactional wrappers can degrade the right operator.
-    fn apply_inner(&mut self, batch: &UpdateBatch) -> Result<DeltaSet, (FailLoc, IvmError)> {
-        let mut view_batch = UpdateBatch::new();
-        for (i, stage) in self.stages.iter_mut().enumerate() {
-            let delta = stage
-                .maintained
-                .apply(batch)
-                .map_err(|e| (FailLoc::Stage(i), e))?;
-            if !delta.is_empty() {
-                view_batch.push_delta(stage.name, delta);
-            }
-        }
-        if view_batch.is_empty() {
-            return Ok(DeltaSet::new());
-        }
-        self.answer
-            .apply(&view_batch)
-            .map_err(|e| (FailLoc::Answer, e))
-    }
-
-    /// Restore every stage and the answer to a previously captured
-    /// (base, views) snapshot by full rebuild.  Failure path only — the
-    /// success path never pays this; serving layers use it to unwind a batch
-    /// whose publication step failed after propagation succeeded.
-    pub fn restore(&mut self, base: &Instance, views: &Instance) -> Result<(), SynthesisError> {
-        self.rollback(base, views)
-    }
-
-    /// Restore every stage and the answer to a pre-batch snapshot by full
-    /// rebuild (failure path only — the success path never pays this).
-    fn rollback(&mut self, base: &Instance, views: &Instance) -> Result<(), SynthesisError> {
-        for stage in &mut self.stages {
-            stage.maintained.rebuild(base).map_err(|e| {
-                SynthesisError::Ill(format!("rollback of view {} failed: {e}", stage.name))
-            })?;
-        }
-        self.answer
-            .rebuild(views)
-            .map_err(|e| SynthesisError::Ill(format!("rollback of the answer failed: {e}")))
-    }
-
-    /// Like [`MaintainedRewriting::apply`], but all-or-nothing across the
-    /// whole pipeline: if any stage (or the answer) fails mid-propagation,
-    /// every materialization is restored to its pre-batch state before the
-    /// error is returned.  Validation errors
-    /// ([`IvmError::is_validation`]) never modify state, so they skip the
-    /// rollback.
-    pub fn apply_transactional(&mut self, batch: &UpdateBatch) -> Result<DeltaSet, SynthesisError> {
-        let base_before = self.base().clone();
-        let views_before = self.answer.env().clone();
-        match self.apply_inner(batch) {
-            Ok(d) => Ok(d),
-            Err((_, e)) => {
-                if !e.is_validation() {
-                    self.rollback(&base_before, &views_before)?;
-                }
-                Err(e.into())
-            }
-        }
-    }
-
-    /// Self-healing apply: transactional, and an operator failure
-    /// additionally **degrades** the failing operator to recompute-on-dirty
-    /// (visible in [`MaintainedRewriting::coverage`]) and retries the batch
-    /// through the degraded plan.  Returns the answer delta together with
-    /// the operators degraded while processing this batch.  Validation
-    /// errors are returned as-is — there is nothing to heal.
-    pub fn apply_resilient(
-        &mut self,
-        batch: &UpdateBatch,
-    ) -> Result<(DeltaSet, Vec<DegradedOperator>), SynthesisError> {
-        let mut degraded = Vec::new();
-        loop {
-            let base_before = self.base().clone();
-            let views_before = self.answer.env().clone();
-            match self.apply_inner(batch) {
-                Ok(d) => return Ok((d, degraded)),
-                Err((loc, e)) => {
-                    if e.is_validation() {
-                        return Err(e.into());
-                    }
-                    self.rollback(&base_before, &views_before)?;
-                    let Some(op) = e.operator() else {
-                        // no operator to blame (e.g. an internal invariant
-                        // violation): degradation can't help
-                        return Err(e.into());
-                    };
-                    let query = match loc {
-                        FailLoc::Stage(i) => &mut self.stages[i].maintained,
-                        FailLoc::Answer => &mut self.answer,
-                    };
-                    if query.degraded().contains(&op) {
-                        // the operator failed *again* while already degraded
-                        // (its recompute path is broken too): give up rather
-                        // than loop
-                        return Err(e.into());
-                    }
-                    query.degrade(op).map_err(SynthesisError::from)?;
-                    degraded.push(DegradedOperator {
-                        view: match loc {
-                            FailLoc::Stage(i) => Some(self.stages[i].name),
-                            FailLoc::Answer => None,
-                        },
-                        op,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Per-stage maintenance coverage (ROADMAP item 5), including operators
-    /// degraded by [`MaintainedRewriting::apply_resilient`].
-    pub fn coverage(&self) -> RewritingCoverage {
-        RewritingCoverage {
-            views: self
-                .stages
-                .iter()
-                .map(|s| (s.name, s.maintained.coverage()))
-                .collect(),
-            answer: self.answer.coverage(),
-        }
-    }
-
-    /// The operators currently degraded across the pipeline.
-    pub fn degraded_operators(&self) -> Vec<DegradedOperator> {
-        let mut out = Vec::new();
-        for stage in &self.stages {
-            out.extend(
-                stage
-                    .maintained
-                    .degraded()
-                    .iter()
-                    .map(|&op| DegradedOperator {
-                        view: Some(stage.name),
-                        op,
-                    }),
-            );
-        }
-        out.extend(
-            self.answer
-                .degraded()
-                .iter()
-                .map(|&op| DegradedOperator { view: None, op }),
-        );
-        out
-    }
-
-    /// The maintained query answer.
-    pub fn answer(&self) -> &Value {
-        self.answer.value()
-    }
-
-    /// The maintained materialization of one view.
-    pub fn view(&self, name: &Name) -> Option<&Value> {
-        self.stages
-            .iter()
-            .find(|s| &s.name == name)
-            .map(|s| s.maintained.value())
-    }
-
-    /// The base instance at its current (post-batch) state.
-    pub fn base(&self) -> &Instance {
-        self.stages
-            .first()
-            .map(|s| s.maintained.env())
-            .unwrap_or_else(|| self.answer.env())
-    }
-
-    /// The current view instance (view names bound to maintained values).
-    pub fn view_instance(&self) -> &Instance {
-        self.answer.env()
-    }
-
-    /// Naive end-to-end check: re-materialize the views from the current
-    /// base with the naive evaluator, re-evaluate the rewriting naively on
-    /// them, and compare against every maintained value.
-    pub fn cross_check(&self, result: &RewritingResult) -> Result<bool, SynthesisError> {
-        let env = result.problem.base_env();
-        let mut gen = nrs_value::NameGen::new();
-        let base = self.base();
-        let mut view_inst = Instance::new();
-        for view in &result.problem.views {
-            let expr = view
-                .to_nrc(&env, &mut gen)
-                .map_err(|e| SynthesisError::Ill(e.to_string()))?;
-            let naive =
-                nrc_eval::eval(&expr, base).map_err(|e| SynthesisError::Ill(e.to_string()))?;
-            match self.view(&view.name) {
-                Some(v) if v == &naive => view_inst.bind(view.name, naive),
-                _ => return Ok(false),
-            };
-        }
-        let naive_answer = nrc_eval::eval(result.expr(), &view_inst)
-            .map_err(|e| SynthesisError::Ill(e.to_string()))?;
-        Ok(&naive_answer == self.answer())
-    }
-}
-
 /// Where in a maintained workload a failure occurred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WorkloadFailLoc {
+enum FailLoc {
     /// The view-materialization stage at this index.
     Stage(usize),
     /// The shared-fragment stage at this index.
     Shared(usize),
     /// The answer query at this index.
     Answer(usize),
+}
+
+/// An operator the self-healing apply demoted to recompute-on-dirty:
+/// which plan it belongs to and its stable preorder id within that plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DegradedOperator {
+    /// The owning plan: a view, a shared fragment or a query answer.
+    pub view: Name,
+    /// Stable preorder operator id within the owning plan.
+    pub op: usize,
+}
+
+impl fmt::Display for DegradedOperator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} operator #{}", self.view, self.op)
+    }
 }
 
 /// Per-query coverage of a maintained workload: one [`CoverageReport`] per
@@ -553,11 +164,17 @@ fn workload_obs() -> (
 impl MaintainedWorkload {
     /// Materialize every view over `base`, every shared fragment over the
     /// views, and every query answer over views + shared fragments, and set
-    /// up maintenance state for all of them.
+    /// up maintenance state for all of them.  A rewriting without queries
+    /// has nothing to maintain and is rejected as [`SynthesisError::Ill`].
     pub fn new(
         rewriting: &WorkloadRewriting,
         base: &Instance,
     ) -> Result<MaintainedWorkload, SynthesisError> {
+        if rewriting.queries().is_empty() {
+            return Err(SynthesisError::Ill(
+                "cannot maintain a workload without queries".into(),
+            ));
+        }
         let env = rewriting.problem.base_env();
         let mut gen = nrs_value::NameGen::new();
         let mut stages = Vec::with_capacity(rewriting.problem.views.len());
@@ -638,17 +255,14 @@ impl MaintainedWorkload {
     /// The shared propagation step: each view and each shared fragment is
     /// maintained exactly once; every answer is delta-fed from the combined
     /// view + shared batch.
-    fn apply_inner(
-        &mut self,
-        batch: &UpdateBatch,
-    ) -> Result<AnswerDeltas, (WorkloadFailLoc, IvmError)> {
+    fn apply_inner(&mut self, batch: &UpdateBatch) -> Result<AnswerDeltas, (FailLoc, IvmError)> {
         let (shared_ctr, applies_ctr) = workload_obs();
         let mut view_batch = UpdateBatch::new();
         for (i, stage) in self.stages.iter_mut().enumerate() {
             let delta = stage
                 .maintained
                 .apply(batch)
-                .map_err(|e| (WorkloadFailLoc::Stage(i), e))?;
+                .map_err(|e| (FailLoc::Stage(i), e))?;
             if !delta.is_empty() {
                 view_batch.push_delta(stage.name, delta);
             }
@@ -658,7 +272,7 @@ impl MaintainedWorkload {
             let delta = stage
                 .maintained
                 .apply(&view_batch)
-                .map_err(|e| (WorkloadFailLoc::Shared(i), e))?;
+                .map_err(|e| (FailLoc::Shared(i), e))?;
             if !delta.is_empty() {
                 combined.push_delta(stage.name, delta);
             }
@@ -674,7 +288,7 @@ impl MaintainedWorkload {
                 let delta = answer
                     .maintained
                     .apply(&combined)
-                    .map_err(|e| (WorkloadFailLoc::Answer(i), e))?;
+                    .map_err(|e| (FailLoc::Answer(i), e))?;
                 answer.apply_seconds.record_duration(start.elapsed());
                 delta
             };
@@ -684,8 +298,10 @@ impl MaintainedWorkload {
     }
 
     /// Restore every stage to a previously captured (base, views, aug)
-    /// snapshot by full rebuild (failure path only).
-    fn rollback(
+    /// snapshot by full rebuild.  Failure path only — the success path never
+    /// pays this; the transactional applies use it to unwind a failed batch,
+    /// the serving layer to unwind one whose publication failed.
+    pub fn restore(
         &mut self,
         base: &Instance,
         views: &Instance,
@@ -712,17 +328,6 @@ impl MaintainedWorkload {
         Ok(())
     }
 
-    /// Restore the workload to a captured (base, views, aug) snapshot —
-    /// the serving layer's unwind path for failed publications.
-    pub fn restore(
-        &mut self,
-        base: &Instance,
-        views: &Instance,
-        aug: &Instance,
-    ) -> Result<(), SynthesisError> {
-        self.rollback(base, views, aug)
-    }
-
     /// Like [`MaintainedWorkload::apply`], but all-or-nothing across every
     /// stage and every answer (validation errors never modify state and
     /// skip the rollback).
@@ -737,17 +342,19 @@ impl MaintainedWorkload {
             Ok(d) => Ok(d),
             Err((_, e)) => {
                 if !e.is_validation() {
-                    self.rollback(&base_before, &views_before, &aug_before)?;
+                    self.restore(&base_before, &views_before, &aug_before)?;
                 }
                 Err(e.into())
             }
         }
     }
 
-    /// Self-healing apply: transactional, and an operator failure degrades
-    /// the failing operator to recompute-on-dirty and retries the batch —
-    /// the workload counterpart of
-    /// [`MaintainedRewriting::apply_resilient`].
+    /// Self-healing apply: transactional, and an operator failure
+    /// additionally **degrades** the failing operator to recompute-on-dirty
+    /// (visible in [`MaintainedWorkload::coverage`]) and retries the batch
+    /// through the degraded plan.  Returns the answer deltas together with
+    /// the operators degraded while processing this batch.  Validation
+    /// errors are returned as-is — there is nothing to heal.
     pub fn apply_resilient(
         &mut self,
         batch: &UpdateBatch,
@@ -763,22 +370,23 @@ impl MaintainedWorkload {
                     if e.is_validation() {
                         return Err(e.into());
                     }
-                    self.rollback(&base_before, &views_before, &aug_before)?;
+                    self.restore(&base_before, &views_before, &aug_before)?;
                     let Some(op) = e.operator() else {
+                        // no operator to blame (e.g. an internal invariant
+                        // violation): degradation can't help
                         return Err(e.into());
                     };
                     let (owner, query) = match loc {
-                        WorkloadFailLoc::Stage(i) => {
-                            (Some(self.stages[i].name), &mut self.stages[i].maintained)
-                        }
-                        WorkloadFailLoc::Shared(i) => {
-                            (Some(self.shared[i].name), &mut self.shared[i].maintained)
-                        }
-                        WorkloadFailLoc::Answer(i) => {
-                            (Some(self.answers[i].name), &mut self.answers[i].maintained)
+                        FailLoc::Stage(i) => (self.stages[i].name, &mut self.stages[i].maintained),
+                        FailLoc::Shared(i) => (self.shared[i].name, &mut self.shared[i].maintained),
+                        FailLoc::Answer(i) => {
+                            (self.answers[i].name, &mut self.answers[i].maintained)
                         }
                     };
                     if query.degraded().contains(&op) {
+                        // the operator failed *again* while already degraded
+                        // (its recompute path is broken too): give up rather
+                        // than loop
                         return Err(e.into());
                     }
                     query.degrade(op).map_err(SynthesisError::from)?;
@@ -820,7 +428,7 @@ impl MaintainedWorkload {
                     .degraded()
                     .iter()
                     .map(|&op| DegradedOperator {
-                        view: Some(stage.name),
+                        view: stage.name,
                         op,
                     }),
             );
@@ -832,7 +440,7 @@ impl MaintainedWorkload {
                     .degraded()
                     .iter()
                     .map(|&op| DegradedOperator {
-                        view: Some(answer.name),
+                        view: answer.name,
                         op,
                     }),
             );
@@ -897,7 +505,7 @@ impl MaintainedWorkload {
         self.answers
             .first()
             .map(|a| a.maintained.env())
-            .expect("a workload has at least one query")
+            .expect("MaintainedWorkload::new rejects workloads without queries")
     }
 
     /// Naive end-to-end check: every maintained view, shared fragment and
@@ -956,21 +564,30 @@ impl MaintainedWorkload {
 mod tests {
     use super::*;
     use crate::views::{partition_instance, partition_problem};
+    use crate::workload::{overlapping_workload_problem, WorkloadProblem};
     use crate::SynthesisConfig;
+
+    /// The one-query partition problem, maintained as a one-entry workload.
+    fn partition_rewriting() -> (WorkloadProblem, WorkloadRewriting) {
+        let problem = partition_problem();
+        let rewriting = problem
+            .derive_workload(&SynthesisConfig::default())
+            .expect("rewriting exists");
+        (problem, rewriting)
+    }
 
     #[test]
     fn maintained_rewriting_tracks_base_updates() {
-        let problem = partition_problem();
-        let result = problem
-            .derive_rewriting(&SynthesisConfig::default())
-            .expect("rewriting exists");
+        let (problem, rewriting) = partition_rewriting();
+        let q = problem.queries[0].name;
         let base = partition_instance(40, 7);
-        let mut mv = MaintainedRewriting::new(&result, &base).expect("materialize");
+        let mut mw = MaintainedWorkload::new(&rewriting, &base).expect("materialize");
         // the initial answer agrees with answering from fresh views
-        let fresh = result
-            .answer_from_views(&crate::views::materialize_views(&problem, &base).unwrap())
+        let fresh = rewriting
+            .answers_from_views(&problem.materialize_views(&base).unwrap())
             .unwrap();
-        assert_eq!(mv.answer(), &fresh);
+        assert_eq!(fresh.len(), 1);
+        assert_eq!(mw.answer(&q), Some(&fresh[0].1));
         // stream single-tuple updates through S and F, checking naively
         for i in 0..30u64 {
             let mut batch = UpdateBatch::new();
@@ -980,9 +597,9 @@ mod tests {
                 2 => batch.delete("S", Value::atom(500 + i - 2)),
                 _ => batch.delete("F", Value::atom(i % 7)),
             };
-            mv.apply(&batch).expect("maintenance step");
+            mw.apply(&batch).expect("maintenance step");
             assert!(
-                mv.cross_check(&result).expect("oracle re-evaluation"),
+                mw.cross_check(&rewriting).expect("oracle re-evaluation"),
                 "diverged from the naive oracle at step {i}"
             );
         }
@@ -990,13 +607,11 @@ mod tests {
 
     #[test]
     fn transactional_apply_rejects_malformed_batches_without_state_change() {
-        let problem = partition_problem();
-        let result = problem
-            .derive_rewriting(&SynthesisConfig::default())
-            .expect("rewriting exists");
+        let (problem, rewriting) = partition_rewriting();
+        let q = problem.queries[0].name;
         let base = partition_instance(20, 3);
-        let mut mv = MaintainedRewriting::new(&result, &base).expect("materialize");
-        let before = mv.answer().clone();
+        let mut mw = MaintainedWorkload::new(&rewriting, &base).expect("materialize");
+        let before = mw.answer(&q).expect("answer for Q").clone();
         // a delta with overlapping sides is malformed on every path
         let mut ds = DeltaSet::new();
         ds.inserts.insert(Value::atom(1));
@@ -1004,7 +619,7 @@ mod tests {
         // the insert/delete builders cancel opposite sides, so an overlap is
         // only constructible by wrapping a hand-built delta verbatim
         let batch = UpdateBatch::from_delta("S", ds);
-        let err = mv.apply_transactional(&batch).unwrap_err();
+        let err = mw.apply_transactional(&batch).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1013,55 +628,43 @@ mod tests {
             "got {err}"
         );
         assert_eq!(
-            mv.answer(),
-            &before,
+            mw.answer(&q),
+            Some(&before),
             "validation errors leave state untouched"
         );
-        assert!(mv.cross_check(&result).unwrap());
+        assert!(mw.cross_check(&rewriting).unwrap());
         // a healthy pipeline is fully incremental with nothing degraded
-        assert!(mv.coverage().fully_incremental());
-        assert!(mv.degraded_operators().is_empty());
+        assert!(mw.coverage().fully_incremental());
+        assert!(mw.degraded_operators().is_empty());
         // and a resilient apply of a good batch degrades nothing
         let mut good = UpdateBatch::new();
         good.insert("S", Value::atom(7777));
-        let (_, degraded) = mv.apply_resilient(&good).expect("resilient apply");
+        let (_, degraded) = mw.apply_resilient(&good).expect("resilient apply");
         assert!(degraded.is_empty());
-        assert!(mv.cross_check(&result).unwrap());
-    }
-
-    #[test]
-    fn maintained_view_wraps_a_synthesized_definition() {
-        let problem = partition_problem();
-        let result = problem
-            .derive_rewriting(&SynthesisConfig::default())
-            .expect("rewriting exists");
-        let base = partition_instance(12, 3);
-        let views = crate::views::materialize_views(&problem, &base).unwrap();
-        let mut mv = MaintainedView::new(&result.definition, &views).expect("materialize");
-        assert!(mv.cross_check().unwrap());
-        // update the view relations directly (the definition's inputs)
-        let mut batch = UpdateBatch::new();
-        batch
-            .insert("V1", Value::atom(900))
-            .delete("V2", Value::atom(1));
-        let delta = mv.apply(&batch).unwrap();
-        assert!(mv.cross_check().unwrap());
-        // the partition rewriting is the identity on V1 ∪ V2, so the newly
-        // inserted element must have surfaced in the answer
-        assert!(delta.inserts.contains(&Value::atom(900)));
-        assert!(mv.value().as_set().unwrap().contains(&Value::atom(900)));
+        assert!(mw.cross_check(&rewriting).unwrap());
     }
 
     #[test]
     fn maintained_workload_tracks_base_updates() {
-        let problem = crate::workload::overlapping_workload_problem(4);
+        let problem = overlapping_workload_problem(4);
         let rewriting = problem
             .derive_workload(&SynthesisConfig::default())
             .expect("workload rewriting exists");
         let base = partition_instance(30, 11);
         let mut mw = MaintainedWorkload::new(&rewriting, &base).expect("materialize");
+        // the initial answers agree with answering from fresh views
+        let fresh = rewriting
+            .answers_from_views(&problem.materialize_views(&base).unwrap())
+            .unwrap();
+        let initial: Vec<(Name, Value)> = mw
+            .answers()
+            .into_iter()
+            .map(|(n, v)| (n, v.clone()))
+            .collect();
+        assert_eq!(initial, fresh);
         assert!(mw.cross_check(&rewriting).unwrap());
         assert!(mw.coverage().fully_incremental());
+        // stream single-tuple updates through S and F, checking naively
         for i in 0..24u64 {
             let mut batch = UpdateBatch::new();
             match i % 4 {
@@ -1071,7 +674,7 @@ mod tests {
                 _ => batch.delete("F", Value::atom(i % 5)),
             };
             let deltas = mw.apply(&batch).expect("maintenance step");
-            assert_eq!(deltas.len(), 4, "one delta per query");
+            assert_eq!(deltas.len(), problem.queries.len(), "one delta per query");
             assert!(
                 mw.cross_check(&rewriting).expect("oracle re-evaluation"),
                 "diverged from the naive oracle at step {i}"
@@ -1081,7 +684,7 @@ mod tests {
 
     #[test]
     fn workload_maintains_each_shared_view_once_per_apply() {
-        let problem = crate::workload::overlapping_workload_problem(4);
+        let problem = overlapping_workload_problem(4);
         let rewriting = problem
             .derive_workload(&SynthesisConfig::default())
             .expect("workload rewriting exists");
@@ -1113,7 +716,7 @@ mod tests {
 
     #[test]
     fn workload_transactional_apply_rejects_malformed_batches() {
-        let problem = crate::workload::overlapping_workload_problem(2);
+        let problem = overlapping_workload_problem(2);
         let rewriting = problem
             .derive_workload(&SynthesisConfig::default())
             .expect("workload rewriting exists");
@@ -1124,6 +727,9 @@ mod tests {
             .into_iter()
             .map(|(n, v)| (n, v.clone()))
             .collect();
+        // a delta with overlapping sides is malformed on every path; the
+        // insert/delete builders cancel opposite sides, so an overlap is
+        // only constructible by wrapping a hand-built delta verbatim
         let mut ds = DeltaSet::new();
         ds.inserts.insert(Value::atom(1));
         ds.deletes.insert(Value::atom(1));
@@ -1142,12 +748,16 @@ mod tests {
             .map(|(n, v)| (n, v.clone()))
             .collect();
         assert_eq!(before, after, "validation errors leave state untouched");
+        assert!(mw.cross_check(&rewriting).unwrap());
+        // a healthy pipeline is fully incremental with nothing degraded
+        assert!(mw.coverage().fully_incremental());
         assert!(mw.degraded_operators().is_empty());
+        // and a resilient apply of a good batch degrades nothing
         let (deltas, degraded) = mw
             .apply_resilient(&UpdateBatch::new().insert("S", Value::atom(424242)).clone())
             .expect("resilient apply");
         assert!(degraded.is_empty());
-        assert_eq!(deltas.len(), 2);
+        assert_eq!(deltas.len(), problem.queries.len());
         assert!(mw.cross_check(&rewriting).unwrap());
     }
 }

@@ -21,10 +21,12 @@
 //! 3. **Interpolation (Theorem 4)** from `nrs-interp` supplies the filter
 //!    `κ(ī, x)` that cuts the collected superset down to exactly `o`:
 //!    the final definition is `{x ∈ E(ī) | κ(ī, x)}`.
-//! 4. **Corollary 3** ([`views`]): when the specification arises from NRC
-//!    views and a query (via the input/output specifications of `nrs-nrc`),
-//!    the synthesized definition is a rewriting of the query over the views,
-//!    which can be evaluated and verified against materialized instances.
+//! 4. **Corollary 3** ([`workload`]): when the specification arises from NRC
+//!    views and queries (via the input/output specifications of `nrs-nrc`),
+//!    the synthesized definitions are rewritings of the queries over the
+//!    views, which can be evaluated and verified against materialized
+//!    instances.  A [`WorkloadProblem`] with one query is the single-query
+//!    case; [`views`] holds the standard problems.
 //!
 //! ### Where proofs come from
 //!
@@ -46,17 +48,13 @@ pub mod views;
 pub mod workload;
 
 pub use collect::{collect_parameters, CollectInput, CollectOutput};
-pub use ivm::{
-    AnswerDeltas, DegradedOperator, MaintainedRewriting, MaintainedView, MaintainedWorkload,
-    RewritingCoverage, WorkloadCoverage,
-};
+pub use ivm::{AnswerDeltas, DegradedOperator, MaintainedWorkload, WorkloadCoverage};
 pub use nrs_ivm::{CoverageReport, DeltaSet, IvmError, MaintStats, UpdateBatch};
 pub use synthesis::{
     synthesize, synthesize_with, GoalMetrics, ImplicitSpec, SynthesisConfig, SynthesisError,
     SynthesisMetrics, SynthesisReport, SynthesizedDefinition,
 };
 pub use synthesizer::Synthesizer;
-pub use views::{materialize_views, RewritingProblem, RewritingResult};
 pub use workload::{
     overlapping_workload_problem, synthesize_workload, synthesize_workload_with, SharedViewSet,
     Workload, WorkloadProblem, WorkloadReport, WorkloadRewriting, WorkloadSynthesis,

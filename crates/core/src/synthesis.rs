@@ -432,23 +432,30 @@ pub fn synthesize_with(
     cfg: &SynthesisConfig,
     session: &ProverSession,
 ) -> Result<SynthesizedDefinition, SynthesisError> {
-    // Run-level observability: one span + one `synth.run_seconds` sample per
-    // run, recursive product sub-runs included (they call back in here).
+    // recursive product sub-runs are runs of their own (they call back in here)
+    observed_run(|run_span| {
+        let def = synthesize_with_inner(spec, cfg, session)?;
+        run_span.record("goals_proved", def.report.goals_proved);
+        Ok(def)
+    })
+}
+
+/// Run-level observability shared by single-spec and workload synthesis:
+/// one `synth.run` span, one `synth.run_seconds` sample, and the
+/// `synth.runs_total` / `synth.failed_runs_total` counters per run.
+pub(crate) fn observed_run<T>(
+    run: impl FnOnce(&mut nrs_obs::Span) -> Result<T, SynthesisError>,
+) -> Result<T, SynthesisError> {
     nrs_obs::init_from_env();
     let mut run_span = nrs_obs::span("synth.run");
     let run_start = std::time::Instant::now();
     let m = obs();
     m.runs.inc();
-    let result = synthesize_with_inner(spec, cfg, session);
+    let result = run(&mut run_span);
     m.run_seconds.record_duration(run_start.elapsed());
-    match &result {
-        Ok(def) => {
-            run_span.record("goals_proved", def.report.goals_proved);
-        }
-        Err(e) => {
-            m.failed_runs.inc();
-            nrs_obs::error("synth.run_failed", e);
-        }
+    if let Err(e) = &result {
+        m.failed_runs.inc();
+        nrs_obs::error("synth.run_failed", e);
     }
     result
 }

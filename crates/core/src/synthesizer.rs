@@ -4,7 +4,7 @@
 //! The free functions accreted one entry point per capability —
 //! [`synthesize`](crate::synthesis::synthesize),
 //! [`synthesize_with`],
-//! [`RewritingProblem::derive_rewriting_with`](crate::views::RewritingProblem::derive_rewriting_with),
+//! [`WorkloadProblem::derive_workload_with`],
 //! a hand-built [`SynthesisConfig`] — and every caller had to thread the
 //! session and config through by hand to benefit from warm caches.  The
 //! builder consolidates them: construct once, tweak the knobs fluently, and
@@ -24,7 +24,6 @@
 use crate::synthesis::{
     synthesize_with, ImplicitSpec, SynthesisConfig, SynthesisError, SynthesizedDefinition,
 };
-use crate::views::{RewritingProblem, RewritingResult};
 use crate::workload::{
     synthesize_workload_with, Workload, WorkloadProblem, WorkloadRewriting, WorkloadSynthesis,
 };
@@ -163,15 +162,8 @@ impl Synthesizer {
         synthesize_workload_with(workload, &self.cfg, &self.session)
     }
 
-    /// Derive a single-query view rewriting (Corollary 3).
-    pub fn derive_rewriting(
-        &self,
-        problem: &RewritingProblem,
-    ) -> Result<RewritingResult, SynthesisError> {
-        problem.derive_rewriting_with(&self.cfg, &self.session)
-    }
-
-    /// Derive a multi-query rewriting workload with a shared view set.
+    /// Derive the view rewritings of a [`WorkloadProblem`] (Corollary 3) with
+    /// a shared view set; a single query is a one-query problem.
     pub fn derive_workload(
         &self,
         problem: &WorkloadProblem,
@@ -195,8 +187,7 @@ mod tests {
     #[test]
     fn facade_matches_free_function() {
         let problem = partition_problem();
-        let mut gen = nrs_value::NameGen::new();
-        let spec = problem.specification(&mut gen).unwrap();
+        let spec = problem.workload().unwrap().entries()[0].1.clone();
         let cfg = SynthesisConfig::default();
         let direct = crate::synthesis::synthesize(&spec, &cfg).unwrap();
         let synth = Synthesizer::with_config(cfg);
@@ -207,15 +198,14 @@ mod tests {
     #[test]
     fn warm_facade_is_reusable() {
         let problem = partition_problem();
-        let mut gen = nrs_value::NameGen::new();
-        let spec = problem.specification(&mut gen).unwrap();
+        let spec = problem.workload().unwrap().entries()[0].1.clone();
         let synth = Synthesizer::new();
         let first = synth.warm(&spec).unwrap().synthesize(&spec).unwrap();
         let second = synth.synthesize(&spec).unwrap();
         assert_eq!(first.expr(), second.expr());
         // rewriting through the same warm facade
-        let rw = synth.derive_rewriting(&problem).unwrap();
-        assert_eq!(rw.expr(), first.expr());
+        let rw = synth.derive_workload(&problem).unwrap();
+        assert_eq!(rw.queries()[0].1.expr(), first.expr());
     }
 
     #[test]

@@ -1,203 +1,20 @@
-//! View-based query rewriting (Corollary 3).
+//! The standard view-rewriting problems (Corollary 3) used across tests,
+//! examples and benches, with base-instance generators for each.
 //!
-//! A [`RewritingProblem`] packages base relations, composition-free view
-//! definitions, optional Δ0 integrity constraints and a query.  The pipeline
-//! conjoins the views' and query's input/output specifications (paper §3 /
-//! Appendix B), asks the synthesis engine for an explicit definition of the
-//! query output in terms of the *view names*, and returns the rewriting
-//! together with helpers to materialize views and verify the rewriting on
-//! concrete instances.
+//! Every problem is a one-query [`WorkloadProblem`]: a single query is the
+//! length-1 case of the workload pipeline, from rewriting synthesis
+//! ([`WorkloadProblem::derive_workload`]) through maintenance
+//! ([`MaintainedWorkload`](crate::ivm::MaintainedWorkload)) to serving.
 
-use crate::synthesis::{
-    synthesize_with, ImplicitSpec, SynthesisConfig, SynthesisError, SynthesizedDefinition,
-};
+use crate::workload::WorkloadProblem;
 use nrs_delta0::macros as d0;
-use nrs_delta0::typing::TypeEnv;
-use nrs_delta0::Formula;
 use nrs_nrc::spec::ViewDef;
-use nrs_nrc::{eval as nrc_eval, Expr};
-use nrs_prover::ProverSession;
 use nrs_value::{Instance, Name, NameGen, Type, Value};
 
-/// A query-rewriting problem: determine the query from the views (relative to
-/// the constraints) and synthesize the rewriting.
-#[derive(Debug, Clone)]
-pub struct RewritingProblem {
-    /// Base objects and their types.
-    pub base: Vec<(Name, Type)>,
-    /// The views, as composition-free definitions over the base.
-    pub views: Vec<ViewDef>,
-    /// Δ0 integrity constraints on the base data (may be empty).
-    pub constraints: Vec<Formula>,
-    /// The query, as a composition-free definition over the base.
-    pub query: ViewDef,
-}
-
-/// The outcome of rewriting synthesis.
-#[derive(Debug, Clone)]
-pub struct RewritingResult {
-    /// The synthesized definition; its expression's free variables are the
-    /// view names.
-    pub definition: SynthesizedDefinition,
-    /// The problem it was synthesized for.
-    pub problem: RewritingProblem,
-}
-
-impl RewritingProblem {
-    /// The typing environment of base objects.
-    pub fn base_env(&self) -> TypeEnv {
-        TypeEnv::from_pairs(self.base.iter().cloned())
-    }
-
-    /// The base declarations as a [`Schema`][nrs_value::Schema] — the
-    /// contract a serving layer validates incoming update batches against.
-    pub fn base_schema(&self) -> Result<nrs_value::Schema, SynthesisError> {
-        nrs_value::Schema::from_decls(self.base.iter().cloned())
-            .map_err(|e| SynthesisError::Ill(e.to_string()))
-    }
-
-    /// The combined Δ0 specification `Σ_{V̄,Q}` of views, query and constraints.
-    pub fn specification(&self, gen: &mut NameGen) -> Result<ImplicitSpec, SynthesisError> {
-        let env = self.base_env();
-        let mut conjuncts = Vec::new();
-        let mut inputs = Vec::new();
-        for view in &self.views {
-            let io = view
-                .io_spec(&env, gen)
-                .map_err(|e| SynthesisError::Ill(e.to_string()))?;
-            conjuncts.push(io);
-            let ty = view
-                .output_type(&env)
-                .map_err(|e| SynthesisError::Ill(e.to_string()))?;
-            inputs.push((view.name, ty));
-        }
-        let q_io = self
-            .query
-            .io_spec(&env, gen)
-            .map_err(|e| SynthesisError::Ill(e.to_string()))?;
-        conjuncts.push(q_io);
-        conjuncts.extend(self.constraints.iter().cloned());
-        let out_ty = self
-            .query
-            .output_type(&env)
-            .map_err(|e| SynthesisError::Ill(e.to_string()))?;
-        Ok(ImplicitSpec {
-            formula: d0::and_all(conjuncts),
-            inputs,
-            auxiliaries: self.base.clone(),
-            output: (self.query.name, out_ty),
-        })
-    }
-
-    /// Run the full Corollary 3 pipeline: build the specification, prove the
-    /// goals, and synthesize the rewriting.
-    pub fn derive_rewriting(
-        &self,
-        cfg: &SynthesisConfig,
-    ) -> Result<RewritingResult, SynthesisError> {
-        let session = ProverSession::new(cfg.prover.clone());
-        self.derive_rewriting_with(cfg, &session)
-    }
-
-    /// [`derive_rewriting`](Self::derive_rewriting) through a caller-owned
-    /// [`ProverSession`].  A watch-mode loop re-deriving its problems after
-    /// each edit keeps one session per configuration: unchanged goals replay
-    /// from the session's goal-outcome cache, and changed ones still reuse
-    /// its failure memo, specialization cache and rewrite-candidate cache.
-    ///
-    /// [`Synthesizer::derive_rewriting`](crate::Synthesizer::derive_rewriting)
-    /// wraps this behind a facade that owns the session for you.
-    pub fn derive_rewriting_with(
-        &self,
-        cfg: &SynthesisConfig,
-        session: &ProverSession,
-    ) -> Result<RewritingResult, SynthesisError> {
-        let mut gen = NameGen::new();
-        let spec = self.specification(&mut gen)?;
-        let definition = synthesize_with(&spec, cfg, session)?;
-        Ok(RewritingResult {
-            definition,
-            problem: self.clone(),
-        })
-    }
-
-    /// Evaluate every view (and the query) on a base instance, returning an
-    /// instance binding the base objects, the view names and the query name.
-    pub fn materialize(&self, base: &Instance) -> Result<Instance, SynthesisError> {
-        let mut out = base.clone();
-        for (name, value) in materialize_views(self, base)?.iter() {
-            out.bind(*name, value.clone());
-        }
-        let env = self.base_env();
-        let mut gen = NameGen::new();
-        let expr = self
-            .query
-            .to_nrc(&env, &mut gen)
-            .map_err(|e| SynthesisError::Ill(e.to_string()))?;
-        let value =
-            nrs_nrc::eval_optimized(&expr, base).map_err(|e| SynthesisError::Ill(e.to_string()))?;
-        out.bind(self.query.name, value);
-        Ok(out)
-    }
-}
-
-/// Materialize only the views of a problem over a base instance (no query),
-/// e.g. to feed the rewriting at query-answering time.
-pub fn materialize_views(
-    problem: &RewritingProblem,
-    base: &Instance,
-) -> Result<Instance, SynthesisError> {
-    let env = problem.base_env();
-    let mut gen = NameGen::new();
-    let mut out = Instance::new();
-    for view in &problem.views {
-        let expr = view
-            .to_nrc(&env, &mut gen)
-            .map_err(|e| SynthesisError::Ill(e.to_string()))?;
-        let value =
-            nrs_nrc::eval_optimized(&expr, base).map_err(|e| SynthesisError::Ill(e.to_string()))?;
-        out.bind(view.name, value);
-    }
-    Ok(out)
-}
-
-impl RewritingResult {
-    /// The rewriting expression over the view names.
-    pub fn expr(&self) -> &Expr {
-        self.definition.expr()
-    }
-
-    /// Answer the query from materialized views only.
-    pub fn answer_from_views(&self, views: &Instance) -> Result<Value, SynthesisError> {
-        self.definition.evaluate(views)
-    }
-
-    /// End-to-end check on a base instance: materialize the views, evaluate
-    /// the rewriting on them (through the optimizing plan pipeline), and
-    /// compare with the query evaluated directly on the base by the *naive*
-    /// evaluator — so every verification doubles as an optimized-vs-oracle
-    /// equivalence check.
-    pub fn verify_on_base(&self, base: &Instance) -> Result<bool, SynthesisError> {
-        let env = self.problem.base_env();
-        let mut gen = NameGen::new();
-        let views = materialize_views(&self.problem, base)?;
-        let from_views = self.answer_from_views(&views)?;
-        let q_expr = self
-            .problem
-            .query
-            .to_nrc(&env, &mut gen)
-            .map_err(|e| SynthesisError::Ill(e.to_string()))?;
-        let direct =
-            nrc_eval::eval(&q_expr, base).map_err(|e| SynthesisError::Ill(e.to_string()))?;
-        Ok(from_views == direct)
-    }
-}
-
-/// The "partition" rewriting problem used across tests, examples and benches:
-/// base `S : Set(𝔘)` and `F : Set(𝔘)`, views `V1 = S ∩ F`, `V2 = S \ F`
+/// The "partition" rewriting problem: base `S : Set(𝔘)` and `F : Set(𝔘)`, views `V1 = S ∩ F`, `V2 = S \ F`
 /// (written as comprehensions), query `Q = S`.  The expected rewriting is
 /// `V1 ∪ V2` up to equivalence.
-pub fn partition_problem() -> RewritingProblem {
+pub fn partition_problem() -> WorkloadProblem {
     use nrs_delta0::Term;
     use nrs_nrc::spec::{GenExpr, Generator};
     let mut gen = NameGen::new();
@@ -222,14 +39,14 @@ pub fn partition_problem() -> RewritingProblem {
         "Q",
         GenExpr::collect(vec![Generator::new("gq", Term::var("S"))], Term::var("gq")),
     );
-    RewritingProblem {
+    WorkloadProblem {
         base: vec![
             (Name::new("S"), Type::set(Type::Ur)),
             (Name::new("F"), Type::set(Type::Ur)),
         ],
         views: vec![v1, v2],
         constraints: vec![],
-        query,
+        queries: vec![query],
     }
 }
 
@@ -238,7 +55,7 @@ pub fn partition_problem() -> RewritingProblem {
 /// `V1 = {⟨π1 r, π1 π2 r⟩ | r ∈ R}` and `V2 = {⟨π1 r, π2 π2 r⟩ | r ∈ R}`,
 /// query `Q = R`.  The classical lossless-join scenario: the rewriting joins
 /// the two views on the key.
-pub fn lossless_join_problem() -> RewritingProblem {
+pub fn lossless_join_problem() -> WorkloadProblem {
     use nrs_delta0::Term;
     use nrs_nrc::spec::{GenExpr, Generator};
     let mut gen = NameGen::new();
@@ -267,11 +84,11 @@ pub fn lossless_join_problem() -> RewritingProblem {
         "Q",
         GenExpr::collect(vec![Generator::new("q", Term::var("R"))], Term::var("q")),
     );
-    RewritingProblem {
+    WorkloadProblem {
         base: vec![(Name::new("R"), Type::set(row.clone()))],
         views: vec![v1, v2],
         constraints: vec![d0::key_constraint(&Name::new("R"), &row, &mut gen)],
-        query,
+        queries: vec![query],
     }
 }
 
@@ -312,6 +129,7 @@ pub fn partition_instance(size: usize, seed: u64) -> Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synthesis::SynthesisConfig;
     use nrs_prover::ProverConfig;
 
     #[test]
@@ -321,9 +139,11 @@ mod tests {
             check_determinacy: true,
             ..Default::default()
         };
-        let result = problem.derive_rewriting(&cfg).expect("rewriting exists");
+        let result = problem.derive_workload(&cfg).expect("rewriting exists");
+        let (name, definition) = &result.queries()[0];
+        assert_eq!(name, &Name::new("Q"));
         // the rewriting only mentions the views
-        for v in result.expr().free_vars() {
+        for v in definition.expr().free_vars() {
             assert!(["V1", "V2"].contains(&v.as_str()));
         }
         for seed in 0..8 {
@@ -336,17 +156,14 @@ mod tests {
     fn materialization_binds_views_and_query() {
         let problem = partition_problem();
         let base = partition_instance(5, 3);
-        let all = problem.materialize(&base).unwrap();
-        assert!(all.contains(&Name::new("V1")));
-        assert!(all.contains(&Name::new("V2")));
-        assert!(all.contains(&Name::new("Q")));
-        let only_views = materialize_views(&problem, &base).unwrap();
-        assert!(only_views.contains(&Name::new("V1")));
-        assert!(!only_views.contains(&Name::new("Q")));
+        let views = problem.materialize_views(&base).unwrap();
+        assert!(views.contains(&Name::new("V1")));
+        assert!(views.contains(&Name::new("V2")));
+        assert!(!views.contains(&Name::new("Q")));
         // V1 and V2 partition S
         let s = base.get(&Name::new("S")).unwrap();
-        let v1 = all.get(&Name::new("V1")).unwrap();
-        let v2 = all.get(&Name::new("V2")).unwrap();
+        let v1 = views.get(&Name::new("V1")).unwrap();
+        let v2 = views.get(&Name::new("V2")).unwrap();
         assert_eq!(&v1.union(v2).unwrap(), s);
         assert_eq!(v1.intersection(v2).unwrap(), Value::empty_set());
     }
@@ -363,7 +180,7 @@ mod tests {
             check_determinacy: false,
             ..Default::default()
         };
-        let result = problem.derive_rewriting(&cfg).expect("rewriting exists");
+        let result = problem.derive_workload(&cfg).expect("rewriting exists");
         for seed in 0..3 {
             let base = lossless_join_instance(4, seed);
             assert!(result.verify_on_base(&base).unwrap(), "seed {seed}");

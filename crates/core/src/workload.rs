@@ -42,8 +42,8 @@
 //! returns a [`WorkloadRewriting`] ready for maintenance and serving.
 
 use crate::synthesis::{
-    assemble_collect, merge_report, plan_collect, record_stats, synthesize_with, CollectPlan, Ctx,
-    GoalBatch, ImplicitSpec, SynthesisConfig, SynthesisError, SynthesisReport,
+    assemble_collect, merge_report, observed_run, plan_collect, record_stats, synthesize_with,
+    CollectPlan, Ctx, GoalBatch, ImplicitSpec, SynthesisConfig, SynthesisError, SynthesisReport,
     SynthesizedDefinition,
 };
 use nrs_delta0::macros as d0;
@@ -269,8 +269,19 @@ pub fn synthesize_workload_with(
     cfg: &SynthesisConfig,
     session: &ProverSession,
 ) -> Result<WorkloadSynthesis, SynthesisError> {
-    nrs_obs::init_from_env();
-    let mut span = nrs_obs::span("synth.workload").with("entries", workload.len());
+    // the whole workload is one synthesis run (`synth.run` span and counters)
+    observed_run(|span| {
+        span.record("entries", workload.len());
+        synthesize_workload_inner(workload, cfg, session, span)
+    })
+}
+
+fn synthesize_workload_inner(
+    workload: &Workload,
+    cfg: &SynthesisConfig,
+    session: &ProverSession,
+    span: &mut nrs_obs::Span,
+) -> Result<WorkloadSynthesis, SynthesisError> {
     let m = obs();
     m.workloads.inc();
     m.entries.add(workload.len() as u64);
@@ -339,17 +350,11 @@ pub fn synthesize_workload_with(
     drop(assemble_span);
 
     // ---- shared view set across the simplified rewritings ----
-    let inputs: BTreeSet<Name> = workload
-        .entries()
-        .iter()
-        .flat_map(|(_, s)| s.inputs.iter().map(|(n, _)| *n))
-        .collect();
     let shared = extract_shared_views(
         definitions
             .iter()
             .map(|(n, d)| (*n, d.expr().clone()))
             .collect(),
-        &inputs,
     );
     m.shared_views.add(shared.views.len() as u64);
     span.record("goals", goals_recorded);
@@ -753,10 +758,7 @@ fn hoist(e: &Expr, key: &Expr, name: Name, scope: &mut BTreeSet<Name>) -> (Expr,
 /// set-typed fragments occurring (alpha-canonically) in ≥ 2 distinct
 /// queries are hoisted into named shared views, largest first, and every
 /// occurrence is replaced by a reference.
-pub(crate) fn extract_shared_views(
-    queries: Vec<(Name, Expr)>,
-    _inputs: &BTreeSet<Name>,
-) -> SharedViewSet {
+pub(crate) fn extract_shared_views(queries: Vec<(Name, Expr)>) -> SharedViewSet {
     let mut found: BTreeMap<Expr, BTreeSet<usize>> = BTreeMap::new();
     for (i, (_, e)) in queries.iter().enumerate() {
         collect_candidates(e, i, &mut BTreeSet::new(), &mut found);
@@ -832,17 +834,6 @@ impl WorkloadProblem {
     pub fn base_schema(&self) -> Result<nrs_value::Schema, SynthesisError> {
         nrs_value::Schema::from_decls(self.base.iter().cloned())
             .map_err(|e| SynthesisError::Ill(e.to_string()))
-    }
-
-    /// The single-query [`RewritingProblem`](crate::views::RewritingProblem) of query `i` — the independent
-    /// baseline the workload path amortizes against.
-    pub fn single(&self, i: usize) -> crate::views::RewritingProblem {
-        crate::views::RewritingProblem {
-            base: self.base.clone(),
-            views: self.views.clone(),
-            constraints: self.constraints.clone(),
-            query: self.queries[i].clone(),
-        }
     }
 
     /// The [`Workload`] of per-query implicit specifications.  Every query's
@@ -1151,9 +1142,7 @@ mod tests {
         let frag_b = Expr::big_union("y", Expr::var("V1"), Expr::singleton(Expr::var("y")));
         let q1 = Expr::union(frag_a.clone(), Expr::var("V2"));
         let q2 = Expr::diff(frag_b, Expr::var("V2"));
-        let inputs: BTreeSet<Name> = [Name::new("V1"), Name::new("V2")].into_iter().collect();
-        let shared =
-            extract_shared_views(vec![(Name::new("A"), q1), (Name::new("B"), q2)], &inputs);
+        let shared = extract_shared_views(vec![(Name::new("A"), q1), (Name::new("B"), q2)]);
         assert_eq!(shared.views.len(), 1, "{shared:?}");
         let (name, _) = shared.views[0];
         let a = shared.query(&Name::new("A")).unwrap();
@@ -1191,14 +1180,10 @@ mod tests {
             Expr::var("V1"),
             Expr::union(Expr::singleton(Expr::var("x")), Expr::var("V2")),
         );
-        let inputs: BTreeSet<Name> = [Name::new("V1"), Name::new("V2")].into_iter().collect();
-        let shared = extract_shared_views(
-            vec![
-                (Name::new("A"), open_body.clone()),
-                (Name::new("B"), open_body),
-            ],
-            &inputs,
-        );
+        let shared = extract_shared_views(vec![
+            (Name::new("A"), open_body.clone()),
+            (Name::new("B"), open_body),
+        ]);
         // the whole (closed) expression is shared; the open inner union is not
         assert_eq!(shared.views.len(), 1);
         for (_, q) in &shared.queries {

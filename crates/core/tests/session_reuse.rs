@@ -21,9 +21,9 @@ use nrs_value::NameGen;
 
 /// The determinacy sequent of the E2 partition spec: `φ ∧ φ' ⊢ Q ≡ Q'`.
 fn e2_determinacy_sequent() -> Sequent {
-    let problem = partition_problem();
+    let workload = partition_problem().workload().expect("well-formed spec");
+    let spec = &workload.entries()[0].1;
     let mut gen = NameGen::new();
-    let spec = problem.specification(&mut gen).expect("well-formed spec");
     let (phi_primed, primed_out, _) = spec.primed();
     let goal = d0::equiv(
         &spec.output.1,
@@ -97,10 +97,10 @@ fn rewrite_candidate_cache_persists_across_batches() {
 #[test]
 fn e2_membership_goal_hits_the_rewrite_candidate_cache() {
     let result = partition_problem()
-        .derive_rewriting(&SynthesisConfig::default())
+        .derive_workload(&SynthesisConfig::default())
         .expect("rewriting");
-    let goal = result
-        .definition
+    let goal = result.queries()[0]
+        .1
         .report
         .metrics
         .per_goal
@@ -128,17 +128,15 @@ fn shared_session_synthesis_matches_cold_synthesis() {
         share_prover_session: false,
         ..Default::default()
     };
-    let shared = problem.derive_rewriting(&shared_cfg).expect("shared ok");
-    let cold = problem.derive_rewriting(&cold_cfg).expect("cold ok");
-    assert_eq!(
-        shared.definition.report.goals_proved,
-        cold.definition.report.goals_proved
-    );
+    let shared = problem.derive_workload(&shared_cfg).expect("shared ok");
+    let cold = problem.derive_workload(&cold_cfg).expect("cold ok");
+    let (shared_report, cold_report) = (&shared.report().synthesis, &cold.report().synthesis);
+    assert_eq!(shared_report.goals_proved, cold_report.goals_proved);
     assert!(
-        shared.definition.report.states_visited <= cold.definition.report.states_visited,
+        shared_report.states_visited <= cold_report.states_visited,
         "session sharing must not search more ({} vs {})",
-        shared.definition.report.states_visited,
-        cold.definition.report.states_visited
+        shared_report.states_visited,
+        cold_report.states_visited
     );
     for seed in 0..6 {
         let base = partition_instance(6, seed);
@@ -157,7 +155,7 @@ fn parallel_goal_synthesis_is_correct() {
         parallel_goals: true,
         ..Default::default()
     };
-    let result = problem.derive_rewriting(&cfg).expect("parallel ok");
+    let result = problem.derive_workload(&cfg).expect("parallel ok");
     for seed in 0..4 {
         let base = partition_instance(5, seed);
         assert!(result.verify_on_base(&base).unwrap(), "seed {seed}");

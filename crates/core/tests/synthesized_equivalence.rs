@@ -8,8 +8,8 @@
 use nrs_delta0::macros as d0;
 use nrs_delta0::{Formula, Term};
 use nrs_nrc::eval::eval;
-use nrs_synthesis::views::{materialize_views, partition_instance, partition_problem};
-use nrs_synthesis::{synthesize, ImplicitSpec, SynthesisConfig};
+use nrs_synthesis::views::{partition_instance, partition_problem};
+use nrs_synthesis::{synthesize, ImplicitSpec, SynthesisConfig, WorkloadRewriting};
 use nrs_value::generate::GenConfig;
 use nrs_value::{Instance, Name, NameGen, Type};
 use proptest::prelude::*;
@@ -17,11 +17,11 @@ use std::sync::OnceLock;
 
 /// The E5 rewriting, synthesized once per test process (proof search is the
 /// expensive part; the equivalence cases then reuse it).
-fn partition_rewriting() -> &'static nrs_synthesis::views::RewritingResult {
-    static CELL: OnceLock<nrs_synthesis::views::RewritingResult> = OnceLock::new();
+fn partition_rewriting() -> &'static WorkloadRewriting {
+    static CELL: OnceLock<WorkloadRewriting> = OnceLock::new();
     CELL.get_or_init(|| {
         partition_problem()
-            .derive_rewriting(&SynthesisConfig::default())
+            .derive_workload(&SynthesisConfig::default())
             .expect("partition rewriting synthesizes")
     })
 }
@@ -83,9 +83,10 @@ proptest! {
     fn prop_partition_rewriting_agrees(size in 1usize..40, seed in 0u64..10_000) {
         let rewriting = partition_rewriting();
         let base = partition_instance(size, seed);
-        let views = materialize_views(&partition_problem(), &base).unwrap();
-        let optimized = rewriting.definition.evaluate(&views).unwrap();
-        let naive = rewriting.definition.evaluate_naive(&views).unwrap();
+        let views = rewriting.problem.materialize_views(&base).unwrap();
+        let definition = &rewriting.queries()[0].1;
+        let optimized = definition.evaluate(&views).unwrap();
+        let naive = definition.evaluate_naive(&views).unwrap();
         prop_assert_eq!(&optimized, &naive);
         // and both answer the query: Q = S restricted to what the views carry
         let direct = eval(

@@ -96,12 +96,13 @@ fn overlapping_workload_dedups_goals_and_visits_fewer_states() {
     );
     let workload_states = report.synthesis.states_visited;
     let mut independent_states = 0usize;
-    for i in 0..problem.queries.len() {
-        let single = problem
-            .single(i)
-            .derive_rewriting(&cfg)
-            .expect("independent run");
-        independent_states += single.definition.report.states_visited;
+    for query in &problem.queries {
+        let single = WorkloadProblem {
+            queries: vec![query.clone()],
+            ..problem.clone()
+        };
+        let single = single.derive_workload(&cfg).expect("independent run");
+        independent_states += single.report().synthesis.states_visited;
     }
     assert!(
         workload_states < independent_states,

@@ -12,13 +12,13 @@
 //! appear inside ∈-contexts, and [`Formula::is_delta0`] distinguishes the two
 //! classes.
 //!
-//! Subformulas are hash-consed [`Shared`] nodes (see [`crate::shared`]):
+//! Subformulas are hash-consed [`Shared`] nodes (see [`nrs_shared`]):
 //! clones are O(1), equality/hashing are O(1), and every node caches its
 //! free-variable set, which substitution uses to return untouched subtrees
 //! shared instead of rebuilding them.
 
-use crate::shared::{empty_name_set, HashConsed, InternTable, Shared};
 use crate::term::Term;
+use nrs_shared::{empty_name_set, HashConsed, InternTable, Shared};
 use nrs_value::Name;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -249,7 +249,7 @@ impl Formula {
     /// Free variables of the formula, as a shareable set (children cache
     /// theirs, so only the top level is assembled).
     pub fn free_vars_arc(&self) -> Arc<BTreeSet<Name>> {
-        use crate::shared::union_name_sets as union;
+        use nrs_shared::union_name_sets as union;
         match self {
             Formula::EqUr(t, u)
             | Formula::NeqUr(t, u)

@@ -27,14 +27,15 @@ pub mod entail;
 pub mod eval;
 pub mod formula;
 pub mod macros;
-pub mod shared;
+#[cfg(test)]
+mod shared;
 pub mod specialize;
 pub mod term;
 pub mod typing;
 
 pub use context::{InContext, MemAtom};
 pub use formula::{Formula, Polarity};
-pub use shared::{intern_stats, InternStats, Shared};
+pub use nrs_shared::{intern_stats, InternStats, Shared};
 pub use term::Term;
 
 pub use nrs_value::{Name, NameGen, Schema, Type, Value};

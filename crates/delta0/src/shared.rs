@@ -1,20 +1,12 @@
-//! Hash-consed shared syntax nodes — re-exported from [`nrs_shared`].
-//!
-//! The implementation originally lived here; it was lifted into the
-//! `nrs-shared` crate so the first-order layer (`nrs-fol`) can cons its
-//! formulas through the same machinery.  Everything is re-exported under the
-//! old paths, so `nrs_delta0::shared::Shared` and `nrs_delta0::intern_stats`
-//! keep working unchanged.
+//! Hash-consing of Δ0 syntax: [`Term`](crate::Term)s and
+//! [`Formula`](crate::Formula)s intern their children through
+//! [`nrs_shared`], so structurally equal nodes are pointer-equal and carry
+//! cached hashes and free-variable sets.  Test-only: the machinery itself
+//! lives in `nrs-shared`.
 
-pub use nrs_shared::{
-    empty_name_set, intern_stats, union_name_sets, HashConsed, InternStats, InternTable, Node,
-    Shared,
-};
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{Formula, Term};
+    use nrs_shared::{empty_name_set, intern_stats, union_name_sets};
     use nrs_value::Name;
     use std::collections::BTreeSet;
     use std::sync::Arc;

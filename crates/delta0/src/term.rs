@@ -1,11 +1,11 @@
 //! Δ0 terms: variables, the unit value, tupling and projections.
 //!
-//! Subterms are hash-consed [`Shared`] nodes (see [`crate::shared`]): cloning
+//! Subterms are hash-consed [`Shared`] nodes (see [`nrs_shared`]): cloning
 //! a term is O(1), equality and hashing are O(1), and the cached per-node
 //! free-variable sets let [`Term::subst_var`] and [`Term::replace_term`]
 //! return entire shared subtrees untouched when the rewrite cannot apply.
 
-use crate::shared::{empty_name_set, HashConsed, InternTable, Shared};
+use nrs_shared::{empty_name_set, HashConsed, InternTable, Shared};
 use nrs_value::Name;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -100,9 +100,7 @@ impl Term {
         match self {
             Term::Var(n) => Arc::new(BTreeSet::from([*n])),
             Term::Unit => empty_name_set(),
-            Term::Pair(a, b) => {
-                crate::shared::union_name_sets(a.free_vars_set(), b.free_vars_set())
-            }
+            Term::Pair(a, b) => nrs_shared::union_name_sets(a.free_vars_set(), b.free_vars_set()),
             Term::Proj1(t) | Term::Proj2(t) => t.free_vars_set().clone(),
         }
     }

@@ -27,7 +27,7 @@
 //!
 //! The naive evaluator remains the oracle: see
 //! `tests/maintenance_equivalence.rs` for the random-update equivalence
-//! harness, and `nrs-synthesis`'s `MaintainedView` for the synthesized-view
+//! harness, and `nrs-synthesis`'s `MaintainedWorkload` for the synthesized-view
 //! lifecycle built on top of this engine.
 
 pub mod batch;

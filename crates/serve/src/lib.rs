@@ -2,8 +2,9 @@
 //!
 //! Fault-tolerant, pipelined serving of maintained rewritings.
 //!
-//! The synthesis pipeline ends with a [`MaintainedRewriting`]: views and
-//! answer kept incrementally up to date under base updates.  This crate
+//! The synthesis pipeline ends with a [`MaintainedWorkload`]: views, shared
+//! fragments and every named query answer kept incrementally up to date
+//! under base updates (a single query is a one-entry workload).  This crate
 //! wraps that engine in the machinery a long-running service needs:
 //!
 //! * **Epoch-published snapshots.**  Readers never lock against writers: a
@@ -29,12 +30,12 @@
 //!   sequential path.  Per-flush round/shard counters are surfaced in
 //!   [`FlushReport`].
 //! * **Transactional application with graceful degradation.**  A batch
-//!   either applies completely — every view, the answer, and a new published
-//!   epoch — or not at all.  An operator failure mid-propagation rolls the
-//!   engine back to the pre-batch state, **degrades** the failing operator
-//!   to recompute-on-dirty (visible in [`ViewServer::coverage`], ROADMAP
-//!   item 5), and retries through the degraded plan: the server keeps
-//!   serving, slower but correct, instead of dying or corrupting.
+//!   either applies completely — every view, every answer, and a new
+//!   published epoch — or not at all.  An operator failure mid-propagation
+//!   rolls the engine back to the pre-batch state, **degrades** the failing
+//!   operator to recompute-on-dirty (visible in [`ViewServer::coverage`],
+//!   ROADMAP item 5), and retries through the degraded plan: the server
+//!   keeps serving, slower but correct, instead of dying or corrupting.
 //! * **A typed error taxonomy.**  [`NrsError`] says *what kind* of failure
 //!   occurred — batch rejected (fix and resubmit), queue full (retry
 //!   later), maintenance failed (state rolled back), prover timeout vs
@@ -75,8 +76,7 @@
 use nrs_ivm::fault;
 use nrs_proof::ProofError;
 use nrs_synthesis::{
-    AnswerDeltas, CoverageReport, DegradedOperator, DeltaSet, IvmError, MaintStats,
-    MaintainedRewriting, MaintainedWorkload, RewritingCoverage, RewritingResult, SynthesisError,
+    DegradedOperator, DeltaSet, IvmError, MaintStats, MaintainedWorkload, SynthesisError,
     UpdateBatch, WorkloadCoverage, WorkloadRewriting,
 };
 use nrs_value::{Instance, Name, Schema, Value};
@@ -312,11 +312,8 @@ impl Default for ServerConfig {
 /// One published epoch: an immutable, internally consistent view of the
 /// pipeline (base, views and every query answer all post the same batch).
 /// Cheap to clone and hold — the values underneath are persistent and
-/// shared.
-///
-/// A single-query server publishes one named answer; a workload server
-/// ([`ViewServer::serve_workload`]) publishes one answer per query, all
-/// from the same epoch.
+/// shared.  A server publishes one named answer per query, all from the
+/// same epoch.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Publication counter: epoch `n+1` is epoch `n` plus exactly one
@@ -339,8 +336,7 @@ impl Snapshot {
         self.answers.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
-    /// Every `(query, answer)` pair of this epoch, in workload order (a
-    /// single-query server has exactly one entry).
+    /// Every `(query, answer)` pair of this epoch, in workload order.
     pub fn answers(&self) -> &[(Name, Value)] {
         &self.answers
     }
@@ -350,7 +346,8 @@ impl Snapshot {
         self.views.try_get(name)
     }
 
-    /// The view instance (view names bound to materializations).
+    /// The view instance: view and shared-fragment names bound to their
+    /// materializations.
     pub fn views(&self) -> &Instance {
         &self.views
     }
@@ -367,17 +364,14 @@ impl Snapshot {
 }
 
 /// The outcome of a successful flush: the newly published snapshot, the
-/// answer's exact delta, operators degraded while healing failures of this
+/// answers' exact deltas, operators degraded while healing failures of this
 /// batch, and the pipeline counters for capacity planning.
 #[derive(Debug, Clone)]
 pub struct FlushReport {
     /// The snapshot published for this batch.
     pub snapshot: Arc<Snapshot>,
-    /// Exact delta of the first (or only) query's answer (empty when the
-    /// batch didn't reach it).
-    pub answer_delta: DeltaSet,
-    /// Exact per-query answer deltas, in workload order (a single-query
-    /// server reports one entry; an empty flush reports none).
+    /// Exact per-query answer deltas, in workload order (an empty flush
+    /// reports none).
     pub answer_deltas: Vec<(Name, DeltaSet)>,
     /// Operators degraded to recompute-on-dirty while applying this batch.
     pub degraded: Vec<DegradedOperator>,
@@ -400,150 +394,9 @@ pub struct FlushReport {
     pub dropped_batches: u64,
 }
 
-/// The maintenance engine behind a server: one rewriting, or a whole
-/// workload with a shared view set.  Every pipeline call site goes through
-/// this enum, so the flush path is identical for both shapes.
-enum Engine {
-    Single {
-        maintained: Box<MaintainedRewriting>,
-        query: Name,
-    },
-    Workload(MaintainedWorkload),
-}
-
-/// A pre-batch state capture, sufficient to [`Engine::restore`] after a
-/// failed publication.
-struct EngineBackup {
-    base: Instance,
-    views: Instance,
-    /// Workload engines additionally need the views + shared instance the
-    /// answers are maintained over.
-    aug: Option<Instance>,
-}
-
-impl Engine {
-    fn set_workers(&mut self, workers: usize) {
-        match self {
-            Engine::Single { maintained, .. } => maintained.set_workers(workers),
-            Engine::Workload(w) => w.set_workers(workers),
-        }
-    }
-
-    fn maint_stats(&self) -> MaintStats {
-        match self {
-            Engine::Single { maintained, .. } => maintained.maint_stats(),
-            Engine::Workload(w) => w.maint_stats(),
-        }
-    }
-
-    /// Self-healing transactional apply, normalized to per-query deltas.
-    fn apply_resilient(
-        &mut self,
-        batch: &UpdateBatch,
-    ) -> Result<(AnswerDeltas, Vec<DegradedOperator>), SynthesisError> {
-        match self {
-            Engine::Single { maintained, query } => {
-                let (delta, degraded) = maintained.apply_resilient(batch)?;
-                Ok((vec![(*query, delta)], degraded))
-            }
-            Engine::Workload(w) => w.apply_resilient(batch),
-        }
-    }
-
-    fn backup(&self) -> EngineBackup {
-        match self {
-            Engine::Single { maintained, .. } => EngineBackup {
-                base: maintained.base().clone(),
-                views: maintained.view_instance().clone(),
-                aug: None,
-            },
-            Engine::Workload(w) => EngineBackup {
-                base: w.base().clone(),
-                views: w.view_instance().clone(),
-                aug: Some(w.answer_instance().clone()),
-            },
-        }
-    }
-
-    fn restore(&mut self, backup: &EngineBackup) -> Result<(), SynthesisError> {
-        match self {
-            Engine::Single { maintained, .. } => maintained.restore(&backup.base, &backup.views),
-            Engine::Workload(w) => w.restore(
-                &backup.base,
-                &backup.views,
-                backup.aug.as_ref().unwrap_or(&backup.views),
-            ),
-        }
-    }
-
-    fn base(&self) -> &Instance {
-        match self {
-            Engine::Single { maintained, .. } => maintained.base(),
-            Engine::Workload(w) => w.base(),
-        }
-    }
-
-    /// The instance snapshots expose as "views": the view materializations
-    /// for a single rewriting, views **plus shared fragments** for a
-    /// workload.
-    fn published_views(&self) -> &Instance {
-        match self {
-            Engine::Single { maintained, .. } => maintained.view_instance(),
-            Engine::Workload(w) => w.answer_instance(),
-        }
-    }
-
-    fn answers(&self) -> Vec<(Name, Value)> {
-        match self {
-            Engine::Single { maintained, query } => vec![(*query, maintained.answer().clone())],
-            Engine::Workload(w) => w
-                .answers()
-                .into_iter()
-                .map(|(n, v)| (n, v.clone()))
-                .collect(),
-        }
-    }
-
-    fn degraded_operators(&self) -> Vec<DegradedOperator> {
-        match self {
-            Engine::Single { maintained, .. } => maintained.degraded_operators(),
-            Engine::Workload(w) => w.degraded_operators(),
-        }
-    }
-
-    /// Coverage in the single-rewriting shape (the workload's shared
-    /// fragments are folded into the view list; its first answer stands for
-    /// `answer`).  [`Engine::workload_coverage`] has the full per-query
-    /// picture.
-    fn coverage(&self) -> RewritingCoverage {
-        match self {
-            Engine::Single { maintained, .. } => maintained.coverage(),
-            Engine::Workload(w) => {
-                let wc = w.coverage();
-                let mut views = wc.views;
-                views.extend(wc.shared);
-                let answer = wc
-                    .answers
-                    .into_iter()
-                    .next()
-                    .map(|(_, c)| c)
-                    .expect("a workload has at least one query");
-                RewritingCoverage { views, answer }
-            }
-        }
-    }
-
-    fn workload_coverage(&self) -> Option<WorkloadCoverage> {
-        match self {
-            Engine::Single { .. } => None,
-            Engine::Workload(w) => Some(w.coverage()),
-        }
-    }
-}
-
 /// The writer-side state: the live engine plus the epoch counter.
 struct ServerState {
-    maintained: Engine,
+    maintained: MaintainedWorkload,
     epoch: u64,
 }
 
@@ -661,7 +514,7 @@ impl std::fmt::Debug for WriterHandle {
     }
 }
 
-/// A serving wrapper around a [`MaintainedRewriting`]: validated bounded
+/// A serving wrapper around a [`MaintainedWorkload`]: validated bounded
 /// ingest, transactional coalesced batch application, epoch-published
 /// snapshots, graceful degradation.  See the crate docs for the pipeline
 /// and its guarantees.
@@ -686,17 +539,18 @@ pub struct ViewServer {
     last_drop: Mutex<Option<NrsError>>,
 }
 
-/// Fluent construction of a [`ViewServer`]: one path owns what used to be
-/// spread across hand-built [`ServerConfig`]s, [`ViewServer::new`] /
-/// [`ViewServer::with_config`] and a separate [`ViewServer::start`] call.
+/// Fluent construction of a [`ViewServer`]: configuration knobs, then
+/// [`serve_workload`](ViewServerBuilder::serve_workload) (or
+/// [`spawn_workload`](ViewServerBuilder::spawn_workload) to also start the
+/// writer thread).
 ///
 /// ```no_run
 /// # use nrs_serve::ViewServer;
-/// # fn demo(result: &nrs_synthesis::RewritingResult, base: &nrs_value::Instance) {
+/// # fn demo(rewriting: &nrs_synthesis::WorkloadRewriting, base: &nrs_value::Instance) {
 /// let (server, writer) = ViewServer::builder()
 ///     .workers(2)
 ///     .max_batch(64)
-///     .spawn(result, base)
+///     .spawn_workload(rewriting, base)
 ///     .unwrap();
 /// # }
 /// ```
@@ -736,105 +590,22 @@ impl ViewServerBuilder {
         self
     }
 
-    /// Materialize a single rewriting over `base` and publish epoch 0.
-    pub fn serve(self, result: &RewritingResult, base: &Instance) -> Result<ViewServer, NrsError> {
-        nrs_obs::init_from_env();
-        let schema = result.problem.base_schema()?;
-        let query = result.problem.query.name;
-        let maintained = Box::new(MaintainedRewriting::new(result, base)?);
-        ViewServer::from_engine(Engine::Single { maintained, query }, schema, self.config)
-    }
-
-    /// Materialize a whole multi-query workload over `base` — every shared
-    /// view maintained once per flush, one epoch covering every named
-    /// answer — and publish epoch 0.
+    /// Materialize a workload rewriting over `base` — every shared view
+    /// maintained once per flush, one epoch covering every named answer —
+    /// and publish epoch 0.  A single query is a one-entry workload.
     pub fn serve_workload(
         self,
         rewriting: &WorkloadRewriting,
         base: &Instance,
     ) -> Result<ViewServer, NrsError> {
         nrs_obs::init_from_env();
-        if rewriting.queries().is_empty() {
-            return Err(NrsError::Internal(
-                "cannot serve an empty workload (no queries)".into(),
-            ));
-        }
         let schema = rewriting.problem.base_schema()?;
-        let maintained = MaintainedWorkload::new(rewriting, base)?;
-        ViewServer::from_engine(Engine::Workload(maintained), schema, self.config)
-    }
-
-    /// [`serve`](Self::serve) plus [`ViewServer::start`]: returns the
-    /// server and its running writer thread in one call.
-    pub fn spawn(
-        self,
-        result: &RewritingResult,
-        base: &Instance,
-    ) -> Result<(Arc<ViewServer>, WriterHandle), NrsError> {
-        let server = Arc::new(self.serve(result, base)?);
-        let writer = server.start();
-        Ok((server, writer))
-    }
-
-    /// [`serve_workload`](Self::serve_workload) plus [`ViewServer::start`].
-    pub fn spawn_workload(
-        self,
-        rewriting: &WorkloadRewriting,
-        base: &Instance,
-    ) -> Result<(Arc<ViewServer>, WriterHandle), NrsError> {
-        let server = Arc::new(self.serve_workload(rewriting, base)?);
-        let writer = server.start();
-        Ok((server, writer))
-    }
-}
-
-impl ViewServer {
-    /// Fluent construction: configuration knobs, then
-    /// [`serve`](ViewServerBuilder::serve) /
-    /// [`serve_workload`](ViewServerBuilder::serve_workload) (or the
-    /// `spawn` variants to also start the writer thread).
-    pub fn builder() -> ViewServerBuilder {
-        ViewServerBuilder::default()
-    }
-
-    /// Materialize `result` over `base` and publish epoch 0, with the
-    /// default [`ServerConfig`].  Delegates to [`ViewServer::builder`].
-    pub fn new(result: &RewritingResult, base: &Instance) -> Result<ViewServer, NrsError> {
-        Self::builder().serve(result, base)
-    }
-
-    /// Materialize `result` over `base` and publish epoch 0, with explicit
-    /// pipeline knobs.  Delegates to [`ViewServer::builder`].
-    pub fn with_config(
-        result: &RewritingResult,
-        base: &Instance,
-        config: ServerConfig,
-    ) -> Result<ViewServer, NrsError> {
-        Self::builder().config(config).serve(result, base)
-    }
-
-    /// Serve a multi-query workload with the default [`ServerConfig`]: one
-    /// epoch per flush covering every named answer, each shared view
-    /// maintained exactly once per batch.  Delegates to
-    /// [`ViewServer::builder`].
-    pub fn serve_workload(
-        rewriting: &WorkloadRewriting,
-        base: &Instance,
-    ) -> Result<ViewServer, NrsError> {
-        Self::builder().serve_workload(rewriting, base)
-    }
-
-    /// Shared tail of every construction path.
-    fn from_engine(
-        mut maintained: Engine,
-        schema: Schema,
-        config: ServerConfig,
-    ) -> Result<ViewServer, NrsError> {
-        maintained.set_workers(config.workers);
-        let snapshot = Arc::new(Self::capture(&maintained, 0));
+        let mut maintained = MaintainedWorkload::new(rewriting, base)?;
+        maintained.set_workers(self.config.workers);
+        let snapshot = Arc::new(ViewServer::capture(&maintained, 0));
         Ok(ViewServer {
             schema,
-            config,
+            config: self.config,
             state: Mutex::new(ServerState {
                 maintained,
                 epoch: 0,
@@ -848,6 +619,28 @@ impl ViewServer {
             dropped: AtomicU64::new(0),
             last_drop: Mutex::new(None),
         })
+    }
+
+    /// [`serve_workload`](Self::serve_workload) plus [`ViewServer::start`]:
+    /// returns the server and its running writer thread in one call.
+    pub fn spawn_workload(
+        self,
+        rewriting: &WorkloadRewriting,
+        base: &Instance,
+    ) -> Result<(Arc<ViewServer>, WriterHandle), NrsError> {
+        let server = Arc::new(self.serve_workload(rewriting, base)?);
+        let writer = server.start();
+        Ok((server, writer))
+    }
+}
+
+impl ViewServer {
+    /// Fluent construction: configuration knobs, then
+    /// [`serve_workload`](ViewServerBuilder::serve_workload) (or
+    /// [`spawn_workload`](ViewServerBuilder::spawn_workload) to also start
+    /// the writer thread).
+    pub fn builder() -> ViewServerBuilder {
+        ViewServerBuilder::default()
     }
 
     /// The schema incoming batches are validated against.
@@ -1096,7 +889,6 @@ impl ViewServer {
         if drained.is_empty() {
             return Ok(FlushReport {
                 snapshot: self.snapshot(),
-                answer_delta: DeltaSet::new(),
                 answer_deltas: Vec::new(),
                 degraded: Vec::new(),
                 batches: 0,
@@ -1133,7 +925,11 @@ impl ViewServer {
         drop(coalesce_span);
         // capture the pre-batch state: propagation can roll itself back, but
         // a publish-site failure below must unwind manually
-        let backup = st.maintained.backup();
+        let backup = (
+            st.maintained.base().clone(),
+            st.maintained.view_instance().clone(),
+            st.maintained.answer_instance().clone(),
+        );
         let maint_before = st.maintained.maint_stats();
         let mut maintain_span = nrs_obs::span("serve.maintain");
         let maintain_start = Instant::now();
@@ -1159,7 +955,8 @@ impl ViewServer {
         let mut publish_span = nrs_obs::span("serve.publish");
         let publish_start = Instant::now();
         if let Err(e) = fault::hit("serve.publish") {
-            st.maintained.restore(&backup).map_err(|r| {
+            let (base, views, aug) = &backup;
+            st.maintained.restore(base, views, aug).map_err(|r| {
                 NrsError::Internal(format!("rollback after failed publish failed: {r}"))
             })?;
             self.requeue(drained);
@@ -1174,10 +971,6 @@ impl ViewServer {
         drop(publish_span);
         Ok(FlushReport {
             snapshot,
-            answer_delta: answer_deltas
-                .first()
-                .map(|(_, d)| d.clone())
-                .unwrap_or_else(DeltaSet::new),
             answer_deltas,
             degraded,
             batches: drained.len(),
@@ -1195,32 +988,15 @@ impl ViewServer {
         self.flush()
     }
 
-    /// Per-stage maintenance coverage of the live engine, including
-    /// operators degraded by self-healing (ROADMAP item 5).  A workload
-    /// server folds its shared fragments into the view list and reports its
-    /// first answer; [`workload_coverage`][ViewServer::workload_coverage]
-    /// has the full per-query picture.
-    pub fn coverage(&self) -> nrs_synthesis::RewritingCoverage {
+    /// Per-stage maintenance coverage of the live engine — every view,
+    /// shared fragment and answer — including operators degraded by
+    /// self-healing (ROADMAP item 5).
+    pub fn coverage(&self) -> WorkloadCoverage {
         self.state
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .maintained
             .coverage()
-    }
-
-    /// Full per-query coverage of a workload server (views, shared
-    /// fragments, every answer); `None` for a single-query server.
-    pub fn workload_coverage(&self) -> Option<WorkloadCoverage> {
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .maintained
-            .workload_coverage()
-    }
-
-    /// Coverage of the answer query alone.
-    pub fn answer_coverage(&self) -> CoverageReport {
-        self.coverage().answer
     }
 
     /// The operators currently degraded across the pipeline.
@@ -1241,32 +1017,13 @@ impl ViewServer {
             .maint_stats()
     }
 
-    /// Naive end-to-end oracle check of the *live* engine state (single-
-    /// query servers; use
-    /// [`cross_check_workload`][ViewServer::cross_check_workload] for a
-    /// workload server).
-    pub fn cross_check(&self, result: &RewritingResult) -> Result<bool, NrsError> {
+    /// Naive end-to-end oracle check of the *live* engine state: every
+    /// view, shared fragment and named answer compared against from-scratch
+    /// evaluation (and each answer against its unrewritten query on the
+    /// base).
+    pub fn cross_check(&self, rewriting: &WorkloadRewriting) -> Result<bool, NrsError> {
         let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        match &st.maintained {
-            Engine::Single { maintained, .. } => Ok(maintained.cross_check(result)?),
-            Engine::Workload(_) => Err(NrsError::Internal(
-                "cross_check on a workload server: use cross_check_workload".into(),
-            )),
-        }
-    }
-
-    /// Naive end-to-end oracle check of a workload server's live state:
-    /// every view, shared fragment and named answer compared against
-    /// from-scratch evaluation (and each answer against its unrewritten
-    /// query on the base).
-    pub fn cross_check_workload(&self, rewriting: &WorkloadRewriting) -> Result<bool, NrsError> {
-        let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        match &st.maintained {
-            Engine::Workload(w) => Ok(w.cross_check(rewriting)?),
-            Engine::Single { .. } => Err(NrsError::Internal(
-                "cross_check_workload on a single-query server: use cross_check".into(),
-            )),
-        }
+        Ok(st.maintained.cross_check(rewriting)?)
     }
 
     /// Acquire the writer lock, running the lock-site fault hook (a fault
@@ -1349,11 +1106,15 @@ impl ViewServer {
 
     /// An immutable snapshot of the engine at `epoch` (cheap: the values are
     /// persistent, so the clones are pointer-deep).
-    fn capture(maintained: &Engine, epoch: u64) -> Snapshot {
+    fn capture(maintained: &MaintainedWorkload, epoch: u64) -> Snapshot {
         Snapshot {
             epoch,
-            answers: maintained.answers(),
-            views: maintained.published_views().clone(),
+            answers: maintained
+                .answers()
+                .into_iter()
+                .map(|(n, v)| (n, v.clone()))
+                .collect(),
+            views: maintained.answer_instance().clone(),
             base: maintained.base().clone(),
             degraded: maintained.degraded_operators(),
         }
@@ -1379,12 +1140,22 @@ mod tests {
     use nrs_synthesis::SynthesisConfig;
     use std::collections::BTreeSet;
 
-    fn setup(size: usize, seed: u64) -> (RewritingResult, Instance) {
-        let problem = partition_problem();
-        let result = problem
-            .derive_rewriting(&SynthesisConfig::default())
-            .expect("rewriting exists");
-        (result, partition_instance(size, seed))
+    /// The one-query partition rewriting (`Q = S` over `V1`, `V2`).
+    fn rewriting() -> WorkloadRewriting {
+        partition_problem()
+            .derive_workload(&SynthesisConfig::default())
+            .expect("rewriting exists")
+    }
+
+    fn setup(size: usize, seed: u64) -> (WorkloadRewriting, Instance) {
+        (rewriting(), partition_instance(size, seed))
+    }
+
+    fn serve(result: &WorkloadRewriting, base: &Instance, config: ServerConfig) -> ViewServer {
+        ViewServer::builder()
+            .config(config)
+            .serve_workload(result, base)
+            .expect("server")
     }
 
     fn small_base() -> Instance {
@@ -1399,7 +1170,7 @@ mod tests {
     #[test]
     fn server_publishes_epochs_and_readers_keep_old_snapshots() {
         let (result, base) = setup(30, 11);
-        let server = ViewServer::new(&result, &base).expect("server");
+        let server = serve(&result, &base, ServerConfig::default());
         assert_eq!(server.epoch(), 0);
         let old = server.snapshot();
         let answer0 = old.answer().clone();
@@ -1422,7 +1193,7 @@ mod tests {
     #[test]
     fn rejected_batches_change_nothing() {
         let (result, base) = setup(20, 3);
-        let server = ViewServer::new(&result, &base).expect("server");
+        let server = serve(&result, &base, ServerConfig::default());
         let before = server.snapshot();
 
         // unknown relation: schema validation at submit time
@@ -1456,11 +1227,8 @@ mod tests {
 
     #[test]
     fn flush_checks_exactness_against_the_live_base() {
-        let problem = partition_problem();
-        let result = problem
-            .derive_rewriting(&SynthesisConfig::default())
-            .expect("rewriting exists");
-        let server = ViewServer::new(&result, &small_base()).expect("server");
+        let result = rewriting();
+        let server = serve(&result, &small_base(), ServerConfig::default());
         // inserting a member passes the schema but fails exactness at flush
         let mut dup = UpdateBatch::new();
         dup.insert("S", Value::atom(1));
@@ -1478,11 +1246,8 @@ mod tests {
 
     #[test]
     fn queued_batches_coalesce_with_sequential_semantics() {
-        let problem = partition_problem();
-        let result = problem
-            .derive_rewriting(&SynthesisConfig::default())
-            .expect("rewriting exists");
-        let server = ViewServer::new(&result, &small_base()).expect("server");
+        let result = rewriting();
+        let server = serve(&result, &small_base(), ServerConfig::default());
         // insert 10 then delete it again: the coalesced batch must cancel,
         // otherwise exactness would reject the delete of a non-member
         let mut b1 = UpdateBatch::new();
@@ -1499,27 +1264,25 @@ mod tests {
             report.updates, 1,
             "the 10 round trip cancels before the engine"
         );
-        assert!(report.answer_delta.inserts.contains(&Value::atom(11)));
-        assert!(!report.answer_delta.inserts.contains(&Value::atom(10)));
+        let (_, delta) = &report.answer_deltas[0];
+        assert!(delta.inserts.contains(&Value::atom(11)));
+        assert!(!delta.inserts.contains(&Value::atom(10)));
         assert!(server.cross_check(&result).expect("oracle"));
         // an empty flush is a no-op at the same epoch
         let report = server.flush().expect("empty flush");
         assert_eq!(report.snapshot.epoch, 1);
-        assert!(report.answer_delta.is_empty());
+        assert!(report.answer_deltas.is_empty());
         assert_eq!(report.batches, 0);
     }
 
     #[test]
     fn try_submit_backpressures_at_capacity_and_flush_makes_room() {
-        let problem = partition_problem();
-        let result = problem
-            .derive_rewriting(&SynthesisConfig::default())
-            .expect("rewriting exists");
+        let result = rewriting();
         let config = ServerConfig {
             queue_capacity: 2,
             ..ServerConfig::default()
         };
-        let server = ViewServer::with_config(&result, &small_base(), config).expect("server");
+        let server = serve(&result, &small_base(), config);
         let mut b1 = UpdateBatch::new();
         b1.insert("S", Value::atom(10));
         let mut b2 = UpdateBatch::new();
@@ -1545,16 +1308,12 @@ mod tests {
 
     #[test]
     fn blocking_submit_waits_for_space_instead_of_failing() {
-        let problem = partition_problem();
-        let result = problem
-            .derive_rewriting(&SynthesisConfig::default())
-            .expect("rewriting exists");
+        let result = rewriting();
         let config = ServerConfig {
             queue_capacity: 1,
             ..ServerConfig::default()
         };
-        let server =
-            Arc::new(ViewServer::with_config(&result, &small_base(), config).expect("server"));
+        let server = Arc::new(serve(&result, &small_base(), config));
         let mut b1 = UpdateBatch::new();
         b1.insert("S", Value::atom(10));
         let mut b2 = UpdateBatch::new();
@@ -1588,15 +1347,12 @@ mod tests {
 
     #[test]
     fn max_batch_bounds_one_flush_and_the_rest_stays_queued() {
-        let problem = partition_problem();
-        let result = problem
-            .derive_rewriting(&SynthesisConfig::default())
-            .expect("rewriting exists");
+        let result = rewriting();
         let config = ServerConfig {
             max_batch: 2,
             ..ServerConfig::default()
         };
-        let server = ViewServer::with_config(&result, &small_base(), config).expect("server");
+        let server = serve(&result, &small_base(), config);
         for i in 0..5u64 {
             let mut b = UpdateBatch::new();
             b.insert("S", Value::atom(100 + i));
@@ -1620,7 +1376,7 @@ mod tests {
             batch_window: Duration::from_millis(1),
             ..ServerConfig::default()
         };
-        let server = Arc::new(ViewServer::with_config(&result, &base, config).expect("server"));
+        let server = Arc::new(serve(&result, &base, config));
         let handle = server.start();
         let mut producers = Vec::new();
         for p in 0..3u64 {
@@ -1659,12 +1415,12 @@ mod tests {
     #[test]
     fn sharded_workers_report_counters_and_agree_with_sequential() {
         let (result, base) = setup(40, 9);
-        let sequential = ViewServer::new(&result, &base).expect("sequential");
+        let sequential = serve(&result, &base, ServerConfig::default());
         let config = ServerConfig {
             workers: 3,
             ..ServerConfig::default()
         };
-        let sharded = ViewServer::with_config(&result, &base, config).expect("sharded");
+        let sharded = serve(&result, &base, config);
         let mut batch = UpdateBatch::new();
         for i in 0..8u64 {
             batch.insert("S", Value::atom(9100 + i));
@@ -1673,7 +1429,7 @@ mod tests {
         let seq = sequential.apply(&batch).expect("sequential apply");
         let par = sharded.apply(&batch).expect("sharded apply");
         assert_eq!(seq.snapshot.answer(), par.snapshot.answer());
-        assert_eq!(seq.answer_delta, par.answer_delta);
+        assert_eq!(seq.answer_deltas, par.answer_deltas);
         assert_eq!(par.workers, 3);
         assert_eq!(seq.workers, 1);
         assert!(
@@ -1692,11 +1448,8 @@ mod tests {
 
     #[test]
     fn dropped_batches_are_counted_with_the_triggering_error() {
-        let problem = partition_problem();
-        let result = problem
-            .derive_rewriting(&SynthesisConfig::default())
-            .expect("rewriting exists");
-        let server = ViewServer::new(&result, &small_base()).expect("server");
+        let result = rewriting();
+        let server = serve(&result, &small_base(), ServerConfig::default());
         assert_eq!(server.dropped_batches(), 0);
         assert!(server.last_drop_error().is_none());
         // two schema-valid batches whose coalesced net fails exactness (1 is
@@ -1726,11 +1479,8 @@ mod tests {
 
     #[test]
     fn writer_stats_count_dropped_batches() {
-        let problem = partition_problem();
-        let result = problem
-            .derive_rewriting(&SynthesisConfig::default())
-            .expect("rewriting exists");
-        let server = Arc::new(ViewServer::new(&result, &small_base()).expect("server"));
+        let result = rewriting();
+        let server = Arc::new(serve(&result, &small_base(), ServerConfig::default()));
         let mut dup = UpdateBatch::new();
         dup.insert("S", Value::atom(1));
         server.submit(&dup).expect("schema-valid");
@@ -1750,11 +1500,11 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_reports_the_whole_pipeline() {
-        // derive_rewriting exercises the prover + synthesis, the server
+        // derive_workload exercises the prover + synthesis, the server
         // flush exercises the IVM engine and the serving layer: one
         // snapshot must report all of them (shared global registry).
         let (result, base) = setup(20, 7);
-        let server = ViewServer::new(&result, &base).expect("server");
+        let server = serve(&result, &base, ServerConfig::default());
         let mut batch = UpdateBatch::new();
         batch.insert("S", Value::atom(7777));
         batch.insert("F", Value::atom(7777));
@@ -1788,7 +1538,9 @@ mod tests {
             .derive_workload(&SynthesisConfig::default())
             .expect("workload rewriting exists");
         let base = partition_instance(20, 13);
-        let server = ViewServer::serve_workload(&rewriting, &base).expect("server");
+        let server = ViewServer::builder()
+            .serve_workload(&rewriting, &base)
+            .expect("server");
         let snap = server.snapshot();
         assert_eq!(snap.epoch, 0);
         assert_eq!(snap.answers().len(), 4, "one named answer per query");
@@ -1817,22 +1569,12 @@ mod tests {
                 "{q} delta: {delta:?}"
             );
         }
-        assert_eq!(report.answer_delta, report.answer_deltas[0].1);
-        assert!(server.cross_check_workload(&rewriting).expect("oracle"));
+        assert!(server.cross_check(&rewriting).expect("oracle"));
         // coverage is reported per query, with the shared fragments visible
-        let wc = server.workload_coverage().expect("workload server");
+        let wc = server.coverage();
         assert_eq!(wc.answers.len(), 4);
         assert!(!wc.shared.is_empty(), "the fixture shares a fragment");
         assert!(wc.fully_incremental());
-        // the single-query cross_check refuses a workload server
-        let err = server
-            .cross_check(
-                &partition_problem()
-                    .derive_rewriting(&SynthesisConfig::default())
-                    .unwrap(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, NrsError::Internal(_)), "got {err}");
     }
 
     #[test]
@@ -1854,7 +1596,7 @@ mod tests {
         let stats = writer.stop();
         assert_eq!(stats.batches, 12);
         assert_eq!(server.pending_len(), 0);
-        assert!(server.cross_check_workload(&rewriting).expect("oracle"));
+        assert!(server.cross_check(&rewriting).expect("oracle"));
         let snap = server.snapshot();
         for (name, _) in rewriting.queries() {
             assert!(snap.answer_named(name).is_some(), "answer {name} published");
@@ -1862,29 +1604,22 @@ mod tests {
     }
 
     #[test]
-    fn builder_path_matches_legacy_constructors() {
-        let (result, base) = setup(14, 2);
-        let legacy = ViewServer::with_config(
-            &result,
-            &base,
-            ServerConfig {
-                workers: 2,
-                max_batch: 8,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("legacy");
-        let fluent = ViewServer::builder()
-            .workers(2)
-            .max_batch(8)
-            .serve(&result, &base)
-            .expect("fluent");
-        assert_eq!(legacy.config().workers, fluent.config().workers);
-        assert_eq!(legacy.config().max_batch, fluent.config().max_batch);
-        assert_eq!(legacy.snapshot().answer(), fluent.snapshot().answer());
-        assert_eq!(
-            legacy.snapshot().answers().len(),
-            fluent.snapshot().answers().len()
+    fn workload_without_queries_is_rejected_by_maintenance_and_serving() {
+        let mut problem = nrs_synthesis::overlapping_workload_problem(1);
+        problem.queries.clear();
+        let rewriting = problem
+            .derive_workload(&SynthesisConfig::default())
+            .expect("an empty workload derives");
+        assert!(rewriting.queries().is_empty());
+        let base = partition_instance(8, 1);
+        let err = MaintainedWorkload::new(&rewriting, &base).unwrap_err();
+        assert!(matches!(err, SynthesisError::Ill(_)), "got {err}");
+        let err = ViewServer::builder()
+            .serve_workload(&rewriting, &base)
+            .unwrap_err();
+        assert!(
+            matches!(err, NrsError::Synthesis(SynthesisError::Ill(_))),
+            "got {err}"
         );
     }
 

@@ -16,7 +16,7 @@
 use nrs_ivm::fault::{FaultPlan, FaultScope};
 use nrs_serve::{ServerConfig, ViewServer};
 use nrs_synthesis::views::partition_problem;
-use nrs_synthesis::{RewritingResult, SynthesisConfig, UpdateBatch};
+use nrs_synthesis::{SynthesisConfig, UpdateBatch, WorkloadRewriting};
 use nrs_value::{Instance, Name, Value};
 use std::collections::BTreeSet;
 
@@ -44,9 +44,9 @@ fn batch() -> UpdateBatch {
     b
 }
 
-fn rewriting() -> RewritingResult {
+fn rewriting() -> WorkloadRewriting {
     partition_problem()
-        .derive_rewriting(&SynthesisConfig::default())
+        .derive_workload(&SynthesisConfig::default())
         .expect("rewriting exists")
 }
 
@@ -66,12 +66,15 @@ fn wide_batch() -> UpdateBatch {
 /// Discovery pass: how many instrumented sites does one submit+flush
 /// round reach on a server built with `config`?
 fn discovery(
-    result: &RewritingResult,
+    result: &WorkloadRewriting,
     base: &Instance,
     config: ServerConfig,
     batch: &UpdateBatch,
 ) -> u64 {
-    let server = ViewServer::with_config(result, base, config).expect("server");
+    let server = ViewServer::builder()
+        .config(config)
+        .serve_workload(result, base)
+        .expect("server");
     let scope = FaultScope::new(FaultPlan::count_only());
     server.apply(batch).expect("clean apply under count_only");
     scope.hits()
@@ -85,7 +88,9 @@ fn sweep_every_reachable_site(config: ServerConfig, batch: &UpdateBatch) {
     let batch = batch.clone();
 
     // the reference answer a fault-free server publishes for this batch
-    let reference = ViewServer::new(&result, &base).expect("reference server");
+    let reference = ViewServer::builder()
+        .serve_workload(&result, &base)
+        .expect("reference server");
     let want = reference.apply(&batch).expect("clean apply").snapshot;
     assert_eq!(want.epoch, 1);
 
@@ -94,7 +99,10 @@ fn sweep_every_reachable_site(config: ServerConfig, batch: &UpdateBatch) {
     assert!(hits >= 3, "expected >= 3 sites, found {hits}");
 
     for n in 0..hits {
-        let server = ViewServer::with_config(&result, &base, config.clone()).expect("server");
+        let server = ViewServer::builder()
+            .config(config.clone())
+            .serve_workload(&result, &base)
+            .expect("server");
         // a reader takes a snapshot before the faulted round
         let reader = server.snapshot();
         let outcome = {
@@ -157,6 +165,44 @@ fn chaos_every_reachable_site_keeps_readers_on_a_complete_epoch() {
     sweep_every_reachable_site(config(1), &batch());
 }
 
+/// A single query is served as a one-entry workload, so a self-healed
+/// fault in its answer plan is reported against the query's own name —
+/// like faults in the view plans are reported against `V1` / `V2`.
+#[test]
+fn chaos_answer_operator_fault_is_degraded_under_the_query_name() {
+    let result = rewriting();
+    let base = base();
+    let batch = batch();
+    let hits = discovery(&result, &base, config(1), &batch);
+    let mut answer_degraded = false;
+    for n in 0..hits {
+        let server = ViewServer::builder()
+            .serve_workload(&result, &base)
+            .expect("server");
+        let outcome = {
+            let _scope = FaultScope::new(FaultPlan::fail_nth(n));
+            server.submit(&batch).and_then(|()| server.flush())
+        };
+        // faults outside an operator fail the round; the sweep above covers
+        // their recovery
+        let Ok(report) = outcome else { continue };
+        for op in &report.degraded {
+            let owner = op.view.as_str();
+            assert!(["V1", "V2", "Q"].contains(&owner), "site {n}: {op}");
+            if owner == "Q" {
+                answer_degraded = true;
+                assert_eq!(op.to_string(), format!("Q operator #{}", op.op));
+                assert_eq!(server.coverage().answers[0].1.degraded(), 1);
+                assert_eq!(server.snapshot().degraded(), report.degraded.as_slice());
+            }
+        }
+    }
+    assert!(
+        answer_degraded,
+        "no fault site reached the answer plan of Q"
+    );
+}
+
 /// The same sweep with sharded-parallel maintenance: the shard dispatch
 /// and merge sites join the reachable set, and every one of them must
 /// still roll back to a complete epoch and converge on retry.
@@ -198,7 +244,10 @@ fn chaos_failed_flush_emits_a_complete_span_tree_with_an_error_event() {
     let hits = discovery(&result, &base, config(1), &batch);
     let mut publish_checked = false;
     for n in 0..hits {
-        let server = ViewServer::with_config(&result, &base, config(1)).expect("server");
+        let server = ViewServer::builder()
+            .config(config(1))
+            .serve_workload(&result, &base)
+            .expect("server");
         sink.clear();
         // a unique marker identifies this thread's events in the global
         // sink (concurrent tests emit their own spans into it)
@@ -286,16 +335,22 @@ fn chaos_seeded_plans_always_recover() {
     let result = rewriting();
     let base = base();
     let batch = batch();
-    let reference = ViewServer::new(&result, &base).expect("reference server");
+    let reference = ViewServer::builder()
+        .serve_workload(&result, &base)
+        .expect("reference server");
     let want = reference.apply(&batch).expect("clean apply").snapshot;
     let hits = {
-        let server = ViewServer::new(&result, &base).expect("server");
+        let server = ViewServer::builder()
+            .serve_workload(&result, &base)
+            .expect("server");
         let scope = FaultScope::new(FaultPlan::count_only());
         server.apply(&batch).expect("clean apply");
         scope.hits()
     };
     for seed in [0u64, 7, 42, 1_000_003, u64::MAX] {
-        let server = ViewServer::new(&result, &base).expect("server");
+        let server = ViewServer::builder()
+            .serve_workload(&result, &base)
+            .expect("server");
         let outcome = {
             let _scope = FaultScope::new(FaultPlan::seeded(seed, hits));
             server.submit(&batch).and_then(|()| server.flush())

@@ -6,7 +6,7 @@
 
 use nrs_serve::{NrsError, ServerConfig, ViewServer};
 use nrs_synthesis::views::{partition_instance, partition_problem};
-use nrs_synthesis::{RewritingResult, SynthesisConfig, UpdateBatch};
+use nrs_synthesis::{SynthesisConfig, UpdateBatch, WorkloadRewriting};
 use nrs_value::{Name, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -15,9 +15,9 @@ use std::time::Duration;
 const PRODUCERS: u64 = 4;
 const BATCHES_PER_PRODUCER: u64 = 25;
 
-fn rewriting() -> RewritingResult {
+fn rewriting() -> WorkloadRewriting {
     partition_problem()
-        .derive_rewriting(&SynthesisConfig::default())
+        .derive_workload(&SynthesisConfig::default())
         .expect("rewriting exists")
 }
 
@@ -39,7 +39,12 @@ fn many_producers_one_writer_converge_to_the_oracle() {
         batch_window: Duration::from_millis(1),
         workers: 2,
     };
-    let server = Arc::new(ViewServer::with_config(&result, &base, config).expect("server"));
+    let server = Arc::new(
+        ViewServer::builder()
+            .config(config)
+            .serve_workload(&result, &base)
+            .expect("server"),
+    );
     let writer = server.start();
 
     // readers: snapshots must always be complete epochs with monotonically
@@ -126,7 +131,9 @@ fn many_producers_one_writer_converge_to_the_oracle() {
     // ...the live engine agrees with the naive oracle...
     assert!(server.cross_check(&result).expect("oracle"));
     // ...and with a sequential reference server applying one big batch
-    let reference = ViewServer::new(&result, &base).expect("reference");
+    let reference = ViewServer::builder()
+        .serve_workload(&result, &base)
+        .expect("reference");
     let mut all = UpdateBatch::new();
     for p in 0..PRODUCERS {
         for i in 0..BATCHES_PER_PRODUCER {
@@ -146,7 +153,10 @@ fn flush_reports_attribute_engine_rounds_to_the_flush() {
         workers: 3,
         ..ServerConfig::default()
     };
-    let server = ViewServer::with_config(&result, &base, config).expect("server");
+    let server = ViewServer::builder()
+        .config(config)
+        .serve_workload(&result, &base)
+        .expect("server");
     let mut batch = UpdateBatch::new();
     for i in 0..6u64 {
         batch.insert("S", Value::atom(2_000_000 + i));

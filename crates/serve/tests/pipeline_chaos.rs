@@ -20,7 +20,7 @@
 use nrs_ivm::fault::{FaultPlan, FaultScope, GlobalFaultScope};
 use nrs_serve::{NrsError, ServerConfig, ViewServer, SHUTDOWN_DRAIN_FAILURES};
 use nrs_synthesis::views::partition_problem;
-use nrs_synthesis::{RewritingResult, SynthesisConfig, UpdateBatch};
+use nrs_synthesis::{SynthesisConfig, UpdateBatch, WorkloadRewriting};
 use nrs_value::{Instance, Name, Value};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -51,9 +51,9 @@ fn batch() -> UpdateBatch {
     b
 }
 
-fn rewriting() -> RewritingResult {
+fn rewriting() -> WorkloadRewriting {
     partition_problem()
-        .derive_rewriting(&SynthesisConfig::default())
+        .derive_workload(&SynthesisConfig::default())
         .expect("rewriting exists")
 }
 
@@ -86,14 +86,21 @@ fn chaos_writer_thread_recovers_from_every_site_it_reaches() {
     let batch = batch();
 
     // the reference answer a fault-free pipeline publishes for this batch
-    let reference = ViewServer::new(&result, &base).expect("reference server");
+    let reference = ViewServer::builder()
+        .serve_workload(&result, &base)
+        .expect("reference server");
     let want = reference.apply(&batch).expect("clean apply").snapshot;
     assert_eq!(want.epoch, 1);
 
     // discovery: shadow this thread (submit's ingest hook counts locally),
     // then count every site the *writer thread* reaches for one batch
     let hits = {
-        let server = Arc::new(ViewServer::with_config(&result, &base, config()).expect("server"));
+        let server = Arc::new(
+            ViewServer::builder()
+                .config(config())
+                .serve_workload(&result, &base)
+                .expect("server"),
+        );
         let _shadow = FaultScope::new(FaultPlan::count_only());
         let global = GlobalFaultScope::new(FaultPlan::count_only());
         let writer = server.start();
@@ -109,7 +116,12 @@ fn chaos_writer_thread_recovers_from_every_site_it_reaches() {
     assert!(hits >= 4, "expected >= 4 writer-side sites, found {hits}");
 
     for n in 0..hits {
-        let server = Arc::new(ViewServer::with_config(&result, &base, config()).expect("server"));
+        let server = Arc::new(
+            ViewServer::builder()
+                .config(config())
+                .serve_workload(&result, &base)
+                .expect("server"),
+        );
         let reader = server.snapshot();
         let _shadow = FaultScope::new(FaultPlan::count_only());
         let _global = GlobalFaultScope::new(FaultPlan::fail_nth(n));
@@ -146,7 +158,12 @@ fn chaos_stop_gives_up_on_a_persistently_failing_flush() {
     let result = rewriting();
     let base = base();
     let batch = batch();
-    let server = Arc::new(ViewServer::with_config(&result, &base, config()).expect("server"));
+    let server = Arc::new(
+        ViewServer::builder()
+            .config(config())
+            .serve_workload(&result, &base)
+            .expect("server"),
+    );
     let _shadow = FaultScope::new(FaultPlan::count_only());
     // every writer-side hit fails, starting with the very first: the
     // writer-cycle hook fires before anything is drained, so the batch

@@ -44,9 +44,9 @@ fn main() {
     // registry (and in the structured per-goal SynthesisReport.metrics).
     let problem = partition_problem();
     let rewriting = problem
-        .derive_rewriting(&SynthesisConfig::default())
+        .derive_workload(&SynthesisConfig::default())
         .expect("the partition views determine the query");
-    let m = &rewriting.definition.report.metrics;
+    let m = &rewriting.queries()[0].1.report.metrics;
     println!(
         "synthesized: {} goals, memo hit rate {:.0}%, AST {} -> {} nodes",
         m.per_goal.len(),
@@ -59,19 +59,17 @@ fn main() {
     // batch and flush-stage instrumentation all see real traffic.
     let base = partition_instance(size, 42);
     let server = Arc::new(
-        ViewServer::with_config(
-            &rewriting,
-            &base,
-            ServerConfig {
+        ViewServer::builder()
+            .config(ServerConfig {
                 batch_window: Duration::from_micros(200),
                 // small flushes so the batch/stage histograms get a
                 // distribution, not a single point
                 max_batch: 8,
                 workers: 2,
                 ..ServerConfig::default()
-            },
-        )
-        .expect("server"),
+            })
+            .serve_workload(&rewriting, &base)
+            .expect("server"),
     );
     let writer = server.start();
     for i in 0..updates {

@@ -25,11 +25,15 @@ fn main() {
 
     let problem = partition_problem();
     let rewriting = problem
-        .derive_rewriting(&SynthesisConfig::default())
+        .derive_workload(&SynthesisConfig::default())
         .expect("the partition views determine the query");
     let base = partition_instance(size, 42);
     let t0 = Instant::now();
-    let server = Arc::new(ViewServer::new(&rewriting, &base).expect("server"));
+    let server = Arc::new(
+        ViewServer::builder()
+            .serve_workload(&rewriting, &base)
+            .expect("server"),
+    );
     println!(
         "serving |S|={size} at epoch {} after {:.1?}",
         server.epoch(),
@@ -104,7 +108,7 @@ fn main() {
         "coalesced {} queued batches into epoch {} (answer delta: {} tuples)",
         2,
         report.snapshot.epoch,
-        report.answer_delta.len()
+        report.answer_deltas[0].1.len()
     );
     assert_eq!(report.snapshot.epoch, before + 1);
 
@@ -113,17 +117,15 @@ fn main() {
     // the exactness check, the engine pass and the epoch publication are
     // paid once per batch window, not once per update.
     let pipe = Arc::new(
-        ViewServer::with_config(
-            &rewriting,
-            &base,
-            ServerConfig {
+        ViewServer::builder()
+            .config(ServerConfig {
                 queue_capacity: 4,
                 batch_window: Duration::from_micros(200),
                 workers: 2,
                 ..ServerConfig::default()
-            },
-        )
-        .expect("pipelined server"),
+            })
+            .serve_workload(&rewriting, &base)
+            .expect("pipelined server"),
     );
     // Before the writer runs, the bounded queue pushes back with a typed,
     // transient error instead of growing without bound.

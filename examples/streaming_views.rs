@@ -4,13 +4,14 @@
 //! The scenario is the paper's headline use case run as a service: the
 //! partition problem's views `V1 = S ∩ F`, `V2 = S ∖ F` determine the query
 //! `Q = S`, synthesis produces the rewriting over the views, and the
-//! `MaintainedRewriting` handle keeps base → views → answer materialized
-//! incrementally — O(|Δ|·log n) per batch instead of re-running the plans.
+//! `MaintainedWorkload` handle (the single query is a one-entry workload)
+//! keeps base → views → answer materialized incrementally — O(|Δ|·log n)
+//! per batch instead of re-running the plans.
 //!
 //! Run with `cargo run --release --example streaming_views [size] [updates]`
 //! (defaults: 2000 base tuples, 200 updates).
 
-use nested_synth::synthesis::ivm::MaintainedRewriting;
+use nested_synth::synthesis::ivm::MaintainedWorkload;
 use nested_synth::synthesis::views::{partition_instance, partition_problem};
 use nested_synth::synthesis::{SynthesisConfig, UpdateBatch};
 use nested_synth::value::Value;
@@ -24,21 +25,23 @@ fn main() {
     let problem = partition_problem();
     let t0 = Instant::now();
     let rewriting = problem
-        .derive_rewriting(&SynthesisConfig::default())
+        .derive_workload(&SynthesisConfig::default())
         .expect("the partition views determine the query");
+    let (query, definition) = &rewriting.queries()[0];
     println!(
         "synthesized rewriting {} in {:.1?}",
-        rewriting.expr(),
+        definition.expr(),
         t0.elapsed()
     );
 
     let base = partition_instance(size, 42);
     let t0 = Instant::now();
-    let mut maintained = MaintainedRewriting::new(&rewriting, &base).expect("materialize");
+    let mut maintained = MaintainedWorkload::new(&rewriting, &base).expect("materialize");
+    let answer = |m: &MaintainedWorkload| m.answer(query).expect("the query's answer").clone();
     println!(
         "materialized views + answer over |S|={size} in {:.1?} (answer: {} tuples)",
         t0.elapsed(),
-        maintained.answer().as_set().map(|s| s.len()).unwrap_or(0)
+        answer(&maintained).as_set().map(|s| s.len()).unwrap_or(0)
     );
 
     // Stream updates: inserts of fresh atoms into S and F, deletions of
@@ -56,8 +59,8 @@ fn main() {
             2 => batch.delete("S", Value::atom(10_000 + i - 2)),
             _ => batch.delete("F", Value::atom(10_000 + i - 3)),
         };
-        let delta = maintained.apply(&batch).expect("maintenance step");
-        touched += delta.len();
+        let deltas = maintained.apply(&batch).expect("maintenance step");
+        touched += deltas[0].1.len();
     }
     let elapsed = t0.elapsed();
     println!(
@@ -74,14 +77,13 @@ fn main() {
     // naive-evaluator oracle too while it is affordable (it is quadratic in
     // the base size on this rewriting).
     let t0 = Instant::now();
-    let fresh_views = nested_synth::synthesis::materialize_views(&problem, maintained.base())
+    let fresh_views = problem
+        .materialize_views(maintained.base())
         .expect("re-materialize");
-    let fresh_answer = rewriting
-        .answer_from_views(&fresh_views)
-        .expect("re-evaluate");
+    let fresh_answer = definition.evaluate(&fresh_views).expect("re-evaluate");
     assert_eq!(
-        maintained.answer(),
-        &fresh_answer,
+        answer(&maintained),
+        fresh_answer,
         "maintained answer diverged from plan recomputation"
     );
     println!(

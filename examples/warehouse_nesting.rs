@@ -11,8 +11,7 @@
 //! Run with `cargo run --release --example warehouse_nesting [join]`.
 
 use nested_synth::synthesis::views::{
-    lossless_join_instance, lossless_join_problem, materialize_views, partition_instance,
-    partition_problem,
+    lossless_join_instance, lossless_join_problem, partition_instance, partition_problem,
 };
 use nested_synth::synthesis::SynthesisConfig;
 use nested_synth::value::Name;
@@ -25,7 +24,7 @@ fn main() {
     for v in &problem.views {
         println!("  {} = {:?}", v.name, v.def);
     }
-    println!("query: {} = base set S\n", problem.query.name);
+    println!("query: {} = base set S\n", problem.queries[0].name);
 
     let cfg = SynthesisConfig {
         check_determinacy: true,
@@ -33,19 +32,20 @@ fn main() {
     };
     let t0 = Instant::now();
     let rewriting = problem
-        .derive_rewriting(&cfg)
+        .derive_workload(&cfg)
         .expect("views determine the query");
+    let definition = &rewriting.queries()[0].1;
     println!(
         "synthesized rewriting over the views (in {:?}):\n  {}\n",
         t0.elapsed(),
-        rewriting.expr()
+        definition.expr()
     );
 
     for (rows, seed) in [(10usize, 1u64), (100, 2), (500, 3)] {
         let base = partition_instance(rows, seed);
-        let views = materialize_views(&problem, &base).unwrap();
+        let views = problem.materialize_views(&base).unwrap();
         let t_views = Instant::now();
-        let from_views = rewriting.answer_from_views(&views).unwrap();
+        let from_views = definition.evaluate(&views).unwrap();
         let views_time = t_views.elapsed();
         let ok = rewriting.verify_on_base(&base).unwrap();
         println!(
@@ -61,12 +61,12 @@ fn main() {
         let join = lossless_join_problem();
         let cfg = SynthesisConfig::default();
         let t0 = Instant::now();
-        match join.derive_rewriting(&cfg) {
+        match join.derive_workload(&cfg) {
             Ok(result) => {
                 println!(
                     "rewriting found in {:?}:\n  {}",
                     t0.elapsed(),
-                    result.expr()
+                    result.queries()[0].1.expr()
                 );
                 let base = lossless_join_instance(4, 9);
                 println!(

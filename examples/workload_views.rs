@@ -93,7 +93,7 @@ fn main() {
     }
     assert!(
         server
-            .cross_check_workload(&rewriting)
+            .cross_check(&rewriting)
             .expect("oracle re-evaluation"),
         "maintained answers diverged from the naive oracle"
     );

@@ -9,8 +9,8 @@ use nested_synth::interp::{interpolate, Partition};
 use nested_synth::nrc::spec::flatten_view;
 use nested_synth::proof::{check_proof, Sequent};
 use nested_synth::prover::{prove, prove_sequent, ProverConfig};
-use nested_synth::synthesis::views::{materialize_views, partition_instance, partition_problem};
-use nested_synth::synthesis::SynthesisConfig;
+use nested_synth::synthesis::views::{partition_instance, partition_problem};
+use nested_synth::synthesis::{SynthesisConfig, WorkloadRewriting};
 use nested_synth::value::generate::keyed_nested_instance;
 use nested_synth::value::{Name, NameGen, Type, Value};
 use proptest::prelude::*;
@@ -23,14 +23,15 @@ fn corollary3_pipeline_end_to_end() {
         check_determinacy: true,
         ..Default::default()
     };
-    let rewriting = problem.derive_rewriting(&cfg).expect("rewriting exists");
-    assert!(rewriting.definition.report.goals_proved >= 2);
+    let rewriting = problem.derive_workload(&cfg).expect("rewriting exists");
+    let definition = &rewriting.queries()[0].1;
+    assert!(definition.report.goals_proved >= 2);
     for seed in 0..6 {
         let base = partition_instance(8, seed);
         assert!(rewriting.verify_on_base(&base).unwrap(), "seed {seed}");
         // answering from views alone agrees with the base query
-        let views = materialize_views(&problem, &base).unwrap();
-        let answer = rewriting.answer_from_views(&views).unwrap();
+        let views = problem.materialize_views(&base).unwrap();
+        let answer = definition.evaluate(&views).unwrap();
         let s = base.get(&Name::new("S")).unwrap();
         assert_eq!(&answer, s);
     }
@@ -128,10 +129,10 @@ proptest! {
     fn prop_partition_rewriting_correct(size in 1usize..12, seed in 0u64..500) {
         // synthesize once (deterministic), then check against random instances
         use std::sync::OnceLock;
-        static REWRITING: OnceLock<nested_synth::synthesis::views::RewritingResult> = OnceLock::new();
+        static REWRITING: OnceLock<WorkloadRewriting> = OnceLock::new();
         let rewriting = REWRITING.get_or_init(|| {
             partition_problem()
-                .derive_rewriting(&SynthesisConfig::default())
+                .derive_workload(&SynthesisConfig::default())
                 .expect("rewriting exists")
         });
         let base = partition_instance(size, seed);
