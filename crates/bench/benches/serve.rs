@@ -79,12 +79,17 @@ fn bench_serve(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
-    let sizes: &[usize] = if std::env::var_os("NRS_BENCH_FAST").is_some() {
-        &[1_000]
+    // Fast mode measures every bench at 10³ and the flat-by-design
+    // `serve_update` and `snapshot_read` at 10⁴ too, so
+    // `scripts/slope_check.sh` can fit their scaling slopes.
+    let fast = std::env::var_os("NRS_BENCH_FAST").is_some();
+    let sizes: &[usize] = if fast {
+        &[1_000, 10_000]
     } else {
         &[1_000, 10_000, 100_000, 1_000_000]
     };
     for &size in sizes {
+        let full_point = !fast || size == 1_000;
         let base = partition_instance(size, 42);
         let server = ViewServer::builder()
             .serve_workload(&rewriting, &base)
@@ -105,6 +110,13 @@ fn bench_serve(c: &mut Criterion) {
                 report.snapshot.epoch
             })
         });
+
+        group.bench_with_input(BenchmarkId::new("snapshot_read", size), &size, |b, _| {
+            b.iter(|| server.snapshot().epoch)
+        });
+        if !full_point {
+            continue;
+        }
 
         // amortized flush: 64 queued single-tuple batches, one coalesce +
         // exactness pass, one engine pass, one published epoch
@@ -150,10 +162,6 @@ fn bench_serve(c: &mut Criterion) {
                 },
             );
             stop.store(true, Ordering::Relaxed);
-        });
-
-        group.bench_with_input(BenchmarkId::new("snapshot_read", size), &size, |b, _| {
-            b.iter(|| server.snapshot().epoch)
         });
 
         let stop = AtomicBool::new(false);

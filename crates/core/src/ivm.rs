@@ -18,7 +18,7 @@
 
 use crate::synthesis::SynthesisError;
 use crate::workload::WorkloadRewriting;
-use nrs_ivm::{CoverageReport, DeltaSet, IvmError, MaintainedQuery, UpdateBatch};
+use nrs_ivm::{CoverageReport, DeltaSet, IvmError, MaintainedPlan, UpdateBatch};
 use nrs_nrc::{eval as nrc_eval, CompiledQuery};
 use nrs_value::{Instance, Name, Value};
 use std::fmt;
@@ -31,10 +31,10 @@ impl From<IvmError> for SynthesisError {
 }
 
 /// One maintained view-materialization stage of a rewriting pipeline.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct MaintainedStage {
     name: Name,
-    maintained: MaintainedQuery,
+    plan: MaintainedPlan,
 }
 
 /// Where in a maintained workload a failure occurred.
@@ -116,10 +116,10 @@ impl fmt::Display for WorkloadCoverage {
 
 /// One maintained query answer of a workload, with its per-query flush
 /// timer.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct MaintainedAnswer {
     name: Name,
-    maintained: MaintainedQuery,
+    plan: MaintainedPlan,
     apply_seconds: Arc<nrs_obs::Histogram>,
 }
 
@@ -138,8 +138,18 @@ pub type AnswerDeltas = Vec<(Name, DeltaSet)>;
 /// `ivm.views_shared_total` counter advances by `views + shared` per apply,
 /// which is what the acceptance test pins: each shared view is maintained
 /// once per flush, not once per dependent query.
-#[derive(Debug)]
+///
+/// The workload keeps **one** base instance, read by every view stage, and
+/// **one** view instance (views + shared fragments), read by every shared
+/// stage and answer.  A batch is applied to the base once; each stage's
+/// output is bound into the view instance by reference, so no stage holds
+/// a private copy of any relation.  Every maintained structure is
+/// persistent, so a clone is cheap — it is the rollback point of the
+/// transactional applies and the serving layer.
+#[derive(Debug, Clone)]
 pub struct MaintainedWorkload {
+    base: Instance,
+    views: Instance,
     stages: Vec<MaintainedStage>,
     shared: Vec<MaintainedStage>,
     answers: Vec<MaintainedAnswer>,
@@ -159,6 +169,19 @@ fn workload_obs() -> (
         )
     });
     (shared, applies)
+}
+
+/// Bind a stage's output into the view instance unless the instance
+/// already holds that very tree: the instance and the stage share one copy,
+/// whether the stage edited its output or replaced it with an equal one.
+fn share_output(views: &mut Instance, name: Name, out: Value) {
+    let shared = match (views.try_get(&name), &out) {
+        (Some(Value::Set(bound)), Value::Set(out)) => bound.ptr_eq(out),
+        _ => false,
+    };
+    if !shared {
+        views.bind(name, out);
+    }
 }
 
 impl MaintainedWorkload {
@@ -184,37 +207,34 @@ impl MaintainedWorkload {
                 .to_nrc(&env, &mut gen)
                 .map_err(|e| SynthesisError::Ill(e.to_string()))?;
             let compiled = CompiledQuery::compile(&expr);
-            let maintained = MaintainedQuery::new(&compiled, base)?;
-            view_inst.bind(view.name, maintained.value().clone());
+            let plan = MaintainedPlan::new(&compiled, base)?;
+            view_inst.bind(view.name, plan.value(base).clone());
             stages.push(MaintainedStage {
                 name: view.name,
-                maintained,
+                plan,
             });
         }
         let shared_set = rewriting.shared();
         let mut shared = Vec::with_capacity(shared_set.views.len());
-        let mut aug_inst = view_inst.clone();
         for (name, expr) in &shared_set.views {
             let compiled = CompiledQuery::compile(expr);
-            let maintained = MaintainedQuery::new(&compiled, &view_inst)?;
-            aug_inst.bind(*name, maintained.value().clone());
-            shared.push(MaintainedStage {
-                name: *name,
-                maintained,
-            });
+            let plan = MaintainedPlan::new(&compiled, &view_inst)?;
+            view_inst.bind(*name, plan.value(&view_inst).clone());
+            shared.push(MaintainedStage { name: *name, plan });
         }
         let registry = nrs_obs::global();
         let mut answers = Vec::with_capacity(shared_set.queries.len());
         for (name, expr) in &shared_set.queries {
             let compiled = CompiledQuery::compile(expr);
-            let maintained = MaintainedQuery::new(&compiled, &aug_inst)?;
             answers.push(MaintainedAnswer {
                 name: *name,
-                maintained,
+                plan: MaintainedPlan::new(&compiled, &view_inst)?,
                 apply_seconds: registry.timer(&format!("ivm.workload.answer.{name}.apply_seconds")),
             });
         }
         Ok(MaintainedWorkload {
+            base: base.clone(),
+            views: view_inst,
             stages,
             shared,
             answers,
@@ -225,10 +245,10 @@ impl MaintainedWorkload {
     /// stage's delta rounds (bit-identical state for every count).
     pub fn set_workers(&mut self, workers: usize) {
         for stage in self.stages.iter_mut().chain(&mut self.shared) {
-            stage.maintained.set_workers(workers);
+            stage.plan.set_workers(workers);
         }
         for answer in &mut self.answers {
-            answer.maintained.set_workers(workers);
+            answer.plan.set_workers(workers);
         }
     }
 
@@ -237,10 +257,10 @@ impl MaintainedWorkload {
     pub fn maint_stats(&self) -> nrs_ivm::MaintStats {
         let mut total = nrs_ivm::MaintStats::default();
         for stage in self.stages.iter().chain(&self.shared) {
-            total += stage.maintained.maint_stats();
+            total += stage.plan.maint_stats();
         }
         for answer in &self.answers {
-            total += answer.maintained.maint_stats();
+            total += answer.plan.maint_stats();
         }
         total
     }
@@ -252,17 +272,30 @@ impl MaintainedWorkload {
         self.apply_inner(batch).map_err(|(_, e)| e.into())
     }
 
-    /// The shared propagation step: each view and each shared fragment is
-    /// maintained exactly once; every answer is delta-fed from the combined
-    /// view + shared batch.
-    fn apply_inner(&mut self, batch: &UpdateBatch) -> Result<AnswerDeltas, (FailLoc, IvmError)> {
+    /// The shared propagation step: the batch is normalized against and
+    /// applied to the one base instance; each view and each shared fragment
+    /// is maintained exactly once, its new output bound into the one view
+    /// instance; every answer is delta-fed from the combined view + shared
+    /// batch.  A failure names the stage it came from (`None`: the batch
+    /// itself was rejected).
+    fn apply_inner(
+        &mut self,
+        batch: &UpdateBatch,
+    ) -> Result<AnswerDeltas, (Option<FailLoc>, IvmError)> {
         let (shared_ctr, applies_ctr) = workload_obs();
+        let exact = batch.normalize_against(&self.base).map_err(|e| (None, e))?;
+        exact.apply_mut(&mut self.base).map_err(|e| (None, e))?;
         let mut view_batch = UpdateBatch::new();
         for (i, stage) in self.stages.iter_mut().enumerate() {
             let delta = stage
-                .maintained
-                .apply(batch)
-                .map_err(|e| (FailLoc::Stage(i), e))?;
+                .plan
+                .propagate(&self.base, &exact)
+                .map_err(|e| (Some(FailLoc::Stage(i)), e))?;
+            share_output(
+                &mut self.views,
+                stage.name,
+                stage.plan.value(&self.base).clone(),
+            );
             if !delta.is_empty() {
                 view_batch.push_delta(stage.name, delta);
             }
@@ -270,9 +303,11 @@ impl MaintainedWorkload {
         let mut combined = view_batch.clone();
         for (i, stage) in self.shared.iter_mut().enumerate() {
             let delta = stage
-                .maintained
-                .apply(&view_batch)
-                .map_err(|e| (FailLoc::Shared(i), e))?;
+                .plan
+                .propagate(&self.views, &view_batch)
+                .map_err(|e| (Some(FailLoc::Shared(i)), e))?;
+            let out = stage.plan.value(&self.views).clone();
+            share_output(&mut self.views, stage.name, out);
             if !delta.is_empty() {
                 combined.push_delta(stage.name, delta);
             }
@@ -286,9 +321,9 @@ impl MaintainedWorkload {
             } else {
                 let start = std::time::Instant::now();
                 let delta = answer
-                    .maintained
-                    .apply(&combined)
-                    .map_err(|e| (FailLoc::Answer(i), e))?;
+                    .plan
+                    .propagate(&self.views, &combined)
+                    .map_err(|e| (Some(FailLoc::Answer(i)), e))?;
                 answer.apply_seconds.record_duration(start.elapsed());
                 delta
             };
@@ -297,56 +332,19 @@ impl MaintainedWorkload {
         Ok(out)
     }
 
-    /// Restore every stage to a previously captured (base, views, aug)
-    /// snapshot by full rebuild.  Failure path only — the success path never
-    /// pays this; the transactional applies use it to unwind a failed batch,
-    /// the serving layer to unwind one whose publication failed.
-    pub fn restore(
-        &mut self,
-        base: &Instance,
-        views: &Instance,
-        aug: &Instance,
-    ) -> Result<(), SynthesisError> {
-        for stage in &mut self.stages {
-            stage.maintained.rebuild(base).map_err(|e| {
-                SynthesisError::Ill(format!("rollback of view {} failed: {e}", stage.name))
-            })?;
-        }
-        for stage in &mut self.shared {
-            stage.maintained.rebuild(views).map_err(|e| {
-                SynthesisError::Ill(format!(
-                    "rollback of shared view {} failed: {e}",
-                    stage.name
-                ))
-            })?;
-        }
-        for answer in &mut self.answers {
-            answer.maintained.rebuild(aug).map_err(|e| {
-                SynthesisError::Ill(format!("rollback of answer {} failed: {e}", answer.name))
-            })?;
-        }
-        Ok(())
-    }
-
     /// Like [`MaintainedWorkload::apply`], but all-or-nothing across every
-    /// stage and every answer (validation errors never modify state and
-    /// skip the rollback).
+    /// stage and every answer: on failure the workload is rolled back to its
+    /// pre-batch state (a clone taken before the batch) and the error is
+    /// returned.
     pub fn apply_transactional(
         &mut self,
         batch: &UpdateBatch,
     ) -> Result<AnswerDeltas, SynthesisError> {
-        let base_before = self.base().clone();
-        let views_before = self.view_instance().clone();
-        let aug_before = self.answer_instance().clone();
-        match self.apply_inner(batch) {
-            Ok(d) => Ok(d),
-            Err((_, e)) => {
-                if !e.is_validation() {
-                    self.restore(&base_before, &views_before, &aug_before)?;
-                }
-                Err(e.into())
-            }
-        }
+        let before = self.clone();
+        self.apply_inner(batch).map_err(|(_, e)| {
+            *self = before;
+            e.into()
+        })
     }
 
     /// Self-healing apply: transactional, and an operator failure
@@ -361,38 +359,32 @@ impl MaintainedWorkload {
     ) -> Result<(AnswerDeltas, Vec<DegradedOperator>), SynthesisError> {
         let mut degraded = Vec::new();
         loop {
-            let base_before = self.base().clone();
-            let views_before = self.view_instance().clone();
-            let aug_before = self.answer_instance().clone();
-            match self.apply_inner(batch) {
+            let before = self.clone();
+            let (loc, e) = match self.apply_inner(batch) {
                 Ok(d) => return Ok((d, degraded)),
-                Err((loc, e)) => {
-                    if e.is_validation() {
-                        return Err(e.into());
-                    }
-                    self.restore(&base_before, &views_before, &aug_before)?;
-                    let Some(op) = e.operator() else {
-                        // no operator to blame (e.g. an internal invariant
-                        // violation): degradation can't help
-                        return Err(e.into());
-                    };
-                    let (owner, query) = match loc {
-                        FailLoc::Stage(i) => (self.stages[i].name, &mut self.stages[i].maintained),
-                        FailLoc::Shared(i) => (self.shared[i].name, &mut self.shared[i].maintained),
-                        FailLoc::Answer(i) => {
-                            (self.answers[i].name, &mut self.answers[i].maintained)
-                        }
-                    };
-                    if query.degraded().contains(&op) {
-                        // the operator failed *again* while already degraded
-                        // (its recompute path is broken too): give up rather
-                        // than loop
-                        return Err(e.into());
-                    }
-                    query.degrade(op).map_err(SynthesisError::from)?;
-                    degraded.push(DegradedOperator { view: owner, op });
+                Err(failure) => failure,
+            };
+            *self = before;
+            // a rejected batch has nothing to heal, and a failure without
+            // an operator to blame (e.g. an internal invariant violation)
+            // cannot be healed by degradation
+            let (Some(loc), Some(op), false) = (loc, e.operator(), e.is_validation()) else {
+                return Err(e.into());
+            };
+            let (owner, plan, env) = match loc {
+                FailLoc::Stage(i) => (self.stages[i].name, &mut self.stages[i].plan, &self.base),
+                FailLoc::Shared(i) => (self.shared[i].name, &mut self.shared[i].plan, &self.views),
+                FailLoc::Answer(i) => {
+                    (self.answers[i].name, &mut self.answers[i].plan, &self.views)
                 }
+            };
+            if plan.degraded().contains(&op) {
+                // the operator failed *again* while already degraded (its
+                // recompute path is broken too): give up rather than loop
+                return Err(e.into());
             }
+            plan.degrade(op, env).map_err(SynthesisError::from)?;
+            degraded.push(DegradedOperator { view: owner, op });
         }
     }
 
@@ -403,56 +395,44 @@ impl MaintainedWorkload {
             views: self
                 .stages
                 .iter()
-                .map(|s| (s.name, s.maintained.coverage()))
+                .map(|s| (s.name, s.plan.coverage()))
                 .collect(),
             shared: self
                 .shared
                 .iter()
-                .map(|s| (s.name, s.maintained.coverage()))
+                .map(|s| (s.name, s.plan.coverage()))
                 .collect(),
             answers: self
                 .answers
                 .iter()
-                .map(|a| (a.name, a.maintained.coverage()))
+                .map(|a| (a.name, a.plan.coverage()))
                 .collect(),
         }
     }
 
     /// The operators currently degraded across the workload.
     pub fn degraded_operators(&self) -> Vec<DegradedOperator> {
-        let mut out = Vec::new();
-        for stage in self.stages.iter().chain(&self.shared) {
-            out.extend(
-                stage
-                    .maintained
-                    .degraded()
+        let stages = self
+            .stages
+            .iter()
+            .chain(&self.shared)
+            .map(|s| (s.name, &s.plan));
+        let answers = self.answers.iter().map(|a| (a.name, &a.plan));
+        stages
+            .chain(answers)
+            .flat_map(|(view, plan)| {
+                plan.degraded()
                     .iter()
-                    .map(|&op| DegradedOperator {
-                        view: stage.name,
-                        op,
-                    }),
-            );
-        }
-        for answer in &self.answers {
-            out.extend(
-                answer
-                    .maintained
-                    .degraded()
-                    .iter()
-                    .map(|&op| DegradedOperator {
-                        view: answer.name,
-                        op,
-                    }),
-            );
-        }
-        out
+                    .map(move |&op| DegradedOperator { view, op })
+            })
+            .collect()
     }
 
     /// The maintained answers, in workload order.
     pub fn answers(&self) -> Vec<(Name, &Value)> {
         self.answers
             .iter()
-            .map(|a| (a.name, a.maintained.value()))
+            .map(|a| (a.name, a.plan.value(&self.views)))
             .collect()
     }
 
@@ -461,16 +441,12 @@ impl MaintainedWorkload {
         self.answers
             .iter()
             .find(|a| &a.name == name)
-            .map(|a| a.maintained.value())
+            .map(|a| a.plan.value(&self.views))
     }
 
     /// The maintained materialization of one view or shared fragment.
     pub fn view(&self, name: &Name) -> Option<&Value> {
-        self.stages
-            .iter()
-            .chain(&self.shared)
-            .find(|s| &s.name == name)
-            .map(|s| s.maintained.value())
+        self.views.try_get(name)
     }
 
     /// Number of shared-fragment stages.
@@ -485,27 +461,19 @@ impl MaintainedWorkload {
 
     /// The base instance at its current (post-batch) state.
     pub fn base(&self) -> &Instance {
-        self.stages
-            .first()
-            .map(|s| s.maintained.env())
-            .unwrap_or_else(|| self.answer_instance())
+        &self.base
     }
 
-    /// The current view instance (view names bound to maintained values).
+    /// The current view instance: view and shared-fragment names bound to
+    /// their maintained values (shared with the stages, not copies).
     pub fn view_instance(&self) -> &Instance {
-        self.shared
-            .first()
-            .map(|s| s.maintained.env())
-            .unwrap_or_else(|| self.answer_instance())
+        &self.views
     }
 
-    /// The instance the answers are maintained over: views + shared
-    /// fragments.
+    /// The instance the shared fragments and answers are maintained over —
+    /// the [view instance][MaintainedWorkload::view_instance].
     pub fn answer_instance(&self) -> &Instance {
-        self.answers
-            .first()
-            .map(|a| a.maintained.env())
-            .expect("MaintainedWorkload::new rejects workloads without queries")
+        &self.views
     }
 
     /// Naive end-to-end check: every maintained view, shared fragment and

@@ -43,11 +43,35 @@ impl DeltaSet {
         DeltaSet::default()
     }
 
-    /// The exact delta turning `old` into `new`.
-    pub fn diff(old: &BTreeSet<Value>, new: &BTreeSet<Value>) -> DeltaSet {
+    /// The exact delta turning `old` into `new`, both given as ascending
+    /// member sequences (a `&SetValue` or a `&BTreeSet<Value>`): one ordered
+    /// merge walk of the two sides.
+    pub fn diff<'a>(
+        old: impl IntoIterator<Item = &'a Value>,
+        new: impl IntoIterator<Item = &'a Value>,
+    ) -> DeltaSet {
+        let (mut old, mut new) = (old.into_iter().peekable(), new.into_iter().peekable());
+        let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
+        loop {
+            match (old.peek(), new.peek()) {
+                (Some(o), Some(n)) => match o.cmp(n) {
+                    std::cmp::Ordering::Less => deletes.extend(old.next().cloned()),
+                    std::cmp::Ordering::Greater => inserts.extend(new.next().cloned()),
+                    std::cmp::Ordering::Equal => {
+                        old.next();
+                        new.next();
+                    }
+                },
+                _ => {
+                    deletes.extend(old.cloned());
+                    inserts.extend(new.cloned());
+                    break;
+                }
+            }
+        }
         DeltaSet {
-            inserts: new.difference(old).cloned().collect(),
-            deletes: old.difference(new).cloned().collect(),
+            inserts: inserts.into_iter().collect(),
+            deletes: deletes.into_iter().collect(),
         }
     }
 
@@ -68,7 +92,7 @@ impl DeltaSet {
 
     /// `old` membership of `x`, reconstructed from the *new* set and this
     /// (exact) delta: flipped for touched elements, unchanged otherwise.
-    pub fn was_member(&self, new: &BTreeSet<Value>, x: &Value) -> bool {
+    pub fn was_member(&self, new: &SetValue, x: &Value) -> bool {
         if self.inserts.contains(x) {
             false
         } else if self.deletes.contains(x) {
@@ -78,8 +102,9 @@ impl DeltaSet {
         }
     }
 
-    /// Apply the delta to a set in place (deletes then inserts).
-    pub fn apply_to(&self, set: &mut BTreeSet<Value>) {
+    /// Apply the delta to a set (deletes then inserts), copying only the
+    /// paths to the touched members when the set is shared.
+    pub fn apply_to(&self, set: &mut SetValue) {
         for d in &self.deletes {
             set.remove(d);
         }
@@ -178,11 +203,16 @@ impl UpdateBatch {
                 Some(v) => {
                     let old = v.as_set().map_err(|_| IvmError::NotASet(*name))?;
                     DeltaSet {
-                        inserts: delta.inserts.difference(old).cloned().collect(),
+                        inserts: delta
+                            .inserts
+                            .iter()
+                            .filter(|i| !old.contains(i))
+                            .cloned()
+                            .collect(),
                         deletes: delta
                             .deletes
                             .iter()
-                            .filter(|d| old.contains(*d))
+                            .filter(|d| old.contains(d))
                             .cloned()
                             .collect(),
                     }
@@ -199,21 +229,35 @@ impl UpdateBatch {
     /// `new = (old ∖ deletes) ∪ inserts` (functional; the input is shared,
     /// not copied, except along the touched paths).
     pub fn apply(&self, inst: &Instance) -> Result<Instance, IvmError> {
+        let mut out = inst.clone();
+        self.apply_mut(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`apply`][UpdateBatch::apply] in place.  Each touched relation is
+    /// unbound while its delta applies, so a set no other version shares is
+    /// edited in place and a shared one copies only the paths to the
+    /// touched members.  On error (an overlapping delta, a non-set binding)
+    /// the instance is unchanged.
+    pub fn apply_mut(&self, inst: &mut Instance) -> Result<(), IvmError> {
         self.check_disjoint()?;
-        let mut bindings = Vec::with_capacity(self.rels.len());
+        if let Some((name, _)) = self
+            .rels
+            .iter()
+            .find(|(name, _)| inst.try_get(name).is_some_and(|v| v.as_set().is_err()))
+        {
+            return Err(IvmError::NotASet(*name));
+        }
         for (name, delta) in &self.rels {
             let mut set = match inst.try_get(name) {
-                None => SetValue::empty(),
-                Some(v) => v
-                    .as_set_value()
-                    .map_err(|_| IvmError::NotASet(*name))?
-                    .clone(),
+                Some(Value::Set(s)) => s.clone(),
+                _ => SetValue::empty(),
             };
-            // the one copy of a shared relation: `make_mut` on the clone
-            delta.apply_to(set.make_mut());
-            bindings.push((*name, Value::Set(set)));
+            inst.unbind(name);
+            delta.apply_to(&mut set);
+            inst.bind(*name, Value::Set(set));
         }
-        Ok(inst.with_many(bindings))
+        Ok(())
     }
 
     /// Reject deltas with a tuple on both sides ([`IvmError::
@@ -272,13 +316,13 @@ impl UpdateBatch {
                     bound
                 }
             };
-            if let Some(t) = delta.inserts.iter().find(|t| old.contains(*t)) {
+            if let Some(t) = delta.inserts.iter().find(|t| old.contains(t)) {
                 return Err(IvmError::DuplicateInsert {
                     rel: *name,
                     tuple: t.clone(),
                 });
             }
-            if let Some(t) = delta.deletes.iter().find(|t| !old.contains(*t)) {
+            if let Some(t) = delta.deletes.iter().find(|t| !old.contains(t)) {
                 return Err(IvmError::MissingDelete {
                     rel: *name,
                     tuple: t.clone(),
@@ -403,7 +447,7 @@ impl UpdateBatch {
     }
 }
 
-static EMPTY: BTreeSet<Value> = BTreeSet::new();
+static EMPTY: SetValue = SetValue::empty();
 
 #[cfg(test)]
 mod tests {
@@ -433,9 +477,10 @@ mod tests {
         let d = DeltaSet::diff(&old, &new);
         assert_eq!(d.inserts, atoms([4, 5]));
         assert_eq!(d.deletes, atoms([1]));
-        let mut applied = old.clone();
+        let mut applied = SetValue::from(old.clone());
         d.apply_to(&mut applied);
         assert_eq!(applied, new);
+        let new = SetValue::from(new);
         assert!(d.was_member(&new, &Value::atom(1)));
         assert!(!d.was_member(&new, &Value::atom(4)));
         assert!(d.was_member(&new, &Value::atom(2)));
@@ -471,7 +516,7 @@ mod tests {
         }
         let mut out = UpdateBatch::new();
         for (name, _) in batches.iter().flat_map(|b| b.relations()) {
-            let as_set = |inst: &Instance| -> BTreeSet<Value> {
+            let as_set = |inst: &Instance| -> SetValue {
                 inst.try_get(name)
                     .map(|v| v.as_set().unwrap().clone())
                     .unwrap_or_default()

@@ -50,11 +50,15 @@
 //! on the executor's frame stack ([`exec_plan_bound`]), not in a copied
 //! environment.
 //!
-//! All node outputs are updated **in place** through
-//! [`SetValue::make_mut`][nrs_value::SetValue::make_mut], so a steady stream
-//! of small batches never pays a full-set copy; sharing a materialized value
-//! outward degrades a single later update to one copy-on-write, exactly like
-//! any persistent structure.
+//! All node outputs, and every per-operator cache, index and support count,
+//! live on persistent B-trees ([`SetValue`], [`PMap`]): a delta edits only
+//! the `O(|Δ| log n)` nodes on its paths, in place while nothing else
+//! shares them, by path copying while a published snapshot or a rollback
+//! point does.  A [`MaintainedPlan`] keeps its operator tree behind an
+//! `Arc` too, so cloning one is `O(1)` and the next propagation copies only
+//! the `O(#operators)` node structure, never the data.  That is how
+//! [`apply_transactional`][MaintainedQuery::apply_transactional] takes its
+//! rollback point on every batch and rolls back by assignment.
 //!
 //! ### Sharded parallel maintenance
 //!
@@ -77,7 +81,7 @@ use crate::IvmError;
 use nrs_nrc::{
     exec_filter, exec_plan, exec_plan_bound, filter_cond, holds_bound, CompiledQuery, Plan,
 };
-use nrs_value::{Instance, Name, Value};
+use nrs_value::{Instance, Name, PMap, SetValue, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -142,20 +146,29 @@ fn op_timer(kind: &'static str) -> Arc<nrs_obs::Histogram> {
     Arc::clone(&map[kind])
 }
 
-/// A compiled query kept incrementally up to date under [`UpdateBatch`]es.
+/// A compiled query's maintained operator tree, apart from the instance it
+/// reads: every call that reads inputs takes the environment.  Several
+/// plans over the same inputs — the view stages of a workload, its answers
+/// — share one instance this way, so a batch is applied to the inputs once
+/// and no plan holds a private copy of a relation.  [`MaintainedQuery`]
+/// pairs a plan with its own environment.
 ///
 /// Every operator of the plan carries a stable **preorder index** (its
 /// position in a preorder walk of the [`Plan`] tree), reported by
-/// [`coverage`][MaintainedQuery::coverage] and used by
+/// [`coverage`][MaintainedPlan::coverage] and used by
 /// [`IvmError::Operator`] to say *where* a batch failed.  An operator whose
-/// delta rule misbehaves can be [degraded][MaintainedQuery::degrade] to the
+/// delta rule misbehaves can be [degraded][MaintainedPlan::degrade] to the
 /// recompute-on-dirty fallback without touching the rest of the plan —
 /// indices do not shift when operators are degraded.
-#[derive(Debug)]
-pub struct MaintainedQuery {
-    query: CompiledQuery,
-    root: Node,
-    env: Instance,
+///
+/// A clone shares every maintained set and operator state with the
+/// original (see the module docs), so it is a cheap rollback point.
+#[derive(Debug, Clone)]
+pub struct MaintainedPlan {
+    query: Arc<CompiledQuery>,
+    /// The operator tree; shared by clones until the next propagation
+    /// copies its (data-independent) node structure.
+    root: Arc<Node>,
     /// Preorder indices forced to the recompute-on-dirty fallback.
     degraded: BTreeSet<usize>,
     /// Worker threads for the pure evaluation phase of delta rounds (1 =
@@ -163,6 +176,14 @@ pub struct MaintainedQuery {
     workers: usize,
     /// Cumulative shard/round counters (see [`MaintStats`]).
     stats: MaintStats,
+}
+
+/// A compiled query kept incrementally up to date under [`UpdateBatch`]es:
+/// a [`MaintainedPlan`] over an environment of its own.
+#[derive(Debug, Clone)]
+pub struct MaintainedQuery {
+    plan: MaintainedPlan,
+    env: Instance,
 }
 
 /// Cumulative counters of the sharded-parallel evaluation rounds of one
@@ -213,32 +234,30 @@ impl std::ops::Sub for MaintStats {
     }
 }
 
-impl MaintainedQuery {
+impl MaintainedPlan {
     /// Materialize the query over `env` and set up the operator caches.
     ///
     /// The environment must bind every free variable of the plan; a missing
     /// binding is reported as [`IvmError::UnboundRelation`] here rather
     /// than panicking mid-maintenance later.
-    pub fn new(query: &CompiledQuery, env: &Instance) -> Result<MaintainedQuery, IvmError> {
-        MaintainedQuery::with_degraded(query, env, BTreeSet::new())
+    pub fn new(query: &CompiledQuery, env: &Instance) -> Result<MaintainedPlan, IvmError> {
+        MaintainedPlan::with_degraded(query, env, BTreeSet::new())
     }
 
-    /// Like [`MaintainedQuery::new`], but with the given operators (by
+    /// Like [`MaintainedPlan::new`], but with the given operators (by
     /// preorder index) forced to the recompute-on-dirty fallback from the
     /// start.
     pub fn with_degraded(
         query: &CompiledQuery,
         env: &Instance,
         degraded: BTreeSet<usize>,
-    ) -> Result<MaintainedQuery, IvmError> {
+    ) -> Result<MaintainedPlan, IvmError> {
         check_env_binds(query.plan(), env)?;
         check_degradable(query.plan(), &degraded)?;
-        let env = env.clone();
-        let root = Builder::new(&degraded).build(query.plan(), &env)?;
-        Ok(MaintainedQuery {
-            query: query.clone(),
-            root,
-            env,
+        let root = Builder::new(&degraded).build(query.plan(), env)?;
+        Ok(MaintainedPlan {
+            query: Arc::new(query.clone()),
+            root: Arc::new(root),
             degraded,
             workers: 1,
             stats: MaintStats::default(),
@@ -263,51 +282,35 @@ impl MaintainedQuery {
         self.stats
     }
 
-    /// The maintained output value.
-    pub fn value(&self) -> &Value {
-        self.root.value(&self.env)
+    /// The maintained output value over `env`, the instance the plan was
+    /// last built or propagated over.
+    pub fn value<'a>(&'a self, env: &'a Instance) -> &'a Value {
+        self.root.value(env)
     }
 
-    /// The current input instance (base relations at their post-batch state).
-    pub fn env(&self) -> &Instance {
-        &self.env
-    }
-
-    /// Apply a batch: update the inputs, propagate deltas through the
-    /// operator tree, and return the exact delta of the output.
+    /// Propagate an **exact** batch whose effect `env` already includes:
+    /// `env` is the previous environment with `exact` applied (as
+    /// [`UpdateBatch::apply`] computes it), and `exact` is normalized
+    /// against the previous environment
+    /// ([`UpdateBatch::normalize_against`]).  Returns the exact delta of
+    /// the output.
     ///
     /// The output must be set-valued (views are); maintaining a scalar query
     /// is reported as [`IvmError::NotASet`].
-    pub fn apply(&mut self, batch: &UpdateBatch) -> Result<DeltaSet, IvmError> {
-        let normalized = batch.normalize_against(&self.env)?;
-        if normalized.is_empty() {
+    pub fn propagate(&mut self, env: &Instance, exact: &UpdateBatch) -> Result<DeltaSet, IvmError> {
+        if exact.is_empty() {
             return Ok(DeltaSet::new());
         }
         let m = obs();
         let mut apply_span = nrs_obs::span("ivm.apply");
         let apply_start = Instant::now();
         let stats_before = self.stats;
-        let delta_tuples = normalized.len();
-        // Update the environment *in place*: unbinding first drops the
-        // treap's reference so the copy-on-write mutation is O(|Δ| log n)
-        // once the maintained query owns its sets (the first batch after an
-        // external share pays one copy, as any persistent update would).
+        let delta_tuples = exact.len();
         let mut ctx = Ctx {
             workers: self.workers,
             ..Ctx::default()
         };
-        for (name, delta) in normalized.relations() {
-            let old = self
-                .env
-                .try_get(name)
-                .cloned()
-                .unwrap_or_else(Value::empty_set);
-            self.env.unbind(name);
-            let Value::Set(mut sv) = old else {
-                return Err(IvmError::NotASet(*name));
-            };
-            apply_delta(&mut sv, delta);
-            self.env.bind(*name, Value::Set(sv));
+        for (name, delta) in exact.relations() {
             ctx.changes.insert(
                 *name,
                 NameChange {
@@ -316,8 +319,7 @@ impl MaintainedQuery {
                 },
             );
         }
-        let env = self.env.clone();
-        let change = self.root.update(&mut ctx, &env);
+        let change = Arc::make_mut(&mut self.root).update(&mut ctx, env);
         self.stats += ctx.stats;
         let applied = self.stats - stats_before;
         m.applies.inc();
@@ -332,12 +334,11 @@ impl MaintainedQuery {
         apply_span.record("rounds", applied.rounds);
         apply_span.record("touched_members", applied.touched_members);
         drop(apply_span);
-        let change = change?;
-        match change {
+        match change? {
             Change::None => Ok(DeltaSet::new()),
             Change::Delta(d) => Ok(d),
             Change::Replaced { old } => {
-                let new = self.root.value(&self.env);
+                let new = self.root.value(env);
                 match (old.as_set(), new.as_set()) {
                     (Ok(o), Ok(n)) => Ok(DeltaSet::diff(o, n)),
                     _ => Err(IvmError::NotASet(Name::new("<output>"))),
@@ -346,61 +347,32 @@ impl MaintainedQuery {
         }
     }
 
-    /// Apply a batch **transactionally**: on success this is exactly
-    /// [`apply`][MaintainedQuery::apply]; on a mid-propagation failure the
-    /// query is rolled back to its pre-batch state (environment and operator
-    /// caches) before the error is returned, so the maintained value stays
-    /// consistent and further batches may be applied.
-    ///
-    /// Rollback re-materializes the operator tree from the pre-batch
-    /// environment — a full recompute, paid only on the (rare) failure
-    /// path.  Validation rejections never mutate state and skip it.
-    pub fn apply_transactional(&mut self, batch: &UpdateBatch) -> Result<DeltaSet, IvmError> {
-        let env_before = self.env.clone();
-        match self.apply(batch) {
-            Ok(d) => Ok(d),
-            Err(e) if e.is_validation() => Err(e),
-            Err(e) => {
-                self.rebuild(&env_before).map_err(|re| {
-                    IvmError::Internal(format!("rollback failed ({re}) while recovering from: {e}"))
-                })?;
-                Err(e)
-            }
-        }
-    }
-
     /// Throw away all operator caches and re-materialize over `env` (keeping
-    /// the degraded-operator set).  This is the recovery path after a failed
-    /// [`apply`][MaintainedQuery::apply] left the caches unspecified.
+    /// the degraded-operator set) — how [`degrade`][MaintainedPlan::degrade]
+    /// takes effect, and the recovery path after a failed
+    /// [`propagate`][MaintainedPlan::propagate] left the caches
+    /// unspecified.
     pub fn rebuild(&mut self, env: &Instance) -> Result<(), IvmError> {
         check_env_binds(self.query.plan(), env)?;
-        let env = env.clone();
-        self.root = Builder::new(&self.degraded).build(self.query.plan(), &env)?;
-        self.env = env;
+        self.root = Arc::new(Builder::new(&self.degraded).build(self.query.plan(), env)?);
         Ok(())
     }
 
     /// Record operator `op` (preorder index) as degraded without rebuilding.
-    /// Takes effect at the next [`rebuild`][MaintainedQuery::rebuild].
+    /// Takes effect at the next [`rebuild`][MaintainedPlan::rebuild].
     pub fn mark_degraded(&mut self, op: usize) -> Result<(), IvmError> {
-        let size = plan_size(self.query.plan());
-        if op >= size {
-            return Err(IvmError::Internal(format!(
-                "cannot degrade operator #{op}: the plan has {size} operators"
-            )));
-        }
+        check_degradable(self.query.plan(), &BTreeSet::from([op]))?;
         self.degraded.insert(op);
         Ok(())
     }
 
     /// Degrade operator `op` to the recompute-on-dirty fallback and rebuild
-    /// the operator tree over the current environment.  Maintenance stays
-    /// correct (the fallback re-executes the subplan when a dependency
-    /// changes); only the per-batch cost of that subtree grows.
-    pub fn degrade(&mut self, op: usize) -> Result<(), IvmError> {
+    /// the operator tree over `env`.  Maintenance stays correct (the
+    /// fallback re-executes the subplan when a dependency changes); only
+    /// the per-batch cost of that subtree grows.
+    pub fn degrade(&mut self, op: usize, env: &Instance) -> Result<(), IvmError> {
         self.mark_degraded(op)?;
-        let env = self.env.clone();
-        self.rebuild(&env)
+        self.rebuild(env)
     }
 
     /// The operators currently degraded (by preorder index).
@@ -417,11 +389,122 @@ impl MaintainedQuery {
         CoverageReport { ops }
     }
 
+    /// Re-execute the plan from scratch on `env` and compare with the
+    /// maintained value — the engine's internal consistency oracle.
+    pub fn consistency_check(&self, env: &Instance) -> Result<bool, IvmError> {
+        let fresh = self.query.execute(env)?;
+        Ok(&fresh == self.value(env))
+    }
+}
+
+impl MaintainedQuery {
+    /// Materialize the query over `env` and set up the operator caches (see
+    /// [`MaintainedPlan::new`]).
+    pub fn new(query: &CompiledQuery, env: &Instance) -> Result<MaintainedQuery, IvmError> {
+        MaintainedQuery::with_degraded(query, env, BTreeSet::new())
+    }
+
+    /// Like [`MaintainedQuery::new`], but with the given operators (by
+    /// preorder index) forced to the recompute-on-dirty fallback from the
+    /// start.
+    pub fn with_degraded(
+        query: &CompiledQuery,
+        env: &Instance,
+        degraded: BTreeSet<usize>,
+    ) -> Result<MaintainedQuery, IvmError> {
+        Ok(MaintainedQuery {
+            plan: MaintainedPlan::with_degraded(query, env, degraded)?,
+            env: env.clone(),
+        })
+    }
+
+    /// See [`MaintainedPlan::set_workers`].
+    pub fn set_workers(&mut self, workers: usize) {
+        self.plan.set_workers(workers);
+    }
+
+    /// The configured evaluation worker count.
+    pub fn workers(&self) -> usize {
+        self.plan.workers()
+    }
+
+    /// Cumulative sharded-round counters since construction.
+    pub fn maint_stats(&self) -> MaintStats {
+        self.plan.maint_stats()
+    }
+
+    /// The maintained output value.
+    pub fn value(&self) -> &Value {
+        self.plan.value(&self.env)
+    }
+
+    /// The current input instance (base relations at their post-batch state).
+    pub fn env(&self) -> &Instance {
+        &self.env
+    }
+
+    /// Apply a batch: update the inputs, propagate deltas through the
+    /// operator tree, and return the exact delta of the output.
+    ///
+    /// The output must be set-valued (views are); maintaining a scalar query
+    /// is reported as [`IvmError::NotASet`].
+    pub fn apply(&mut self, batch: &UpdateBatch) -> Result<DeltaSet, IvmError> {
+        let exact = batch.normalize_against(&self.env)?;
+        // the touched sets are edited in place where nothing else shares
+        // them and path-copied where something does
+        exact.apply_mut(&mut self.env)?;
+        self.plan.propagate(&self.env, &exact)
+    }
+
+    /// Apply a batch **transactionally**: on success this is exactly
+    /// [`apply`][MaintainedQuery::apply]; on failure the query is rolled
+    /// back to its pre-batch state (environment and operator caches) before
+    /// the error is returned, so the maintained value stays consistent and
+    /// further batches may be applied.
+    ///
+    /// The rollback point is a clone taken before the batch — `O(1)` in the
+    /// data, since every maintained structure is persistent — and rolling
+    /// back is an assignment, so it cannot fail.
+    pub fn apply_transactional(&mut self, batch: &UpdateBatch) -> Result<DeltaSet, IvmError> {
+        let before = self.clone();
+        self.apply(batch).inspect_err(|_| *self = before)
+    }
+
+    /// Throw away all operator caches and re-materialize over `env` (see
+    /// [`MaintainedPlan::rebuild`]); `env` becomes the query's environment.
+    pub fn rebuild(&mut self, env: &Instance) -> Result<(), IvmError> {
+        self.plan.rebuild(env)?;
+        self.env = env.clone();
+        Ok(())
+    }
+
+    /// Record operator `op` (preorder index) as degraded without rebuilding.
+    /// Takes effect at the next [`rebuild`][MaintainedQuery::rebuild].
+    pub fn mark_degraded(&mut self, op: usize) -> Result<(), IvmError> {
+        self.plan.mark_degraded(op)
+    }
+
+    /// Degrade operator `op` to the recompute-on-dirty fallback and rebuild
+    /// the operator tree over the current environment (see
+    /// [`MaintainedPlan::degrade`]).
+    pub fn degrade(&mut self, op: usize) -> Result<(), IvmError> {
+        self.plan.degrade(op, &self.env)
+    }
+
+    /// The operators currently degraded (by preorder index).
+    pub fn degraded(&self) -> &BTreeSet<usize> {
+        self.plan.degraded()
+    }
+
+    /// Per-operator maintenance coverage (see [`MaintainedPlan::coverage`]).
+    pub fn coverage(&self) -> CoverageReport {
+        self.plan.coverage()
+    }
+
     /// Re-execute the plan from scratch on the current inputs and compare
     /// with the maintained value — the engine's internal consistency oracle.
     pub fn consistency_check(&self) -> Result<bool, IvmError> {
-        let fresh = self.query.execute(&self.env)?;
-        Ok(&fresh == self.value())
+        self.plan.consistency_check(&self.env)
     }
 }
 
@@ -602,21 +685,13 @@ fn fault_site(kind: &Kind) -> &'static str {
     }
 }
 
-fn apply_delta(sv: &mut nrs_value::SetValue, delta: &DeltaSet) {
-    if !delta.is_empty() {
-        delta.apply_to(sv.make_mut());
-    }
-}
-
 fn apply_delta_value(v: &mut Value, delta: &DeltaSet, what: &str) -> Result<(), IvmError> {
-    if delta.is_empty() {
-        return Ok(());
-    }
     match v {
         Value::Set(sv) => {
-            apply_delta(sv, delta);
+            delta.apply_to(sv);
             Ok(())
         }
+        _ if delta.is_empty() => Ok(()),
         _ => Err(IvmError::Internal(format!("{what} output is not a set"))),
     }
 }
@@ -764,7 +839,7 @@ impl Change {
 // Operator nodes
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Node {
     /// Preorder index of the operator's plan node — stable across rebuilds
     /// and degradations, so errors and coverage entries can name it.
@@ -775,7 +850,7 @@ struct Node {
     kind: Kind,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Kind {
     /// Environment lookup; the batch is the delta source.
     Var(Name),
@@ -798,36 +873,36 @@ enum Kind {
     },
     /// Recompute-on-dirty fallback for every other operator.
     Opaque {
-        plan: Plan,
+        plan: Arc<Plan>,
         deps: BTreeSet<Name>,
     },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ForUnionState {
     var: Name,
     over: Node,
-    body: Plan,
+    body: Arc<Plan>,
     deps: LoopDeps,
     /// member → evaluated body (a set value).
-    cache: HashMap<Value, Value>,
+    cache: PMap<Value, Value>,
     /// Multiset support: output element → number of members producing it.
-    counts: HashMap<Value, usize>,
+    counts: PMap<Value, usize>,
 }
 
 /// `{var ∈ over | cond(var)}`: the output (`Node::current`) is the whole
 /// state — a member passes exactly when it is in the output.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct FilterState {
     var: Name,
     over: Node,
-    cond: Plan,
+    cond: Arc<Plan>,
     deps: LoopDeps,
 }
 
 /// The free relations of a loop body (or filter condition), split by how a
 /// delta on them reaches the loop (see [`analyze_body`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct LoopDeps {
     /// Relations touched only through `member(var, R)` probes.
     probe: BTreeSet<Name>,
@@ -864,21 +939,21 @@ impl LoopDeps {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct HashJoinState {
     lvar: Name,
-    lkey: Plan,
+    lkey: Arc<Plan>,
     rvar: Name,
-    rkey: Plan,
-    body: Plan,
+    rkey: Arc<Plan>,
+    body: Arc<Plan>,
     left: Node,
     right: Node,
     /// key → probe-side members with that key.
-    lindex: HashMap<Value, BTreeSet<Value>>,
+    lindex: PMap<Value, SetValue>,
     /// key → build-side members with that key.
-    rindex: HashMap<Value, BTreeSet<Value>>,
+    rindex: PMap<Value, SetValue>,
     /// Multiset support of the produced tuples.
-    counts: HashMap<Value, usize>,
+    counts: PMap<Value, usize>,
     /// Free names of keys/body beyond the binders (delta ⇒ full refill).
     hard_deps: BTreeSet<Name>,
 }
@@ -886,13 +961,13 @@ struct HashJoinState {
 /// Support-count mutator recording membership transitions of touched
 /// elements, from which the node's exact output delta falls out.
 struct CountDelta<'a> {
-    counts: &'a mut HashMap<Value, usize>,
+    counts: &'a mut PMap<Value, usize>,
     /// element → was it in the output before this round?
     touched: HashMap<Value, bool>,
 }
 
 impl<'a> CountDelta<'a> {
-    fn new(counts: &'a mut HashMap<Value, usize>) -> CountDelta<'a> {
+    fn new(counts: &'a mut PMap<Value, usize>) -> CountDelta<'a> {
         CountDelta {
             counts,
             touched: HashMap::new(),
@@ -900,9 +975,16 @@ impl<'a> CountDelta<'a> {
     }
 
     fn inc(&mut self, v: &Value) {
-        let c = self.counts.entry(v.clone()).or_insert(0);
-        self.touched.entry(v.clone()).or_insert(*c > 0);
-        *c += 1;
+        match self.counts.get_mut(v) {
+            Some(c) => {
+                self.touched.entry(v.clone()).or_insert(true);
+                *c += 1;
+            }
+            None => {
+                self.touched.entry(v.clone()).or_insert(false);
+                self.counts.insert(v.clone(), 1);
+            }
+        }
     }
 
     fn dec(&mut self, v: &Value) -> Result<(), IvmError> {
@@ -1002,7 +1084,7 @@ impl<'a> Builder<'a> {
             id,
             current: exec_plan(plan, env)?,
             kind: Kind::Opaque {
-                plan: plan.clone(),
+                plan: Arc::new(plan.clone()),
                 deps: plan.free_vars(),
             },
         })
@@ -1072,7 +1154,7 @@ impl<'a> Builder<'a> {
                     let state = FilterState {
                         var: *var,
                         over,
-                        cond: cond.clone(),
+                        cond: Arc::new(cond.clone()),
                         deps,
                     };
                     let current = state.fill(env)?;
@@ -1085,10 +1167,10 @@ impl<'a> Builder<'a> {
                 let mut state = ForUnionState {
                     var: *var,
                     over,
-                    body: (**body).clone(),
+                    body: Arc::new((**body).clone()),
                     deps,
-                    cache: HashMap::new(),
-                    counts: HashMap::new(),
+                    cache: PMap::new(),
+                    counts: PMap::new(),
                 };
                 let current = state.fill(env)?;
                 Ok(Node {
@@ -1125,15 +1207,15 @@ impl<'a> Builder<'a> {
                 }
                 let mut state = HashJoinState {
                     lvar: *lvar,
-                    lkey: (**lkey).clone(),
+                    lkey: Arc::new((**lkey).clone()),
                     rvar: *rvar,
-                    rkey: (**rkey).clone(),
-                    body: (**body).clone(),
+                    rkey: Arc::new((**rkey).clone()),
+                    body: Arc::new((**body).clone()),
                     left,
                     right,
-                    lindex: HashMap::new(),
-                    rindex: HashMap::new(),
-                    counts: HashMap::new(),
+                    lindex: PMap::new(),
+                    rindex: PMap::new(),
+                    counts: PMap::new(),
                     hard_deps,
                 };
                 let current = state.fill(env)?;
@@ -1163,7 +1245,7 @@ impl<'a> Builder<'a> {
     }
 }
 
-fn set_of<'a>(v: &'a Value, what: &str) -> Result<&'a BTreeSet<Value>, IvmError> {
+fn set_of<'a>(v: &'a Value, what: &str) -> Result<&'a SetValue, IvmError> {
     v.as_set()
         .map_err(|_| IvmError::Internal(format!("{what} is not a set")))
 }
@@ -1387,7 +1469,10 @@ impl Node {
                     (false, true) => {
                         self.current = body.value(env).clone();
                         let delta = DeltaSet {
-                            inserts: set_of(&self.current, "guard body")?.clone(),
+                            inserts: set_of(&self.current, "guard body")?
+                                .iter()
+                                .cloned()
+                                .collect(),
                             deletes: BTreeSet::new(),
                         };
                         Ok(Change::from_delta(delta))
@@ -1396,7 +1481,7 @@ impl Node {
                         let old = std::mem::replace(&mut self.current, Value::empty_set());
                         let delta = DeltaSet {
                             inserts: BTreeSet::new(),
-                            deletes: set_of(&old, "guard output")?.clone(),
+                            deletes: set_of(&old, "guard output")?.iter().cloned().collect(),
                         };
                         Ok(Change::from_delta(delta))
                     }
@@ -1466,7 +1551,7 @@ fn touched_elems<'a>(da: &'a Option<DeltaSet>, db: &'a Option<DeltaSet>) -> BTre
     out
 }
 
-fn was_in(new: &BTreeSet<Value>, delta: &Option<DeltaSet>, x: &Value) -> bool {
+fn was_in(new: &SetValue, delta: &Option<DeltaSet>, x: &Value) -> bool {
     match delta {
         Some(d) => d.was_member(new, x),
         None => new.contains(x),
@@ -1489,19 +1574,22 @@ impl ForUnionState {
     /// Evaluate from scratch: fill the member cache and support counts and
     /// return the materialized output.
     fn fill(&mut self, env: &Instance) -> Result<Value, IvmError> {
-        self.cache.clear();
-        self.counts.clear();
         let members = set_of(self.over.value(env), "binding union over")?;
-        let mut out: BTreeSet<Value> = BTreeSet::new();
+        let mut counts = PMap::new();
+        let mut cache = Vec::with_capacity(members.len());
         for m in members {
             let body_v = bound_exec1(&self.body, self.var, m, env)?;
             for e in set_of(&body_v, "binding union body")? {
-                *self.counts.entry(e.clone()).or_insert(0) += 1;
-                out.insert(e.clone());
+                let c = counts.get(e).copied().unwrap_or(0);
+                counts.insert(e.clone(), c + 1);
             }
-            self.cache.insert(m.clone(), body_v);
+            cache.push((m.clone(), body_v));
         }
-        Ok(Value::from_set(out))
+        let out = Value::Set(counts.iter().map(|(e, _)| e.clone()).collect());
+        // members arrive in order: the cache is one bulk build
+        self.cache = PMap::from_sorted(cache);
+        self.counts = counts;
+        Ok(out)
     }
 
     fn update(
@@ -1537,7 +1625,7 @@ impl ForUnionState {
         //    parallel) round; the cache/count mutations replay in member
         //    order below.
         let affected = self.deps.probed(ctx, |x| self.cache.contains_key(x));
-        let (body, var) = (&self.body, self.var);
+        let (body, var) = (&*self.body, self.var);
         let evals = par_eval(ctx, affected.into_iter().collect(), |m| {
             bound_exec1(body, var, m, env)
         })?;
@@ -1611,7 +1699,7 @@ impl FilterState {
         if let Some(d) = &over_delta {
             delta
                 .deletes
-                .extend(d.deletes.iter().filter(|m| out.contains(*m)).cloned());
+                .extend(d.deletes.iter().filter(|m| out.contains(m)).cloned());
         }
         // 2. surviving members a probe delta lists: re-evaluate the
         //    condition (one pure, possibly parallel round) and record each
@@ -1621,7 +1709,7 @@ impl FilterState {
         let affected = self
             .deps
             .probed(ctx, |x| over_now.contains(x) && !inserted(x));
-        let (cond, var) = (&self.cond, self.var);
+        let (cond, var) = (&*self.cond, self.var);
         let evals = par_eval(ctx, affected.into_iter().collect(), |m| {
             FilterState::passes(cond, var, m, env)
         })?;
@@ -1672,32 +1760,53 @@ fn bound_exec2(
     )?)
 }
 
+/// Add `member` under `key` in a join index.
+fn index_insert(index: &mut PMap<Value, SetValue>, key: Value, member: Value) {
+    match index.get_mut(&key) {
+        Some(members) => {
+            members.insert(member);
+        }
+        None => {
+            index.insert(key, SetValue::from_iter([member]));
+        }
+    }
+}
+
+/// Drop `member` from under `key` in a join index.
+fn index_remove(index: &mut PMap<Value, SetValue>, key: &Value, member: &Value) {
+    if let Some(members) = index.get_mut(key) {
+        members.remove(member);
+        if members.is_empty() {
+            index.remove(key);
+        }
+    }
+}
+
 impl HashJoinState {
     /// Evaluate from scratch: rebuild both key indexes and the support
     /// counts and return the materialized output.
     fn fill(&mut self, env: &Instance) -> Result<Value, IvmError> {
-        self.lindex.clear();
-        self.rindex.clear();
-        self.counts.clear();
         let left = set_of(self.left.value(env), "join probe side")?;
         let right = set_of(self.right.value(env), "join build side")?;
+        let (mut lindex, mut rindex, mut counts) = (PMap::new(), PMap::new(), PMap::new());
         for y in right {
             let k = bound_exec1(&self.rkey, self.rvar, y, env)?;
-            self.rindex.entry(k).or_default().insert(y.clone());
+            index_insert(&mut rindex, k, y.clone());
         }
-        let mut out: BTreeSet<Value> = BTreeSet::new();
         for x in left {
             let k = bound_exec1(&self.lkey, self.lvar, x, env)?;
-            for y in self.rindex.get(&k).into_iter().flatten() {
+            for y in rindex.get(&k).into_iter().flat_map(SetValue::iter) {
                 let body_v = bound_exec2(&self.body, self.lvar, x, self.rvar, y, env)?;
                 for e in set_of(&body_v, "join body")? {
-                    *self.counts.entry(e.clone()).or_insert(0) += 1;
-                    out.insert(e.clone());
+                    let c = counts.get(e).copied().unwrap_or(0);
+                    counts.insert(e.clone(), c + 1);
                 }
             }
-            self.lindex.entry(k).or_default().insert(x.clone());
+            index_insert(&mut lindex, k, x.clone());
         }
-        Ok(Value::from_set(out))
+        let out = Value::Set(counts.iter().map(|(e, _)| e.clone()).collect());
+        (self.lindex, self.rindex, self.counts) = (lindex, rindex, counts);
+        Ok(out)
     }
 
     fn update(
@@ -1729,7 +1838,7 @@ impl HashJoinState {
             let n_dels = d.deletes.len();
             let items: Vec<Value> = d.deletes.iter().chain(d.inserts.iter()).cloned().collect();
             let (lkey, lvar, rvar, body, rindex) =
-                (&self.lkey, self.lvar, self.rvar, &self.body, &self.rindex);
+                (&*self.lkey, self.lvar, self.rvar, &*self.body, &self.rindex);
             let evals = par_eval(ctx, items, |x| {
                 let k = bound_exec1(lkey, lvar, x, env)?;
                 let mut elems = Vec::new();
@@ -1743,12 +1852,7 @@ impl HashJoinState {
             })?;
             for (i, (x, (k, elems))) in evals.into_iter().enumerate() {
                 if i < n_dels {
-                    if let Some(members) = self.lindex.get_mut(&k) {
-                        members.remove(&x);
-                        if members.is_empty() {
-                            self.lindex.remove(&k);
-                        }
-                    }
+                    index_remove(&mut self.lindex, &k, &x);
                     for e in &elems {
                         trans.dec(e)?;
                     }
@@ -1756,7 +1860,7 @@ impl HashJoinState {
                     for e in &elems {
                         trans.inc(e);
                     }
-                    self.lindex.entry(k).or_default().insert(x);
+                    index_insert(&mut self.lindex, k, x);
                 }
             }
         }
@@ -1765,7 +1869,7 @@ impl HashJoinState {
             let n_dels = d.deletes.len();
             let items: Vec<Value> = d.deletes.iter().chain(d.inserts.iter()).cloned().collect();
             let (rkey, lvar, rvar, body, lindex) =
-                (&self.rkey, self.lvar, self.rvar, &self.body, &self.lindex);
+                (&*self.rkey, self.lvar, self.rvar, &*self.body, &self.lindex);
             let evals = par_eval(ctx, items, |y| {
                 let k = bound_exec1(rkey, rvar, y, env)?;
                 let mut elems = Vec::new();
@@ -1779,12 +1883,7 @@ impl HashJoinState {
             })?;
             for (i, (y, (k, elems))) in evals.into_iter().enumerate() {
                 if i < n_dels {
-                    if let Some(members) = self.rindex.get_mut(&k) {
-                        members.remove(&y);
-                        if members.is_empty() {
-                            self.rindex.remove(&k);
-                        }
-                    }
+                    index_remove(&mut self.rindex, &k, &y);
                     for e in &elems {
                         trans.dec(e)?;
                     }
@@ -1792,7 +1891,7 @@ impl HashJoinState {
                     for e in &elems {
                         trans.inc(e);
                     }
-                    self.rindex.entry(k).or_default().insert(y);
+                    index_insert(&mut self.rindex, k, y);
                 }
             }
         }
@@ -1926,11 +2025,11 @@ mod tests {
         let env = inst(vec![("S", atoms([1, 2, 3])), ("F", atoms([2, 3, 9]))]);
         let mut mq = MaintainedQuery::new(&CompiledQuery::compile(&filter), &env).unwrap();
         assert!(
-            matches!(mq.root.kind, Kind::Filter(_)),
+            matches!(mq.plan.root.kind, Kind::Filter(_)),
             "{}",
-            mq.query.plan()
+            mq.plan.query.plan()
         );
-        assert_eq!(member_state(&mq.root), 0);
+        assert_eq!(member_state(&mq.plan.root), 0);
         let cov = mq.coverage();
         assert!(cov.fully_incremental());
         assert_eq!(cov.ops[0].kind, "for-union");
@@ -1941,7 +2040,7 @@ mod tests {
         b.delete("F", Value::atom(3)).insert("F", Value::atom(1));
         step(&mut mq, &b);
         assert_eq!(mq.value(), &atoms([1, 9]));
-        assert_eq!(member_state(&mq.root), 0);
+        assert_eq!(member_state(&mq.plan.root), 0);
 
         let projection = Expr::big_union(
             "b",
@@ -1951,16 +2050,16 @@ mod tests {
         let r = |k: u64, v: u64| Value::pair(Value::atom(k), Value::atom(v));
         let env = inst(vec![("B", Value::set([r(1, 10), r(1, 11), r(2, 12)]))]);
         let mut mq = MaintainedQuery::new(&CompiledQuery::compile(&projection), &env).unwrap();
-        assert!(matches!(mq.root.kind, Kind::ForUnion(_)));
+        assert!(matches!(mq.plan.root.kind, Kind::ForUnion(_)));
         assert_eq!(
-            member_state(&mq.root),
+            member_state(&mq.plan.root),
             3 + 2,
             "three cached bodies, two counts"
         );
         let mut b = UpdateBatch::new();
         b.delete("B", r(1, 10));
         step(&mut mq, &b);
-        assert_eq!(member_state(&mq.root), 2 + 2);
+        assert_eq!(member_state(&mq.plan.root), 2 + 2);
     }
 
     #[test]

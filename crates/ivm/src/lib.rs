@@ -35,7 +35,9 @@ pub mod engine;
 pub mod fault;
 
 pub use batch::{DeltaSet, UpdateBatch};
-pub use engine::{CoverageReport, MaintStats, MaintainedQuery, Maintenance, OperatorCoverage};
+pub use engine::{
+    CoverageReport, MaintStats, MaintainedPlan, MaintainedQuery, Maintenance, OperatorCoverage,
+};
 
 use nrs_nrc::NrcError;
 use nrs_value::{Name, Type, Value};
@@ -52,7 +54,8 @@ use nrs_value::{Name, Type, Value};
 /// * **operator failure** ([`Operator`], [`FaultInjected`], [`Nrc`]) — a
 ///   delta rule failed mid-propagation; operator caches are unspecified
 ///   until the query is [rebuilt][MaintainedQuery::rebuild] (the
-///   transactional entry points do this automatically);
+///   transactional entry points instead restore the clone they took
+///   before the batch);
 /// * **invariant violation** ([`Internal`]) — a bug in the delta rules.
 ///
 /// [`UnknownRelation`]: IvmError::UnknownRelation

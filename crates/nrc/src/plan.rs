@@ -38,7 +38,7 @@
 use crate::expr::Expr;
 use crate::opt;
 use crate::NrcError;
-use nrs_value::{Instance, Name, SetValue, Value};
+use nrs_value::{Cursor, Instance, Name, SetValue, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -1085,7 +1085,7 @@ pub fn holds_bound(
 /// one ordered walk of `over`; any other condition is decided per member.
 pub fn exec_filter(
     var: Name,
-    over: &BTreeSet<Value>,
+    over: &SetValue,
     cond: &Plan,
     env: &Instance,
 ) -> Result<Value, NrcError> {
@@ -1093,7 +1093,7 @@ pub fn exec_filter(
 }
 
 fn set_of(v: &Value, what: &str) -> Result<SetValue, NrcError> {
-    v.as_set_value()
+    v.as_set()
         .cloned()
         .map_err(|_| NrcError::Stuck(format!("{what} produced non-set {v}")))
 }
@@ -1259,11 +1259,6 @@ pub fn filter_cond(var: Name, body: &Plan) -> Option<&Plan> {
     }
 }
 
-/// A haystack at most this many times larger than the filtered set is
-/// merged with it; a larger one is probed, so a small `over` against a huge
-/// haystack stays `O(|over| log |H|)`.
-const MERGE_RATIO: usize = 16;
-
 /// A filter condition compiled for the merge walk: the connectives
 /// [`holds`] decides directly, over [`Leaf`] answers.
 enum Test {
@@ -1292,9 +1287,7 @@ enum LeafValue {
 /// A leaf's answer source during the walk.
 enum Probe<'v> {
     /// One forward cursor over the haystack.
-    Merge(std::iter::Peekable<std::collections::btree_set::Iter<'v, Value>>),
-    /// `O(log n)` lookups in a haystack much larger than `over`.
-    Lookup(&'v BTreeSet<Value>),
+    Merge(Cursor<'v>),
     Fixed(bool),
 }
 
@@ -1342,10 +1335,9 @@ impl Probe<'_> {
     fn test(&mut self, m: &Value) -> bool {
         match self {
             Probe::Merge(cursor) => {
-                while cursor.next_if(|h| *h < m).is_some() {}
-                cursor.peek() == Some(&m)
+                cursor.seek(m);
+                cursor.peek() == Some(m)
             }
-            Probe::Lookup(set) => set.contains(m),
             Probe::Fixed(b) => *b,
         }
     }
@@ -1355,16 +1347,13 @@ impl Probe<'_> {
 ///
 /// When `cond` compiles to a [`Test`], each haystack and `var`-free
 /// sub-condition is evaluated once — and only for a non-empty `over` — and
-/// `over` is walked in order, each haystack either merged with one forward
-/// cursor or, when it is more than [`MERGE_RATIO`] times larger, probed.
-/// Any other condition is decided per member by [`holds`].  Members pass in
-/// order, so the output is a bulk build.
-fn filter(
-    var: Name,
-    over: &BTreeSet<Value>,
-    cond: &Plan,
-    fr: &mut Frames<'_>,
-) -> Result<Value, NrcError> {
+/// `over` is walked in order against one forward cursor per haystack; a
+/// cursor seeks within the current chunk of the haystack and re-descends
+/// only past it, so a haystack much larger than `over` costs
+/// `O(|over| log |H|)`, not `O(|H|)`.  Any other condition is decided per
+/// member by [`holds`].  Members pass in order, so the output is a bulk
+/// build.
+fn filter(var: Name, over: &SetValue, cond: &Plan, fr: &mut Frames<'_>) -> Result<Value, NrcError> {
     let mut out = Vec::new();
     let mut leaves = Vec::new();
     if over.is_empty() {
@@ -1382,10 +1371,7 @@ fn filter(
         let mut probes: Vec<Probe<'_>> = values
             .iter()
             .map(|v| match v {
-                LeafValue::Haystack(h) if h.len() <= MERGE_RATIO.saturating_mul(over.len()) => {
-                    Probe::Merge(h.iter().peekable())
-                }
-                LeafValue::Haystack(h) => Probe::Lookup(h),
+                LeafValue::Haystack(h) => Probe::Merge(h.cursor()),
                 LeafValue::Fixed(b) => Probe::Fixed(*b),
             })
             .collect();
@@ -1405,7 +1391,7 @@ fn filter(
             }
         }
     }
-    Ok(Value::from_set(out.into_iter().collect()))
+    Ok(Value::Set(out.into_iter().collect()))
 }
 
 // ---------------------------------------------------------------------------
@@ -1788,7 +1774,7 @@ mod tests {
         let env = Instance::from_bindings([(s, Value::empty_set()), (f, Value::atom(1))]);
         assert_eq!(exec_plan(&filter_loop, &env).unwrap(), Value::empty_set());
         assert_eq!(
-            exec_filter(x, &BTreeSet::new(), &cond, &env).unwrap(),
+            exec_filter(x, &SetValue::empty(), &cond, &env).unwrap(),
             Value::empty_set()
         );
         // a non-empty `over` does evaluate it, and reports the bad haystack

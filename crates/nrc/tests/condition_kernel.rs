@@ -13,7 +13,7 @@
 
 use nrs_nrc::{exec_filter, exec_plan, exec_plan_bound, holds_bound, Plan};
 use nrs_value::generate::{random_value, GenConfig};
-use nrs_value::{Instance, Name, Type, Value};
+use nrs_value::{Instance, Name, SetValue, Type, Value};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -112,7 +112,7 @@ fn instance(seed: u64, nested: bool, max_set: usize) -> Instance {
     ])
 }
 
-fn set<'a>(env: &'a Instance, n: &str) -> &'a BTreeSet<Value> {
+fn set<'a>(env: &'a Instance, n: &str) -> &'a SetValue {
     env.try_get(&Name::new(n)).unwrap().as_set().unwrap()
 }
 

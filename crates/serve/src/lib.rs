@@ -100,6 +100,7 @@ struct ObsMetrics {
     queue_depth: Arc<nrs_obs::Gauge>,
     epoch: Arc<nrs_obs::Gauge>,
     queue_wait_seconds: Arc<nrs_obs::Histogram>,
+    visible_seconds: Arc<nrs_obs::Histogram>,
     batches_per_flush: Arc<nrs_obs::Histogram>,
     batch_tuples: Arc<nrs_obs::Histogram>,
     flush_seconds: Arc<nrs_obs::Histogram>,
@@ -126,6 +127,7 @@ fn obs() -> &'static ObsMetrics {
             queue_depth: r.gauge("serve.queue_depth"),
             epoch: r.gauge("serve.epoch"),
             queue_wait_seconds: r.timer("serve.queue_wait_seconds"),
+            visible_seconds: r.timer("serve.visible_seconds"),
             batches_per_flush: r.histogram("serve.batches_per_flush"),
             batch_tuples: r.histogram("serve.batch_tuples"),
             flush_seconds: r.timer("serve.flush_seconds"),
@@ -413,9 +415,10 @@ pub const SHUTDOWN_DRAIN_FAILURES: u64 = 3;
 /// mutex (never held across engine work) plus two condvars — `arrival`
 /// wakes the writer thread, `space` wakes blocked producers after a flush.
 /// Each queued batch carries its enqueue instant so the flush that drains
-/// it can record the queue-wait latency (`serve.queue_wait_seconds`); a
-/// re-queued batch is re-stamped, so the histogram measures one queue
-/// residency per drain, not cumulative latency across retries.
+/// it can record the queue-wait latency (`serve.queue_wait_seconds`) and,
+/// at publication, the submit → visible latency
+/// (`serve.visible_seconds`); a re-queued batch is re-stamped, so both
+/// measure from its latest enqueue, not cumulatively across retries.
 struct Ingest {
     queue: Mutex<VecDeque<(UpdateBatch, Instant)>>,
     arrival: Condvar,
@@ -923,13 +926,10 @@ impl ViewServer {
         coalesce_span.record("batches", drained.len());
         coalesce_span.record("tuples", combined.len());
         drop(coalesce_span);
-        // capture the pre-batch state: propagation can roll itself back, but
-        // a publish-site failure below must unwind manually
-        let backup = (
-            st.maintained.base().clone(),
-            st.maintained.view_instance().clone(),
-            st.maintained.answer_instance().clone(),
-        );
+        // the pre-batch state (a pointer-deep clone: every maintained
+        // structure is persistent): propagation rolls itself back, but a
+        // publish-site failure below must unwind to it
+        let backup = st.maintained.clone();
         let maint_before = st.maintained.maint_stats();
         let mut maintain_span = nrs_obs::span("serve.maintain");
         let maintain_start = Instant::now();
@@ -955,16 +955,20 @@ impl ViewServer {
         let mut publish_span = nrs_obs::span("serve.publish");
         let publish_start = Instant::now();
         if let Err(e) = fault::hit("serve.publish") {
-            let (base, views, aug) = &backup;
-            st.maintained.restore(base, views, aug).map_err(|r| {
-                NrsError::Internal(format!("rollback after failed publish failed: {r}"))
-            })?;
+            st.maintained = backup;
             self.requeue(drained);
             return Err(e.into());
         }
         st.epoch += 1;
         let snapshot = Arc::new(Self::capture(&st.maintained, st.epoch));
         *self.published.write().unwrap_or_else(|p| p.into_inner()) = snapshot.clone();
+        // submit → visible: each drained batch from its enqueue instant to
+        // the publication of the epoch that contains it
+        let visible = Instant::now();
+        for (_, enqueued) in &drained {
+            m.visible_seconds
+                .record_duration(visible.saturating_duration_since(*enqueued));
+        }
         self.ingest.space.notify_all();
         m.publish_seconds.record_duration(publish_start.elapsed());
         publish_span.record("epoch", st.epoch);
@@ -1104,8 +1108,11 @@ impl ViewServer {
         self.metrics_snapshot().to_prometheus()
     }
 
-    /// An immutable snapshot of the engine at `epoch` (cheap: the values are
-    /// persistent, so the clones are pointer-deep).
+    /// An immutable snapshot of the engine at `epoch`: `O(#answers)`
+    /// pointer copies.  The answers, the view instance and the base share
+    /// every node with the live engine; the writer's next flush path-copies
+    /// only the `O(|Δ| log n)` nodes it edits and leaves the rest shared,
+    /// so holding a snapshot never makes a flush copy a whole set.
     fn capture(maintained: &MaintainedWorkload, epoch: u64) -> Snapshot {
         Snapshot {
             epoch,

@@ -10,7 +10,8 @@
 //! by the tests and the benchmark harness.
 //!
 //! Values are kept in a canonical, *extensional* representation: sets are
-//! `BTreeSet`s, so two sets with the same members are structurally equal.
+//! sorted and duplicate-free (persistent B-trees, see [`pmap`]), so two sets
+//! with the same members are structurally equal.
 //! This mirrors the paper's `|=_nested` semantics, where entailment is
 //! evaluated over genuine nested relations (extensional models).
 //!
@@ -34,6 +35,7 @@ pub mod error;
 pub mod generate;
 pub mod instance;
 pub mod name;
+pub mod pmap;
 pub mod types;
 pub mod value;
 
@@ -41,8 +43,9 @@ pub use atoms::Atom;
 pub use error::ValueError;
 pub use instance::{Instance, Schema};
 pub use name::{Name, NameGen};
+pub use pmap::PMap;
 pub use types::{SubtypePath, SubtypeStep, Type};
-pub use value::{SetValue, Value};
+pub use value::{Cursor, SetValue, Value};
 
 #[cfg(test)]
 mod tests {

@@ -1,122 +1,224 @@
 //! Nested relational values.
 //!
 //! A [`Value`] is an element of the interpretation of some [`Type`]: the unit
-//! value, an atom, a pair, or a finite set.  Sets are stored as `BTreeSet`s so
-//! that the representation is canonical: extensional equality coincides with
-//! structural (`Eq`) equality, and iteration order is deterministic.
+//! value, an atom, a pair, or a finite set.  Sets are kept sorted and
+//! duplicate-free, so the representation is canonical: extensional equality
+//! coincides with structural (`Eq`) equality, and iteration order is
+//! deterministic.
 //!
 //! # Sharing
 //!
-//! Pairs and sets are **structurally shared**: `Pair` holds `Arc<Value>`
-//! children and `Set` holds a [`SetValue`] — an `Arc`-wrapped `BTreeSet` with
-//! a lazily cached structural hash.  `Value::clone` is therefore O(1)
-//! (reference-count bumps), which is what lets the NRC evaluators rebind the
-//! same large sets in environment frames millions of times without deep
-//! copies.  Equality, ordering, iteration order and the serialized form are
-//! unchanged from the previous deep representation: `SetValue` compares and
-//! orders through the underlying `BTreeSet` (with pointer-equality and
-//! cached-hash fast paths), so extensional canonicity is preserved.
+//! Pairs and sets are **persistent**: `Pair` holds `Arc<Value>` children and
+//! `Set` holds a [`SetValue`] — a path-copying B-tree of `Arc`-shared sorted
+//! chunks ([`PMap`]) with an incrementally maintained structural hash.
+//! `Value::clone` is therefore O(1) (reference-count bumps), which is what
+//! lets the NRC evaluators rebind the same large sets in environment frames
+//! millions of times, and lets a published snapshot hold every maintained
+//! set while the writer keeps updating it: an insert or remove copies only
+//! the `O(log n)` chunks on its path, never the whole set, however many
+//! versions share it.  Equality, ordering, iteration order and the
+//! serialized form are those of a sorted set: `SetValue` compares and orders
+//! element-wise in order (with pointer-equality and cached-hash fast
+//! paths), so extensional canonicity is preserved.  The empty set is a null
+//! handle and allocates nothing; `true` (`{()}`) is one shared node.
 
 use crate::error::ValueError;
+use crate::pmap::{self, PMap};
 use crate::types::Type;
 use crate::Atom;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
-/// The shared payload of a set value: the canonical `BTreeSet` plus a cached
-/// structural hash, computed at most once per node.
-#[derive(Debug, Clone)]
-struct SetNode {
-    elems: BTreeSet<Value>,
-    hash: OnceLock<u64>,
+/// One member's contribution to a set's order-independent hash: the
+/// member's hash diffused through splitmix64, so XOR-combining members does
+/// not cancel structured patterns.
+fn member_hash(v: &Value) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    let mut z = h.finish().wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-/// An `Arc`-shared, hash-cached set of values.
+/// A persistent, hash-cached set of values (see the module docs).
 ///
-/// Dereferences to the underlying `BTreeSet<Value>`, so member access reads
-/// exactly like the plain representation.  Cloning is O(1); two clones share
-/// the same node (and the same cached hash).
-#[derive(Clone)]
-pub struct SetValue(Arc<SetNode>);
+/// Cloning is O(1); [`insert`][SetValue::insert] and
+/// [`remove`][SetValue::remove] copy the `O(log n)` nodes on their path when
+/// another clone shares them and mutate in place when none does.
+#[derive(Clone, Default)]
+pub struct SetValue(PMap<Value, ()>);
 
 impl SetValue {
-    /// The empty set (no allocation is shared between empties; they are tiny).
-    pub fn empty() -> SetValue {
-        BTreeSet::new().into()
+    /// The empty set (a null handle: no allocation).
+    pub const fn empty() -> SetValue {
+        SetValue(PMap::new())
     }
 
-    /// The underlying canonical set.
-    pub fn elems(&self) -> &BTreeSet<Value> {
-        &self.0.elems
+    /// A set from members in strictly increasing order, built bottom-up in
+    /// O(n).
+    pub(crate) fn from_sorted(members: impl IntoIterator<Item = Value>) -> SetValue {
+        SetValue(PMap::from_sorted(members.into_iter().map(|v| (v, ()))))
     }
 
-    /// The cached structural hash of the set (computed on first use).
+    /// Number of members, O(1).
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// No members?
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Membership, O(log n).
+    pub fn contains(&self, v: &Value) -> bool {
+        self.0.contains_key(v)
+    }
+
+    /// The members in ascending order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(self.0.iter())
+    }
+
+    /// A forward cursor at the smallest member, for merge walks.
+    pub fn cursor(&self) -> Cursor<'_> {
+        Cursor(self.0.walk())
+    }
+
+    /// Add a member; `false` (and nothing copied) if it was present.
+    pub fn insert(&mut self, v: Value) -> bool {
+        if self.contains(&v) {
+            return false;
+        }
+        let hash = self.known_hash().map(|h| h ^ member_hash(&v));
+        self.0.insert(v, ());
+        if let Some(h) = hash {
+            self.0.set_hash(h);
+        }
+        true
+    }
+
+    /// Drop a member; `false` (and nothing copied) if it was absent.
+    pub fn remove(&mut self, v: &Value) -> bool {
+        if !self.contains(v) {
+            return false;
+        }
+        let hash = self.known_hash().map(|h| h ^ member_hash(v));
+        self.0.remove(v);
+        if let Some(h) = hash {
+            self.0.set_hash(h);
+        }
+        true
+    }
+
+    /// The hash if it is cached (the empty set's is always known: 0).
+    fn known_hash(&self) -> Option<u64> {
+        match self.0.hash_slot() {
+            None => Some(0),
+            Some(slot) => slot.get().copied(),
+        }
+    }
+
+    /// The structural hash of the set: the XOR of its members' mixed hashes,
+    /// so it does not depend on the order members arrived in.  Computed in
+    /// O(n) on first use and cached; [`insert`][SetValue::insert] and
+    /// [`remove`][SetValue::remove] keep a cached hash up to date in O(1).
     ///
     /// A pure function of the member set, so `a == b` implies
     /// `a.hash64() == b.hash64()`; the converse is (overwhelmingly likely but)
     /// not guaranteed, so the hash is only ever used as a fast *negative*.
     pub fn hash64(&self) -> u64 {
-        *self.0.hash.get_or_init(|| {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            self.0.elems.len().hash(&mut h);
-            for e in &self.0.elems {
-                e.hash(&mut h);
-            }
-            h.finish()
-        })
-    }
-
-    /// Do two handles point at the very same node?
-    pub fn ptr_eq(&self, other: &SetValue) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-
-    /// Mutable access to the member set, copying on write: when this handle is
-    /// the sole owner of the node the mutation is in place (so a k-element
-    /// delta costs O(k log n)); when the node is shared the set is cloned once
-    /// first, exactly like any persistent update.  The cached hash is
-    /// invalidated either way, so the canonicity/hash contract is preserved.
-    ///
-    /// This is what lets the incremental view-maintenance layer keep a
-    /// maintained output up to date under single-tuple updates without paying
-    /// a full-set copy per batch.
-    pub fn make_mut(&mut self) -> &mut BTreeSet<Value> {
-        let node = Arc::make_mut(&mut self.0);
-        node.hash = OnceLock::new();
-        &mut node.elems
-    }
-
-    /// Recover the owned `BTreeSet`, cloning only if the node is shared.
-    pub fn into_elems(self) -> BTreeSet<Value> {
-        match Arc::try_unwrap(self.0) {
-            Ok(node) => node.elems,
-            Err(shared) => shared.elems.clone(),
+        match self.0.hash_slot() {
+            None => 0,
+            Some(slot) => *slot.get_or_init(|| self.iter().fold(0, |h, v| h ^ member_hash(v))),
         }
+    }
+
+    /// The underlying tree, for invariant checks.
+    #[cfg(test)]
+    pub(crate) fn tree(&self) -> &PMap<Value, ()> {
+        &self.0
+    }
+
+    /// Do two handles share the very same tree?  (Two empty sets do.)
+    pub fn ptr_eq(&self, other: &SetValue) -> bool {
+        self.0.ptr_eq(&other.0)
+    }
+}
+
+/// In-order iterator over a [`SetValue`]'s members.
+#[derive(Clone)]
+pub struct Iter<'a>(pmap::Iter<'a, Value, ()>);
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a Value;
+
+    fn next(&mut self) -> Option<&'a Value> {
+        self.0.next().map(|(v, _)| v)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+/// A forward cursor over a [`SetValue`]: [`seek`][Cursor::seek] to the
+/// first member at or after a value, [`peek`][Cursor::peek] at it.
+#[derive(Clone)]
+pub struct Cursor<'a>(pmap::Walk<'a, Value, ()>);
+
+impl<'a> Cursor<'a> {
+    /// Skip to the first member `>= v` (targets must not decrease).
+    pub fn seek(&mut self, v: &Value) {
+        self.0.seek(v);
+    }
+
+    /// The member under the cursor.
+    pub fn peek(&mut self) -> Option<&'a Value> {
+        self.0.peek().map(|(v, _)| v)
+    }
+}
+
+impl<'a> Iterator for Cursor<'a> {
+    type Item = &'a Value;
+
+    fn next(&mut self) -> Option<&'a Value> {
+        self.0.next().map(|(v, _)| v)
+    }
+}
+
+impl<'a> IntoIterator for &'a SetValue {
+    type Item = &'a Value;
+    type IntoIter = Iter<'a>;
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
     }
 }
 
 impl From<BTreeSet<Value>> for SetValue {
     fn from(elems: BTreeSet<Value>) -> Self {
-        SetValue(Arc::new(SetNode {
-            elems,
-            hash: OnceLock::new(),
-        }))
+        SetValue::from_sorted(elems)
     }
 }
 
 impl FromIterator<Value> for SetValue {
+    /// Members in any order; duplicates collapse.
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
-        iter.into_iter().collect::<BTreeSet<Value>>().into()
-    }
-}
-
-impl std::ops::Deref for SetValue {
-    type Target = BTreeSet<Value>;
-    fn deref(&self) -> &BTreeSet<Value> {
-        &self.0.elems
+        let mut members: Vec<Value> = iter.into_iter().collect();
+        if !members.windows(2).all(|w| w[0] < w[1]) {
+            members.sort_unstable();
+            members.dedup();
+        }
+        // `(Value, ())` has `Value`'s layout, so this reuses the buffer
+        let entries = members.into_iter().map(|v| (v, ())).collect();
+        SetValue(PMap::from_sorted_vec(entries))
     }
 }
 
@@ -125,20 +227,26 @@ impl PartialEq for SetValue {
         if self.ptr_eq(other) {
             return true;
         }
-        if self.0.elems.len() != other.0.elems.len() {
+        if self.len() != other.len() {
             return false;
         }
         // Cached hashes are a cheap negative once both sides are warm.
-        if let (Some(a), Some(b)) = (self.0.hash.get(), other.0.hash.get()) {
+        if let (Some(a), Some(b)) = (self.known_hash(), other.known_hash()) {
             if a != b {
                 return false;
             }
         }
-        self.0.elems == other.0.elems
+        self.iter().eq(other.iter())
     }
 }
 
 impl Eq for SetValue {}
+
+impl PartialEq<BTreeSet<Value>> for SetValue {
+    fn eq(&self, other: &BTreeSet<Value>) -> bool {
+        self.len() == other.len() && self.iter().eq(other)
+    }
+}
 
 impl PartialOrd for SetValue {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
@@ -151,10 +259,10 @@ impl Ord for SetValue {
         if self.ptr_eq(other) {
             std::cmp::Ordering::Equal
         } else {
-            // Lexicographic on the canonical member sequence — identical to
-            // the ordering of the previous plain-`BTreeSet` representation,
-            // which Display stability and serialized artefacts rely on.
-            self.0.elems.cmp(&other.0.elems)
+            // Lexicographic on the canonical member sequence — the ordering
+            // of a plain sorted set, which Display stability and serialized
+            // artefacts rely on.
+            self.iter().cmp(other.iter())
         }
     }
 }
@@ -167,13 +275,13 @@ impl Hash for SetValue {
 
 impl fmt::Debug for SetValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.elems.fmt(f)
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
 impl Serialize for SetValue {
     fn serialize(&self) -> serde::Content {
-        self.0.elems.serialize()
+        serde::Content::Seq(self.iter().map(Serialize::serialize).collect())
     }
 }
 
@@ -212,12 +320,13 @@ impl Value {
         Value::Set(items.into_iter().collect())
     }
 
-    /// A set value from an already canonical `BTreeSet`.
-    pub fn from_set(items: BTreeSet<Value>) -> Value {
+    /// A set value from an already canonical set (a `BTreeSet` is bulk
+    /// built in O(n); a [`SetValue`] is wrapped as is).
+    pub fn from_set(items: impl Into<SetValue>) -> Value {
         Value::Set(items.into())
     }
 
-    /// The empty set.
+    /// The empty set (allocates nothing).
     pub fn empty_set() -> Value {
         Value::Set(SetValue::empty())
     }
@@ -231,9 +340,14 @@ impl Value {
         it.fold(last, |acc, v| Value::pair(v, acc))
     }
 
-    /// The encoding of `true`: `{()} : Set(Unit)`.
+    /// The encoding of `true`: `{()} : Set(Unit)` — one shared node, so
+    /// building it allocates nothing.
     pub fn bool_true() -> Value {
-        Value::set([Value::Unit])
+        static TRUE: OnceLock<SetValue> = OnceLock::new();
+        Value::Set(
+            TRUE.get_or_init(|| SetValue::from_sorted([Value::Unit]))
+                .clone(),
+        )
     }
 
     /// The encoding of `false`: `∅ : Set(Unit)`.
@@ -258,28 +372,17 @@ impl Value {
         }
     }
 
-    /// View as a set.
-    pub fn as_set(&self) -> Result<&BTreeSet<Value>, ValueError> {
-        match self {
-            Value::Set(s) => Ok(s.elems()),
-            other => Err(ValueError::NotASet(other.to_string())),
-        }
-    }
-
-    /// View the shared set handle (clones are O(1)).
-    pub fn as_set_value(&self) -> Result<&SetValue, ValueError> {
+    /// View as a set (the shared handle: clones are O(1)).
+    pub fn as_set(&self) -> Result<&SetValue, ValueError> {
         match self {
             Value::Set(s) => Ok(s),
             other => Err(ValueError::NotASet(other.to_string())),
         }
     }
 
-    /// Consume as a set.
+    /// Copy the members out into a `BTreeSet` (O(n)).
     pub fn into_set(self) -> Result<BTreeSet<Value>, ValueError> {
-        match self {
-            Value::Set(s) => Ok(s.into_elems()),
-            other => Err(ValueError::NotASet(other.to_string())),
-        }
+        Ok(self.as_set()?.iter().cloned().collect())
     }
 
     /// View as a pair.
@@ -390,7 +493,7 @@ impl Value {
 
     /// Set union (errors if either value is not a set).
     pub fn union(&self, other: &Value) -> Result<Value, ValueError> {
-        let (lhs, rhs) = (self.as_set_value()?, other.as_set_value()?);
+        let (lhs, rhs) = (self.as_set()?, other.as_set()?);
         // Share instead of copying when one side contributes nothing.
         if rhs.is_empty() || lhs.ptr_eq(rhs) {
             return Ok(Value::Set(lhs.clone()));
@@ -408,32 +511,50 @@ impl Value {
                 std::cmp::Ordering::Equal => r.next().and(l.next()),
             },
             _ => l.next().or_else(|| r.next()),
-        });
-        Ok(Value::set(merged.cloned()))
+        })
+        // at most |lhs| + |rhs| members: saying so sizes the first chunk
+        .take(lhs.len() + rhs.len());
+        Ok(Value::Set(SetValue::from_sorted(merged.cloned())))
     }
 
-    /// Set difference (errors if either value is not a set).
+    /// Set difference (errors if either value is not a set): one ordered
+    /// walk of the left side against a cursor over the right, then a bulk
+    /// build.
     pub fn difference(&self, other: &Value) -> Result<Value, ValueError> {
-        let rhs = other.as_set()?;
-        let s = self
-            .as_set()?
-            .iter()
-            .filter(|v| !rhs.contains(*v))
-            .cloned()
-            .collect();
-        Ok(Value::from_set(s))
+        let (lhs, rhs) = (self.as_set()?, other.as_set()?);
+        if lhs.is_empty() || rhs.is_empty() {
+            return Ok(Value::Set(lhs.clone()));
+        }
+        if lhs.ptr_eq(rhs) {
+            return Ok(Value::empty_set());
+        }
+        let mut probe = rhs.cursor();
+        let kept = lhs.iter().filter(|x| {
+            probe.seek(x);
+            probe.peek() != Some(*x)
+        });
+        Ok(Value::Set(SetValue::from_sorted(kept.cloned())))
     }
 
-    /// Set intersection (errors if either value is not a set).
+    /// Set intersection (errors if either value is not a set): the smaller
+    /// side walked in order against a cursor over the larger, then a bulk
+    /// build.
     pub fn intersection(&self, other: &Value) -> Result<Value, ValueError> {
-        let rhs = other.as_set()?;
-        let s = self
-            .as_set()?
-            .iter()
-            .filter(|v| rhs.contains(*v))
-            .cloned()
-            .collect();
-        Ok(Value::from_set(s))
+        let (lhs, rhs) = (self.as_set()?, other.as_set()?);
+        if lhs.ptr_eq(rhs) {
+            return Ok(Value::Set(lhs.clone()));
+        }
+        let (small, large) = if lhs.len() <= rhs.len() {
+            (lhs, rhs)
+        } else {
+            (rhs, lhs)
+        };
+        let mut probe = large.cursor();
+        let kept = small.iter().filter(|x| {
+            probe.seek(x);
+            probe.peek() == Some(*x)
+        });
+        Ok(Value::Set(SetValue::from_sorted(kept.cloned())))
     }
 
     /// The number of values [`Value::enumerate`] would produce for this type
@@ -633,27 +754,59 @@ mod tests {
     }
 
     #[test]
-    fn make_mut_copies_on_write_and_invalidates_the_hash() {
+    fn insert_copies_on_write_and_updates_the_hash() {
         let mut a = Value::set([Value::atom(1), Value::atom(2)])
-            .as_set_value()
+            .as_set()
             .unwrap()
             .clone();
         let warm = a.hash64();
         let shared = a.clone();
         // mutating through the shared handle leaves the sibling untouched
-        a.make_mut().insert(Value::atom(3));
+        assert!(a.insert(Value::atom(3)));
+        assert!(!a.insert(Value::atom(3)), "already present");
         assert_eq!(a.len(), 3);
         assert_eq!(shared.len(), 2);
+        assert!(!a.ptr_eq(&shared));
         assert_eq!(shared.hash64(), warm, "sibling keeps its cached hash");
-        assert_ne!(a.hash64(), warm, "mutated set recomputes its hash");
+        assert_ne!(a.hash64(), warm, "the edited set carries its own hash");
+        assert_eq!(
+            a.hash64(),
+            Value::set([Value::atom(3), Value::atom(2), Value::atom(1)])
+                .as_set()
+                .unwrap()
+                .hash64(),
+            "the incrementally kept hash is the from-scratch one"
+        );
         // sole-owner mutation is in place (no observable copy, same contract)
         drop(shared);
-        a.make_mut().remove(&Value::atom(3));
+        assert!(a.remove(&Value::atom(3)));
+        assert!(!a.remove(&Value::atom(3)), "already absent");
+        assert_eq!(a.hash64(), warm, "removal restores the hash exactly");
         assert_eq!(
             Value::Set(a),
             Value::set([Value::atom(1), Value::atom(2)]),
             "canonical equality after in-place edits"
         );
+    }
+
+    #[test]
+    fn empty_sets_and_booleans_share_one_representation() {
+        // the empty set is a null handle: every empty is pointer-equal to
+        // every other, so none of them allocated a node
+        let empties = [
+            SetValue::empty(),
+            Value::empty_set().as_set().unwrap().clone(),
+            Value::bool_false().as_set().unwrap().clone(),
+            Value::set([]).as_set().unwrap().clone(),
+        ];
+        for e in &empties {
+            assert!(e.ptr_eq(&empties[0]));
+            assert_eq!(e.hash64(), 0);
+        }
+        // `true` is one shared node
+        let (t1, t2) = (Value::bool_true(), Value::bool_true());
+        assert!(t1.as_set().unwrap().ptr_eq(t2.as_set().unwrap()));
+        assert_eq!(t1, Value::set([Value::Unit]));
     }
 
     #[test]

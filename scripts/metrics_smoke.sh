@@ -68,7 +68,7 @@ check "snapshot JSON parses with metrics" $?
 
 for family in prover.goals_total synth.runs_total ivm.applies_total \
     serve.flushes_total serve.dropped_batches_total serve.queue_depth \
-    serve.flush_seconds; do
+    serve.flush_seconds serve.visible_seconds; do
     jq -e --arg n "$family" '.metrics | any(.name == $n)' \
         <<<"$snapshot" >/dev/null 2>&1
     check "snapshot reports $family" $?
@@ -94,7 +94,8 @@ check "every exposition line is well-formed" $?
 
 for family in nrs_prover_goals_total nrs_synth_runs_total \
     nrs_ivm_applies_total nrs_serve_flushes_total \
-    nrs_serve_dropped_batches_total nrs_serve_queue_depth; do
+    nrs_serve_dropped_batches_total nrs_serve_queue_depth \
+    nrs_serve_visible_seconds; do
     grep -q "^# TYPE $family " "$prom"
     check "exposition carries $family" $?
 done
