@@ -269,7 +269,7 @@ impl MaintainedWorkload {
     /// the exact per-query answer deltas (empty deltas included, so the
     /// result always has one entry per query, in workload order).
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<AnswerDeltas, SynthesisError> {
-        self.apply_inner(batch).map_err(|(_, e)| e.into())
+        self.apply_inner(batch, true).map_err(|(_, e)| e.into())
     }
 
     /// The shared propagation step: the batch is normalized against and
@@ -278,36 +278,44 @@ impl MaintainedWorkload {
     /// instance; every answer is delta-fed from the combined view + shared
     /// batch.  A failure names the stage it came from (`None`: the batch
     /// itself was rejected).
+    ///
+    /// With `in_place`, each stage's output is unbound from the view
+    /// instance while the stage propagates (no stage reads its own name):
+    /// unless some clone of the workload holds it too, the stage then owns
+    /// it alone and edits it in place.  The transactional applies pass
+    /// `false` — their rollback clone holds every output, so unbinding
+    /// would save nothing — and an output the stage left unchanged then
+    /// keeps its binding.
     fn apply_inner(
         &mut self,
         batch: &UpdateBatch,
+        in_place: bool,
     ) -> Result<AnswerDeltas, (Option<FailLoc>, IvmError)> {
         let (shared_ctr, applies_ctr) = workload_obs();
         let exact = batch.normalize_against(&self.base).map_err(|e| (None, e))?;
         exact.apply_mut(&mut self.base).map_err(|e| (None, e))?;
         let mut view_batch = UpdateBatch::new();
         for (i, stage) in self.stages.iter_mut().enumerate() {
-            let delta = stage
-                .plan
-                .propagate(&self.base, &exact)
-                .map_err(|e| (Some(FailLoc::Stage(i)), e))?;
-            share_output(
-                &mut self.views,
-                stage.name,
-                stage.plan.value(&self.base).clone(),
-            );
+            if in_place {
+                self.views.unbind(&stage.name);
+            }
+            let delta = stage.plan.propagate(&self.base, &exact);
+            let out = stage.plan.value(&self.base).clone();
+            share_output(&mut self.views, stage.name, out);
+            let delta = delta.map_err(|e| (Some(FailLoc::Stage(i)), e))?;
             if !delta.is_empty() {
                 view_batch.push_delta(stage.name, delta);
             }
         }
         let mut combined = view_batch.clone();
         for (i, stage) in self.shared.iter_mut().enumerate() {
-            let delta = stage
-                .plan
-                .propagate(&self.views, &view_batch)
-                .map_err(|e| (Some(FailLoc::Shared(i)), e))?;
+            if in_place {
+                self.views.unbind(&stage.name);
+            }
+            let delta = stage.plan.propagate(&self.views, &view_batch);
             let out = stage.plan.value(&self.views).clone();
             share_output(&mut self.views, stage.name, out);
+            let delta = delta.map_err(|e| (Some(FailLoc::Shared(i)), e))?;
             if !delta.is_empty() {
                 combined.push_delta(stage.name, delta);
             }
@@ -341,7 +349,7 @@ impl MaintainedWorkload {
         batch: &UpdateBatch,
     ) -> Result<AnswerDeltas, SynthesisError> {
         let before = self.clone();
-        self.apply_inner(batch).map_err(|(_, e)| {
+        self.apply_inner(batch, false).map_err(|(_, e)| {
             *self = before;
             e.into()
         })
@@ -360,7 +368,7 @@ impl MaintainedWorkload {
         let mut degraded = Vec::new();
         loop {
             let before = self.clone();
-            let (loc, e) = match self.apply_inner(batch) {
+            let (loc, e) = match self.apply_inner(batch, false) {
                 Ok(d) => return Ok((d, degraded)),
                 Err(failure) => failure,
             };

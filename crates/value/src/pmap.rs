@@ -579,17 +579,22 @@ impl<'a, K, V> Walk<'a, K, V> {
         }
     }
 
-    /// Skip forward to the first entry whose key is `>= key`.  Targets must
-    /// not decrease between calls (a smaller one leaves the cursor where it
-    /// is).  A merge walk mostly moves a step or two, so the next few
-    /// entries are tried first; then a binary search of the current chunk;
-    /// past it, one descent from the root.
+    /// Skip forward to the first entry whose key is `>= key`.  The cursor
+    /// never moves backwards: a key at or below the current entry leaves
+    /// it where it is.  A merge walk mostly moves a step or two, so the
+    /// next few entries are tried first; then a binary search of the
+    /// current chunk; past it, one descent from the root.
     pub fn seek<Q>(&mut self, key: &Q)
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
         const NEAR: usize = 4;
+        // Stand on an entry first, so a drained chunk is never mistaken
+        // for "the target lies past it" and re-descended to from the root.
+        if self.peek().is_none() {
+            return;
+        }
         let rest = self.leaf.as_slice();
         if let Some(i) = rest.iter().take(NEAR).position(|(k, _)| k.borrow() >= key) {
             self.leaf = rest[i..].iter();
@@ -601,6 +606,8 @@ impl<'a, K, V> Walk<'a, K, V> {
                 self.leaf = rest[skip..].iter();
             }
             _ => {
+                // every entry left in the chunk is below the target, so
+                // the first one at or after it lies in a later chunk
                 let Some(root) = self.root else { return };
                 self.depth = 0;
                 self.descend(root, |keys| child_of(keys, key));
@@ -911,6 +918,37 @@ mod tests {
             assert_eq!(m.len(), n as usize);
             assert!(m.iter().map(|(k, _)| *k).eq(0..n));
         }
+    }
+
+    #[test]
+    fn seeks_never_move_a_cursor_backwards() {
+        // even keys only, so an odd target can fall between two chunks
+        let m: PMap<u64, ()> = PMap::from_sorted((0..2000).map(|i| (2 * i, ())));
+        // drain the first chunk with `next`: the walk still stands in it
+        let mut walk = m.walk();
+        let last = loop {
+            let (k, _) = walk.next().unwrap();
+            if walk.leaf.as_slice().is_empty() {
+                break *k;
+            }
+        };
+        walk.seek(&0);
+        assert_eq!(walk.peek().map(|(k, _)| *k), Some(last + 2));
+        walk.seek(&last);
+        assert_eq!(walk.next().map(|(k, _)| *k), Some(last + 2));
+        // a seek into the gap after a later chunk lands at that chunk's end
+        let mut walk = m.walk();
+        walk.seek(&(last + 2));
+        let gap = walk.leaf.as_slice().last().unwrap().0 + 1;
+        let mut walk = m.walk();
+        walk.seek(&gap);
+        walk.seek(&0);
+        assert_eq!(walk.peek().map(|(k, _)| *k), Some(gap + 1));
+        // at the end it stays at the end
+        walk.seek(&u64::MAX);
+        assert!(walk.peek().is_none());
+        walk.seek(&0);
+        assert!(walk.next().is_none());
     }
 
     #[test]

@@ -105,13 +105,12 @@ impl SetValue {
 
     /// Drop a member; `false` (and nothing copied) if it was absent.
     pub fn remove(&mut self, v: &Value) -> bool {
-        if !self.contains(v) {
+        let hash = self.known_hash();
+        if self.0.remove(v).is_none() {
             return false;
         }
-        let hash = self.known_hash().map(|h| h ^ member_hash(v));
-        self.0.remove(v);
         if let Some(h) = hash {
-            self.0.set_hash(h);
+            self.0.set_hash(h ^ member_hash(v));
         }
         true
     }
@@ -175,7 +174,8 @@ impl ExactSizeIterator for Iter<'_> {}
 pub struct Cursor<'a>(pmap::Walk<'a, Value, ()>);
 
 impl<'a> Cursor<'a> {
-    /// Skip to the first member `>= v` (targets must not decrease).
+    /// Skip forward to the first member `>= v`; a `v` at or below the
+    /// current member leaves the cursor where it is.
     pub fn seek(&mut self, v: &Value) {
         self.0.seek(v);
     }

@@ -3,23 +3,23 @@
 # maintained update (ivm_single), a served update round (serve_update) and
 # a snapshot read (snapshot_read) — must stay flat.  For each, fit the
 # log-log slope of min_ns against the base size over every size the summary
-# holds (least squares), and fail when it exceeds the limit.  A point gate
-# at one size cannot see an O(|S|) cost; a slope can: linear growth reads
-# about 1.0, a per-update copy of the served sets about 0.8-0.9 between 10^3
-# and 10^4, a flat path about 0.
+# holds (least squares), and fail when it exceeds 0.3.  A point gate at
+# one size cannot see an O(|S|) cost; a slope can: linear growth reads
+# about 1.0, a per-update copy of the served sets about 0.8-0.9 between
+# 10^3 and 10^4, a flat path about 0.
 #
 # Usage:
-#   scripts/slope_check.sh <summary.json> [limit]
+#   scripts/slope_check.sh <summary.json>
 #
-# Default limit: 0.3.  The summary must hold each bench at two or more
-# sizes (`scripts/bench.sh --fast` measures them at 10^3 and 10^4);
-# summaries are the one-bench-per-line JSON emitted by scripts/bench.sh.
+# The summary must hold each bench at two or more sizes
+# (`scripts/bench.sh --fast` measures them at 10^3 and 10^4); summaries
+# are the one-bench-per-line JSON emitted by scripts/bench.sh.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-summary="${1:?usage: scripts/slope_check.sh <summary.json> [limit]}"
-limit="${2:-0.3}"
+summary="${1:?usage: scripts/slope_check.sh <summary.json>}"
+limit=0.3
 
 if [ ! -r "$summary" ]; then
     echo "slope_check: summary file '$summary' does not exist or is unreadable" >&2
