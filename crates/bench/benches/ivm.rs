@@ -39,27 +39,34 @@ fn bench_ivm(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3));
     // Fast mode measures every bench at 10³ and the flat-by-design
     // `ivm_single` at 10⁴ too, so `scripts/slope_check.sh` can fit its
-    // scaling slope.
+    // scaling slope.  Both sizes are built first and `ivm_single` runs at
+    // them back to back: the two points of the slope are then measured
+    // seconds apart, not with the other 10³ benches in between.
     let fast = std::env::var_os("NRS_BENCH_FAST").is_some();
-    for size in [1_000, 10_000] {
-        let full_point = !fast || size == 1_000;
-        let base = partition_instance(size, 42);
-        let views = problem.materialize_views(&base).unwrap();
+    let mut points: Vec<_> = [1_000, 10_000]
+        .into_iter()
+        .map(|size| {
+            let base = partition_instance(size, 42);
+            let views = problem.materialize_views(&base).unwrap();
+            let maintained = MaintainedWorkload::new(&rewriting, &base).expect("materialize");
+            assert_eq!(
+                maintained.answers()[0].1,
+                &definition.evaluate(&views).unwrap(),
+                "maintained pipeline starts consistent"
+            );
+            // Tuples outside the generated universe (atoms < 2·size), so
+            // the alternating insert/delete batches below always take
+            // effect.
+            let fresh: Vec<Value> = (0..(size / 100).max(1))
+                .map(|i| Value::atom((3 * size + 17 + i) as u64))
+                .collect();
+            (size, base, views, maintained, fresh)
+        })
+        .collect();
 
-        let mut maintained = MaintainedWorkload::new(&rewriting, &base).expect("materialize");
-        assert_eq!(
-            maintained.answers()[0].1,
-            &definition.evaluate(&views).unwrap(),
-            "maintained pipeline starts consistent"
-        );
-        // Tuples outside the generated universe (atoms < 2·size), so the
-        // alternating insert/delete batches below always take effect.
-        let fresh: Vec<Value> = (0..(size / 100).max(1))
-            .map(|i| Value::atom((3 * size + 17 + i) as u64))
-            .collect();
-
+    for (size, _, _, maintained, fresh) in &mut points {
         let mut present = false;
-        group.bench_with_input(BenchmarkId::new("ivm_single", size), &size, |b, _| {
+        group.bench_with_input(BenchmarkId::new("ivm_single", *size), size, |b, _| {
             b.iter(|| {
                 let mut batch = UpdateBatch::new();
                 if present {
@@ -76,12 +83,14 @@ fn bench_ivm(c: &mut Criterion) {
             let mut batch = UpdateBatch::new();
             batch.delete("S", fresh[0].clone());
             maintained.apply(&batch).unwrap();
-            present = false;
         }
-        if !full_point {
+    }
+
+    for (size, base, views, mut maintained, fresh) in points {
+        if fast && size != 1_000 {
             continue;
         }
-
+        let mut present = false;
         group.bench_with_input(BenchmarkId::new("ivm_batch_1pct", size), &size, |b, _| {
             b.iter(|| {
                 let mut batch = UpdateBatch::new();

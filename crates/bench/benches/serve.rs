@@ -81,40 +81,53 @@ fn bench_serve(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3));
     // Fast mode measures every bench at 10³ and the flat-by-design
     // `serve_update` and `snapshot_read` at 10⁴ too, so
-    // `scripts/slope_check.sh` can fit their scaling slopes.
+    // `scripts/slope_check.sh` can fit their scaling slopes.  Every size's
+    // server is built first and each of the two runs at all sizes back to
+    // back: the points of one slope are then measured seconds apart, not
+    // with the other benches of a size in between.
     let fast = std::env::var_os("NRS_BENCH_FAST").is_some();
     let sizes: &[usize] = if fast {
         &[1_000, 10_000]
     } else {
         &[1_000, 10_000, 100_000, 1_000_000]
     };
-    for &size in sizes {
-        let full_point = !fast || size == 1_000;
-        let base = partition_instance(size, 42);
-        let server = ViewServer::builder()
-            .serve_workload(&rewriting, &base)
-            .expect("server");
+    let mut points: Vec<_> = sizes
+        .iter()
+        .map(|&size| {
+            let base = partition_instance(size, 42);
+            let server = ViewServer::builder()
+                .serve_workload(&rewriting, &base)
+                .expect("server");
+            // Warm the maintenance operators before measuring: the harness
+            // calibrates its iteration count from the first call, and a
+            // cold first round would pin every sample at the cold cost.
+            let mut present = false;
+            for _ in 0..8 {
+                server.apply(&toggle_batch(size, present)).unwrap();
+                present = !present;
+            }
+            (size, base, server, present)
+        })
+        .collect();
 
-        // Warm the maintenance operators before measuring: the harness
-        // calibrates its iteration count from the first call, and a cold
-        // first round would pin every sample at the cold cost.
-        let mut present = false;
-        for _ in 0..8 {
-            server.apply(&toggle_batch(size, present)).unwrap();
-            present = !present;
-        }
+    for (size, _, server, present) in &mut points {
+        let size = *size;
         group.bench_with_input(BenchmarkId::new("serve_update", size), &size, |b, _| {
             b.iter(|| {
-                let report = server.apply(&toggle_batch(size, present)).unwrap();
-                present = !present;
+                let report = server.apply(&toggle_batch(size, *present)).unwrap();
+                *present = !*present;
                 report.snapshot.epoch
             })
         });
-
-        group.bench_with_input(BenchmarkId::new("snapshot_read", size), &size, |b, _| {
+    }
+    for (size, _, server, _) in &points {
+        group.bench_with_input(BenchmarkId::new("snapshot_read", *size), size, |b, _| {
             b.iter(|| server.snapshot().epoch)
         });
-        if !full_point {
+    }
+
+    for (size, base, server, mut present) in points {
+        if fast && size != 1_000 {
             continue;
         }
 

@@ -64,6 +64,8 @@ struct ObsMetrics {
     entries: std::sync::Arc<nrs_obs::Counter>,
     shared_goals_dedup: std::sync::Arc<nrs_obs::Counter>,
     shared_views: std::sync::Arc<nrs_obs::Counter>,
+    interpolations: std::sync::Arc<nrs_obs::Counter>,
+    interpolants_reused: std::sync::Arc<nrs_obs::Counter>,
 }
 
 fn obs() -> &'static ObsMetrics {
@@ -75,6 +77,8 @@ fn obs() -> &'static ObsMetrics {
             entries: r.counter("synth.workload_entries_total"),
             shared_goals_dedup: r.counter("synth.shared_goals_dedup"),
             shared_views: r.counter("synth.workload_shared_views_total"),
+            interpolations: r.counter("synth.interpolations_total"),
+            interpolants_reused: r.counter("synth.interpolants_reused_total"),
         }
     })
 }
@@ -149,6 +153,11 @@ pub struct WorkloadReport {
     /// Entries synthesized through the single-spec fallback path (product
     /// outputs, whose component recursion cannot be pre-walked).
     pub fallback_entries: usize,
+    /// Interpolants the assembly phase asked for, reused ones included.
+    pub interpolations: usize,
+    /// Interpolants answered from an earlier entry that split the same
+    /// deduplicated proof the same way, instead of interpolating again.
+    pub interpolants_reused: usize,
     /// The merged [`SynthesisReport`] across every entry: unique goals are
     /// counted once (attributed to the entry that first recorded them), so
     /// `synthesis.states_visited` is the true total prover work of the run —
@@ -329,7 +338,8 @@ fn synthesize_workload_inner(
     drop(prove_span);
 
     // ---- assembly phase: replay each entry over the shared proof vector ----
-    let assemble_span = nrs_obs::span("synth.workload.assemble").with("proofs", proofs.len());
+    let mut assemble_span = nrs_obs::span("synth.workload.assemble").with("proofs", proofs.len());
+    let mut interpolants = Interpolants::default();
     let mut definitions = Vec::with_capacity(plans.len());
     let mut aggregate = SynthesisReport::default();
     let mut fallback_entries = 0usize;
@@ -343,10 +353,21 @@ fn synthesize_workload_inner(
                 &mut plan.report,
             );
         }
-        let def = assemble_entry(plan, &proofs, cfg, session, &mut fallback_entries)?;
+        let def = assemble_entry(
+            plan,
+            &proofs,
+            &mut interpolants,
+            cfg,
+            session,
+            &mut fallback_entries,
+        )?;
         merge_report(&mut aggregate, def.1.report.clone());
         definitions.push(def);
     }
+    m.interpolations.add(interpolants.requested as u64);
+    m.interpolants_reused.add(interpolants.reused as u64);
+    assemble_span.record("interpolations", interpolants.requested);
+    assemble_span.record("interpolants_reused", interpolants.reused);
     drop(assemble_span);
 
     // ---- shared view set across the simplified rewritings ----
@@ -369,6 +390,8 @@ fn synthesize_workload_inner(
             goals_recorded,
             shared_goals_dedup,
             fallback_entries,
+            interpolations: interpolants.requested,
+            interpolants_reused: interpolants.reused,
             synthesis: aggregate,
         },
     })
@@ -544,11 +567,49 @@ fn plan_entry(
     })
 }
 
+/// The interpolants of one workload's assembly, keyed by (proof index,
+/// partition).  Entries whose goals deduplicated onto one proof usually
+/// split it the same way too, and then share one interpolation: the
+/// interpolant is a function of the proof and the partition alone.
+#[derive(Default)]
+struct Interpolants {
+    computed: Vec<(usize, Partition, Formula)>,
+    /// Interpolants asked for, reused ones included.
+    requested: usize,
+    /// Interpolants answered from `computed`.
+    reused: usize,
+}
+
+impl Interpolants {
+    /// The interpolant of `proofs[idx]` under `partition`, computed on first
+    /// request.
+    fn get(
+        &mut self,
+        proofs: &[nrs_proof::Proof],
+        idx: usize,
+        partition: Partition,
+    ) -> Result<Formula, SynthesisError> {
+        self.requested += 1;
+        if let Some((.., kappa)) = self
+            .computed
+            .iter()
+            .find(|(i, p, _)| *i == idx && *p == partition)
+        {
+            self.reused += 1;
+            return Ok(kappa.clone());
+        }
+        let kappa = interpolate(&proofs[idx], &partition)?;
+        self.computed.push((idx, partition, kappa.clone()));
+        Ok(kappa)
+    }
+}
+
 /// The assembly phase of one entry: replay the plan over the shared proof
 /// vector, mirroring the single-spec `synth_output` assembly.
 fn assemble_entry(
     plan: EntryPlan,
     proofs: &[nrs_proof::Proof],
+    interpolants: &mut Interpolants,
     cfg: &SynthesisConfig,
     session: &ProverSession,
     fallback_entries: &mut usize,
@@ -567,7 +628,7 @@ fn assemble_entry(
         OutputShape::Unit => Expr::Unit,
         OutputShape::Ur { goal_idx } => {
             let partition = Partition::with_left([], [ctx.phi.negate()]);
-            let kappa = interpolate(&proofs[goal_idx], &partition)?;
+            let kappa = interpolants.get(proofs, goal_idx, partition)?;
             report.notes.push(format!("Ur-output interpolant: {kappa}"));
             let atoms = nrc_macros::atoms_of_inputs(&ctx.inputs, &mut gen);
             let filtered =
@@ -584,7 +645,7 @@ fn assemble_entry(
         } => {
             let superset = assemble_collect(&ctx, &plan, proofs, &mut gen, &mut report)?;
             let partition = Partition::with_left(ctx_atoms.iter().cloned(), [ctx.phi.negate()]);
-            let kappa = interpolate(&proofs[mem_idx], &partition)?;
+            let kappa = interpolants.get(proofs, mem_idx, partition)?;
             report
                 .notes
                 .push(format!("membership interpolant: {kappa}"));
@@ -1101,6 +1162,9 @@ mod tests {
             "identical specs share goals: {:?}",
             wl.report()
         );
+        // ... and Q3 reuses Q0's membership interpolant
+        assert_eq!(wl.report().interpolations, 4);
+        assert_eq!(wl.report().interpolants_reused, 1);
         // the rewritings mention only view names
         for (name, def) in wl.queries() {
             for v in def.expr().free_vars() {

@@ -106,9 +106,17 @@ impl InContext {
 
     /// A copy of this context extended with one atom.
     pub fn with(&self, atom: MemAtom) -> InContext {
-        let mut out = self.clone();
-        out.insert(atom);
-        out
+        if self.contains(&atom) {
+            return self.clone();
+        }
+        // one allocation of the final size: `insert` on a shared copy would
+        // clone the atoms and then grow the clone to double capacity
+        let mut atoms = Vec::with_capacity(self.atoms.len() + 1);
+        atoms.extend_from_slice(&self.atoms);
+        atoms.push(atom);
+        InContext {
+            atoms: std::sync::Arc::new(atoms),
+        }
     }
 
     /// Does the context contain the atom?

@@ -277,6 +277,34 @@ impl Formula {
         (*self.free_vars_arc()).clone()
     }
 
+    /// Visit the free variables of the formula without building a set:
+    /// literals visit their terms ([`Term::for_each_free_var`]), compound
+    /// formulas read their children's cached sets.  A name free in two
+    /// children is visited once per child.
+    pub fn for_each_free_var(&self, f: &mut impl FnMut(&Name)) {
+        match self {
+            Formula::EqUr(t, u)
+            | Formula::NeqUr(t, u)
+            | Formula::Mem(t, u)
+            | Formula::NotMem(t, u) => {
+                t.for_each_free_var(f);
+                u.for_each_free_var(f);
+            }
+            Formula::True | Formula::False => {}
+            Formula::And(a, b) | Formula::Or(a, b) => {
+                a.free_vars_set().iter().for_each(&mut *f);
+                b.free_vars_set().iter().for_each(f);
+            }
+            Formula::Forall { var, bound, body } | Formula::Exists { var, bound, body } => {
+                bound.for_each_free_var(f);
+                body.free_vars_set()
+                    .iter()
+                    .filter(|v| *v != var)
+                    .for_each(f);
+            }
+        }
+    }
+
     /// Capture-avoiding substitution of a term for a free variable.  Subtrees
     /// that do not mention the variable are returned as-is, shared.
     pub fn subst_var(&self, var: &Name, replacement: &Term) -> Formula {
@@ -593,6 +621,24 @@ mod tests {
         // a free occurrence of a name that is bound elsewhere still shows up
         let g = Formula::and(Formula::eq_ur("v", "v"), sample());
         assert!(g.free_vars().contains(&Name::new("v")));
+    }
+
+    #[test]
+    fn visiting_free_vars_agrees_with_the_set() {
+        let g = Formula::and(Formula::eq_ur("v", "w"), sample());
+        for f in [
+            sample(),
+            g.clone(),
+            g.negate(),
+            Formula::True,
+            Formula::neq_ur("x", "x"),
+        ] {
+            let mut seen = BTreeSet::new();
+            f.for_each_free_var(&mut |v| {
+                seen.insert(*v);
+            });
+            assert_eq!(seen, f.free_vars(), "{f}");
+        }
     }
 
     #[test]

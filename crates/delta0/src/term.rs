@@ -110,6 +110,45 @@ impl Term {
         (*self.free_vars_arc()).clone()
     }
 
+    /// Visit the free variables of the term without building a set: a bare
+    /// variable is visited directly, compound terms read their children's
+    /// cached sets.  A name shared by both sides of a pair is visited twice.
+    pub fn for_each_free_var(&self, f: &mut impl FnMut(&Name)) {
+        match self {
+            Term::Var(n) => f(n),
+            Term::Unit => {}
+            Term::Pair(a, b) => {
+                a.free_vars_set().iter().for_each(&mut *f);
+                b.free_vars_set().iter().for_each(f);
+            }
+            Term::Proj1(t) | Term::Proj2(t) => t.free_vars_set().iter().for_each(f),
+        }
+    }
+
+    /// Is the term ground (free of variables)?  Allocation-free.
+    pub fn is_ground(&self) -> bool {
+        match self {
+            Term::Var(_) => false,
+            Term::Unit => true,
+            Term::Pair(a, b) => a.free_vars_set().is_empty() && b.free_vars_set().is_empty(),
+            Term::Proj1(t) | Term::Proj2(t) => t.free_vars_set().is_empty(),
+        }
+    }
+
+    /// The smallest free variable of the term (the first of
+    /// [`Term::free_vars`]), without building a set.
+    pub fn first_free_var(&self) -> Option<Name> {
+        match self {
+            Term::Var(n) => Some(*n),
+            Term::Unit => None,
+            Term::Pair(a, b) => {
+                let (a, b) = (a.free_vars_set().first(), b.free_vars_set().first());
+                a.into_iter().chain(b).min().copied()
+            }
+            Term::Proj1(t) | Term::Proj2(t) => t.free_vars_set().first().copied(),
+        }
+    }
+
     /// Does the variable occur in this term?
     pub fn mentions(&self, var: &Name) -> bool {
         match self {
@@ -264,6 +303,26 @@ mod tests {
         assert_eq!(fv, vec!["b".to_string(), "c".to_string()]);
         assert!(t.mentions(&Name::new("b")));
         assert!(!t.mentions(&Name::new("z")));
+    }
+
+    #[test]
+    fn free_var_readers_agree_with_the_set() {
+        for t in [
+            Term::Unit,
+            Term::var("x"),
+            Term::pair(Term::proj1(Term::var("c")), Term::var("b")),
+            Term::pair(Term::var("a"), Term::proj2(Term::var("a"))),
+            Term::pair(Term::Unit, Term::Unit),
+            Term::proj1(Term::pair(Term::var("y"), Term::Unit)),
+        ] {
+            let mut seen = BTreeSet::new();
+            t.for_each_free_var(&mut |v| {
+                seen.insert(*v);
+            });
+            assert_eq!(seen, t.free_vars(), "{t}");
+            assert_eq!(t.first_free_var(), t.free_vars().first().copied(), "{t}");
+            assert_eq!(t.is_ground(), t.free_vars().is_empty(), "{t}");
+        }
     }
 
     #[test]

@@ -107,42 +107,47 @@ impl Partition {
         }
     }
 
-    /// The free variables of one side of `seq`, assembled from the formulas'
-    /// cached free-variable sets (no tree traversal, no intermediate set
-    /// clones).
-    fn side_vars(&self, seq: &Sequent, side: Side) -> BTreeSet<Name> {
-        let mut out = BTreeSet::new();
+    /// The free variables of the left and of the right part of `seq`, read
+    /// off the terms and the formulas' cached free-variable sets in one pass
+    /// (no per-formula set is built).
+    fn side_vars(&self, seq: &Sequent) -> [BTreeSet<Name>; 2] {
+        let mut out = [BTreeSet::new(), BTreeSet::new()];
+        let slot = |side: Side| usize::from(side == Side::Right);
         for a in seq.ctx.iter() {
-            if self.atom_side(a) == side {
-                out.extend(a.elem.free_vars_arc().iter().copied());
-                out.extend(a.set.free_vars_arc().iter().copied());
-            }
+            let vars = &mut out[slot(self.atom_side(a))];
+            let mut add = |v: &Name| {
+                vars.insert(*v);
+            };
+            a.elem.for_each_free_var(&mut add);
+            a.set.for_each_free_var(&mut add);
         }
         for f in seq.rhs() {
-            if self.formula_side(f) == side {
-                out.extend(f.free_vars_arc().iter().copied());
-            }
+            let vars = &mut out[slot(self.formula_side(f))];
+            f.for_each_free_var(&mut |v| {
+                vars.insert(*v);
+            });
         }
         out
     }
 
     /// The free variables of the left part of `seq`.
     pub fn left_vars(&self, seq: &Sequent) -> BTreeSet<Name> {
-        self.side_vars(seq, Side::Left)
+        let [left, _] = self.side_vars(seq);
+        left
     }
 
     /// The free variables of the right part of `seq`.
     pub fn right_vars(&self, seq: &Sequent) -> BTreeSet<Name> {
-        self.side_vars(seq, Side::Right)
+        let [_, right] = self.side_vars(seq);
+        right
     }
 
     /// The variables common to the two parts of `seq` — the vocabulary an
     /// interpolant is allowed to use.
     pub fn common_vars(&self, seq: &Sequent) -> BTreeSet<Name> {
-        self.left_vars(seq)
-            .intersection(&self.right_vars(seq))
-            .cloned()
-            .collect()
+        let [mut left, right] = self.side_vars(seq);
+        left.retain(|v| right.contains(v));
+        left
     }
 
     /// The left formulas of `seq`, in order.
@@ -214,27 +219,33 @@ impl Partition {
                     out.assign_formula(f.replace_term(&redex, &reduct), self.formula_side(f));
                 }
             }
+            // Only left marks are stored, and `out` starts empty, so the
+            // right items need no work here or below: assigning one Right
+            // would remove a mark that is not there.
             _ => {
-                for a in conclusion.ctx.iter() {
-                    out.assign_atom(a.clone(), self.atom_side(a));
+                for a in &self.left_atoms {
+                    if conclusion.ctx.contains(a) {
+                        out.left_atoms.insert(a.clone());
+                    }
                 }
-                for f in conclusion.rhs() {
-                    if premise.contains(f) {
-                        out.assign_formula(f.clone(), self.formula_side(f));
+                for f in &self.left_formulas {
+                    if conclusion.contains(f) && premise.contains(f) {
+                        out.left_formulas.insert(f.clone());
                     }
                 }
             }
         }
         // new material inherits the principal side (default Right when no principal)
-        let side = principal_side.unwrap_or(Side::Right);
-        for a in premise.ctx.iter() {
-            if !conclusion.ctx.contains(a) && !out.left_atoms.contains(a) {
-                out.assign_atom(a.clone(), side);
+        if principal_side == Some(Side::Left) {
+            for a in premise.ctx.iter() {
+                if !conclusion.ctx.contains(a) {
+                    out.left_atoms.insert(a.clone());
+                }
             }
-        }
-        for f in premise.rhs() {
-            if !conclusion.contains(f) && !out.left_formulas.contains(f) {
-                out.assign_formula(f.clone(), side);
+            for f in premise.rhs() {
+                if !conclusion.contains(f) {
+                    out.left_formulas.insert(f.clone());
+                }
             }
         }
         out

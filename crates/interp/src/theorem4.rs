@@ -107,11 +107,11 @@ fn extract(proof: &Proof, partition: &Partition) -> Result<Formula, Interpolatio
             };
             let ineq_side = partition.formula_side(ineq);
             let atom_side = partition.formula_side(atom);
-            let common = partition.common_vars(seq);
             if ineq_side == atom_side {
                 // the rewritten atom stays within one side: nothing to repair
                 return Ok(inner);
             }
+            let common = partition.common_vars(seq);
             // mixed sides (appendix E, ≠ cases): the rewritten atom crosses the
             // partition, so the equation `t = u` itself becomes part of the
             // interpolant, unless `u` is not common, in which case occurrences

@@ -278,29 +278,31 @@ impl Rule {
         let out = match self {
             Rule::EqRefl { .. } | Rule::Top => vec![],
             Rule::Neq { rewritten, .. } => vec![conclusion.with_formula(rewritten.clone())],
+            // Each premise edits an owned copy in place: chaining the
+            // copying `with_*` builders would copy the side once per step.
             Rule::And { conj } => match conj {
                 Formula::And(a, b) => {
-                    let base = conclusion.without_formula(conj);
-                    vec![
-                        base.with_formula((**a).clone()),
-                        base.with_formula((**b).clone()),
-                    ]
+                    let mut second = conclusion.without_formula(conj);
+                    let first = second.with_formula((**a).clone());
+                    second.insert((**b).clone());
+                    vec![first, second]
                 }
                 _ => unreachable!("∧ rule with a non-conjunction principal"),
             },
             Rule::Or { disj } => match disj {
-                Formula::Or(a, b) => vec![conclusion
-                    .without_formula(disj)
-                    .with_formula((**a).clone())
-                    .with_formula((**b).clone())],
+                Formula::Or(a, b) => {
+                    let mut premise = conclusion.without_formula(disj);
+                    premise.insert((**a).clone());
+                    premise.insert((**b).clone());
+                    vec![premise]
+                }
                 _ => unreachable!("∨ rule with a non-disjunction principal"),
             },
             Rule::Forall { quant, witness } => match quant {
                 Formula::Forall { var, bound, body } => {
-                    let instantiated = body.subst_var(var, &Term::Var(*witness));
-                    vec![conclusion
-                        .without_formula(quant)
-                        .with_formula(instantiated)
+                    let mut premise = conclusion.without_formula(quant);
+                    premise.insert(body.subst_var(var, &Term::Var(*witness)));
+                    vec![premise
                         .with_atom(nrs_delta0::MemAtom::new(Term::Var(*witness), bound.clone()))]
                 }
                 _ => unreachable!("∀ rule with a non-universal principal"),

@@ -19,7 +19,10 @@ use std::sync::Arc;
 ///
 /// * the right-hand side is an **`Arc`-shared copy-on-write vector** of
 ///   shared formulas, so cloning a sequent is O(1) and only the copy that
-///   actually inserts or removes pays for the vector;
+///   actually inserts or removes pays for the vector — in one allocation of
+///   exactly the new length (the same holds for the index buckets below),
+///   so a sequent the failure memo or a proof keeps holds no spare
+///   capacity;
 /// * both sides maintain **cached hashes** (an order-independent incremental
 ///   mix for the right-hand side, a recomputed-on-extension hash for the
 ///   context), so hashing a sequent never walks the formulas; and
@@ -43,6 +46,10 @@ use std::sync::Arc;
 /// index is maintained incrementally under the same Arc-CoW regime as the
 /// side itself: buckets are `Arc`-shared vectors, so a copy that inserts one
 /// literal clones only the touched buckets.
+///
+/// The index is derived data, needed only while a sequent is searched.
+/// Tables that key on sequents keep a [`SequentKey`] ([`Sequent::key`]),
+/// which holds the two sides and their hashes but no index.
 #[derive(Debug, Clone, Default)]
 pub struct Sequent {
     /// The ∈-context `Θ`.  Read-only by convention — see the type docs.
@@ -84,9 +91,44 @@ fn ctx_hash_of(ctx: &InContext) -> u64 {
     h.finish()
 }
 
+/// Insert `f` at `pos`, leaving the vector at exactly its new length: a
+/// shared vector is rebuilt in one allocation of the final size (where
+/// `Arc::make_mut` would copy it and `Vec::insert` then double it), an
+/// unshared one grows by one slot.
+fn insert_exact(v: &mut Arc<Vec<Formula>>, pos: usize, f: Formula) {
+    if let Some(v) = Arc::get_mut(v) {
+        v.reserve_exact(1);
+        v.insert(pos, f);
+        return;
+    }
+    let mut out = Vec::with_capacity(v.len() + 1);
+    out.extend_from_slice(&v[..pos]);
+    out.push(f);
+    out.extend_from_slice(&v[pos..]);
+    *v = Arc::new(out);
+}
+
+/// Remove and return the element at `pos`; a shared vector is rebuilt at
+/// exactly its new length.
+fn remove_exact(v: &mut Arc<Vec<Formula>>, pos: usize) -> Formula {
+    if let Some(v) = Arc::get_mut(v) {
+        return v.remove(pos);
+    }
+    let removed = v[pos].clone();
+    let mut out = Vec::with_capacity(v.len() - 1);
+    out.extend_from_slice(&v[..pos]);
+    out.extend_from_slice(&v[pos + 1..]);
+    *v = Arc::new(out);
+    removed
+}
+
 impl Sequent {
     /// Build a sequent, normalizing the right-hand side.
     pub fn new(ctx: InContext, rhs: impl IntoIterator<Item = Formula>) -> Self {
+        let mut rhs: Vec<Formula> = rhs.into_iter().collect();
+        rhs.sort_unstable();
+        rhs.dedup();
+        rhs.shrink_to_fit();
         let mut s = Sequent {
             ctx_hash: ctx_hash_of(&ctx),
             ctx,
@@ -95,9 +137,13 @@ impl Sequent {
             occ: Arc::new(HashMap::new()),
             ground_rw: Arc::new(Vec::new()),
         };
-        for f in rhs {
-            s.insert(f);
+        for f in &rhs {
+            s.rhs_hash ^= formula_hash_mixed(f);
+            if f.variant_rank() <= 1 {
+                s.index_literal(f);
+            }
         }
+        s.rhs = Arc::new(rhs);
         s
     }
 
@@ -123,6 +169,16 @@ impl Sequent {
         &self.rhs
     }
 
+    /// This sequent as an index-free map key (two `Arc` clones).
+    pub fn key(&self) -> SequentKey {
+        SequentKey {
+            ctx: self.ctx.clone(),
+            ctx_hash: self.ctx_hash,
+            rhs: self.rhs.clone(),
+            rhs_hash: self.rhs_hash,
+        }
+    }
+
     /// Insert a formula into the right-hand side (set semantics).
     pub fn insert(&mut self, f: Formula) {
         if let Err(pos) = self.rhs.binary_search(&f) {
@@ -130,24 +186,26 @@ impl Sequent {
             if f.variant_rank() <= 1 {
                 self.index_literal(&f);
             }
-            Arc::make_mut(&mut self.rhs).insert(pos, f);
+            insert_exact(&mut self.rhs, pos, f);
         }
     }
 
     /// Add a freshly inserted (in)equality literal to the occurrence index.
-    /// The literal is known absent from `rhs`, hence from every bucket.
+    /// The literal is known absent from `rhs`, hence from every bucket, so
+    /// finding it at its slot means a repeated name already indexed it.
     fn index_literal(&mut self, f: &Formula) {
         let occ = Arc::make_mut(&mut self.occ);
-        for v in f.free_vars_arc().iter() {
-            let bucket = Arc::make_mut(occ.entry(*v).or_default());
+        f.for_each_free_var(&mut |v| {
+            let bucket = occ.entry(*v).or_default();
             let pos = bucket.partition_point(|g| g < f);
-            bucket.insert(pos, f.clone());
-        }
+            if bucket.get(pos) != Some(f) {
+                insert_exact(bucket, pos, f.clone());
+            }
+        });
         if let Formula::NeqUr(t, _) = f {
-            if t.free_vars_arc().is_empty() {
-                let ground = Arc::make_mut(&mut self.ground_rw);
-                let pos = ground.partition_point(|g| g < f);
-                ground.insert(pos, f.clone());
+            if t.is_ground() {
+                let pos = self.ground_rw.partition_point(|g| g < f);
+                insert_exact(&mut self.ground_rw, pos, f.clone());
             }
         }
     }
@@ -155,22 +213,21 @@ impl Sequent {
     /// Remove a just-removed (in)equality literal from the occurrence index.
     fn unindex_literal(&mut self, f: &Formula) {
         let occ = Arc::make_mut(&mut self.occ);
-        for v in f.free_vars_arc().iter() {
+        f.for_each_free_var(&mut |v| {
             if let Some(bucket) = occ.get_mut(v) {
-                let b = Arc::make_mut(bucket);
-                if let Ok(pos) = b.binary_search(f) {
-                    b.remove(pos);
-                }
-                if b.is_empty() {
-                    occ.remove(v);
+                if let Ok(pos) = bucket.binary_search(f) {
+                    if bucket.len() == 1 {
+                        occ.remove(v);
+                    } else {
+                        remove_exact(bucket, pos);
+                    }
                 }
             }
-        }
+        });
         if let Formula::NeqUr(t, _) = f {
-            if t.free_vars_arc().is_empty() {
-                let ground = Arc::make_mut(&mut self.ground_rw);
-                if let Ok(pos) = ground.binary_search(f) {
-                    ground.remove(pos);
+            if t.is_ground() {
+                if let Ok(pos) = self.ground_rw.binary_search(f) {
+                    remove_exact(&mut self.ground_rw, pos);
                 }
             }
         }
@@ -196,7 +253,7 @@ impl Sequent {
     pub fn without_formula(&self, f: &Formula) -> Sequent {
         let mut out = self.clone();
         if let Ok(pos) = out.rhs.binary_search(f) {
-            let removed = Arc::make_mut(&mut out.rhs).remove(pos);
+            let removed = remove_exact(&mut out.rhs, pos);
             out.rhs_hash ^= formula_hash_mixed(&removed);
             if removed.variant_rank() <= 1 {
                 out.unindex_literal(&removed);
@@ -319,18 +376,57 @@ impl Sequent {
     }
 }
 
+/// Equality of two sequents given as (context, its hash, right-hand side,
+/// its hash): the cached hashes first, then the sides themselves.
+fn same_sides(
+    a: (&InContext, u64, &Arc<Vec<Formula>>, u64),
+    b: (&InContext, u64, &Arc<Vec<Formula>>, u64),
+) -> bool {
+    a.3 == b.3 && a.1 == b.1 && (Arc::ptr_eq(a.2, b.2) || a.2 == b.2) && a.0 == b.0
+}
+
 impl PartialEq for Sequent {
     fn eq(&self, other: &Self) -> bool {
-        self.rhs_hash == other.rhs_hash
-            && self.ctx_hash == other.ctx_hash
-            && (std::sync::Arc::ptr_eq(&self.rhs, &other.rhs) || self.rhs == other.rhs)
-            && self.ctx == other.ctx
+        same_sides(
+            (&self.ctx, self.ctx_hash, &self.rhs, self.rhs_hash),
+            (&other.ctx, other.ctx_hash, &other.rhs, other.rhs_hash),
+        )
     }
 }
 
 impl Eq for Sequent {}
 
 impl Hash for Sequent {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.ctx_hash);
+        state.write_u64(self.rhs_hash);
+    }
+}
+
+/// A sequent as a map key: its context and right-hand side with their cached
+/// hashes, without the derived occurrence index.  Equal and hashed exactly
+/// like the [`Sequent`] it came from, but a table of keys holds only the two
+/// sides, which sibling sequents share.
+#[derive(Debug, Clone)]
+pub struct SequentKey {
+    ctx: InContext,
+    ctx_hash: u64,
+    rhs: Arc<Vec<Formula>>,
+    rhs_hash: u64,
+}
+
+impl PartialEq for SequentKey {
+    fn eq(&self, other: &Self) -> bool {
+        same_sides(
+            (&self.ctx, self.ctx_hash, &self.rhs, self.rhs_hash),
+            (&other.ctx, other.ctx_hash, &other.rhs, other.rhs_hash),
+        )
+    }
+}
+
+impl Eq for SequentKey {}
+
+impl Hash for SequentKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.ctx_hash);
         state.write_u64(self.rhs_hash);
@@ -485,6 +581,47 @@ mod tests {
         // duplicate inserts don't double-index
         let s4 = s3.with_formula(Formula::neq_ur("x", "z"));
         assert_eq!(s4.eq_literals_with_var(&x).len(), 2);
+    }
+
+    #[test]
+    fn copies_are_built_at_exact_size() {
+        let s = Sequent::goals([
+            Formula::eq_ur("x", "y"),
+            Formula::neq_ur("x", "z"),
+            Formula::exists("z", "S", Formula::True),
+        ]);
+        assert_eq!(s.rhs.capacity(), s.rhs.len());
+        // `s` still shares every vector with the copy, which rebuilds the
+        // ones it edits at their new length
+        let t = s.with_formula(Formula::eq_ur("x", "w"));
+        assert_eq!(t.rhs.len(), 4);
+        assert_eq!(t.rhs.capacity(), 4);
+        let bucket = t.occ.get(&Name::new("x")).expect("x is indexed");
+        assert_eq!((bucket.len(), bucket.capacity()), (3, 3));
+        let u = t.without_formula(&Formula::neq_ur("x", "z"));
+        assert_eq!((u.rhs.len(), u.rhs.capacity()), (3, 3));
+        let bucket = u.occ.get(&Name::new("x")).expect("x is indexed");
+        assert_eq!((bucket.len(), bucket.capacity()), (2, 2));
+        assert!(u.occ.get(&Name::new("z")).is_none());
+        // a literal naming one variable twice is indexed once
+        let v = u.with_formula(Formula::neq_ur("x", "x"));
+        assert_eq!(v.eq_literals_with_var(&Name::new("x")).len(), 3);
+    }
+
+    #[test]
+    fn keys_equal_and_hash_like_their_sequents() {
+        let a = Sequent::goals([Formula::eq_ur("x", "y"), Formula::neq_ur("u", "v")]);
+        let b = Sequent::goals([Formula::neq_ur("u", "v"), Formula::eq_ur("x", "y")]);
+        let c = a.with_atom(MemAtom::new("x", "S"));
+        assert_eq!(a.key(), b.key());
+        assert_ne!(a.key(), c.key());
+        let key_hash = |k: &SequentKey| {
+            let mut h = DefaultHasher::new();
+            k.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(key_hash(&a.key()), hash_of(&a));
+        assert_eq!(key_hash(&c.key()), hash_of(&c));
     }
 
     #[test]

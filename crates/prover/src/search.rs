@@ -65,7 +65,7 @@
 use crate::session::ProverSession;
 use nrs_delta0::specialize::{max_specializations, MaxSpecialization};
 use nrs_delta0::{Formula, InContext, Term};
-use nrs_proof::{formula_hash_mixed, Proof, ProofError, Rule, Sequent};
+use nrs_proof::{formula_hash_mixed, Proof, ProofError, Rule, Sequent, SequentKey};
 use nrs_shared::{ShardStats, ShardedMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -261,9 +261,11 @@ pub struct ProverStats {
 /// Failure recorded at risky budget `r` refutes re-entry at any budget ≤ `r`
 /// (fewer rewrites used and fewer used specs can only *enlarge* the move
 /// set) — up to the discovery-order caveat described in the module docs.
+/// The sequent enters as its [`SequentKey`]: the two sides, shared with the
+/// searched sequent, without its occurrence index.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct MemoKey {
-    seq: Sequent,
+    seq: SequentKey,
     rewrites_used: usize,
     used_hash: u64,
 }
@@ -277,6 +279,10 @@ pub(crate) struct MemoKey {
 /// the sessions' existing panic-tolerance behavior.
 pub(crate) struct SearchCaches {
     /// Sequents known to fail, mapping to the largest risky budget refuted.
+    /// The largest table of a cold derivation (one entry per refuted
+    /// state), so its keys hold only what equality needs: each
+    /// [`SequentKey`] shares the context and right-hand side with the
+    /// searched sequent and leaves its occurrence index to be freed with it.
     pub(crate) memo: ShardedMap<MemoKey, usize>,
     /// Cached `max_specializations` results, keyed by (quantifier,
     /// ∈-context): the per-depth goals of one synthesis run decompose the
@@ -953,8 +959,8 @@ fn push_exists_candidates(
 /// the generated candidates (and their sequence numbers) are identical to
 /// the full join's.
 fn atoms_for<'s>(seq: &'s Sequent, t: &Term, st: &mut State) -> &'s [Formula] {
-    let atoms = match t.free_vars_arc().iter().next() {
-        Some(v) => seq.eq_literals_with_var(v),
+    let atoms = match t.first_free_var() {
+        Some(v) => seq.eq_literals_with_var(&v),
         None => seq.eq_literals(),
     };
     st.occ_pairs += atoms.len();
@@ -967,35 +973,61 @@ fn atoms_for<'s>(seq: &'s Sequent, t: &Term, st: &mut State) -> &'s [Formula] {
 /// the common case — iterate one occurrence-index bucket directly: buckets
 /// sort variant-first, so their ≠ literals form a contiguous suffix and the
 /// whole visit is a subslice walk.  Other shapes scan the inequality slice
-/// with a cached free-variable subset test (if the left term occurs in `f`,
-/// every free variable of the term is free in `f`).  Both paths are sorted
-/// supersets of the productive rewriters: only pairs `compute_rewrite` would
-/// reject are skipped, so the generated candidates (and their sequence
-/// numbers) are identical to the full join\'s.
-fn rewriters_for<'s>(seq: &'s Sequent, f: &Formula) -> Rewriters<'s> {
-    let fv = f.free_vars_arc();
-    if fv.len() == 1 && seq.ground_lhs_inequalities().is_empty() {
-        let v = fv.iter().next().expect("len-1 set");
-        let bucket = seq.eq_literals_with_var(v);
-        let start = bucket.partition_point(|g| g.variant_rank() < 1);
-        return Rewriters::Bucket(bucket[start..].iter());
+/// with a free-variable subset test read off the cached node sets (if the
+/// left term occurs in `f`, every free variable of the term is free in `f`).
+/// Both paths are sorted supersets of the productive rewriters: only pairs
+/// `compute_rewrite` would reject are skipped, so the generated candidates
+/// (and their sequence numbers) are identical to the full join's.
+fn rewriters_for<'s>(seq: &'s Sequent, f: &'s Formula) -> Rewriters<'s> {
+    if seq.ground_lhs_inequalities().is_empty() {
+        if let Some(v) = sole_free_var(f) {
+            let bucket = seq.eq_literals_with_var(&v);
+            let start = bucket.partition_point(|g| g.variant_rank() < 1);
+            return Rewriters::Bucket(bucket[start..].iter());
+        }
     }
     Rewriters::Scan {
         inner: seq.inequalities().iter(),
-        fv,
+        lit: f,
     }
 }
 
-/// Iterator behind [`rewriters_for`]; both variants borrow the sequent\'s
+/// The one free variable of `f`, if it has exactly one.
+fn sole_free_var(f: &Formula) -> Option<nrs_value::Name> {
+    let mut sole = None;
+    let mut several = false;
+    f.for_each_free_var(&mut |v| match sole {
+        None => sole = Some(*v),
+        Some(s) if s != *v => several = true,
+        Some(_) => {}
+    });
+    if several {
+        None
+    } else {
+        sole
+    }
+}
+
+/// Is `v` free in the literal `lit`?  (Literals have no binders.)
+fn literal_mentions(lit: &Formula, v: &nrs_value::Name) -> bool {
+    match lit {
+        Formula::EqUr(t, u) | Formula::NeqUr(t, u) | Formula::Mem(t, u) | Formula::NotMem(t, u) => {
+            t.mentions(v) || u.mentions(v)
+        }
+        _ => lit.free_vars_arc().contains(v),
+    }
+}
+
+/// Iterator behind [`rewriters_for`]; both variants borrow the sequent's
 /// slices and yield in sorted order.
 enum Rewriters<'s> {
     /// The ≠ suffix of one occurrence-index bucket.
     Bucket(std::slice::Iter<'s, Formula>),
     /// The inequality slice, filtered by the subset test against the
-    /// literal\'s cached free-variable set.
+    /// literal's free variables.
     Scan {
         inner: std::slice::Iter<'s, Formula>,
-        fv: Arc<std::collections::BTreeSet<nrs_value::Name>>,
+        lit: &'s Formula,
     },
 }
 
@@ -1004,13 +1036,14 @@ impl<'s> Iterator for Rewriters<'s> {
     fn next(&mut self) -> Option<&'s Formula> {
         match self {
             Rewriters::Bucket(it) => it.next(),
-            Rewriters::Scan { inner, fv } => {
+            Rewriters::Scan { inner, lit } => {
                 for ineq in inner {
                     let Formula::NeqUr(t, _) = ineq else {
                         continue;
                     };
-                    let tfv = t.free_vars_arc();
-                    if tfv.is_empty() || tfv.iter().all(|v| fv.contains(v)) {
+                    let mut inside = true;
+                    t.for_each_free_var(&mut |v| inside &= literal_mentions(lit, v));
+                    if inside {
                         return Some(ineq);
                     }
                 }
@@ -1023,25 +1056,25 @@ impl<'s> Iterator for Rewriters<'s> {
 /// The witness for a ∀ step: the smallest `ev#k` name fresh for the sequent.
 /// Equivalent to `NameGen::avoiding(seq.free_vars().iter()).fresh("ev")` —
 /// and it must stay exactly that, so identical sequents keep introducing
-/// identical witnesses — but computed by scanning the cached per-node
-/// free-variable sets instead of materializing their union.
+/// identical witnesses — but it reads the names straight off the terms and
+/// the cached per-node free-variable sets
+/// ([`Formula::for_each_free_var`]): no set is built, so the step allocates
+/// only the witness name.
 fn fresh_eigenvariable(seq: &Sequent) -> nrs_value::Name {
     let mut max = 0u64;
-    let mut scan = |names: &std::collections::BTreeSet<nrs_value::Name>| {
-        for n in names {
-            if let Some(rest) = n.as_str().rsplit('#').next() {
-                if let Ok(k) = rest.parse::<u64>() {
-                    max = max.max(k + 1);
-                }
+    let mut scan = |n: &nrs_value::Name| {
+        if let Some(rest) = n.as_str().rsplit('#').next() {
+            if let Ok(k) = rest.parse::<u64>() {
+                max = max.max(k + 1);
             }
         }
     };
     for atom in seq.ctx.iter() {
-        scan(&atom.elem.free_vars_arc());
-        scan(&atom.set.free_vars_arc());
+        atom.elem.for_each_free_var(&mut scan);
+        atom.set.for_each_free_var(&mut scan);
     }
     for f in seq.rhs() {
-        scan(&f.free_vars_arc());
+        f.for_each_free_var(&mut scan);
     }
     nrs_value::Name::new(format!("ev#{max}"))
 }
@@ -1376,7 +1409,7 @@ fn attempt(
 
     // 3. memoized failure?  (a cheap hash probe: the sequent hash is cached)
     let key = MemoKey {
-        seq: seq.clone(),
+        seq: seq.key(),
         rewrites_used,
         used_hash: used.hash,
     };

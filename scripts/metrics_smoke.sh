@@ -61,12 +61,20 @@ for name in synth.run prover.goal ivm.apply serve.flush serve.publish; do
     check "span trace covers $name" $?
 done
 
+for field in interpolations interpolants_reused; do
+    jq -es --arg f "$field" \
+        'any(.[]; .name == "synth.workload.assemble" and .kind == "end"
+            and (.fields[$f] | type) == "number")' "$spans" >/dev/null 2>&1
+    check "synth.workload.assemble records $field" $?
+done
+
 # --- 2. the metrics snapshot JSON ------------------------------------
 snapshot="$(grep -m1 '^{"metrics":' "$out" || true)"
 [ -n "$snapshot" ] && jq -e '.metrics | length > 0' <<<"$snapshot" >/dev/null
 check "snapshot JSON parses with metrics" $?
 
-for family in prover.goals_total synth.runs_total ivm.applies_total \
+for family in prover.goals_total synth.runs_total \
+    synth.interpolations_total synth.interpolants_reused_total ivm.applies_total \
     serve.flushes_total serve.dropped_batches_total serve.queue_depth \
     serve.flush_seconds serve.visible_seconds; do
     jq -e --arg n "$family" '.metrics | any(.name == $n)' \
@@ -93,6 +101,7 @@ awk '
 check "every exposition line is well-formed" $?
 
 for family in nrs_prover_goals_total nrs_synth_runs_total \
+    nrs_synth_interpolations_total nrs_synth_interpolants_reused_total \
     nrs_ivm_applies_total nrs_serve_flushes_total \
     nrs_serve_dropped_batches_total nrs_serve_queue_depth \
     nrs_serve_visible_seconds; do
