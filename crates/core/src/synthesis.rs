@@ -1279,5 +1279,41 @@ mod tests {
             (Name::new("o"), Value::atom(7)),
         ]);
         assert_eq!(def.check_against(&inst).unwrap(), Some(true));
+
+        // Ur × Set(Ur) output: π1 o is the unique member of I, and π2 o is
+        // {x ∈ J}, written as a sound and a complete conjunct
+        let mut gen = NameGen::new();
+        let second = Term::proj2(Term::var("o"));
+        let phi = d0::and_all([
+            Formula::forall("x", "I", Formula::eq_ur("x", Term::proj1(Term::var("o")))),
+            Formula::exists("x", "I", Formula::True),
+            Formula::forall(
+                "z",
+                second.clone(),
+                Formula::exists("x", "J", Formula::eq_ur("z", "x")),
+            ),
+            Formula::forall(
+                "x",
+                "J",
+                d0::member_hat(&Type::Ur, &Term::var("x"), &second, &mut gen),
+            ),
+        ]);
+        let spec = ImplicitSpec {
+            formula: phi,
+            inputs: vec![
+                (Name::new("I"), Type::set(Type::Ur)),
+                (Name::new("J"), Type::set(Type::Ur)),
+            ],
+            auxiliaries: vec![],
+            output: (Name::new("o"), Type::prod(Type::Ur, Type::set(Type::Ur))),
+        };
+        let def = synthesize(&spec, &SynthesisConfig::default()).unwrap();
+        let j = Value::set([Value::atom(1), Value::atom(2)]);
+        let inst = Instance::from_bindings([
+            (Name::new("I"), Value::set([Value::atom(7)])),
+            (Name::new("J"), j.clone()),
+            (Name::new("o"), Value::pair(Value::atom(7), j)),
+        ]);
+        assert_eq!(def.check_against(&inst).unwrap(), Some(true));
     }
 }

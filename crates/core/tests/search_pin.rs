@@ -7,28 +7,39 @@
 //! proof sizes are exact under `parallel_branches: false` (one worker, one
 //! goal at a time), and `search_pin.txt` holds every definition and
 //! interpolant note as the pipeline printed them before those speed-ups.
+//!
+//! The product-output sections pin the definitions and proof sizes of the
+//! two fixtures in `fixtures/mod.rs`; their visited-state counts may only
+//! fall.
+
+mod fixtures;
 
 use nrs_prover::ProverConfig;
 use nrs_synthesis::views::partition_problem;
-use nrs_synthesis::{overlapping_workload_problem, SynthesisConfig, WorkloadProblem};
+use nrs_synthesis::{
+    overlapping_workload_problem, synthesize_workload, ImplicitSpec, Name, SynthesisConfig,
+    SynthesizedDefinition, Workload, WorkloadProblem,
+};
 
 /// The checked-in definitions and interpolant notes, one `== <problem>`
 /// section per problem.
 const EXPECTED: &str = include_str!("search_pin.txt");
 
-/// Derive `problem` cold with a sequential prover: (visited states, proof
-/// sizes, the definition and interpolant lines of every query).
-fn derive(problem: &WorkloadProblem) -> (usize, Vec<usize>, Vec<String>) {
-    let cfg = SynthesisConfig {
+/// The default configuration over a sequential prover.
+fn sequential() -> SynthesisConfig {
+    SynthesisConfig {
         prover: ProverConfig {
             parallel_branches: false,
             ..ProverConfig::default()
         },
         ..SynthesisConfig::default()
-    };
-    let rw = problem.derive_workload(&cfg).expect("the problem derives");
+    }
+}
+
+/// The definition and interpolant lines of every definition.
+fn pin_lines(defs: &[(Name, SynthesizedDefinition)]) -> Vec<String> {
     let mut lines = Vec::new();
-    for (name, def) in rw.queries() {
+    for (name, def) in defs {
         lines.push(format!("{name} := {}", def.expr()));
         for note in &def.report.notes {
             if note.contains("interpolant") || note.contains("θ =") {
@@ -36,8 +47,34 @@ fn derive(problem: &WorkloadProblem) -> (usize, Vec<usize>, Vec<String>) {
             }
         }
     }
+    lines
+}
+
+/// Derive `problem` cold with a sequential prover: (visited states, proof
+/// sizes, the definition and interpolant lines of every query).
+fn derive(problem: &WorkloadProblem) -> (usize, Vec<usize>, Vec<String>) {
+    let rw = problem
+        .derive_workload(&sequential())
+        .expect("the problem derives");
     let report = &rw.report().synthesis;
-    (report.states_visited, report.proof_sizes.clone(), lines)
+    (
+        report.states_visited,
+        report.proof_sizes.clone(),
+        pin_lines(rw.queries()),
+    )
+}
+
+/// Synthesize `spec` cold with a sequential prover, as the one entry `P` of
+/// a workload: (visited states, proof sizes, pinned lines).
+fn derive_spec(spec: ImplicitSpec) -> (usize, Vec<usize>, Vec<String>) {
+    let run = synthesize_workload(&Workload::new().with_entry("P", spec), &sequential())
+        .expect("the spec synthesizes");
+    let report = &run.report.synthesis;
+    (
+        report.states_visited,
+        report.proof_sizes.clone(),
+        pin_lines(&run.definitions),
+    )
 }
 
 /// The checked-in lines of one section of [`EXPECTED`].
@@ -74,4 +111,20 @@ fn overlapping_workload_search_is_pinned() {
     assert_eq!(visited, 7115);
     assert_eq!(sizes, [121, 84, 52]);
     assert_lines("overlapping(8)", &lines);
+}
+
+#[test]
+fn ur_and_set_product_search_is_pinned() {
+    let (visited, sizes, lines) = derive_spec(fixtures::ur_and_set_spec());
+    assert!(visited <= 31, "visited {visited} states");
+    assert_eq!(sizes, [12, 19]);
+    assert_lines("product Ur x Set(Ur)", &lines);
+}
+
+#[test]
+fn ur_unit_ur_product_search_is_pinned() {
+    let (visited, sizes, lines) = derive_spec(fixtures::ur_unit_ur_spec());
+    assert!(visited <= 32, "visited {visited} states");
+    assert_eq!(sizes, [15, 17]);
+    assert_lines("product Ur x (Unit x Ur)", &lines);
 }
