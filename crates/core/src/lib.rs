@@ -51,7 +51,7 @@ pub use collect::{collect_parameters, CollectInput, CollectOutput};
 pub use ivm::{AnswerDeltas, DegradedOperator, MaintainedWorkload, WorkloadCoverage};
 pub use nrs_ivm::{CoverageReport, DeltaSet, IvmError, MaintStats, UpdateBatch};
 pub use synthesis::{
-    synthesize, synthesize_with, GoalMetrics, ImplicitSpec, SynthesisConfig, SynthesisError,
+    synthesize, GoalMetrics, ImplicitSpec, InterpolantKind, SynthesisConfig, SynthesisError,
     SynthesisMetrics, SynthesisReport, SynthesizedDefinition,
 };
 pub use synthesizer::Synthesizer;

@@ -5,10 +5,10 @@ use nrs_delta0::macros as d0;
 use nrs_delta0::typing::TypeEnv;
 use nrs_delta0::{Formula, InContext, LogicError, MemAtom, Term};
 use nrs_interp::partition::Partition;
-use nrs_interp::{interpolate, InterpolationError};
-use nrs_nrc::{compile, eval as nrc_eval, macros as nrc_macros, Expr, NrcError};
+use nrs_interp::InterpolationError;
+use nrs_nrc::{eval as nrc_eval, macros as nrc_macros, Expr, NrcError};
 use nrs_proof::{ProofError, Sequent};
-use nrs_prover::{prove_sequent, ProverConfig, ProverSession};
+use nrs_prover::ProverConfig;
 use nrs_value::{Instance, Name, NameGen, Type, Value};
 
 /// An implicit Δ0 specification `φ(ī, ā, o)` of an output object in terms of
@@ -55,41 +55,13 @@ impl ImplicitSpec {
 }
 
 /// Configuration of the synthesis pipeline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SynthesisConfig {
     /// Budgets for the proof-search engine used on every sub-goal.
     pub prover: ProverConfig,
     /// Whether to establish the top-level determinacy entailment first (a
     /// sanity check that also reproduces the paper's input assumption).
     pub check_determinacy: bool,
-    /// Synthesize the two components of a product output on separate threads
-    /// (they are independent sub-goals sharing the prover session).
-    pub parallel_goals: bool,
-    /// Prove every goal of the run through one shared [`ProverSession`]
-    /// (cross-goal failure-memo reuse; the default).  Disable to prove each
-    /// goal with a cold prover — the oracle the session-cached mode is tested
-    /// against.
-    pub share_prover_session: bool,
-    /// Collect the per-depth parameter-collection goals (and the membership
-    /// interpolation goal) of a set-typed output up front and prove them in
-    /// **one batched prover call** with a shared saturation prefix — one
-    /// worker dispatch, every goal warmed by the failures and cached
-    /// specializations of the ones before it (the default).  Disable to
-    /// prove each goal as the recursion reaches it — the oracle the batched
-    /// mode is tested against.
-    pub batch_goals: bool,
-}
-
-impl Default for SynthesisConfig {
-    fn default() -> Self {
-        SynthesisConfig {
-            prover: ProverConfig::default(),
-            check_determinacy: false,
-            parallel_goals: false,
-            share_prover_session: true,
-            batch_goals: true,
-        }
-    }
 }
 
 /// Errors of the synthesis pipeline.
@@ -161,11 +133,23 @@ pub struct SynthesisReport {
     pub states_visited: usize,
     /// Sizes of the proofs found, in the order they were needed.
     pub proof_sizes: Vec<usize>,
-    /// Human-readable notes (which steps ran, which fallbacks were taken).
-    pub notes: Vec<String>,
-    /// Machine-readable counters — the structured successor of the stringly
-    /// per-goal prover notes that used to be parsed back out of `notes`.
+    /// The interpolants the definition filters by, in assembly order.
+    pub interpolants: Vec<(InterpolantKind, Formula)>,
+    /// The side formula θ of every parameter collection, with its nesting
+    /// depth, in assembly order.
+    pub collections: Vec<(usize, Formula)>,
+    /// Machine-readable counters: per-goal prover statistics and sums.
     pub metrics: SynthesisMetrics,
+}
+
+/// Which step of the Theorem 2 case analysis an interpolant filters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InterpolantKind {
+    /// `κ(ī, o)` of a Ur output, defining `o` as `get({o ∈ atoms(ī) | κ})`.
+    Ur,
+    /// `κ(ī, r)` of a set output, cutting the collected superset down to
+    /// `{r ∈ superset | κ}`.
+    Membership,
 }
 
 /// Aggregated machine-readable counters for one synthesis run, with a
@@ -258,8 +242,7 @@ impl SynthesisMetrics {
         self.memo_lock_shards = self.memo_lock_shards.max(from.memo_lock_shards);
         self.memo_lock_acquisitions += from.memo_lock_acquisitions;
         self.memo_lock_contended += from.memo_lock_contended;
-        // AST sizes describe the outermost definition; sub-runs' values are
-        // superseded when the enclosing `SynthesizedDefinition::new` runs.
+        // AST sizes describe one definition each and are not summed.
         self.per_goal.extend(from.per_goal);
     }
 
@@ -295,8 +278,7 @@ fn ratio(hits: u64, misses: u64) -> f64 {
 
 /// Cached handles into the global [`nrs_obs`] registry.  Goal-level counters
 /// are bumped in [`record_stats`] (once per actually-proved goal, so merged
-/// sub-run reports are not double counted); run-level counters in
-/// [`synthesize_with`].
+/// reports are not double counted); run-level counters in [`observed_run`].
 struct ObsMetrics {
     runs: std::sync::Arc<nrs_obs::Counter>,
     failed_runs: std::sync::Arc<nrs_obs::Counter>,
@@ -345,12 +327,6 @@ impl SynthesizedDefinition {
         let expr = nrs_nrc::opt::simplify(&expr);
         report.metrics.raw_ast_size = raw_size;
         report.metrics.simplified_ast_size = expr.size();
-        if expr.size() < raw_size {
-            report.notes.push(format!(
-                "algebraic simplification: {raw_size} -> {} AST nodes",
-                expr.size()
-            ));
-        }
         SynthesizedDefinition {
             expr,
             spec,
@@ -406,10 +382,13 @@ impl SynthesizedDefinition {
 /// Synthesize an explicit NRC definition from an implicit Δ0 specification
 /// (Theorem 2).
 ///
-/// All proof goals of the run — the determinacy check, the per-depth
-/// parameter-collection goals, the interpolation goals, and every goal of the
-/// recursive product/set cases — share one [`ProverSession`], so the failure
-/// memo built while proving one goal prunes the searches of the others.
+/// The spec is synthesized as a one-entry [`Workload`](crate::Workload): all
+/// its proof goals — the determinacy check, the per-depth
+/// parameter-collection goals and the interpolation goals of every product
+/// component — are proved in one
+/// [`ProverSession::prove_batch`](nrs_prover::ProverSession::prove_batch)
+/// call, so the failure memo built while proving one goal prunes the
+/// searches of the others.
 ///
 /// This is a thin wrapper over the session-owning
 /// [`Synthesizer`](crate::Synthesizer) facade — prefer the builder when
@@ -422,27 +401,9 @@ pub fn synthesize(
     crate::Synthesizer::with_config(cfg.clone()).synthesize(spec)
 }
 
-/// [`synthesize`] against a caller-provided prover session (reused across the
-/// recursive cases, and reusable across several related synthesis runs).
-///
-/// [`Synthesizer::with_session`](crate::Synthesizer::with_session) wraps this
-/// behind a facade that owns the session for you.
-pub fn synthesize_with(
-    spec: &ImplicitSpec,
-    cfg: &SynthesisConfig,
-    session: &ProverSession,
-) -> Result<SynthesizedDefinition, SynthesisError> {
-    // recursive product sub-runs are runs of their own (they call back in here)
-    observed_run(|run_span| {
-        let def = synthesize_with_inner(spec, cfg, session)?;
-        run_span.record("goals_proved", def.report.goals_proved);
-        Ok(def)
-    })
-}
-
-/// Run-level observability shared by single-spec and workload synthesis:
-/// one `synth.run` span, one `synth.run_seconds` sample, and the
-/// `synth.runs_total` / `synth.failed_runs_total` counters per run.
+/// Run-level observability of a synthesis run: one `synth.run` span, one
+/// `synth.run_seconds` sample, and the `synth.runs_total` /
+/// `synth.failed_runs_total` counters per run.
 pub(crate) fn observed_run<T>(
     run: impl FnOnce(&mut nrs_obs::Span) -> Result<T, SynthesisError>,
 ) -> Result<T, SynthesisError> {
@@ -460,129 +421,51 @@ pub(crate) fn observed_run<T>(
     result
 }
 
-fn synthesize_with_inner(
-    spec: &ImplicitSpec,
-    cfg: &SynthesisConfig,
-    session: &ProverSession,
-) -> Result<SynthesizedDefinition, SynthesisError> {
-    let mut report = SynthesisReport::default();
-    let mut gen = NameGen::avoiding(
-        spec.formula
-            .free_vars()
-            .iter()
-            .chain(spec.inputs.iter().map(|(n, _)| n))
-            .chain(std::iter::once(&spec.output.0)),
-    );
-    let (phi_primed, primed_out, primed_aux) = spec.primed();
-    let mut env = spec.env();
-    env.insert(primed_out, spec.output.1.clone());
-    for (n, t) in &primed_aux {
-        env.insert(*n, t.clone());
-    }
-
-    if cfg.check_determinacy {
-        let goal = d0::equiv(
-            &spec.output.1,
-            &Term::Var(spec.output.0),
-            &Term::Var(primed_out),
-            &mut gen,
-        );
-        let seq = Sequent::two_sided(
-            InContext::new(),
-            [spec.formula.clone(), phi_primed.clone()],
-            [goal],
-        );
-        prove_goal(
-            &seq,
-            session,
-            cfg,
-            "the determinacy of the output",
-            &mut report,
-        )?;
-        report
-            .notes
-            .push("determinacy established by proof search".into());
-    }
-
-    let ctx = Ctx {
-        phi: spec.formula.clone(),
-        phi_primed,
-        primed_out,
-        inputs: spec.inputs.clone(),
-        cfg: cfg.clone(),
-        session: session.clone(),
-    };
-    let expr = synth_output(
-        &ctx,
-        &spec.output.0,
-        &spec.output.1,
-        &env,
-        &mut gen,
-        &mut report,
-    )?;
-    Ok(SynthesizedDefinition::new(expr, spec.clone(), report))
-}
-
-/// Immutable data threaded through the type-directed recursion.
+/// The spec-level data of one output's Theorem 10 recursion.
 pub(crate) struct Ctx {
     pub(crate) phi: Formula,
     pub(crate) phi_primed: Formula,
     pub(crate) primed_out: Name,
     pub(crate) inputs: Vec<(Name, Type)>,
-    pub(crate) cfg: SynthesisConfig,
-    pub(crate) session: ProverSession,
 }
 
 /// The proof goals of one batched proving pass, in generation order.
 ///
-/// In the single-spec pipeline every recorded goal is distinct by
-/// construction, so the plain [`push`](GoalBatch::push) suffices.  The
-/// workload pipeline ([`crate::workload`]) records the goals of *many* specs
-/// into one batch and uses the [`deduping`](GoalBatch::deduping) variant:
-/// structurally identical sequents (hash-consed formulas make the comparison
-/// cheap) collapse onto one batch slot, so a proof obligation shared across
-/// specs is dispatched to the prover exactly once.
+/// A workload ([`crate::workload`]) records the goals of all its specs into
+/// one batch.  Structurally identical sequents (hash-consed formulas make the
+/// comparison cheap) collapse onto one batch slot, so a proof obligation
+/// shared across specs is dispatched to the prover exactly once.
 #[derive(Debug, Default)]
 pub(crate) struct GoalBatch {
     pub(crate) seqs: Vec<Sequent>,
     pub(crate) purposes: Vec<String>,
-    /// `Some` in deduping mode: sequent → index of its first occurrence.
-    index: Option<std::collections::HashMap<Sequent, usize>>,
-    /// Goals collapsed onto an earlier identical one (deduping mode only).
+    /// Sequent → index of its first occurrence.
+    index: std::collections::HashMap<Sequent, usize>,
+    /// Goals collapsed onto an earlier identical one.
     pub(crate) dedup_hits: usize,
 }
 
 impl GoalBatch {
-    /// A batch that collapses structurally identical sequents onto one slot.
-    pub(crate) fn deduping() -> GoalBatch {
-        GoalBatch {
-            index: Some(std::collections::HashMap::new()),
-            ..GoalBatch::default()
-        }
-    }
-
     /// Record a goal; returns its index into the batch (and into the proof
-    /// vector the batched prover call produces).  In deduping mode an
-    /// already-recorded sequent returns the index of its first occurrence.
+    /// vector the batched prover call produces).  An already-recorded
+    /// sequent returns the index of its first occurrence.
     pub(crate) fn push(&mut self, seq: Sequent, purpose: String) -> usize {
-        if let Some(index) = &mut self.index {
-            if let Some(&i) = index.get(&seq) {
-                self.dedup_hits += 1;
-                return i;
-            }
-            index.insert(seq.clone(), self.seqs.len());
+        if let Some(&i) = self.index.get(&seq) {
+            self.dedup_hits += 1;
+            return i;
         }
+        self.index.insert(seq.clone(), self.seqs.len());
         self.seqs.push(seq);
         self.purposes.push(purpose);
         self.seqs.len() - 1
     }
 }
 
-/// The pre-walked shape of the Theorem 10 recursion (batched mode): the same
-/// type-directed case analysis as [`collect_answers`], with each set-case
-/// goal *recorded* into a [`GoalBatch`] instead of proven on the spot.  After
-/// one batched prover call resolves every goal, [`assemble_collect`] replays
-/// the recursion bottom-up over the proofs.
+/// The pre-walked shape of the Theorem 10 recursion: the type-directed case
+/// analysis on the output's element type, with each set-case goal
+/// *recorded* into a [`GoalBatch`] instead of proven on the spot.  After one
+/// batched prover call resolves every goal, [`assemble_collect`] replays the
+/// recursion bottom-up over the proofs.
 #[derive(Debug)]
 pub(crate) enum CollectPlan {
     Unit,
@@ -593,7 +476,7 @@ pub(crate) enum CollectPlan {
         member: Box<CollectPlan>,
         /// Index of this level's parameter-collection goal in the batch.
         goal_idx: usize,
-        /// Nesting depth, for provenance notes.
+        /// Nesting depth, reported with the collection's θ.
         depth: usize,
         /// Everything the Lemma 9 extraction needs besides the proof
         /// (boxed: it dwarfs the other variants).
@@ -614,263 +497,14 @@ pub(crate) fn record_stats(
     let m = obs();
     m.goals_proved.inc();
     m.states_visited.add(stats.visited as u64);
-    // The counters themselves now live in `report.metrics` (and in the
-    // process-wide `nrs_obs` registry); the note keeps a short display line.
-    report.notes.push(format!(
-        "prover[{purpose}]: {} states visited (risky level {}, proof size {proof_size}){}",
-        stats.visited,
-        stats.risky_level,
-        if stats.goal_cache_hits > 0 {
-            " (goal replayed from session cache)"
-        } else {
-            ""
-        },
-    ));
 }
 
-/// Prove every goal of `batch` — through one [`ProverSession::prove_batch`]
-/// dispatch in the shared mode, or goal-by-goal with cold provers in the
-/// oracle mode — and unwrap the proofs in batch order.
-pub(crate) fn prove_goal_batch(
-    batch: &GoalBatch,
-    session: &ProverSession,
-    cfg: &SynthesisConfig,
-    report: &mut SynthesisReport,
-) -> Result<Vec<nrs_proof::Proof>, SynthesisError> {
-    let _span = nrs_obs::span("synth.prove_batch").with("goals", batch.seqs.len());
-    let outcomes = if cfg.share_prover_session {
-        session.prove_batch(&batch.seqs)
-    } else {
-        batch
-            .seqs
-            .iter()
-            .map(|s| prove_sequent(s, session.config()))
-            .collect()
-    };
-    let mut proofs = Vec::with_capacity(outcomes.len());
-    for (outcome, purpose) in outcomes.into_iter().zip(&batch.purposes) {
-        match outcome {
-            Ok((proof, stats)) => {
-                record_stats(purpose, proof.size(), &stats, report);
-                proofs.push(proof);
-            }
-            Err(error) => {
-                return Err(SynthesisError::ProofNotFound {
-                    purpose: purpose.clone(),
-                    error,
-                })
-            }
-        }
-    }
-    Ok(proofs)
-}
-
-pub(crate) fn prove_goal(
-    seq: &Sequent,
-    session: &ProverSession,
-    cfg: &SynthesisConfig,
-    purpose: &str,
-    report: &mut SynthesisReport,
-) -> Result<nrs_proof::Proof, SynthesisError> {
-    let _span = nrs_obs::span("synth.goal").with("purpose", purpose);
-    // Both modes prove under the *session's* budgets, so flipping
-    // `share_prover_session` changes only the memo caching — never the
-    // search envelope (callers of `synthesize_with` may pass a session
-    // configured differently from `cfg.prover`).
-    let outcome = if cfg.share_prover_session {
-        session.prove_sequent(seq)
-    } else {
-        prove_sequent(seq, session.config())
-    };
-    match outcome {
-        Ok((proof, stats)) => {
-            record_stats(purpose, proof.size(), &stats, report);
-            Ok(proof)
-        }
-        Err(error) => Err(SynthesisError::ProofNotFound {
-            purpose: purpose.to_string(),
-            error,
-        }),
-    }
-}
-
-/// The Theorem 2 case analysis on the output type.
-fn synth_output(
-    ctx: &Ctx,
-    output: &Name,
-    out_ty: &Type,
-    env: &TypeEnv,
-    gen: &mut NameGen,
-    report: &mut SynthesisReport,
-) -> Result<Expr, SynthesisError> {
-    match out_ty {
-        Type::Unit => {
-            report
-                .notes
-                .push("output has type Unit: the definition is ()".into());
-            Ok(Expr::Unit)
-        }
-        Type::Ur => {
-            // κ(ī, o) via interpolation of  φ ⊢ φ' → o = o'
-            let goal = Formula::eq_ur(Term::Var(*output), Term::Var(ctx.primed_out));
-            let seq = Sequent::two_sided(
-                InContext::new(),
-                [ctx.phi.clone(), ctx.phi_primed.clone()],
-                [goal.clone()],
-            );
-            let proof = prove_goal(
-                &seq,
-                &ctx.session,
-                &ctx.cfg,
-                "the Ur-output interpolation goal",
-                report,
-            )?;
-            let partition = Partition::with_left([], [ctx.phi.negate()]);
-            let kappa = interpolate(&proof, &partition)?;
-            report.notes.push(format!("Ur-output interpolant: {kappa}"));
-            // E := get_𝔘({ o ∈ atoms(ī) | κ })
-            let atoms = nrc_macros::atoms_of_inputs(&ctx.inputs, gen);
-            let filtered = compile::comprehension(*output, atoms, &Type::Ur, &kappa, env, gen)?;
-            Ok(Expr::get(Type::Ur, filtered))
-        }
-        Type::Prod(t1, t2) => {
-            // φ̃(ī, ā, o1, o2) := φ(ī, ā, ⟨o1, o2⟩), then synthesize each component
-            let o1 = gen.fresh(&format!("{output}_1"));
-            let o2 = gen.fresh(&format!("{output}_2"));
-            let pair = Term::pair(Term::Var(o1), Term::Var(o2));
-            let phi1 = ctx.phi.subst_var(output, &pair).beta_normalize();
-            let spec1 = ImplicitSpec {
-                formula: phi1.clone(),
-                inputs: ctx.inputs.clone(),
-                auxiliaries: collect_aux(&phi1, &ctx.inputs, &o1, env, &o2, (**t2).clone()),
-                output: (o1, (**t1).clone()),
-            };
-            let spec2 = ImplicitSpec {
-                formula: phi1.clone(),
-                inputs: ctx.inputs.clone(),
-                auxiliaries: collect_aux(&phi1, &ctx.inputs, &o2, env, &o1, (**t1).clone()),
-                output: (o2, (**t2).clone()),
-            };
-            report
-                .notes
-                .push("product output: synthesizing the two components".into());
-            // The components are independent sub-goals over the same session;
-            // when configured, they run on separate (scoped) threads.
-            let (d1, d2) = if ctx.cfg.parallel_goals {
-                std::thread::scope(|scope| {
-                    let handle = scope.spawn(|| synthesize_with(&spec1, &ctx.cfg, &ctx.session));
-                    let d2 = synthesize_with(&spec2, &ctx.cfg, &ctx.session);
-                    let d1 = handle.join().unwrap_or_else(|_| {
-                        Err(SynthesisError::Ill(
-                            "component synthesis thread panicked".into(),
-                        ))
-                    });
-                    (d1, d2)
-                })
-            } else {
-                (
-                    synthesize_with(&spec1, &ctx.cfg, &ctx.session),
-                    synthesize_with(&spec2, &ctx.cfg, &ctx.session),
-                )
-            };
-            let (d1, d2) = (d1?, d2?);
-            merge_report(report, d1.report);
-            merge_report(report, d2.report);
-            Ok(Expr::pair(d1.expr, d2.expr))
-        }
-        Type::Set(elem_ty) => {
-            // Theorem 10: a superset expression for the members of the output…
-            let r = gen.fresh("r");
-            let ctx_atoms = vec![MemAtom::new(Term::Var(r), Term::Var(*output))];
-            let mut env_r = env.clone();
-            env_r.insert(r, (**elem_ty).clone());
-            // …and the interpolant κ(ī, r) that filters it down to exactly o.
-            let membership_goal = |gen: &mut NameGen| {
-                // ∃ r' ∈ o' . r ≡ r'  (fresh bound variable)
-                let rp = gen.fresh("rp");
-                let goal = Formula::exists(
-                    rp,
-                    Term::Var(ctx.primed_out),
-                    d0::equiv(elem_ty, &Term::Var(r), &Term::Var(rp), gen),
-                );
-                Sequent::two_sided(
-                    InContext::from_atoms(ctx_atoms.clone()),
-                    [ctx.phi.clone(), ctx.phi_primed.clone()],
-                    [goal],
-                )
-            };
-            let (superset, mem_proof) = if ctx.cfg.batch_goals {
-                // Batched mode: pre-walk the Theorem 10 recursion recording
-                // every per-depth goal, append the membership goal, resolve
-                // them all in ONE prover call (shared saturation prefix),
-                // then assemble the superset bottom-up over the proofs.
-                let mut batch = GoalBatch::default();
-                let collect_span = nrs_obs::span("synth.collect").with("mode", "batched");
-                let plan = plan_collect(
-                    ctx,
-                    &ctx_atoms,
-                    &Term::Var(r),
-                    elem_ty,
-                    1,
-                    &env_r,
-                    gen,
-                    &mut batch,
-                )?;
-                drop(collect_span);
-                let mem_idx = batch.push(
-                    membership_goal(gen),
-                    "the membership interpolation goal".into(),
-                );
-                report.notes.push(format!(
-                    "batched {} goals into one prover call",
-                    batch.seqs.len()
-                ));
-                let mut proofs = prove_goal_batch(&batch, &ctx.session, &ctx.cfg, report)?;
-                let mem_proof = proofs.swap_remove(mem_idx);
-                let assemble_span = nrs_obs::span("synth.assemble").with("proofs", proofs.len());
-                let superset = assemble_collect(ctx, &plan, &proofs, gen, report)?;
-                drop(assemble_span);
-                (superset, mem_proof)
-            } else {
-                // Sequential oracle: prove each goal as the recursion
-                // reaches it.
-                let collect_span = nrs_obs::span("synth.collect").with("mode", "sequential");
-                let superset = collect_answers(
-                    ctx,
-                    &ctx_atoms,
-                    &Term::Var(r),
-                    elem_ty,
-                    1,
-                    &env_r,
-                    gen,
-                    report,
-                )?;
-                drop(collect_span);
-                let seq = membership_goal(gen);
-                let proof = prove_goal(
-                    &seq,
-                    &ctx.session,
-                    &ctx.cfg,
-                    "the membership interpolation goal",
-                    report,
-                )?;
-                (superset, proof)
-            };
-            let partition = Partition::with_left(ctx_atoms.iter().cloned(), [ctx.phi.negate()]);
-            let kappa = interpolate(&mem_proof, &partition)?;
-            report
-                .notes
-                .push(format!("membership interpolant: {kappa}"));
-            let filtered = compile::comprehension(r, superset, elem_ty, &kappa, &env_r, gen)?;
-            Ok(filtered)
-        }
-    }
-}
-
-/// The plan phase of the batched Theorem 10 recursion: the same case
-/// analysis as [`collect_answers`], recording each set-case goal into the
-/// batch instead of proving it.  Returns the plan tree that
-/// [`assemble_collect`] later replays over the batch's proofs.
+/// The plan phase of the Theorem 10 recursion, which builds an NRC
+/// expression over the inputs that contains the value of `subject` (a term
+/// denoting a piece of the output) as a member in every model of the
+/// specification pair.  Records each set-case goal into the batch and
+/// returns the plan tree that [`assemble_collect`] later replays over the
+/// batch's proofs.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_collect(
     ctx: &Ctx,
@@ -965,7 +599,7 @@ pub(crate) fn plan_collect(
     }
 }
 
-/// The assembly phase of the batched Theorem 10 recursion: replay the plan
+/// The assembly phase of the Theorem 10 recursion: replay the plan
 /// bottom-up, running the Lemma 9 extraction over each set-case proof and
 /// instantiating the common parameter with the member superset.
 pub(crate) fn assemble_collect(
@@ -991,10 +625,7 @@ pub(crate) fn assemble_collect(
         } => {
             let member_superset = assemble_collect(ctx, member, proofs, gen, report)?;
             let collected = collect_parameters(&proofs[*goal_idx], input, gen)?;
-            report.notes.push(format!(
-                "parameter collection at depth {depth}: θ = {}",
-                collected.theta
-            ));
+            report.collections.push((*depth, collected.theta));
             // instantiate the common parameter a with the member superset
             Ok(collected.expr.subst(&input.c, &member_superset))
         }
@@ -1004,7 +635,7 @@ pub(crate) fn assemble_collect(
 /// The auxiliaries of a derived specification: every free variable of the
 /// formula that is neither an input nor the output (including the sibling
 /// component in the product case).
-fn collect_aux(
+pub(crate) fn collect_aux(
     phi: &Formula,
     inputs: &[(Name, Type)],
     output: &Name,
@@ -1030,109 +661,9 @@ pub(crate) fn merge_report(into: &mut SynthesisReport, from: SynthesisReport) {
     into.goals_proved += from.goals_proved;
     into.states_visited += from.states_visited;
     into.proof_sizes.extend(from.proof_sizes);
-    into.notes.extend(from.notes);
+    into.interpolants.extend(from.interpolants);
+    into.collections.extend(from.collections);
     into.metrics.merge(from.metrics);
-}
-
-/// Theorem 10: an NRC expression over the inputs that is guaranteed to contain
-/// the value of `subject` (a term denoting a piece of the output) as a member,
-/// in every model of the specification pair.
-#[allow(clippy::too_many_arguments)]
-fn collect_answers(
-    ctx: &Ctx,
-    ctx_atoms: &[MemAtom],
-    subject: &Term,
-    subject_ty: &Type,
-    depth: usize,
-    env: &TypeEnv,
-    gen: &mut NameGen,
-    report: &mut SynthesisReport,
-) -> Result<Expr, SynthesisError> {
-    match subject_ty {
-        Type::Unit => Ok(Expr::singleton(Expr::Unit)),
-        Type::Ur => Ok(nrc_macros::atoms_of_inputs(&ctx.inputs, gen)),
-        Type::Prod(t1, t2) => {
-            let e1 = collect_answers(
-                ctx,
-                ctx_atoms,
-                &Term::proj1(subject.clone()).beta_normalize(),
-                t1,
-                depth,
-                env,
-                gen,
-                report,
-            )?;
-            let e2 = collect_answers(
-                ctx,
-                ctx_atoms,
-                &Term::proj2(subject.clone()).beta_normalize(),
-                t2,
-                depth,
-                env,
-                gen,
-                report,
-            )?;
-            Ok(nrc_macros::product(e1, e2, gen))
-        }
-        Type::Set(inner) => {
-            // (a) superset of the members, one level down (the Lemma 6 step)
-            let z = gen.fresh("z");
-            let mut deeper_atoms = ctx_atoms.to_vec();
-            deeper_atoms.push(MemAtom::new(Term::Var(z), subject.clone()));
-            let mut env_z = env.clone();
-            env_z.insert(z, (**inner).clone());
-            let member_superset = collect_answers(
-                ctx,
-                &deeper_atoms,
-                &Term::Var(z),
-                inner,
-                depth + 1,
-                &env_z,
-                gen,
-                report,
-            )?;
-
-            // (b) the parameter-collection goal (the Lemma 7 step):
-            //     ∃y ∈^p o' . ∀w ∈ a . (w ∈̂ subject ↔ w ∈̂ y)
-            let a = gen.fresh("a");
-            let mut env_a = env.clone();
-            env_a.insert(a, subject_ty.clone());
-            let w = gen.fresh("w");
-            let y = gen.fresh("y");
-            let lam = d0::member_hat(inner, &Term::Var(w), subject, gen);
-            let rho = d0::member_hat(inner, &Term::Var(w), &Term::Var(y), gen);
-            let body = Formula::forall(w, Term::Var(a), d0::iff(lam.clone(), rho.clone()));
-            let path = nrs_value::SubtypePath(vec![nrs_value::SubtypeStep::Member; depth]);
-            let goal = d0::exists_path(&y, &path, &Term::Var(ctx.primed_out), body, gen);
-            let seq = Sequent::two_sided(
-                InContext::from_atoms(ctx_atoms.iter().cloned()),
-                [ctx.phi.clone(), ctx.phi_primed.clone()],
-                [goal.clone()],
-            );
-            let proof = prove_goal(
-                &seq,
-                &ctx.session,
-                &ctx.cfg,
-                &format!("the parameter-collection goal at nesting depth {depth}"),
-                report,
-            )?;
-            let partition = Partition::with_left(ctx_atoms.iter().cloned(), [ctx.phi.negate()]);
-            let input = CollectInput {
-                goal,
-                c: a,
-                elem_ty: (**inner).clone(),
-                partition,
-                env: env_a.clone(),
-            };
-            let collected = collect_parameters(&proof, &input, gen)?;
-            report.notes.push(format!(
-                "parameter collection at depth {depth}: θ = {}",
-                collected.theta
-            ));
-            // (c) instantiate the common parameter a with the member superset
-            Ok(collected.expr.subst(&a, &member_superset))
-        }
-    }
 }
 
 #[cfg(test)]

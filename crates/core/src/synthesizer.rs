@@ -1,15 +1,13 @@
 //! The [`Synthesizer`] facade: one owner for the prover session, the FOL
 //! session and the synthesis configuration.
 //!
-//! The free functions accreted one entry point per capability —
-//! [`synthesize`](crate::synthesis::synthesize),
-//! [`synthesize_with`],
-//! [`WorkloadProblem::derive_workload_with`],
-//! a hand-built [`SynthesisConfig`] — and every caller had to thread the
-//! session and config through by hand to benefit from warm caches.  The
-//! builder consolidates them: construct once, tweak the knobs fluently, and
-//! run any number of specs, workloads or rewriting problems through the
-//! same warm state.
+//! Every run goes through one path: a [`Workload`] is planned into one
+//! deduplicated goal batch, proved in one
+//! [`ProverSession::prove_batch`] call, and assembled.  A single spec is the
+//! one-entry workload, and a [`WorkloadProblem`] builds its workload from the
+//! views and queries.  The builder owns the session and the configuration
+//! (the prover budgets and whether to check determinacy), so any number of
+//! specs, workloads or rewriting problems run through the same warm state.
 //!
 //! ```no_run
 //! use nrs_synthesis::{Synthesizer, Workload};
@@ -21,9 +19,7 @@
 //!     .unwrap();
 //! ```
 
-use crate::synthesis::{
-    synthesize_with, ImplicitSpec, SynthesisConfig, SynthesisError, SynthesizedDefinition,
-};
+use crate::synthesis::{ImplicitSpec, SynthesisConfig, SynthesisError, SynthesizedDefinition};
 use crate::workload::{
     synthesize_workload_with, Workload, WorkloadProblem, WorkloadRewriting, WorkloadSynthesis,
 };
@@ -113,24 +109,6 @@ impl Synthesizer {
         self
     }
 
-    /// Synthesize product components on separate threads.
-    pub fn parallel_goals(mut self, yes: bool) -> Synthesizer {
-        self.cfg.parallel_goals = yes;
-        self
-    }
-
-    /// Prove through the shared session (default) or a cold prover per goal.
-    pub fn share_prover_session(mut self, yes: bool) -> Synthesizer {
-        self.cfg.share_prover_session = yes;
-        self
-    }
-
-    /// Batch the per-depth goals into single prover dispatches.
-    pub fn batch_goals(mut self, yes: bool) -> Synthesizer {
-        self.cfg.batch_goals = yes;
-        self
-    }
-
     /// The current configuration.
     pub fn config(&self) -> &SynthesisConfig {
         &self.cfg
@@ -148,9 +126,12 @@ impl Synthesizer {
             .get_or_init(|| FolSession::new(FoProverConfig::default()))
     }
 
-    /// Synthesize one implicit spec (Theorem 2) through the warm session.
+    /// Synthesize one implicit spec (Theorem 2) through the warm session, as
+    /// the one-entry workload named after its output.
     pub fn synthesize(&self, spec: &ImplicitSpec) -> Result<SynthesizedDefinition, SynthesisError> {
-        synthesize_with(spec, &self.cfg, &self.session)
+        let workload = Workload::new().with_entry(spec.output.0, spec.clone());
+        let mut run = self.synthesize_workload(&workload)?;
+        Ok(run.definitions.swap_remove(0).1)
     }
 
     /// Synthesize a whole [`Workload`] through one deduplicated goal batch

@@ -178,7 +178,6 @@ mod tests {
                 ..ProverConfig::default()
             },
             check_determinacy: false,
-            ..Default::default()
         };
         let result = problem.derive_workload(&cfg).expect("rewriting exists");
         for seed in 0..3 {

@@ -1,15 +1,20 @@
-//! Workload synthesis: many specs, one shared view set (ROADMAP item 2).
+//! Workload synthesis: many specs, one shared view set — the one synthesis
+//! path.
 //!
 //! The paper's pipeline synthesizes *one* rewriting from *one* implicit
 //! specification.  A production service maintains materialized views for
 //! *dozens* of query templates over the same schema — and those templates
 //! overlap: they share view definitions, integrity constraints and whole
 //! sub-queries.  This module amortizes both halves of the pipeline across
-//! such a batch (the shape of cozy's `synthesize_queries`):
+//! such a batch (the shape of cozy's `synthesize_queries`, which treats one
+//! query as the list of length one — so does
+//! [`synthesize`](crate::synthesis::synthesize)):
 //!
 //! 1. **One proving pass.**  [`synthesize_workload_with`] pre-walks every
-//!    entry's Theorem-10 recursion (`plan_collect`) into one
-//!    `GoalBatch` in **deduping** mode: structurally identical sequents —
+//!    entry's Theorem 2 case analysis into one deduplicating `GoalBatch`:
+//!    the Ur and membership interpolation goals, the Theorem 10 recursion
+//!    (`plan_collect`) of set outputs, and both components of a product
+//!    output, each over `φ[⟨o1, o2⟩/o]`.  Structurally identical sequents —
 //!    cheap to detect, the formulas are hash-consed — collapse onto a
 //!    single batch slot, so a proof obligation shared by several specs is
 //!    dispatched to [`ProverSession::prove_batch`] exactly once.  Goals
@@ -29,11 +34,10 @@
 //!    ([`MaintainedWorkload`](crate::ivm::MaintainedWorkload)) materializes
 //!    once and delta-feeds into every dependent answer.
 //!
-//! The per-entry outputs are bit-identical to what single-spec
-//! [`synthesize`](crate::synthesis::synthesize) produces for the same spec
-//! (property-tested): planning mirrors the single-spec recursion name-for-
-//! name, and deduplication only short-circuits proofs that would have been
-//! found identically.
+//! Each entry's definition is what a one-entry workload of the same spec
+//! produces: every output level draws its names from a generator of its own,
+//! and deduplication only short-circuits proofs that would have been found
+//! identically.
 //!
 //! [`WorkloadProblem`] is the Corollary 3 packaging: one base schema, one
 //! view set, N named queries; [`derive_workload`](WorkloadProblem::derive_workload)
@@ -42,9 +46,9 @@
 //! returns a [`WorkloadRewriting`] ready for maintenance and serving.
 
 use crate::synthesis::{
-    assemble_collect, merge_report, observed_run, plan_collect, record_stats, synthesize_with,
-    CollectPlan, Ctx, GoalBatch, ImplicitSpec, SynthesisConfig, SynthesisError, SynthesisReport,
-    SynthesizedDefinition,
+    assemble_collect, collect_aux, merge_report, observed_run, plan_collect, record_stats,
+    CollectPlan, Ctx, GoalBatch, ImplicitSpec, InterpolantKind, SynthesisConfig, SynthesisError,
+    SynthesisReport, SynthesizedDefinition,
 };
 use nrs_delta0::macros as d0;
 use nrs_delta0::typing::TypeEnv;
@@ -53,10 +57,11 @@ use nrs_interp::interpolate;
 use nrs_interp::partition::Partition;
 use nrs_nrc::spec::ViewDef;
 use nrs_nrc::{compile, eval as nrc_eval, macros as nrc_macros, Expr};
-use nrs_proof::Sequent;
-use nrs_prover::{prove_sequent, ProverSession};
+use nrs_proof::{ProofError, Sequent};
+use nrs_prover::{ProverSession, ProverStats};
 use nrs_value::{Instance, Name, NameGen, Type, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 
 /// Cached handles into the global [`nrs_obs`] registry for workload runs.
 struct ObsMetrics {
@@ -150,9 +155,6 @@ pub struct WorkloadReport {
     /// Goals that collapsed onto an identical earlier goal — proof
     /// obligations shared across specs and proved exactly once.
     pub shared_goals_dedup: usize,
-    /// Entries synthesized through the single-spec fallback path (product
-    /// outputs, whose component recursion cannot be pre-walked).
-    pub fallback_entries: usize,
     /// Interpolants the assembly phase asked for, reused ones included.
     pub interpolations: usize,
     /// Interpolants answered from an earlier entry that split the same
@@ -197,7 +199,7 @@ impl SharedViewSet {
 }
 
 /// The result of synthesizing a [`Workload`]: one definition per entry
-/// (bit-identical to single-spec synthesis of the same spec), the shared
+/// (bit-identical to synthesizing the same spec alone), the shared
 /// view set across them, and the aggregated report.
 #[derive(Debug, Clone)]
 pub struct WorkloadSynthesis {
@@ -219,8 +221,17 @@ impl WorkloadSynthesis {
     }
 }
 
-/// The pre-walked shape of one workload entry: everything the assembly
-/// phase needs besides the proofs.
+/// The pre-walked Theorem 2 case analysis of one output: everything the
+/// assembly phase needs besides the proofs.
+struct OutputPlan {
+    ctx: Ctx,
+    gen: NameGen,
+    env: TypeEnv,
+    output: Name,
+    shape: OutputShape,
+}
+
+/// The output-type case of an [`OutputPlan`].
 enum OutputShape {
     /// Unit output: the definition is `()` — no goals.
     Unit,
@@ -235,25 +246,19 @@ enum OutputShape {
         plan: CollectPlan,
         mem_idx: usize,
     },
-    /// Product output: synthesized through the single-spec path on the
-    /// shared session (the component recursion spawns fresh specs that
-    /// cannot be pre-walked into this batch).
-    Fallback,
+    /// Product output: one plan per component, each over `φ[⟨o1, o2⟩/o]`.
+    Prod(Box<OutputPlan>, Box<OutputPlan>),
 }
 
 /// One planned entry, carried from the plan phase to the assembly phase.
 struct EntryPlan {
     name: Name,
     spec: ImplicitSpec,
-    ctx: Ctx,
-    gen: NameGen,
-    env: TypeEnv,
-    shape: OutputShape,
-    /// Unique goal indices this entry recorded *first* (its exclusive share
-    /// of the batch); stats of deduplicated goals are attributed to their
-    /// first owner, so summing per-entry reports never double counts.
-    first_recorded: Vec<usize>,
-    report: SynthesisReport,
+    /// The batch slots this entry recorded *first* (its exclusive share of
+    /// the batch); stats of deduplicated goals are attributed to their first
+    /// owner, so summing per-entry reports never double counts.
+    first_recorded: Range<usize>,
+    output: OutputPlan,
 }
 
 /// Synthesize every entry of a workload through one shared prover session
@@ -295,120 +300,52 @@ fn synthesize_workload_inner(
     m.workloads.inc();
     m.entries.add(workload.len() as u64);
     workload.check_distinct_names()?;
-
-    // ---- plan phase: walk every entry, recording goals into one batch ----
-    let mut batch = GoalBatch::deduping();
-    let mut plans = Vec::with_capacity(workload.len());
-    let plan_span = nrs_obs::span("synth.workload.plan");
-    for (name, spec) in workload.entries() {
-        plans.push(plan_entry(*name, spec, cfg, session, &mut batch)?);
-    }
-    drop(plan_span);
-    let goals_recorded = batch.seqs.len() + batch.dedup_hits;
-    let shared_goals_dedup = batch.dedup_hits;
-    m.shared_goals_dedup.add(shared_goals_dedup as u64);
-
-    // ---- prove phase: one batched dispatch over the unique goals ----
-    let prove_span = nrs_obs::span("synth.workload.prove_batch").with("goals", batch.seqs.len());
-    let outcomes = if cfg.share_prover_session {
+    let (batch, plans) = plan_workload(workload, cfg)?;
+    let outcomes = {
+        let _span = nrs_obs::span("synth.workload.prove_batch").with("goals", batch.seqs.len());
         session.prove_batch(&batch.seqs)
-    } else {
-        batch
-            .seqs
-            .iter()
-            .map(|s| prove_sequent(s, session.config()))
-            .collect()
     };
-    let mut proofs = Vec::with_capacity(outcomes.len());
-    let mut stats = Vec::with_capacity(outcomes.len());
-    for (outcome, purpose) in outcomes.into_iter().zip(&batch.purposes) {
-        match outcome {
-            Ok((proof, st)) => {
-                proofs.push(proof);
-                stats.push(st);
-            }
-            Err(error) => {
-                return Err(SynthesisError::ProofNotFound {
-                    purpose: purpose.clone(),
-                    error,
-                })
-            }
-        }
-    }
-    drop(prove_span);
-
-    // ---- assembly phase: replay each entry over the shared proof vector ----
-    let mut assemble_span = nrs_obs::span("synth.workload.assemble").with("proofs", proofs.len());
-    let mut interpolants = Interpolants::default();
-    let mut definitions = Vec::with_capacity(plans.len());
-    let mut aggregate = SynthesisReport::default();
-    let mut fallback_entries = 0usize;
-    for mut plan in plans {
-        // attribute each first-recorded unique goal's stats to this entry
-        for &idx in &plan.first_recorded {
-            record_stats(
-                &batch.purposes[idx],
-                proofs[idx].size(),
-                &stats[idx],
-                &mut plan.report,
-            );
-        }
-        let def = assemble_entry(
-            plan,
-            &proofs,
-            &mut interpolants,
-            cfg,
-            session,
-            &mut fallback_entries,
-        )?;
-        merge_report(&mut aggregate, def.1.report.clone());
-        definitions.push(def);
-    }
-    m.interpolations.add(interpolants.requested as u64);
-    m.interpolants_reused.add(interpolants.reused as u64);
-    assemble_span.record("interpolations", interpolants.requested);
-    assemble_span.record("interpolants_reused", interpolants.reused);
-    drop(assemble_span);
-
-    // ---- shared view set across the simplified rewritings ----
-    let shared = extract_shared_views(
-        definitions
-            .iter()
-            .map(|(n, d)| (*n, d.expr().clone()))
-            .collect(),
-    );
-    m.shared_views.add(shared.views.len() as u64);
-    span.record("goals", goals_recorded);
-    span.record("dedup", shared_goals_dedup);
-    span.record("shared_views", shared.views.len());
-
-    Ok(WorkloadSynthesis {
-        definitions,
-        shared,
-        report: WorkloadReport {
-            entries: workload.len(),
-            goals_recorded,
-            shared_goals_dedup,
-            fallback_entries,
-            interpolations: interpolants.requested,
-            interpolants_reused: interpolants.reused,
-            synthesis: aggregate,
-        },
-    })
+    let run = assemble_workload(batch, plans, outcomes)?;
+    span.record("goals", run.report.goals_recorded);
+    span.record("dedup", run.report.shared_goals_dedup);
+    span.record("shared_views", run.shared.views.len());
+    Ok(run)
 }
 
-/// The plan phase of one entry: mirrors `synthesize_with_inner` +
-/// `synth_output` name-for-name so a singleton workload is bit-identical to
-/// single-spec synthesis, but records goals instead of proving them.
-fn plan_entry(
+/// The plan phase: walk every entry, recording its goals into one
+/// deduplicating batch.
+fn plan_workload(
+    workload: &Workload,
+    cfg: &SynthesisConfig,
+) -> Result<(GoalBatch, Vec<EntryPlan>), SynthesisError> {
+    let _span = nrs_obs::span("synth.workload.plan");
+    let mut batch = GoalBatch::default();
+    let mut plans = Vec::with_capacity(workload.len());
+    for (name, spec) in workload.entries() {
+        let before = batch.seqs.len();
+        let output = plan_output(*name, spec, cfg.check_determinacy, &mut batch)?;
+        plans.push(EntryPlan {
+            name: *name,
+            spec: spec.clone(),
+            first_recorded: before..batch.seqs.len(),
+            output,
+        });
+    }
+    let m = obs();
+    m.shared_goals_dedup.add(batch.dedup_hits as u64);
+    Ok((batch, plans))
+}
+
+/// The plan phase of one output (Theorem 2): record its goals and pre-walk
+/// the case analysis on its type.  A product output recurses into its two
+/// components; they do not prove determinacy again, because the top-level
+/// goal implies it.
+fn plan_output(
     name: Name,
     spec: &ImplicitSpec,
-    cfg: &SynthesisConfig,
-    session: &ProverSession,
+    determinacy: bool,
     batch: &mut GoalBatch,
-) -> Result<EntryPlan, SynthesisError> {
-    let mut report = SynthesisReport::default();
-    let mut first_recorded = Vec::new();
+) -> Result<OutputPlan, SynthesisError> {
     let mut gen = NameGen::avoiding(
         spec.formula
             .free_vars()
@@ -422,28 +359,12 @@ fn plan_entry(
     for (n, t) in &primed_aux {
         env.insert(*n, t.clone());
     }
+    let (output, out_ty) = &spec.output;
 
-    let push_tracked = |batch: &mut GoalBatch,
-                        first: &mut Vec<usize>,
-                        report: &mut SynthesisReport,
-                        seq: Sequent,
-                        purpose: String| {
-        let before = batch.seqs.len();
-        let idx = batch.push(seq, purpose);
-        if batch.seqs.len() > before {
-            first.push(idx);
-        } else {
-            report
-                .notes
-                .push("goal shared with an earlier workload entry (deduplicated)".into());
-        }
-        idx
-    };
-
-    if cfg.check_determinacy {
+    if determinacy {
         let goal = d0::equiv(
-            &spec.output.1,
-            &Term::Var(spec.output.0),
+            out_ty,
+            &Term::Var(*output),
             &Term::Var(primed_out),
             &mut gen,
         );
@@ -452,56 +373,40 @@ fn plan_entry(
             [spec.formula.clone(), phi_primed.clone()],
             [goal],
         );
-        push_tracked(
-            batch,
-            &mut first_recorded,
-            &mut report,
-            seq,
-            format!("the determinacy of the output (entry {name})"),
-        );
-        report
-            .notes
-            .push("determinacy established by proof search".into());
+        batch.push(seq, format!("the determinacy of the output (entry {name})"));
     }
 
     let ctx = Ctx {
         phi: spec.formula.clone(),
-        phi_primed: phi_primed.clone(),
+        phi_primed,
         primed_out,
         inputs: spec.inputs.clone(),
-        cfg: cfg.clone(),
-        session: session.clone(),
     };
-    let shape = match &spec.output.1 {
-        Type::Unit => {
-            report
-                .notes
-                .push("output has type Unit: the definition is ()".into());
-            OutputShape::Unit
-        }
+    let two_sided = |atoms: Vec<MemAtom>, goal: Formula| {
+        Sequent::two_sided(
+            InContext::from_atoms(atoms),
+            [ctx.phi.clone(), ctx.phi_primed.clone()],
+            [goal],
+        )
+    };
+    let shape = match out_ty {
+        Type::Unit => OutputShape::Unit,
         Type::Ur => {
-            let goal = Formula::eq_ur(Term::Var(spec.output.0), Term::Var(ctx.primed_out));
-            let seq = Sequent::two_sided(
-                InContext::new(),
-                [ctx.phi.clone(), ctx.phi_primed.clone()],
-                [goal],
-            );
-            let goal_idx = push_tracked(
-                batch,
-                &mut first_recorded,
-                &mut report,
-                seq,
+            // κ(ī, o) via interpolation of  φ ⊢ φ' → o = o'
+            let goal = Formula::eq_ur(Term::Var(*output), Term::Var(primed_out));
+            let goal_idx = batch.push(
+                two_sided(vec![], goal),
                 format!("the Ur-output interpolation goal (entry {name})"),
             );
             OutputShape::Ur { goal_idx }
         }
         Type::Set(elem_ty) => {
+            // Theorem 10: a superset expression for the members of the
+            // output…
             let r = gen.fresh("r");
-            let ctx_atoms = vec![MemAtom::new(Term::Var(r), Term::Var(spec.output.0))];
+            let ctx_atoms = vec![MemAtom::new(Term::Var(r), Term::Var(*output))];
             let mut env_r = env.clone();
             env_r.insert(r, (**elem_ty).clone());
-            let before = batch.seqs.len();
-            let dedup_before = batch.dedup_hits;
             let plan = plan_collect(
                 &ctx,
                 &ctx_atoms,
@@ -512,29 +417,16 @@ fn plan_entry(
                 &mut gen,
                 batch,
             )?;
-            first_recorded.extend(before..batch.seqs.len());
-            for _ in dedup_before..batch.dedup_hits {
-                report
-                    .notes
-                    .push("goal shared with an earlier workload entry (deduplicated)".into());
-            }
-            // the membership interpolation goal, exactly as in synth_output
+            // …and the interpolant κ(ī, r) of  ∃ r' ∈ o' . r ≡ r'  that
+            // filters it down to exactly o
             let rp = gen.fresh("rp");
             let goal = Formula::exists(
                 rp,
-                Term::Var(ctx.primed_out),
+                Term::Var(primed_out),
                 d0::equiv(elem_ty, &Term::Var(r), &Term::Var(rp), &mut gen),
             );
-            let seq = Sequent::two_sided(
-                InContext::from_atoms(ctx_atoms.clone()),
-                [ctx.phi.clone(), ctx.phi_primed.clone()],
-                [goal],
-            );
-            let mem_idx = push_tracked(
-                batch,
-                &mut first_recorded,
-                &mut report,
-                seq,
+            let mem_idx = batch.push(
+                two_sided(ctx_atoms.clone(), goal),
                 format!("the membership interpolation goal (entry {name})"),
             );
             OutputShape::Set {
@@ -546,24 +438,40 @@ fn plan_entry(
                 mem_idx,
             }
         }
-        Type::Prod(_, _) => {
-            report.notes.push(
-                "product output: synthesized through the single-spec fallback on the shared \
-                 session"
-                    .into(),
-            );
-            OutputShape::Fallback
+        Type::Prod(t1, t2) => {
+            // φ̃(ī, ā, o1, o2) := φ(ī, ā, ⟨o1, o2⟩); each component is the
+            // output of a spec of its own, with its sibling as an auxiliary
+            let o1 = gen.fresh(&format!("{output}_1"));
+            let o2 = gen.fresh(&format!("{output}_2"));
+            let pair = Term::pair(Term::Var(o1), Term::Var(o2));
+            let phi = spec.formula.subst_var(output, &pair).beta_normalize();
+            let mut component = |o: Name, ty: &Type, sibling: Name, sibling_ty: &Type| {
+                let spec = ImplicitSpec {
+                    formula: phi.clone(),
+                    inputs: spec.inputs.clone(),
+                    auxiliaries: collect_aux(
+                        &phi,
+                        &spec.inputs,
+                        &o,
+                        &env,
+                        &sibling,
+                        sibling_ty.clone(),
+                    ),
+                    output: (o, ty.clone()),
+                };
+                plan_output(name, &spec, false, batch)
+            };
+            let p1 = component(o1, t1, o2, t2)?;
+            let p2 = component(o2, t2, o1, t1)?;
+            OutputShape::Prod(Box::new(p1), Box::new(p2))
         }
     };
-    Ok(EntryPlan {
-        name,
-        spec: spec.clone(),
+    Ok(OutputPlan {
         ctx,
         gen,
         env,
+        output: *output,
         shape,
-        first_recorded,
-        report,
     })
 }
 
@@ -604,35 +512,96 @@ impl Interpolants {
     }
 }
 
-/// The assembly phase of one entry: replay the plan over the shared proof
-/// vector, mirroring the single-spec `synth_output` assembly.
-fn assemble_entry(
-    plan: EntryPlan,
+/// The assembly phase: unwrap the batch's proofs, replay every entry over
+/// them, and extract the shared view set across the simplified rewritings.
+fn assemble_workload(
+    batch: GoalBatch,
+    plans: Vec<EntryPlan>,
+    outcomes: Vec<Result<(nrs_proof::Proof, ProverStats), ProofError>>,
+) -> Result<WorkloadSynthesis, SynthesisError> {
+    let mut proofs = Vec::with_capacity(outcomes.len());
+    let mut stats = Vec::with_capacity(outcomes.len());
+    for (outcome, purpose) in outcomes.into_iter().zip(&batch.purposes) {
+        let (proof, st) = outcome.map_err(|error| SynthesisError::ProofNotFound {
+            purpose: purpose.clone(),
+            error,
+        })?;
+        proofs.push(proof);
+        stats.push(st);
+    }
+
+    let mut assemble_span = nrs_obs::span("synth.workload.assemble").with("proofs", proofs.len());
+    let mut interpolants = Interpolants::default();
+    let mut definitions = Vec::with_capacity(plans.len());
+    let mut aggregate = SynthesisReport::default();
+    for plan in plans {
+        let mut report = SynthesisReport::default();
+        for idx in plan.first_recorded {
+            record_stats(
+                &batch.purposes[idx],
+                proofs[idx].size(),
+                &stats[idx],
+                &mut report,
+            );
+        }
+        let expr = assemble_output(plan.output, &proofs, &mut interpolants, &mut report)?;
+        let def = SynthesizedDefinition::new(expr, plan.spec, report);
+        merge_report(&mut aggregate, def.report.clone());
+        definitions.push((plan.name, def));
+    }
+    let m = obs();
+    m.interpolations.add(interpolants.requested as u64);
+    m.interpolants_reused.add(interpolants.reused as u64);
+    assemble_span.record("interpolations", interpolants.requested);
+    assemble_span.record("interpolants_reused", interpolants.reused);
+    drop(assemble_span);
+
+    let shared = extract_shared_views(
+        definitions
+            .iter()
+            .map(|(n, d)| (*n, d.expr().clone()))
+            .collect(),
+    );
+    m.shared_views.add(shared.views.len() as u64);
+    Ok(WorkloadSynthesis {
+        report: WorkloadReport {
+            entries: definitions.len(),
+            goals_recorded: batch.seqs.len() + batch.dedup_hits,
+            shared_goals_dedup: batch.dedup_hits,
+            interpolations: interpolants.requested,
+            interpolants_reused: interpolants.reused,
+            synthesis: aggregate,
+        },
+        definitions,
+        shared,
+    })
+}
+
+/// The assembly phase of one output: replay its plan over the shared proof
+/// vector into a raw (unsimplified) NRC expression.
+fn assemble_output(
+    plan: OutputPlan,
     proofs: &[nrs_proof::Proof],
     interpolants: &mut Interpolants,
-    cfg: &SynthesisConfig,
-    session: &ProverSession,
-    fallback_entries: &mut usize,
-) -> Result<(Name, SynthesizedDefinition), SynthesisError> {
-    let EntryPlan {
-        name,
-        spec,
+    report: &mut SynthesisReport,
+) -> Result<Expr, SynthesisError> {
+    let OutputPlan {
         ctx,
         mut gen,
         env,
+        output,
         shape,
-        first_recorded: _,
-        mut report,
     } = plan;
-    let expr = match shape {
+    Ok(match shape {
         OutputShape::Unit => Expr::Unit,
         OutputShape::Ur { goal_idx } => {
             let partition = Partition::with_left([], [ctx.phi.negate()]);
             let kappa = interpolants.get(proofs, goal_idx, partition)?;
-            report.notes.push(format!("Ur-output interpolant: {kappa}"));
+            // E := get_𝔘({ o ∈ atoms(ī) | κ })
             let atoms = nrc_macros::atoms_of_inputs(&ctx.inputs, &mut gen);
             let filtered =
-                compile::comprehension(spec.output.0, atoms, &Type::Ur, &kappa, &env, &mut gen)?;
+                compile::comprehension(output, atoms, &Type::Ur, &kappa, &env, &mut gen)?;
+            report.interpolants.push((InterpolantKind::Ur, kappa));
             Expr::get(Type::Ur, filtered)
         }
         OutputShape::Set {
@@ -643,22 +612,20 @@ fn assemble_entry(
             plan,
             mem_idx,
         } => {
-            let superset = assemble_collect(&ctx, &plan, proofs, &mut gen, &mut report)?;
-            let partition = Partition::with_left(ctx_atoms.iter().cloned(), [ctx.phi.negate()]);
+            let superset = assemble_collect(&ctx, &plan, proofs, &mut gen, report)?;
+            let partition = Partition::with_left(ctx_atoms, [ctx.phi.negate()]);
             let kappa = interpolants.get(proofs, mem_idx, partition)?;
+            let filtered = compile::comprehension(r, superset, &elem_ty, &kappa, &env_r, &mut gen)?;
             report
-                .notes
-                .push(format!("membership interpolant: {kappa}"));
-            compile::comprehension(r, superset, &elem_ty, &kappa, &env_r, &mut gen)?
+                .interpolants
+                .push((InterpolantKind::Membership, kappa));
+            filtered
         }
-        OutputShape::Fallback => {
-            *fallback_entries += 1;
-            let def = synthesize_with(&spec, cfg, session)?;
-            merge_report(&mut report, def.report.clone());
-            return Ok((name, def));
-        }
-    };
-    Ok((name, SynthesizedDefinition::new(expr, spec, report)))
+        OutputShape::Prod(p1, p2) => Expr::pair(
+            assemble_output(*p1, proofs, interpolants, report)?,
+            assemble_output(*p2, proofs, interpolants, report)?,
+        ),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1147,7 +1114,57 @@ pub fn overlapping_workload_problem(n: usize) -> WorkloadProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::views::partition_instance;
+    use crate::views::{partition_instance, partition_problem};
+
+    /// The planned batch proved through one warm `prove_batch` and, as the
+    /// oracle, goal by goal with cold provers: every goal is proved both
+    /// ways, session sharing searches no more, and both assemble the same
+    /// definitions, which answer the query on the base.
+    #[test]
+    fn shared_batch_matches_cold_goal_by_goal_proving() {
+        let problem = partition_problem();
+        let workload = problem.workload().unwrap();
+        // sequential branch search, so the visited counts are exact
+        let cfg = SynthesisConfig {
+            prover: nrs_prover::ProverConfig {
+                parallel_branches: false,
+                ..Default::default()
+            },
+            check_determinacy: true,
+        };
+        let (batch, plans) = plan_workload(&workload, &cfg).unwrap();
+        let shared = ProverSession::new(cfg.prover.clone()).prove_batch(&batch.seqs);
+        let (cold_batch, cold_plans) = plan_workload(&workload, &cfg).unwrap();
+        let cold: Vec<_> = cold_batch
+            .seqs
+            .iter()
+            .map(|seq| nrs_prover::prove_sequent(seq, &cfg.prover))
+            .collect();
+        assert_eq!(shared.len(), cold.len());
+        assert!(shared.iter().chain(&cold).all(Result::is_ok));
+        let shared = assemble_workload(batch, plans, shared).unwrap();
+        let cold = assemble_workload(cold_batch, cold_plans, cold).unwrap();
+        let (s, c) = (&shared.report.synthesis, &cold.report.synthesis);
+        assert_eq!(s.goals_proved, c.goals_proved);
+        assert!(
+            s.states_visited <= c.states_visited,
+            "session sharing must not search more ({} vs {})",
+            s.states_visited,
+            c.states_visited
+        );
+        for ((_, a), (_, b)) in shared.definitions.iter().zip(&cold.definitions) {
+            assert_eq!(a.expr(), b.expr());
+        }
+        let rewriting = WorkloadRewriting {
+            problem,
+            synthesis: shared,
+        };
+        for seed in 0..6 {
+            assert!(rewriting
+                .verify_on_base(&partition_instance(6, seed))
+                .unwrap());
+        }
+    }
 
     #[test]
     fn overlapping_workload_synthesizes_and_verifies() {

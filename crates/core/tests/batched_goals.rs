@@ -1,24 +1,30 @@
-//! Batched-goal synthesis ≡ sequential synthesis: collecting the per-depth
-//! goals of one run into a single `ProverSession::prove_batch` call (the
-//! default) must produce definitions that agree everywhere with the
-//! goal-at-a-time oracle (`batch_goals: false`), and must fail identically
-//! when a goal is beyond the prover's budgets.
+//! Batched-goal synthesis against ground truth: every goal of a run is
+//! proved in one `ProverSession::prove_batch` call, under the default
+//! prover (parallel branch search where the host has several cores).  The
+//! definitions must answer the query on the base, agree byte for byte with
+//! the definitions `search_pin.txt` pins under a sequential prover, and a
+//! goal beyond the prover's budgets must fail the same way under both
+//! provers.
+
+mod fixtures;
 
 use nrs_delta0::macros as d0;
 use nrs_delta0::{Formula, Term};
+use nrs_prover::ProverConfig;
 use nrs_synthesis::views::{partition_instance, partition_problem};
 use nrs_synthesis::{synthesize, ImplicitSpec, SynthesisConfig, SynthesisError};
-use nrs_value::{Name, NameGen, Type};
+use nrs_value::{Instance, Name, NameGen, Type, Value};
 
-fn batched() -> SynthesisConfig {
-    SynthesisConfig::default()
-}
-
-fn sequential() -> SynthesisConfig {
-    SynthesisConfig {
-        batch_goals: false,
-        ..Default::default()
-    }
+/// The pinned definition of one section of `search_pin.txt` (its first
+/// line, with the entry name stripped).
+fn pinned_definition(section: &str) -> &'static str {
+    let header = format!("== {section}");
+    let line = include_str!("search_pin.txt")
+        .lines()
+        .skip_while(|l| *l != header)
+        .nth(1)
+        .expect("pinned section");
+    line.split_once(" := ").expect("definition line").1
 }
 
 #[test]
@@ -27,27 +33,15 @@ fn batched_partition_rewriting_agrees_with_sequential() {
     let spec = problem.workload().expect("well-formed spec").entries()[0]
         .1
         .clone();
-    let fast = synthesize(&spec, &batched()).expect("batched mode");
-    let oracle = synthesize(&spec, &sequential()).expect("sequential oracle");
-    // both definitions answer every instance identically (names of bound
-    // variables may differ between the modes, so compare semantically), and
-    // the answer is the query Q = S
+    let def = synthesize(&spec, &SynthesisConfig::default()).expect("batched synthesis");
+    assert_eq!(def.expr().to_string(), pinned_definition("partition"));
+    // the rewriting answers the query Q = S from the views
     for seed in 0..6 {
         let base = partition_instance(6, seed);
         let views = problem.materialize_views(&base).unwrap();
-        let answer = fast.evaluate(&views).unwrap();
+        let answer = def.evaluate(&views).unwrap();
         assert_eq!(&answer, base.get(&Name::new("S")).unwrap(), "seed {seed}");
-        assert_eq!(
-            answer,
-            oracle.evaluate(&views).unwrap(),
-            "answers diverge on seed {seed}"
-        );
     }
-    assert!(fast
-        .report
-        .notes
-        .iter()
-        .any(|n| n.contains("batched") && n.contains("prover call")));
 }
 
 #[test]
@@ -63,16 +57,39 @@ fn batched_ur_and_product_outputs_agree_with_sequential() {
         auxiliaries: vec![],
         output: (Name::new("o"), Type::Ur),
     };
-    let inst = nrs_value::Instance::from_bindings([
-        (
-            Name::new("I"),
-            nrs_value::Value::set([nrs_value::Value::atom(7)]),
-        ),
-        (Name::new("o"), nrs_value::Value::atom(7)),
+    let inst = Instance::from_bindings([
+        (Name::new("I"), Value::set([Value::atom(7)])),
+        (Name::new("o"), Value::atom(7)),
     ]);
-    for cfg in [batched(), sequential()] {
-        let def = synthesize(&spec, &cfg).expect("Ur synthesis");
-        assert_eq!(def.check_against(&inst).unwrap(), Some(true));
+    let def = synthesize(&spec, &SynthesisConfig::default()).expect("Ur synthesis");
+    assert_eq!(def.check_against(&inst).unwrap(), Some(true));
+
+    // product outputs: the pinned definitions, checked on a satisfying
+    // instance (I = {7})
+    let atoms = |ns: &[u64]| Value::set(ns.iter().map(|&n| Value::atom(n)));
+    let cases = [
+        (
+            fixtures::ur_and_set_spec(),
+            "product Ur x Set(Ur)",
+            atoms(&[1, 2]),
+            Value::pair(Value::atom(7), atoms(&[1, 2])),
+        ),
+        (
+            fixtures::ur_unit_ur_spec(),
+            "product Ur x (Unit x Ur)",
+            atoms(&[1]),
+            Value::pair(Value::atom(7), Value::pair(Value::Unit, Value::atom(1))),
+        ),
+    ];
+    for (spec, section, j, o) in cases {
+        let def = synthesize(&spec, &SynthesisConfig::default()).expect("product synthesis");
+        assert_eq!(def.expr().to_string(), pinned_definition(section));
+        let inst = Instance::from_bindings([
+            (Name::new("I"), atoms(&[7])),
+            (Name::new("J"), j),
+            (Name::new("o"), o),
+        ]);
+        assert_eq!(def.check_against(&inst).unwrap(), Some(true), "{section}");
     }
 }
 
@@ -80,7 +97,7 @@ fn batched_ur_and_product_outputs_agree_with_sequential() {
 fn batched_mode_fails_identically_on_goals_beyond_the_budgets() {
     // A nested output Set(Set(Ur)) defined as the identity on the input: the
     // depth-1 parameter-collection goal is beyond the bounded search, and
-    // both modes must agree on (and name) the same failing goal.
+    // the batch names it as the failing goal under either prover.
     let mut gen = NameGen::new();
     let nested = Type::set(Type::set(Type::Ur));
     let phi = d0::equiv(&nested, &Term::var("O"), &Term::var("I"), &mut gen);
@@ -90,25 +107,32 @@ fn batched_mode_fails_identically_on_goals_beyond_the_budgets() {
         auxiliaries: vec![],
         output: (Name::new("O"), nested),
     };
-    // small budgets keep the refutations fast; both modes share them
-    let small = nrs_prover::ProverConfig::quick();
-    let configs = [
-        SynthesisConfig {
-            prover: small.clone(),
-            ..batched()
-        },
-        SynthesisConfig {
-            prover: small,
-            ..sequential()
+    // small budgets keep the refutations fast
+    let small = ProverConfig::quick();
+    let provers = [
+        small.clone(),
+        ProverConfig {
+            parallel_branches: false,
+            ..small
         },
     ];
-    let errors: Vec<String> = configs
-        .iter()
-        .map(|cfg| match synthesize(&spec, cfg) {
-            Err(SynthesisError::ProofNotFound { purpose, .. }) => purpose,
-            other => panic!("expected a proof failure, got {other:?}"),
+    let errors: Vec<String> = provers
+        .into_iter()
+        .map(|prover| {
+            let cfg = SynthesisConfig {
+                prover,
+                ..SynthesisConfig::default()
+            };
+            match synthesize(&spec, &cfg) {
+                Err(SynthesisError::ProofNotFound { purpose, .. }) => purpose,
+                other => panic!("expected a proof failure, got {other:?}"),
+            }
         })
         .collect();
     assert_eq!(errors[0], errors[1]);
-    assert!(errors[0].contains("parameter-collection goal"));
+    assert!(
+        errors[0].contains("parameter-collection goal at nesting depth 1"),
+        "{}",
+        errors[0]
+    );
 }

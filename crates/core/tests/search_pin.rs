@@ -5,8 +5,9 @@
 //! Speed-ups of the prover, the sequent representation and the assembly
 //! phase must not change a single search step.  The visited-state counts and
 //! proof sizes are exact under `parallel_branches: false` (one worker, one
-//! goal at a time), and `search_pin.txt` holds every definition and
-//! interpolant note as the pipeline printed them before those speed-ups.
+//! goal at a time), and `search_pin.txt` holds every definition,
+//! interpolant and parameter-collection θ as the pipeline printed them
+//! before those speed-ups.
 //!
 //! The product-output sections pin the definitions and proof sizes of the
 //! two fixtures in `fixtures/mod.rs`; their visited-state counts may only
@@ -17,11 +18,11 @@ mod fixtures;
 use nrs_prover::ProverConfig;
 use nrs_synthesis::views::partition_problem;
 use nrs_synthesis::{
-    overlapping_workload_problem, synthesize_workload, ImplicitSpec, Name, SynthesisConfig,
-    SynthesizedDefinition, Workload, WorkloadProblem,
+    overlapping_workload_problem, synthesize_workload, ImplicitSpec, InterpolantKind, Name,
+    SynthesisConfig, SynthesizedDefinition, Workload, WorkloadProblem,
 };
 
-/// The checked-in definitions and interpolant notes, one `== <problem>`
+/// The checked-in definition, θ and interpolant lines, one `== <problem>`
 /// section per problem.
 const EXPECTED: &str = include_str!("search_pin.txt");
 
@@ -36,15 +37,22 @@ fn sequential() -> SynthesisConfig {
     }
 }
 
-/// The definition and interpolant lines of every definition.
+/// The definition, θ and interpolant lines of every definition.
 fn pin_lines(defs: &[(Name, SynthesizedDefinition)]) -> Vec<String> {
     let mut lines = Vec::new();
     for (name, def) in defs {
         lines.push(format!("{name} := {}", def.expr()));
-        for note in &def.report.notes {
-            if note.contains("interpolant") || note.contains("θ =") {
-                lines.push(format!("{name}: {note}"));
-            }
+        for (depth, theta) in &def.report.collections {
+            lines.push(format!(
+                "{name}: parameter collection at depth {depth}: θ = {theta}"
+            ));
+        }
+        for (kind, kappa) in &def.report.interpolants {
+            let kind = match kind {
+                InterpolantKind::Ur => "Ur-output",
+                InterpolantKind::Membership => "membership",
+            };
+            lines.push(format!("{name}: {kind} interpolant: {kappa}"));
         }
     }
     lines
@@ -64,10 +72,10 @@ fn derive(problem: &WorkloadProblem) -> (usize, Vec<usize>, Vec<String>) {
     )
 }
 
-/// Synthesize `spec` cold with a sequential prover, as the one entry `P` of
-/// a workload: (visited states, proof sizes, pinned lines).
-fn derive_spec(spec: ImplicitSpec) -> (usize, Vec<usize>, Vec<String>) {
-    let run = synthesize_workload(&Workload::new().with_entry("P", spec), &sequential())
+/// Synthesize `spec` cold under `cfg`, as the one entry `P` of a workload:
+/// (visited states, proof sizes, pinned lines).
+fn derive_spec_with(spec: ImplicitSpec, cfg: &SynthesisConfig) -> (usize, Vec<usize>, Vec<String>) {
+    let run = synthesize_workload(&Workload::new().with_entry("P", spec), cfg)
         .expect("the spec synthesizes");
     let report = &run.report.synthesis;
     (
@@ -75,6 +83,12 @@ fn derive_spec(spec: ImplicitSpec) -> (usize, Vec<usize>, Vec<String>) {
         report.proof_sizes.clone(),
         pin_lines(&run.definitions),
     )
+}
+
+/// [`derive_spec_with`] under the default configuration over a sequential
+/// prover.
+fn derive_spec(spec: ImplicitSpec) -> (usize, Vec<usize>, Vec<String>) {
+    derive_spec_with(spec, &sequential())
 }
 
 /// The checked-in lines of one section of [`EXPECTED`].
@@ -127,4 +141,39 @@ fn ur_unit_ur_product_search_is_pinned() {
     assert!(visited <= 32, "visited {visited} states");
     assert_eq!(sizes, [15, 17]);
     assert_lines("product Ur x (Unit x Ur)", &lines);
+}
+
+/// The top-level determinacy goal implies the components' determinacy, so a
+/// product output proves it once (the recursive synthesizer proved 7 goals
+/// and visited 87 states here, one determinacy goal per product level and
+/// component).  `Ur × Set(Ur)`'s top-level determinacy goal is beyond the
+/// default budget, so that fixture is pinned under the default config only.
+#[test]
+fn product_determinacy_is_proved_once() {
+    let cfg = SynthesisConfig {
+        check_determinacy: true,
+        ..sequential()
+    };
+    let run = synthesize_workload(
+        &Workload::new().with_entry("P", fixtures::ur_unit_ur_spec()),
+        &cfg,
+    )
+    .expect("the spec synthesizes");
+    let report = &run.report.synthesis;
+    let determinacy = report
+        .metrics
+        .per_goal
+        .iter()
+        .filter(|g| g.purpose.contains("determinacy"))
+        .count();
+    assert_eq!(determinacy, 1, "{:?}", report.metrics.per_goal);
+    assert_eq!(report.goals_proved, 3);
+    assert!(
+        report.states_visited <= 87,
+        "visited {} states",
+        report.states_visited
+    );
+    // the definition is the one pinned under the default config
+    let (_, _, lines) = derive_spec(fixtures::ur_unit_ur_spec());
+    assert_eq!(pin_lines(&run.definitions)[0], lines[0]);
 }

