@@ -360,22 +360,6 @@ fn plan_output(
         env.insert(*n, t.clone());
     }
     let (output, out_ty) = &spec.output;
-
-    if determinacy {
-        let goal = d0::equiv(
-            out_ty,
-            &Term::Var(*output),
-            &Term::Var(primed_out),
-            &mut gen,
-        );
-        let seq = Sequent::two_sided(
-            InContext::new(),
-            [spec.formula.clone(), phi_primed.clone()],
-            [goal],
-        );
-        batch.push(seq, format!("the determinacy of the output (entry {name})"));
-    }
-
     let ctx = Ctx {
         phi: spec.formula.clone(),
         phi_primed,
@@ -389,6 +373,20 @@ fn plan_output(
             [goal],
         )
     };
+
+    if determinacy {
+        let goal = d0::equiv(
+            out_ty,
+            &Term::Var(*output),
+            &Term::Var(primed_out),
+            &mut gen,
+        );
+        batch.push(
+            two_sided(vec![], goal),
+            format!("the determinacy of the output (entry {name})"),
+        );
+    }
+
     let shape = match out_ty {
         Type::Unit => OutputShape::Unit,
         Type::Ur => {
