@@ -5,7 +5,10 @@
 //!   rewrite-candidate cache persists (and is hit) across `prove_batch`
 //!   calls.
 //!
-//! Shared-session synthesis against per-goal cold proving is checked by
+//! * synthesis through a session shared across runs matches synthesis
+//!   through a cold session, and searches no more.
+//!
+//! Shared-batch proving against per-goal cold proving is checked by
 //! `workload::tests::shared_batch_matches_cold_goal_by_goal_proving`.
 //!
 //! The tests that compare search counters between two runs use sequential
@@ -16,7 +19,7 @@ use nrs_delta0::macros as d0;
 use nrs_delta0::{InContext, Term};
 use nrs_proof::{check_proof, Sequent};
 use nrs_prover::{ProverConfig, ProverSession};
-use nrs_synthesis::views::partition_problem;
+use nrs_synthesis::views::{partition_instance, partition_problem};
 use nrs_synthesis::SynthesisConfig;
 use nrs_value::NameGen;
 
@@ -93,6 +96,40 @@ fn rewrite_candidate_cache_persists_across_batches() {
         cached,
         "replaying does not disturb the persisted candidate cache"
     );
+}
+
+#[test]
+fn shared_session_synthesis_matches_cold_synthesis() {
+    let problem = partition_problem();
+    let cfg = SynthesisConfig {
+        prover: sequential(),
+        check_determinacy: true,
+    };
+    // one session carried from a first derivation into the second
+    let session = ProverSession::new(cfg.prover.clone());
+    problem
+        .derive_workload_with(&cfg, &session)
+        .expect("first shared run ok");
+    let shared = problem
+        .derive_workload_with(&cfg, &session)
+        .expect("shared ok");
+    let cold = problem.derive_workload(&cfg).expect("cold ok");
+    let (shared_report, cold_report) = (&shared.report().synthesis, &cold.report().synthesis);
+    assert_eq!(shared_report.goals_proved, cold_report.goals_proved);
+    assert!(
+        shared_report.states_visited <= cold_report.states_visited,
+        "session sharing must not search more ({} vs {})",
+        shared_report.states_visited,
+        cold_report.states_visited
+    );
+    for ((_, a), (_, b)) in shared.queries().iter().zip(cold.queries()) {
+        assert_eq!(a.expr(), b.expr(), "shared and cold sessions agree");
+    }
+    for seed in 0..6 {
+        let base = partition_instance(6, seed);
+        assert!(shared.verify_on_base(&base).unwrap(), "shared, seed {seed}");
+        assert!(cold.verify_on_base(&base).unwrap(), "cold, seed {seed}");
+    }
 }
 
 #[test]

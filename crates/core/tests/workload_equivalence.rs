@@ -14,7 +14,7 @@
 use nrs_synthesis::views::partition_instance;
 use nrs_synthesis::{
     overlapping_workload_problem, synthesize, synthesize_workload, MaintainedWorkload,
-    SynthesisConfig, UpdateBatch, Workload, WorkloadProblem, WorkloadRewriting,
+    SynthesisConfig, Synthesizer, UpdateBatch, Workload, WorkloadProblem, WorkloadRewriting,
 };
 use nrs_value::{Name, Value};
 use proptest::prelude::*;
@@ -60,6 +60,33 @@ fn singleton_workloads_are_bit_identical_to_single_spec_synthesis() {
             def.report.proof_sizes, single.report.proof_sizes,
             "entry {name}: same proofs"
         );
+    }
+}
+
+#[test]
+fn singleton_workload_respects_determinacy_and_cold_session_knobs() {
+    // the determinacy check and the session's state must not change the
+    // one-entry workload's rewriting: a cold session and one warmed on the
+    // whole workload hand back what single-spec synthesis does
+    let workload = fixture_problem().workload().expect("specs build");
+    let (name, spec) = workload.entries()[0].clone();
+    let singleton = Workload::new().with_entry(name, spec.clone());
+    for cfg in [
+        SynthesisConfig {
+            check_determinacy: true,
+            ..SynthesisConfig::default()
+        },
+        SynthesisConfig::default(),
+    ] {
+        let single = synthesize(&spec, &cfg).expect("single-spec synthesis");
+        let cold = synthesize_workload(&singleton, &cfg).expect("cold workload synthesis");
+        let warm = Synthesizer::with_config(cfg.clone());
+        warm.synthesize_workload(&workload).expect("warming run");
+        let warm = warm
+            .synthesize_workload(&singleton)
+            .expect("warm workload synthesis");
+        assert_eq!(cold.definitions[0].1.expr(), single.expr());
+        assert_eq!(warm.definitions[0].1.expr(), single.expr());
     }
 }
 
