@@ -6,9 +6,8 @@
 //! expression; the claim reproduced is the absence of exponential blow-up.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nrs_prover::ProverSession;
 use nrs_synthesis::views::partition_problem;
-use nrs_synthesis::SynthesisConfig;
+use nrs_synthesis::{SynthesisConfig, Synthesizer};
 use std::time::Duration;
 
 fn bench_synthesis(c: &mut Criterion) {
@@ -53,12 +52,11 @@ fn bench_synthesis(c: &mut Criterion) {
         // Warm path: the watch-mode steady state — one session re-deriving
         // an unchanged problem, so the proof replays from the goal-outcome
         // cache and the measurement isolates spec construction + extraction.
-        let cfg = SynthesisConfig::default();
-        let session = ProverSession::new(cfg.prover.clone());
+        let synth = Synthesizer::new();
         group.bench_with_input(
             BenchmarkId::new("derive_rewriting_warm", copies),
             &copies,
-            |b, _| b.iter(|| problem.derive_workload_with(&cfg, &session).unwrap()),
+            |b, _| b.iter(|| synth.derive_workload(&problem).unwrap()),
         );
     }
     group.finish();

@@ -241,18 +241,7 @@ impl MaintainedWorkload {
         })
     }
 
-    /// Use up to `workers` threads for the evaluation phase of every
-    /// stage's delta rounds (bit-identical state for every count).
-    pub fn set_workers(&mut self, workers: usize) {
-        for stage in self.stages.iter_mut().chain(&mut self.shared) {
-            stage.plan.set_workers(workers);
-        }
-        for answer in &mut self.answers {
-            answer.plan.set_workers(workers);
-        }
-    }
-
-    /// Cumulative sharded-evaluation counters summed across every stage,
+    /// Cumulative evaluation-round counters summed across every stage,
     /// shared fragment and answer.
     pub fn maint_stats(&self) -> nrs_ivm::MaintStats {
         let mut total = nrs_ivm::MaintStats::default();

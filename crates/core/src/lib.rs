@@ -56,8 +56,8 @@ pub use synthesis::{
 };
 pub use synthesizer::Synthesizer;
 pub use workload::{
-    overlapping_workload_problem, synthesize_workload, synthesize_workload_with, SharedViewSet,
-    Workload, WorkloadProblem, WorkloadReport, WorkloadRewriting, WorkloadSynthesis,
+    overlapping_workload_problem, SharedViewSet, Workload, WorkloadProblem, WorkloadReport,
+    WorkloadRewriting, WorkloadSynthesis,
 };
 
 pub use nrs_delta0::{Formula, Term};

@@ -21,7 +21,7 @@
 
 use crate::synthesis::{ImplicitSpec, SynthesisConfig, SynthesisError, SynthesizedDefinition};
 use crate::workload::{
-    synthesize_workload_with, Workload, WorkloadProblem, WorkloadRewriting, WorkloadSynthesis,
+    synthesize_in_session, Workload, WorkloadProblem, WorkloadRewriting, WorkloadSynthesis,
 };
 use nrs_fol::{FoProverConfig, FolSession};
 use nrs_prover::{ProverConfig, ProverSession};
@@ -140,7 +140,7 @@ impl Synthesizer {
         &self,
         workload: &Workload,
     ) -> Result<WorkloadSynthesis, SynthesisError> {
-        synthesize_workload_with(workload, &self.cfg, &self.session)
+        synthesize_in_session(workload, &self.cfg, &self.session)
     }
 
     /// Derive the view rewritings of a [`WorkloadProblem`] (Corollary 3) with
@@ -149,7 +149,11 @@ impl Synthesizer {
         &self,
         problem: &WorkloadProblem,
     ) -> Result<WorkloadRewriting, SynthesisError> {
-        problem.derive_workload_with(&self.cfg, &self.session)
+        let synthesis = self.synthesize_workload(&problem.workload()?)?;
+        Ok(WorkloadRewriting {
+            problem: problem.clone(),
+            synthesis,
+        })
     }
 
     /// Warm the session on a spec and discard the result: later runs of

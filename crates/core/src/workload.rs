@@ -10,17 +10,18 @@
 //! query as the list of length one — so does
 //! [`synthesize`](crate::synthesis::synthesize)):
 //!
-//! 1. **One proving pass.**  [`synthesize_workload_with`] pre-walks every
-//!    entry's Theorem 2 case analysis into one deduplicating `GoalBatch`:
-//!    the Ur and membership interpolation goals, the Theorem 10 recursion
-//!    (`plan_collect`) of set outputs, and both components of a product
-//!    output, each over `φ[⟨o1, o2⟩/o]`.  Structurally identical sequents —
-//!    cheap to detect, the formulas are hash-consed — collapse onto a
-//!    single batch slot, so a proof obligation shared by several specs is
-//!    dispatched to [`ProverSession::prove_batch`] exactly once.  Goals
-//!    that are *similar* but not identical still prune each other through
-//!    the session's failure memo, goal-outcome cache and specialization
-//!    cache.  The collapse count is reported as
+//! 1. **One proving pass.**
+//!    [`Synthesizer::synthesize_workload`](crate::Synthesizer::synthesize_workload)
+//!    pre-walks every entry's Theorem 2 case analysis into one deduplicating
+//!    `GoalBatch`: the Ur and membership interpolation goals, the Theorem
+//!    10 recursion (`plan_collect`) of set outputs, and both components of
+//!    a product output, each over `φ[⟨o1, o2⟩/o]`.  Structurally
+//!    identical sequents — cheap to detect, the formulas are hash-consed —
+//!    collapse onto a single batch slot, so a proof obligation shared by
+//!    several specs is dispatched to [`ProverSession::prove_batch`] exactly
+//!    once.  Goals that are *similar* but not identical still prune each
+//!    other through the session's failure memo, goal-outcome cache and
+//!    specialization cache.  The collapse count is reported as
 //!    [`WorkloadReport::shared_goals_dedup`] and the
 //!    `synth.shared_goals_dedup` counter.
 //! 2. **One shared view set.**  After per-entry assembly, the simplified
@@ -261,24 +262,12 @@ struct EntryPlan {
     output: OutputPlan,
 }
 
-/// Synthesize every entry of a workload through one shared prover session
-/// created from `cfg` (see [`synthesize_workload_with`]).
-pub fn synthesize_workload(
-    workload: &Workload,
-    cfg: &SynthesisConfig,
-) -> Result<WorkloadSynthesis, SynthesisError> {
-    let session = ProverSession::new(cfg.prover.clone());
-    synthesize_workload_with(workload, cfg, &session)
-}
-
-/// Synthesize every entry of a workload against a caller-provided session:
-/// all goals of all entries are pre-walked into **one** deduplicated
-/// `GoalBatch` and proved in a single [`ProverSession::prove_batch`]
-/// dispatch, then each entry is assembled from the shared proof vector.
-///
-/// Prefer [`Synthesizer::synthesize_workload`](crate::Synthesizer::synthesize_workload)
-/// for the session-owning facade.
-pub fn synthesize_workload_with(
+/// Synthesize every entry of a workload against `session`: all goals of all
+/// entries are pre-walked into **one** deduplicated `GoalBatch` and proved
+/// in a single [`ProverSession::prove_batch`] dispatch, then each entry is
+/// assembled from the shared proof vector.  The public entry point is
+/// [`Synthesizer::synthesize_workload`](crate::Synthesizer::synthesize_workload).
+pub(crate) fn synthesize_in_session(
     workload: &Workload,
     cfg: &SynthesisConfig,
     session: &ProverSession,
@@ -917,28 +906,13 @@ impl WorkloadProblem {
         Ok(workload)
     }
 
-    /// Run the full multi-query Corollary 3 pipeline with a fresh session.
+    /// Run the full multi-query Corollary 3 pipeline with a fresh session
+    /// (see [`Synthesizer::derive_workload`](crate::Synthesizer::derive_workload)).
     pub fn derive_workload(
         &self,
         cfg: &SynthesisConfig,
     ) -> Result<WorkloadRewriting, SynthesisError> {
-        let session = ProverSession::new(cfg.prover.clone());
-        self.derive_workload_with(cfg, &session)
-    }
-
-    /// [`derive_workload`](Self::derive_workload) through a caller-owned
-    /// [`ProverSession`].
-    pub fn derive_workload_with(
-        &self,
-        cfg: &SynthesisConfig,
-        session: &ProverSession,
-    ) -> Result<WorkloadRewriting, SynthesisError> {
-        let workload = self.workload()?;
-        let synthesis = synthesize_workload_with(&workload, cfg, session)?;
-        Ok(WorkloadRewriting {
-            problem: self.clone(),
-            synthesis,
-        })
+        crate::Synthesizer::with_config(cfg.clone()).derive_workload(self)
     }
 
     /// Materialize only the views over a base instance.
@@ -1278,7 +1252,9 @@ mod tests {
         let dup = Workload::new()
             .with_entry(name, spec.clone())
             .with_entry(name, spec);
-        let err = synthesize_workload(&dup, &SynthesisConfig::default()).unwrap_err();
+        let err = crate::Synthesizer::new()
+            .synthesize_workload(&dup)
+            .unwrap_err();
         assert!(matches!(err, SynthesisError::Ill(_)), "got {err}");
     }
 }

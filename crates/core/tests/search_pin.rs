@@ -18,8 +18,8 @@ mod fixtures;
 use nrs_prover::ProverConfig;
 use nrs_synthesis::views::partition_problem;
 use nrs_synthesis::{
-    overlapping_workload_problem, synthesize_workload, ImplicitSpec, InterpolantKind, Name,
-    SynthesisConfig, SynthesizedDefinition, Workload, WorkloadProblem,
+    overlapping_workload_problem, ImplicitSpec, InterpolantKind, Name, SynthesisConfig,
+    SynthesizedDefinition, Synthesizer, Workload, WorkloadProblem,
 };
 
 /// The checked-in definition, θ and interpolant lines, one `== <problem>`
@@ -75,7 +75,8 @@ fn derive(problem: &WorkloadProblem) -> (usize, Vec<usize>, Vec<String>) {
 /// Synthesize `spec` cold with a sequential prover, as the one entry `P` of
 /// a workload: (visited states, proof sizes, pinned lines).
 fn derive_spec(spec: ImplicitSpec) -> (usize, Vec<usize>, Vec<String>) {
-    let run = synthesize_workload(&Workload::new().with_entry("P", spec), &sequential())
+    let run = Synthesizer::with_config(sequential())
+        .synthesize_workload(&Workload::new().with_entry("P", spec))
         .expect("the spec synthesizes");
     let report = &run.report.synthesis;
     (
@@ -148,11 +149,9 @@ fn product_determinacy_is_proved_once() {
         check_determinacy: true,
         ..sequential()
     };
-    let run = synthesize_workload(
-        &Workload::new().with_entry("P", fixtures::ur_unit_ur_spec()),
-        &cfg,
-    )
-    .expect("the spec synthesizes");
+    let run = Synthesizer::with_config(cfg)
+        .synthesize_workload(&Workload::new().with_entry("P", fixtures::ur_unit_ur_spec()))
+        .expect("the spec synthesizes");
     let report = &run.report.synthesis;
     let determinacy = report
         .metrics

@@ -20,7 +20,7 @@ use nrs_delta0::{InContext, Term};
 use nrs_proof::{check_proof, Sequent};
 use nrs_prover::{ProverConfig, ProverSession};
 use nrs_synthesis::views::{partition_instance, partition_problem};
-use nrs_synthesis::SynthesisConfig;
+use nrs_synthesis::{SynthesisConfig, Synthesizer};
 use nrs_value::NameGen;
 
 /// The determinacy sequent of the E2 partition spec: `φ ∧ φ' ⊢ Q ≡ Q'`.
@@ -107,12 +107,11 @@ fn shared_session_synthesis_matches_cold_synthesis() {
     };
     // one session carried from a first derivation into the second
     let session = ProverSession::new(cfg.prover.clone());
-    problem
-        .derive_workload_with(&cfg, &session)
+    let synth = Synthesizer::with_session(cfg.clone(), session);
+    synth
+        .derive_workload(&problem)
         .expect("first shared run ok");
-    let shared = problem
-        .derive_workload_with(&cfg, &session)
-        .expect("shared ok");
+    let shared = synth.derive_workload(&problem).expect("shared ok");
     let cold = problem.derive_workload(&cfg).expect("cold ok");
     let (shared_report, cold_report) = (&shared.report().synthesis, &cold.report().synthesis);
     assert_eq!(shared_report.goals_proved, cold_report.goals_proved);

@@ -13,8 +13,8 @@
 
 use nrs_synthesis::views::partition_instance;
 use nrs_synthesis::{
-    overlapping_workload_problem, synthesize, synthesize_workload, MaintainedWorkload,
-    SynthesisConfig, Synthesizer, UpdateBatch, Workload, WorkloadProblem, WorkloadRewriting,
+    overlapping_workload_problem, synthesize, MaintainedWorkload, SynthesisConfig, Synthesizer,
+    UpdateBatch, Workload, WorkloadProblem, WorkloadRewriting,
 };
 use nrs_value::{Name, Value};
 use proptest::prelude::*;
@@ -42,7 +42,9 @@ fn singleton_workloads_are_bit_identical_to_single_spec_synthesis() {
     for (name, spec) in workload.entries() {
         let single = synthesize(spec, &cfg).expect("single-spec synthesis");
         let singleton = Workload::new().with_entry(*name, spec.clone());
-        let via_workload = synthesize_workload(&singleton, &cfg).expect("workload synthesis");
+        let via_workload = Synthesizer::with_config(cfg.clone())
+            .synthesize_workload(&singleton)
+            .expect("workload synthesis");
         assert_eq!(via_workload.definitions.len(), 1);
         let (out_name, def) = &via_workload.definitions[0];
         assert_eq!(out_name, name);
@@ -79,7 +81,9 @@ fn singleton_workload_respects_determinacy_and_cold_session_knobs() {
         SynthesisConfig::default(),
     ] {
         let single = synthesize(&spec, &cfg).expect("single-spec synthesis");
-        let cold = synthesize_workload(&singleton, &cfg).expect("cold workload synthesis");
+        let cold = Synthesizer::with_config(cfg.clone())
+            .synthesize_workload(&singleton)
+            .expect("cold workload synthesis");
         let warm = Synthesizer::with_config(cfg.clone());
         warm.synthesize_workload(&workload).expect("warming run");
         let warm = warm

@@ -60,21 +60,13 @@
 //! [`apply_transactional`][MaintainedQuery::apply_transactional] takes its
 //! rollback point on every batch and rolls back by assignment.
 //!
-//! ### Sharded parallel maintenance
-//!
-//! The expensive part of a `ForUnion`/`HashJoin` delta round is **pure**:
-//! re-evaluating loop bodies (or filter conditions) for affected members,
-//! evaluating join bodies for matching pairs.  With
-//! [`MaintainedQuery::set_workers`] above 1, each round splits its work
-//! items (members, delta tuples — already in key order, so chunks are
-//! contiguous key ranges) across `std::thread::scope` workers for the
-//! evaluations only, then replays all cache/index/count/output mutations
-//! **sequentially in the original item order**.  The maintained
-//! state after a parallel round is therefore *bit-identical* to the
-//! sequential round by construction — the only thing parallelism changes is
-//! which thread computed a pure value (property-tested in
-//! `tests/maintenance_equivalence.rs`).  Per-round shard counters are
-//! reported through [`MaintainedQuery::maint_stats`].
+//! A `ForUnion`/`Filter`/`HashJoin` delta runs in **evaluation rounds**:
+//! it first evaluates loop bodies, filter conditions or join bodies for
+//! every affected member (pure work that touches no state), then replays
+//! the cache, index, count and output mutations in member order.  A failed
+//! evaluation therefore leaves the round's state untouched.  The rounds and
+//! the members they touched are reported through
+//! [`MaintainedQuery::maint_stats`].
 
 use crate::batch::{DeltaSet, UpdateBatch};
 use crate::IvmError;
@@ -89,18 +81,13 @@ use std::time::Instant;
 /// Cached handles into the global [`nrs_obs`] registry.  The counters mirror
 /// [`MaintStats`] (per-apply deltas are folded in at the end of
 /// [`MaintainedQuery::apply`]); the histograms carry apply latency and
-/// shard-phase timing.
+/// batch size.
 struct ObsMetrics {
     applies: Arc<nrs_obs::Counter>,
     rounds: Arc<nrs_obs::Counter>,
-    parallel_rounds: Arc<nrs_obs::Counter>,
-    sharded_items: Arc<nrs_obs::Counter>,
-    shards_dispatched: Arc<nrs_obs::Counter>,
     touched_members: Arc<nrs_obs::Counter>,
     apply_seconds: Arc<nrs_obs::Histogram>,
     delta_tuples: Arc<nrs_obs::Histogram>,
-    shard_eval_seconds: Arc<nrs_obs::Histogram>,
-    shard_merge_seconds: Arc<nrs_obs::Histogram>,
 }
 
 fn obs() -> &'static ObsMetrics {
@@ -110,14 +97,9 @@ fn obs() -> &'static ObsMetrics {
         ObsMetrics {
             applies: r.counter("ivm.applies_total"),
             rounds: r.counter("ivm.rounds_total"),
-            parallel_rounds: r.counter("ivm.parallel_rounds_total"),
-            sharded_items: r.counter("ivm.sharded_items_total"),
-            shards_dispatched: r.counter("ivm.shards_dispatched_total"),
             touched_members: r.counter("ivm.touched_members_total"),
             apply_seconds: r.timer("ivm.apply_seconds"),
             delta_tuples: r.histogram("ivm.delta_tuples"),
-            shard_eval_seconds: r.timer("ivm.shard_eval_seconds"),
-            shard_merge_seconds: r.timer("ivm.shard_merge_seconds"),
         }
     })
 }
@@ -171,10 +153,7 @@ pub struct MaintainedPlan {
     root: Arc<Node>,
     /// Preorder indices forced to the recompute-on-dirty fallback.
     degraded: BTreeSet<usize>,
-    /// Worker threads for the pure evaluation phase of delta rounds (1 =
-    /// fully sequential, the default).
-    workers: usize,
-    /// Cumulative shard/round counters (see [`MaintStats`]).
+    /// Cumulative round counters (see [`MaintStats`]).
     stats: MaintStats,
 }
 
@@ -186,34 +165,20 @@ pub struct MaintainedQuery {
     env: Instance,
 }
 
-/// Cumulative counters of the sharded-parallel evaluation rounds of one
-/// [`MaintainedQuery`] (or, summed by the serving layer, one maintained
-/// rewriting).  Snapshot before and after a workload and subtract to
-/// attribute rounds to it.
+/// Cumulative counters of the evaluation rounds of one [`MaintainedQuery`]
+/// (or, summed by the serving layer, one maintained rewriting).  Snapshot
+/// before and after a workload and subtract to attribute rounds to it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintStats {
-    /// Evaluation rounds executed (parallel-eligible operator phases, both
-    /// the ones that fanned out and the ones that ran inline).
+    /// Evaluation rounds executed (see the module docs).
     pub rounds: u64,
-    /// Rounds that actually dispatched work to >1 worker.
-    pub parallel_rounds: u64,
-    /// Work items (members / delta tuples) evaluated inside parallel rounds.
-    pub sharded_items: u64,
-    /// Contiguous key-range chunks handed to workers across all parallel
-    /// rounds.
-    pub shards_dispatched: u64,
-    /// Work items (members / delta tuples) evaluated across **all** rounds,
-    /// sequential ones included — `sharded_items` is the subset that ran on
-    /// parallel workers.
+    /// Work items (members / delta tuples) evaluated across all rounds.
     pub touched_members: u64,
 }
 
 impl std::ops::AddAssign for MaintStats {
     fn add_assign(&mut self, rhs: MaintStats) {
         self.rounds += rhs.rounds;
-        self.parallel_rounds += rhs.parallel_rounds;
-        self.sharded_items += rhs.sharded_items;
-        self.shards_dispatched += rhs.shards_dispatched;
         self.touched_members += rhs.touched_members;
     }
 }
@@ -224,11 +189,6 @@ impl std::ops::Sub for MaintStats {
     fn sub(self, before: MaintStats) -> MaintStats {
         MaintStats {
             rounds: self.rounds.saturating_sub(before.rounds),
-            parallel_rounds: self.parallel_rounds.saturating_sub(before.parallel_rounds),
-            sharded_items: self.sharded_items.saturating_sub(before.sharded_items),
-            shards_dispatched: self
-                .shards_dispatched
-                .saturating_sub(before.shards_dispatched),
             touched_members: self.touched_members.saturating_sub(before.touched_members),
         }
     }
@@ -259,25 +219,11 @@ impl MaintainedPlan {
             query: Arc::new(query.clone()),
             root: Arc::new(root),
             degraded,
-            workers: 1,
             stats: MaintStats::default(),
         })
     }
 
-    /// Use up to `workers` threads for the pure evaluation phase of delta
-    /// rounds (clamped to ≥ 1; 1 disables fan-out).  The maintained state
-    /// is bit-identical for every worker count — see the module docs — so
-    /// this is purely a throughput knob.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured evaluation worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Cumulative sharded-round counters since construction.
+    /// Cumulative round counters since construction.
     pub fn maint_stats(&self) -> MaintStats {
         self.stats
     }
@@ -306,10 +252,7 @@ impl MaintainedPlan {
         let apply_start = Instant::now();
         let stats_before = self.stats;
         let delta_tuples = exact.len();
-        let mut ctx = Ctx {
-            workers: self.workers,
-            ..Ctx::default()
-        };
+        let mut ctx = Ctx::default();
         for (name, delta) in exact.relations() {
             ctx.changes.insert(
                 *name,
@@ -324,9 +267,6 @@ impl MaintainedPlan {
         let applied = self.stats - stats_before;
         m.applies.inc();
         m.rounds.add(applied.rounds);
-        m.parallel_rounds.add(applied.parallel_rounds);
-        m.sharded_items.add(applied.sharded_items);
-        m.shards_dispatched.add(applied.shards_dispatched);
         m.touched_members.add(applied.touched_members);
         m.delta_tuples.record(delta_tuples as u64);
         m.apply_seconds.record_duration(apply_start.elapsed());
@@ -418,17 +358,7 @@ impl MaintainedQuery {
         })
     }
 
-    /// See [`MaintainedPlan::set_workers`].
-    pub fn set_workers(&mut self, workers: usize) {
-        self.plan.set_workers(workers);
-    }
-
-    /// The configured evaluation worker count.
-    pub fn workers(&self) -> usize {
-        self.plan.workers()
-    }
-
-    /// Cumulative sharded-round counters since construction.
+    /// Cumulative round counters since construction.
     pub fn maint_stats(&self) -> MaintStats {
         self.plan.maint_stats()
     }
@@ -710,91 +640,29 @@ struct NameChange {
 }
 
 /// The per-round update context: base relations changed by the batch plus
-/// `Let`-bound names changed by their maintained subplans, the evaluation
-/// worker count, and the round's shard counters.
+/// `Let`-bound names changed by their maintained subplans, and the round
+/// counters.
 #[derive(Default)]
 struct Ctx {
     changes: HashMap<Name, NameChange>,
-    workers: usize,
     stats: MaintStats,
 }
 
-/// Run the pure evaluation phase of a delta round: `f` over every item, in
-/// order, returning `(item, f(item))` pairs.  With more than one worker and
-/// enough items, the items are split into contiguous chunks (key ranges —
-/// callers pass them in sorted order) evaluated on `std::thread::scope`
-/// workers; `f` must be pure, and the caller replays all state mutations
-/// sequentially from the returned pairs, which is what keeps parallel
-/// rounds bit-identical to sequential ones.
-///
-/// Error semantics match the sequential loop: the error of the *earliest*
-/// failing item is returned (chunks stop at their first failure and chunks
-/// are ordered, so the first failing chunk holds the globally first
-/// failure).  A panicking worker is reported as [`IvmError::Internal`].
-/// The `ivm.shard.dispatch` / `ivm.shard.merge` fault sites fire on the
-/// calling thread, and only when a round actually fans out.
-fn par_eval<T, R>(
+/// Run the evaluation phase of a delta round: `f` over every item, in
+/// order, returning `(item, f(item))` pairs for the caller to replay its
+/// state mutations from.  The first failing item's error is returned.
+fn eval_round<T, R>(
     ctx: &mut Ctx,
     items: Vec<T>,
-    f: impl Fn(&T) -> Result<R, IvmError> + Sync,
-) -> Result<Vec<(T, R)>, IvmError>
-where
-    T: Send + Sync,
-    R: Send,
-{
+    f: impl Fn(&T) -> Result<R, IvmError>,
+) -> Result<Vec<(T, R)>, IvmError> {
     ctx.stats.rounds += 1;
     ctx.stats.touched_members += items.len() as u64;
-    if ctx.workers < 2 || items.len() < 2 {
-        // the single-worker engine's exact code path
-        return items
-            .into_iter()
-            .map(|t| {
-                let r = f(&t)?;
-                Ok((t, r))
-            })
-            .collect();
-    }
-    crate::fault::hit("ivm.shard.dispatch")?;
-    let eval_start = Instant::now();
-    let chunk_len = items.len().div_ceil(ctx.workers);
-    let mut chunk_results: Vec<Result<Vec<R>, IvmError>> = std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Result<Vec<R>, _>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(IvmError::Internal(
-                        "maintenance evaluation worker panicked".into(),
-                    ))
-                })
-            })
-            .collect()
-    });
-    ctx.stats.parallel_rounds += 1;
-    ctx.stats.sharded_items += items.len() as u64;
-    ctx.stats.shards_dispatched += chunk_results.len() as u64;
-    obs()
-        .shard_eval_seconds
-        .record_duration(eval_start.elapsed());
-    crate::fault::hit("ivm.shard.merge")?;
-    let merge_start = Instant::now();
     let mut out = Vec::with_capacity(items.len());
-    let mut items = items.into_iter();
-    for res in chunk_results.drain(..) {
-        for r in res? {
-            let t = items.next().ok_or_else(|| {
-                IvmError::Internal("shard merge produced more results than items".into())
-            })?;
-            out.push((t, r));
-        }
+    for t in items {
+        let r = f(&t)?;
+        out.push((t, r));
     }
-    obs()
-        .shard_merge_seconds
-        .record_duration(merge_start.elapsed());
     Ok(out)
 }
 
@@ -1621,12 +1489,11 @@ impl ForUnionState {
         }
         // 2. members whose cached body a probe delta invalidates: exactly
         //    the delta's own elements (the probe needle is the member).
-        //    Body evaluations are pure, so they run as one (possibly
-        //    parallel) round; the cache/count mutations replay in member
-        //    order below.
+        //    Body evaluations are pure, so they run as one round; the
+        //    cache/count mutations replay in member order below.
         let affected = self.deps.probed(ctx, |x| self.cache.contains_key(x));
         let (body, var) = (&*self.body, self.var);
-        let evals = par_eval(ctx, affected.into_iter().collect(), |m| {
+        let evals = eval_round(ctx, affected.into_iter().collect(), |m| {
             bound_exec1(body, var, m, env)
         })?;
         for (m, new_body) in evals {
@@ -1646,9 +1513,9 @@ impl ForUnionState {
             self.cache.insert(m, new_body);
         }
         // 3. members entering the loop: evaluate their bodies fresh (same
-        //    eval round / sequential merge split)
+        //    evaluate-then-replay split)
         if let Some(d) = &over_delta {
-            let evals = par_eval(ctx, d.inserts.iter().cloned().collect(), |m| {
+            let evals = eval_round(ctx, d.inserts.iter().cloned().collect(), |m| {
                 bound_exec1(body, var, m, env)
             })?;
             for (m, body_v) in evals {
@@ -1702,15 +1569,15 @@ impl FilterState {
                 .extend(d.deletes.iter().filter(|m| out.contains(m)).cloned());
         }
         // 2. surviving members a probe delta lists: re-evaluate the
-        //    condition (one pure, possibly parallel round) and record each
-        //    member's transition in member order
+        //    condition (one pure round) and record each member's
+        //    transition in member order
         let over_now = set_of(self.over.value(env), "filter over")?;
         let inserted = |x: &Value| over_delta.as_ref().is_some_and(|d| d.inserts.contains(x));
         let affected = self
             .deps
             .probed(ctx, |x| over_now.contains(x) && !inserted(x));
         let (cond, var) = (&*self.cond, self.var);
-        let evals = par_eval(ctx, affected.into_iter().collect(), |m| {
+        let evals = eval_round(ctx, affected.into_iter().collect(), |m| {
             FilterState::passes(cond, var, m, env)
         })?;
         for (m, pass) in evals {
@@ -1719,7 +1586,7 @@ impl FilterState {
         }
         // 3. members entering the loop are kept when the condition holds
         if let Some(d) = &over_delta {
-            let evals = par_eval(ctx, d.inserts.iter().cloned().collect(), |m| {
+            let evals = eval_round(ctx, d.inserts.iter().cloned().collect(), |m| {
                 FilterState::passes(cond, var, m, env)
             })?;
             delta
@@ -1830,8 +1697,8 @@ impl HashJoinState {
         // Each bilinear part's evaluations (key + matching body values) read
         // only the index the part never mutates — part 1 reads `rindex`
         // (mutated in part 2 only), part 2 reads the post-part-1 `lindex` —
-        // so they run as one pure (possibly parallel) round per part, and
-        // the index/count mutations replay sequentially in delta order.
+        // so they run as one pure round per part, and the index/count
+        // mutations replay in delta order.
         //
         // Bilinear rule, part 1: Δleft against the *old* build side.
         if let Some(d) = &dl {
@@ -1839,7 +1706,7 @@ impl HashJoinState {
             let items: Vec<Value> = d.deletes.iter().chain(d.inserts.iter()).cloned().collect();
             let (lkey, lvar, rvar, body, rindex) =
                 (&*self.lkey, self.lvar, self.rvar, &*self.body, &self.rindex);
-            let evals = par_eval(ctx, items, |x| {
+            let evals = eval_round(ctx, items, |x| {
                 let k = bound_exec1(lkey, lvar, x, env)?;
                 let mut elems = Vec::new();
                 if let Some(matches) = rindex.get(&k) {
@@ -1870,7 +1737,7 @@ impl HashJoinState {
             let items: Vec<Value> = d.deletes.iter().chain(d.inserts.iter()).cloned().collect();
             let (rkey, lvar, rvar, body, lindex) =
                 (&*self.rkey, self.lvar, self.rvar, &*self.body, &self.lindex);
-            let evals = par_eval(ctx, items, |y| {
+            let evals = eval_round(ctx, items, |y| {
                 let k = bound_exec1(rkey, rvar, y, env)?;
                 let mut elems = Vec::new();
                 if let Some(matches) = lindex.get(&k) {

@@ -171,8 +171,8 @@ pub fn fired() -> Option<&'static str> {
 }
 
 /// Arm `plan` **process-wide**: every thread whose local plan is not armed
-/// (notably the server's writer thread and shard workers) counts against —
-/// and can be failed by — this plan.  Replaces any previous global plan and
+/// (notably the server's writer thread) counts against — and can be failed
+/// by — this plan.  Replaces any previous global plan and
 /// resets its hit counter.
 #[cfg(feature = "fault-injection")]
 pub fn install_global(plan: FaultPlan) {

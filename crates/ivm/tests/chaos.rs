@@ -25,15 +25,10 @@ use std::collections::BTreeSet;
 
 /// Does the error chain bottom out in an injected fault?
 fn injected(e: &IvmError) -> bool {
-    injected_site(e).is_some()
-}
-
-/// The instrumentation site an injected-fault error chain bottoms out at.
-fn injected_site(e: &IvmError) -> Option<&'static str> {
     match e {
-        IvmError::FaultInjected { site } => Some(site),
-        IvmError::Operator { source, .. } => injected_site(source),
-        _ => None,
+        IvmError::FaultInjected { .. } => true,
+        IvmError::Operator { source, .. } => injected(source),
+        _ => false,
     }
 }
 
@@ -176,89 +171,6 @@ proptest! {
                     "family {label} site {n}: healed plan diverged from the oracle"
                 );
                 prop_assert!(mq.consistency_check().expect("recompute"));
-            }
-        }
-    }
-
-    /// The sharded-parallel evaluation path adds its own sites
-    /// (`ivm.shard.dispatch` before fan-out, `ivm.shard.merge` after the
-    /// deterministic merge): with >1 worker and a wide batch they must be
-    /// reachable, and failing them must degrade-not-corrupt exactly like
-    /// any other operator fault.
-    #[test]
-    fn prop_sharded_faults_degrade_but_never_corrupt(
-        seed in 0u64..10_000,
-        universe in 3u64..9,
-        workers in 2usize..5,
-    ) {
-        let inst = instance(seed, universe);
-        for (label, expr) in families() {
-            let q = CompiledQuery::compile(&expr);
-            // a wide batch, so per-operator rounds hold >= 2 items and the
-            // evaluation fans out across the workers
-            let mut batch = UpdateBatch::new();
-            for i in 0..4u64 {
-                batch.insert("S", Value::atom(universe + i));
-            }
-            for i in 0..3u64 {
-                batch.insert("F", Value::atom(universe + i));
-            }
-            for i in 0..3u64 {
-                batch.insert(
-                    "R",
-                    Value::pair(Value::atom(i % universe), Value::atom(universe + i)),
-                );
-            }
-            let model_after = batch.apply(&inst).expect("model update");
-            let naive_before = eval(&expr, &inst).expect("naive oracle (before)");
-            let naive_after = eval(&expr, &model_after).expect("naive oracle (after)");
-
-            let hits = {
-                let mut mq = MaintainedQuery::new(&q, &inst).expect("materialize");
-                mq.set_workers(workers);
-                let scope = FaultScope::new(FaultPlan::count_only());
-                mq.apply_transactional(&batch).expect("clean apply");
-                prop_assert!(mq.value() == &naive_after, "family {label}: clean sharded run diverged");
-                scope.hits()
-            };
-
-            let mut shard_faults = 0usize;
-            for n in 0..hits {
-                let mut mq = MaintainedQuery::new(&q, &inst).expect("materialize");
-                mq.set_workers(workers);
-                let err = {
-                    let _scope = FaultScope::new(FaultPlan::fail_nth(n));
-                    mq.apply_transactional(&batch)
-                        .expect_err("armed fault must surface")
-                };
-                prop_assert!(
-                    injected(&err),
-                    "family {label} site {n}: unexpected error {err}"
-                );
-                if injected_site(&err).is_some_and(|s| s.starts_with("ivm.shard.")) {
-                    shard_faults += 1;
-                }
-                prop_assert!(
-                    mq.value() == &naive_before,
-                    "family {label} site {n}: rollback left a torn value"
-                );
-                if let Some(op) = err.operator() {
-                    mq.degrade(op).expect("degrade blamed operator");
-                }
-                mq.apply_transactional(&batch).expect("clean retry");
-                prop_assert!(
-                    mq.value() == &naive_after,
-                    "family {label} site {n}: healed plan diverged from the oracle"
-                );
-                prop_assert!(mq.consistency_check().expect("recompute"));
-            }
-            // member_filter and join have fan-out-eligible operators; at
-            // least one parallel round means both shard sites were swept
-            if label != "algebra" {
-                prop_assert!(
-                    shard_faults >= 2,
-                    "family {label}: shard sites not reached ({shard_faults} of {hits} hits)"
-                );
             }
         }
     }

@@ -282,56 +282,6 @@ proptest! {
         }
     }
 
-    /// Sharded-parallel maintenance is **bit-identical** to sequential
-    /// maintenance: for every plan family, a worker-pool engine (random
-    /// shard/worker count 2..=5) fed the same random batch sequence —
-    /// deletions included — reports the same delta as the single-worker
-    /// engine at every step and ends in the same maintained value.  This is
-    /// the property that makes `workers` a pure throughput knob.
-    #[test]
-    fn prop_parallel_maintenance_equals_sequential(
-        seed in 0u64..10_000,
-        universe in 3u64..9,
-        workers in 2usize..6,
-    ) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_mul(0x2545_f491_4f6c_dd1d));
-        let mut inst = initial_instance(seed, universe);
-        let mut cases: Vec<(&str, MaintainedQuery, MaintainedQuery)> = families()
-            .into_iter()
-            .map(|(label, e)| {
-                let q = CompiledQuery::compile(&e);
-                let seq = MaintainedQuery::new(&q, &inst).expect("sequential engine");
-                let mut par = MaintainedQuery::new(&q, &inst).expect("parallel engine");
-                par.set_workers(workers);
-                (label, seq, par)
-            })
-            .collect();
-        for step in 0..10 {
-            let batch = random_batch(&mut rng, &inst, universe);
-            inst = batch.apply(&inst).expect("model update");
-            for (label, seq, par) in &mut cases {
-                let d_seq = seq.apply(&batch).expect("sequential step");
-                let d_par = par.apply(&batch).expect("parallel step");
-                prop_assert!(
-                    d_seq == d_par,
-                    "family {label} step {step}: parallel delta diverged\n sequential {d_seq:?}\n parallel   {d_par:?}"
-                );
-                prop_assert!(
-                    seq.value() == par.value(),
-                    "family {label} step {step}: parallel value diverged\n sequential {}\n parallel   {}",
-                    seq.value(), par.value()
-                );
-            }
-        }
-        for (label, seq, par) in &cases {
-            prop_assert!(
-                par.consistency_check().expect("recompute"),
-                "family {label}: parallel engine failed the consistency check"
-            );
-            prop_assert!(seq.env() == par.env(), "family {label}: environments diverged");
-        }
-    }
-
     /// Self-healing under interleaved failures: every good batch is preceded
     /// by a malformed one (an overlapping delta) pushed through the
     /// transactional path.  The failed batch must be rejected with the right

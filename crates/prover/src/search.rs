@@ -18,7 +18,7 @@
 //! the whole `inequalities() × eq_literals()` product.  Neither device
 //! changes which candidates are generated or their order — unproductive
 //! pairs never consumed a sequence number — so proofs are bit-identical
-//! with the caches on or off.
+//! to an uncached search's.
 //!
 //! The structural ideas:
 //!
@@ -160,10 +160,6 @@ pub struct ProverConfig {
     /// Defaults to on when the machine has more than one CPU; on a single
     /// CPU the dispatch only adds thread overhead.
     pub parallel_branches: bool,
-    /// Consult and extend the session's rewrite-candidate cache.  Purely a
-    /// performance knob: generated candidates and proofs are identical with
-    /// the cache off.
-    pub rewrite_cache: bool,
     /// Wall-clock deadline per goal.  Checked at state-visit granularity (on
     /// every branch, including parallel workers); when it fires the search
     /// returns [`ProofError::Timeout`] — distinct from
@@ -182,7 +178,6 @@ impl Default for ProverConfig {
             spec_limit: 64,
             max_states: 400_000,
             parallel_branches: std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
-            rewrite_cache: true,
             deadline: None,
         }
     }
@@ -807,9 +802,9 @@ impl<'a> State<'a> {
     }
 
     /// The branch-independent rewrite for an (inequality, literal) pair,
-    /// through the session cache when enabled (both keys are interned nodes,
-    /// so the probe is O(1) and the cached value is valid for every state
-    /// that re-derives the pair).
+    /// through the session cache (both keys are interned nodes, so the
+    /// probe is O(1) and the cached value is valid for every state that
+    /// re-derives the pair).
     fn rewrite_candidate(
         &mut self,
         ineq: &Formula,
@@ -817,9 +812,6 @@ impl<'a> State<'a> {
         t: &Term,
         u: &Term,
     ) -> Option<(Formula, usize)> {
-        if !self.cfg.rewrite_cache {
-            return compute_rewrite(atom, t, u);
-        }
         let key = (ineq.clone(), atom.clone());
         if let Some(cached) = self.caches.rewrites.get(&key) {
             self.rewrite_hits += 1;

@@ -22,12 +22,7 @@
 //!   never contend with maintenance.  Queued batches are coalesced into a
 //!   single exact net batch ([`UpdateBatch::coalesce_exact`]) and the
 //!   engine pass plus snapshot publication are amortized across the whole
-//!   batch.
-//! * **Sharded parallel maintenance.**  With [`ServerConfig::workers`] > 1
-//!   the engine partitions each operator's delta work into contiguous
-//!   key-range shards evaluated on scoped worker threads and merged
-//!   deterministically — maintained state is bit-identical to the
-//!   sequential path.  Per-flush round/shard counters are surfaced in
+//!   batch.  Per-flush engine round counters are surfaced in
 //!   [`FlushReport`].
 //! * **Transactional application with graceful degradation.**  A batch
 //!   either applies completely — every view, every answer, and a new
@@ -50,8 +45,8 @@
 //!  submit ──▶ (validate) ─▶│ VecDeque,  │─ max_batch ▶│ coalesce +  │
 //!     ⋮           ⋮        │ bounded,   │             │ exactness,  │─▶ publish
 //!  submit ──▶ (validate) ─▶│ 2 condvars │             │ apply       │   epoch n+1
-//!                ▲         └────────────┘             │ (sharded)   │
-//!                │ full → Backpressure / block        └─────────────┘
+//!                ▲         └────────────┘             └─────────────┘
+//!                │ full → Backpressure / block
 //!                └─ space signalled per flush          readers: snapshot()
 //! ```
 //!
@@ -294,10 +289,6 @@ pub struct ServerConfig {
     /// arrival before flushing (it flushes early when `max_batch` is
     /// reached).  Also the writer's idle poll interval for shutdown.
     pub batch_window: Duration,
-    /// Worker threads for the engine's sharded parallel delta evaluation
-    /// (1 = fully sequential).  Results are bit-identical either way; see
-    /// `nrs_ivm::MaintainedQuery::set_workers`.
-    pub workers: usize,
 }
 
 impl Default for ServerConfig {
@@ -306,7 +297,6 @@ impl Default for ServerConfig {
             queue_capacity: 1024,
             max_batch: 256,
             batch_window: Duration::from_millis(1),
-            workers: 1,
         }
     }
 }
@@ -382,10 +372,8 @@ pub struct FlushReport {
     /// Tuples (inserts + deletes) in the coalesced net batch actually
     /// driven through the engine — round trips cancel out before this.
     pub updates: usize,
-    /// Worker threads the engine was configured with for this flush.
-    pub workers: usize,
-    /// Engine round/shard counters attributed to this flush (how many
-    /// evaluation rounds ran, how many fanned out, items and shards).
+    /// Engine counters attributed to this flush: evaluation rounds run and
+    /// members they touched.
     pub maint: MaintStats,
     /// **Cumulative** batches this server has dropped over its lifetime
     /// (drops happen only on *failed* flushes — a validation failure of
@@ -551,7 +539,6 @@ pub struct ViewServer {
 /// # use nrs_serve::ViewServer;
 /// # fn demo(rewriting: &nrs_synthesis::WorkloadRewriting, base: &nrs_value::Instance) {
 /// let (server, writer) = ViewServer::builder()
-///     .workers(2)
 ///     .max_batch(64)
 ///     .spawn_workload(rewriting, base)
 ///     .unwrap();
@@ -587,12 +574,6 @@ impl ViewServerBuilder {
         self
     }
 
-    /// See [`ServerConfig::workers`].
-    pub fn workers(mut self, workers: usize) -> ViewServerBuilder {
-        self.config.workers = workers;
-        self
-    }
-
     /// Materialize a workload rewriting over `base` — every shared view
     /// maintained once per flush, one epoch covering every named answer —
     /// and publish epoch 0.  A single query is a one-entry workload.
@@ -603,8 +584,7 @@ impl ViewServerBuilder {
     ) -> Result<ViewServer, NrsError> {
         nrs_obs::init_from_env();
         let schema = rewriting.problem.base_schema()?;
-        let mut maintained = MaintainedWorkload::new(rewriting, base)?;
-        maintained.set_workers(self.config.workers);
+        let maintained = MaintainedWorkload::new(rewriting, base)?;
         let snapshot = Arc::new(ViewServer::capture(&maintained, 0));
         Ok(ViewServer {
             schema,
@@ -896,7 +876,6 @@ impl ViewServer {
                 degraded: Vec::new(),
                 batches: 0,
                 updates: 0,
-                workers: self.config.workers,
                 maint: MaintStats::default(),
                 dropped_batches: self.dropped_batches(),
             });
@@ -979,7 +958,6 @@ impl ViewServer {
             degraded,
             batches: drained.len(),
             updates: combined.len(),
-            workers: self.config.workers,
             maint: st.maintained.maint_stats() - maint_before,
             dropped_batches: self.dropped_batches(),
         })
@@ -1012,7 +990,7 @@ impl ViewServer {
             .degraded_operators()
     }
 
-    /// Cumulative engine round/shard counters (see `nrs_ivm::MaintStats`).
+    /// Cumulative engine round counters (see `nrs_ivm::MaintStats`).
     pub fn maint_stats(&self) -> MaintStats {
         self.state
             .lock()
@@ -1135,7 +1113,6 @@ impl std::fmt::Debug for ViewServer {
             .field("epoch", &snap.epoch)
             .field("degraded", &snap.degraded.len())
             .field("pending", &self.pending_len())
-            .field("workers", &self.config.workers)
             .finish()
     }
 }
@@ -1417,40 +1394,6 @@ mod tests {
             }
         }
         assert!(server.cross_check(&result).expect("oracle"));
-    }
-
-    #[test]
-    fn sharded_workers_report_counters_and_agree_with_sequential() {
-        let (result, base) = setup(40, 9);
-        let sequential = serve(&result, &base, ServerConfig::default());
-        let config = ServerConfig {
-            workers: 3,
-            ..ServerConfig::default()
-        };
-        let sharded = serve(&result, &base, config);
-        let mut batch = UpdateBatch::new();
-        for i in 0..8u64 {
-            batch.insert("S", Value::atom(9100 + i));
-        }
-        batch.insert("F", Value::atom(9100));
-        let seq = sequential.apply(&batch).expect("sequential apply");
-        let par = sharded.apply(&batch).expect("sharded apply");
-        assert_eq!(seq.snapshot.answer(), par.snapshot.answer());
-        assert_eq!(seq.answer_deltas, par.answer_deltas);
-        assert_eq!(par.workers, 3);
-        assert_eq!(seq.workers, 1);
-        assert!(
-            par.maint.parallel_rounds > 0,
-            "an 9-tuple batch fans out: {:?}",
-            par.maint
-        );
-        assert!(par.maint.shards_dispatched > par.maint.parallel_rounds);
-        assert_eq!(
-            seq.maint.parallel_rounds, 0,
-            "one worker never dispatches: {:?}",
-            seq.maint
-        );
-        assert!(sharded.cross_check(&result).expect("oracle"));
     }
 
     #[test]

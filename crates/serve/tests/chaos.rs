@@ -14,18 +14,11 @@
 #![cfg(feature = "fault-injection")]
 
 use nrs_ivm::fault::{FaultPlan, FaultScope};
-use nrs_serve::{ServerConfig, ViewServer};
+use nrs_serve::ViewServer;
 use nrs_synthesis::views::partition_problem;
 use nrs_synthesis::{SynthesisConfig, UpdateBatch, WorkloadRewriting};
 use nrs_value::{Instance, Name, Value};
 use std::collections::BTreeSet;
-
-fn config(workers: usize) -> ServerConfig {
-    ServerConfig {
-        workers,
-        ..ServerConfig::default()
-    }
-}
 
 fn base() -> Instance {
     let s: BTreeSet<Value> = [1u64, 2, 3, 4].into_iter().map(Value::atom).collect();
@@ -50,29 +43,10 @@ fn rewriting() -> WorkloadRewriting {
         .expect("rewriting exists")
 }
 
-/// A wider batch (several fresh members per relation) so sharded servers
-/// get delta rounds with >= 2 items, which is what makes the engine fan
-/// out across workers and reach the `ivm.shard.*` sites.
-fn wide_batch() -> UpdateBatch {
-    let mut b = UpdateBatch::new();
-    for i in 0..4u64 {
-        b.insert("S", Value::atom(10 + i));
-    }
-    b.insert("F", Value::atom(10));
-    b.delete("S", Value::atom(1));
-    b
-}
-
 /// Discovery pass: how many instrumented sites does one submit+flush
-/// round reach on a server built with `config`?
-fn discovery(
-    result: &WorkloadRewriting,
-    base: &Instance,
-    config: ServerConfig,
-    batch: &UpdateBatch,
-) -> u64 {
+/// round reach?
+fn discovery(result: &WorkloadRewriting, base: &Instance, batch: &UpdateBatch) -> u64 {
     let server = ViewServer::builder()
-        .config(config)
         .serve_workload(result, base)
         .expect("server");
     let scope = FaultScope::new(FaultPlan::count_only());
@@ -80,12 +54,11 @@ fn discovery(
     scope.hits()
 }
 
-/// Run the full discovery-then-inject sweep against servers built with
-/// `config` (notably: sequential vs sharded-parallel maintenance).
-fn sweep_every_reachable_site(config: ServerConfig, batch: &UpdateBatch) {
+/// Run the full discovery-then-inject sweep for `batch()`.
+fn sweep_every_reachable_site() {
     let result = rewriting();
     let base = base();
-    let batch = batch.clone();
+    let batch = batch();
 
     // the reference answer a fault-free server publishes for this batch
     let reference = ViewServer::builder()
@@ -94,13 +67,12 @@ fn sweep_every_reachable_site(config: ServerConfig, batch: &UpdateBatch) {
     let want = reference.apply(&batch).expect("clean apply").snapshot;
     assert_eq!(want.epoch, 1);
 
-    let hits = discovery(&result, &base, config.clone(), &batch);
+    let hits = discovery(&result, &base, &batch);
     // at minimum: the ingest point, the flush lock and the publish point
     assert!(hits >= 3, "expected >= 3 sites, found {hits}");
 
     for n in 0..hits {
         let server = ViewServer::builder()
-            .config(config.clone())
             .serve_workload(&result, &base)
             .expect("server");
         // a reader takes a snapshot before the faulted round
@@ -162,7 +134,7 @@ fn sweep_every_reachable_site(config: ServerConfig, batch: &UpdateBatch) {
 
 #[test]
 fn chaos_every_reachable_site_keeps_readers_on_a_complete_epoch() {
-    sweep_every_reachable_site(config(1), &batch());
+    sweep_every_reachable_site();
 }
 
 /// A single query is served as a one-entry workload, so a self-healed
@@ -173,7 +145,7 @@ fn chaos_answer_operator_fault_is_degraded_under_the_query_name() {
     let result = rewriting();
     let base = base();
     let batch = batch();
-    let hits = discovery(&result, &base, config(1), &batch);
+    let hits = discovery(&result, &base, &batch);
     let mut answer_degraded = false;
     for n in 0..hits {
         let server = ViewServer::builder()
@@ -203,23 +175,6 @@ fn chaos_answer_operator_fault_is_degraded_under_the_query_name() {
     );
 }
 
-/// The same sweep with sharded-parallel maintenance: the shard dispatch
-/// and merge sites join the reachable set, and every one of them must
-/// still roll back to a complete epoch and converge on retry.
-#[test]
-fn chaos_sharded_workers_sweep_keeps_readers_on_a_complete_epoch() {
-    let result = rewriting();
-    let base = base();
-    let wide = wide_batch();
-    let hits_seq = discovery(&result, &base, config(1), &wide);
-    let hits_par = discovery(&result, &base, config(3), &wide);
-    assert!(
-        hits_par > hits_seq,
-        "sharding added no sites ({hits_seq} sequential vs {hits_par} sharded)"
-    );
-    sweep_every_reachable_site(config(3), &wide);
-}
-
 /// Observability under chaos: a flush that fails at the **publish** site —
 /// the rollback path — must still emit a *complete* span tree: every span
 /// started on the flushing thread is ended (the early-return paths drop
@@ -241,11 +196,10 @@ fn chaos_failed_flush_emits_a_complete_span_tree_with_an_error_event() {
 
     // there is no fail-at-named-site plan: count the reachable sites, then
     // fault each ordinal until the publish site is the one that fires
-    let hits = discovery(&result, &base, config(1), &batch);
+    let hits = discovery(&result, &base, &batch);
     let mut publish_checked = false;
     for n in 0..hits {
         let server = ViewServer::builder()
-            .config(config(1))
             .serve_workload(&result, &base)
             .expect("server");
         sink.clear();

@@ -40,7 +40,7 @@ fn base() -> Instance {
     ])
 }
 
-/// Several fresh members so the sharded engine fans out inside the writer.
+/// Several fresh members, so one flush runs multi-member delta rounds.
 fn batch() -> UpdateBatch {
     let mut b = UpdateBatch::new();
     for i in 0..3u64 {
@@ -60,7 +60,6 @@ fn rewriting() -> WorkloadRewriting {
 fn config() -> ServerConfig {
     ServerConfig {
         batch_window: Duration::from_millis(1),
-        workers: 2,
         ..ServerConfig::default()
     }
 }

@@ -65,7 +65,6 @@ fn main() {
                 // small flushes so the batch/stage histograms get a
                 // distribution, not a single point
                 max_batch: 8,
-                workers: 2,
                 ..ServerConfig::default()
             })
             .serve_workload(&rewriting, &base)

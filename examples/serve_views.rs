@@ -121,7 +121,6 @@ fn main() {
             .config(ServerConfig {
                 queue_capacity: 4,
                 batch_window: Duration::from_micros(200),
-                workers: 2,
                 ..ServerConfig::default()
             })
             .serve_workload(&rewriting, &base)

@@ -29,8 +29,7 @@ pub use nrs_serve::{
     NrsError, ServerConfig, Snapshot, ViewServer, ViewServerBuilder, WriterHandle,
 };
 pub use nrs_synthesis::{
-    synthesize, synthesize_workload, ImplicitSpec, MaintainedWorkload, SynthesisConfig,
-    SynthesizedDefinition, Synthesizer, Workload, WorkloadProblem, WorkloadRewriting,
-    WorkloadSynthesis,
+    synthesize, ImplicitSpec, MaintainedWorkload, SynthesisConfig, SynthesizedDefinition,
+    Synthesizer, Workload, WorkloadProblem, WorkloadRewriting, WorkloadSynthesis,
 };
 pub use nrs_value::{Instance, Name, Type, Value};
