@@ -4,9 +4,13 @@
 use crate::formula::Formula;
 use crate::term::Term;
 use nrs_value::Name;
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Error, Serialize};
+use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A primitive membership atom `elem ∈ set`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -74,9 +78,24 @@ impl fmt::Display for MemAtom {
 /// The atom vector is `Arc`-shared copy-on-write: cloning a context (which
 /// the prover does for every visited sequent) is O(1), and only the rare
 /// extension pays a copy.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+///
+/// A context carries its own hash, extended atom by atom wherever the
+/// context is built or grown, so `Hash` writes one cached word — the
+/// prover's caches key on contexts and probe them far more often than they
+/// build them.  Equality, ordering, `Debug` and the serialized form are
+/// those of the atom sequence alone.
+#[derive(Clone, Default)]
 pub struct InContext {
-    atoms: std::sync::Arc<Vec<MemAtom>>,
+    atoms: Arc<Vec<MemAtom>>,
+    /// Order-dependent hash of `atoms` (0 for the empty context).
+    hash: u64,
+}
+
+/// Extend an ∈-context hash by one appended atom.
+fn extend_hash(hash: u64, atom: &MemAtom) -> u64 {
+    let mut h = DefaultHasher::new();
+    atom.hash(&mut h);
+    (hash.rotate_left(5) ^ h.finish()).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
 }
 
 impl InContext {
@@ -99,7 +118,8 @@ impl InContext {
         if self.atoms.contains(&atom) {
             false
         } else {
-            std::sync::Arc::make_mut(&mut self.atoms).push(atom);
+            self.hash = extend_hash(self.hash, &atom);
+            Arc::make_mut(&mut self.atoms).push(atom);
             true
         }
     }
@@ -111,11 +131,13 @@ impl InContext {
         }
         // one allocation of the final size: `insert` on a shared copy would
         // clone the atoms and then grow the clone to double capacity
+        let hash = extend_hash(self.hash, &atom);
         let mut atoms = Vec::with_capacity(self.atoms.len() + 1);
         atoms.extend_from_slice(&self.atoms);
         atoms.push(atom);
         InContext {
-            atoms: std::sync::Arc::new(atoms),
+            atoms: Arc::new(atoms),
+            hash,
         }
     }
 
@@ -200,6 +222,64 @@ impl InContext {
     }
 }
 
+impl PartialEq for InContext {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash
+            && (Arc::ptr_eq(&self.atoms, &other.atoms) || self.atoms == other.atoms)
+    }
+}
+
+impl Eq for InContext {}
+
+impl PartialOrd for InContext {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for InContext {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.atoms.cmp(&other.atoms)
+    }
+}
+
+impl Hash for InContext {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl fmt::Debug for InContext {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("InContext")
+            .field("atoms", &self.atoms)
+            .finish()
+    }
+}
+
+impl Serialize for InContext {
+    fn serialize(&self) -> Content {
+        Content::Map(vec![(
+            Content::Str("atoms".to_owned()),
+            self.atoms.serialize(),
+        )])
+    }
+}
+
+impl Deserialize for InContext {
+    fn deserialize(content: &Content) -> Result<Self, Error> {
+        let field = content
+            .get_field("atoms")
+            .ok_or_else(|| Error::custom("missing field `atoms`"))?;
+        let atoms: Vec<MemAtom> = Deserialize::deserialize(field)?;
+        let hash = atoms.iter().fold(0, extend_hash);
+        Ok(InContext {
+            atoms: Arc::new(atoms),
+            hash,
+        })
+    }
+}
+
 impl fmt::Display for InContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, a) in self.atoms.iter().enumerate() {
@@ -272,6 +352,50 @@ mod tests {
         assert_eq!(l.len(), 1);
         assert_eq!(r.len(), 1);
         assert!(l.contains(&MemAtom::new("x", "S")));
+    }
+
+    fn hash_of(ctx: &InContext) -> u64 {
+        let mut h = DefaultHasher::new();
+        ctx.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn cached_hash_agrees_however_the_context_was_built() {
+        let (x, y) = (MemAtom::new("x", "S"), MemAtom::new("y", "x"));
+        let built = InContext::from_atoms([x.clone(), y.clone(), x.clone()]);
+        let mut inserted = InContext::new();
+        inserted.insert(x.clone());
+        inserted.insert(y.clone());
+        let extended = InContext::new().with(x.clone()).with(y.clone());
+        for other in [&inserted, &extended] {
+            assert_eq!(&built, other);
+            assert_eq!(hash_of(&built), hash_of(other));
+        }
+        // the order of the atoms is part of the context
+        let swapped = InContext::from_atoms([y.clone(), x.clone()]);
+        assert_ne!(built, swapped);
+        assert!(built < swapped);
+        // substitution and replacement rebuild the hash
+        let w = Name::new("w");
+        let substituted = built.subst_var(&Name::new("x"), &Term::Var(w));
+        let expected = InContext::from_atoms([MemAtom::new("w", "S"), MemAtom::new("y", "w")]);
+        assert_eq!(substituted, expected);
+        assert_eq!(hash_of(&substituted), hash_of(&expected));
+        let replaced = built.replace_term(&Term::var("x"), &Term::var("w"));
+        assert_eq!(hash_of(&replaced), hash_of(&expected));
+        assert_eq!(hash_of(&InContext::new()), hash_of(&InContext::default()));
+    }
+
+    #[test]
+    fn debug_and_serde_show_only_the_atoms() {
+        let ctx = InContext::from_atoms([MemAtom::new("x", "S")]);
+        assert!(format!("{ctx:?}").starts_with("InContext { atoms: [MemAtom {"));
+        let json = serde::json::to_string(&ctx);
+        assert!(json.starts_with("{\"atoms\":["), "{json}");
+        let back: InContext = serde::json::from_str(&json).unwrap();
+        assert_eq!(back, ctx);
+        assert_eq!(hash_of(&back), hash_of(&ctx));
     }
 
     #[test]

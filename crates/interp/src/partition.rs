@@ -108,8 +108,8 @@ impl Partition {
     }
 
     /// The free variables of the left and of the right part of `seq`, read
-    /// off the terms and the formulas' cached free-variable sets in one pass
-    /// (no per-formula set is built).
+    /// off the context's terms and the right-hand side's interned nodes,
+    /// which cache their free-variable sets, in one pass.
     fn side_vars(&self, seq: &Sequent) -> [BTreeSet<Name>; 2] {
         let mut out = [BTreeSet::new(), BTreeSet::new()];
         let slot = |side: Side| usize::from(side == Side::Right);
@@ -122,10 +122,7 @@ impl Partition {
             a.set.for_each_free_var(&mut add);
         }
         for f in seq.rhs() {
-            let vars = &mut out[slot(self.formula_side(f))];
-            f.for_each_free_var(&mut |v| {
-                vars.insert(*v);
-            });
+            out[slot(self.formula_side(f))].extend(f.free_vars_set().iter().copied());
         }
         out
     }
@@ -154,6 +151,7 @@ impl Partition {
     pub fn left_of<'a>(&self, seq: &'a Sequent) -> Vec<&'a Formula> {
         seq.rhs()
             .iter()
+            .map(|f| f.value())
             .filter(|f| self.formula_side(f) == Side::Left)
             .collect()
     }
@@ -162,6 +160,7 @@ impl Partition {
     pub fn right_of<'a>(&self, seq: &'a Sequent) -> Vec<&'a Formula> {
         seq.rhs()
             .iter()
+            .map(|f| f.value())
             .filter(|f| self.formula_side(f) == Side::Right)
             .collect()
     }
@@ -244,7 +243,7 @@ impl Partition {
             }
             for f in premise.rhs() {
                 if !conclusion.contains(f) {
-                    out.left_formulas.insert(f.clone());
+                    out.left_formulas.insert(f.value().clone());
                 }
             }
         }

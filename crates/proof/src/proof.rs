@@ -168,8 +168,8 @@ impl Rule {
                 Formula::And(a, b) if conclusion.contains(conj) => {
                     let base = conclusion.without_formula(conj);
                     Ok(vec![
-                        base.with_formula((**a).clone()),
-                        base.with_formula((**b).clone()),
+                        base.with_formula(a.clone()),
+                        base.with_formula(b.clone()),
                     ])
                 }
                 _ => Err(ProofError::RuleNotApplicable(format!(
@@ -179,9 +179,7 @@ impl Rule {
             Rule::Or { disj } => match disj {
                 Formula::Or(a, b) if conclusion.contains(disj) => {
                     let base = conclusion.without_formula(disj);
-                    Ok(vec![base
-                        .with_formula((**a).clone())
-                        .with_formula((**b).clone())])
+                    Ok(vec![base.with_formulas([a.clone(), b.clone()])])
                 }
                 _ => Err(ProofError::RuleNotApplicable(format!(
                     "∨ rule: {disj} is not a disjunction in the conclusion"
@@ -280,11 +278,13 @@ impl Rule {
             Rule::Neq { rewritten, .. } => vec![conclusion.with_formula(rewritten.clone())],
             // Each premise edits an owned copy in place: chaining the
             // copying `with_*` builders would copy the side once per step.
+            // The components of ∧ and ∨ are interned handles already and go
+            // in as they are; a ∀ instantiation is interned once, here.
             Rule::And { conj } => match conj {
                 Formula::And(a, b) => {
                     let mut second = conclusion.without_formula(conj);
-                    let first = second.with_formula((**a).clone());
-                    second.insert((**b).clone());
+                    let first = second.with_formula(a.clone());
+                    second.insert(b.clone());
                     vec![first, second]
                 }
                 _ => unreachable!("∧ rule with a non-conjunction principal"),
@@ -292,8 +292,8 @@ impl Rule {
             Rule::Or { disj } => match disj {
                 Formula::Or(a, b) => {
                     let mut premise = conclusion.without_formula(disj);
-                    premise.insert((**a).clone());
-                    premise.insert((**b).clone());
+                    premise.insert(a.clone());
+                    premise.insert(b.clone());
                     vec![premise]
                 }
                 _ => unreachable!("∨ rule with a non-disjunction principal"),

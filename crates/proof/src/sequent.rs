@@ -1,6 +1,6 @@
 //! One-sided sequents `Θ ⊢ Δ` of the focused calculus.
 
-use nrs_delta0::{Formula, InContext, MemAtom, Term};
+use nrs_delta0::{Formula, InContext, MemAtom, Shared, Term};
 use nrs_value::Name;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
@@ -14,18 +14,27 @@ use std::sync::Arc;
 /// `Δ` is kept sorted and de-duplicated, so sequents compare as the finite
 /// sets the paper works with and all algorithms see a deterministic order.
 ///
+/// `Δ` holds **interned handles** ([`Shared<Formula>`], 8 bytes each), not
+/// formula values: every sequent that contains a formula points at the one
+/// hash-consed node for it.  The proof search visits thousands of sequents
+/// over a hundred or so distinct formulas, and keeps the refuted ones in its
+/// failure memo, so a slot costs a pointer instead of a 56-byte formula
+/// copy.  Handles order structurally (with a pointer-equality fast path),
+/// so the sorted side is exactly the order of the formulas themselves, and
+/// compare equal by pointer.
+///
 /// Three things make sequents cheap enough to serve as memo keys in the proof
 /// search (where ~10⁵–10⁶ of them are cloned, hashed and compared per run):
 ///
 /// * the right-hand side is an **`Arc`-shared copy-on-write vector** of
-///   shared formulas, so cloning a sequent is O(1) and only the copy that
-///   actually inserts or removes pays for the vector — in one allocation of
-///   exactly the new length (the same holds for the index buckets below),
-///   so a sequent the failure memo or a proof keeps holds no spare
-///   capacity;
+///   handles, so cloning a sequent is O(1) and only the copy that actually
+///   inserts or removes pays for the vector — in one allocation of exactly
+///   the new length (the same holds for the index buckets below), so a
+///   sequent the failure memo or a proof keeps holds no spare capacity;
 /// * both sides maintain **cached hashes** (an order-independent incremental
-///   mix for the right-hand side, a recomputed-on-extension hash for the
-///   context), so hashing a sequent never walks the formulas; and
+///   mix of the handles' cached node hashes for the right-hand side, the
+///   context's own cached hash for `Θ`), so hashing a sequent never walks
+///   the formulas; and
 /// * because the derived `Ord` on [`Formula`] compares the variant first, the
 ///   sorted right-hand side is **grouped by formula kind** — the accessors
 ///   [`Sequent::equalities`], [`Sequent::inequalities`],
@@ -35,7 +44,7 @@ use std::sync::Arc;
 ///
 /// The `ctx` field is public for read access; it must not be mutated in
 /// place (every producer goes through [`Sequent::with_atom`] or
-/// [`Sequent::new`], which keep the cached context hash in sync).
+/// [`Sequent::new`]).
 ///
 /// On top of the kind slices, the (in)equality literals are **indexed by
 /// free variable** ([`Sequent::eq_literals_with_var`]): the prover's
@@ -44,58 +53,61 @@ use std::sync::Arc;
 /// variable of that term — so a variable bucket is a sound (and in practice
 /// tight) superset of the literals a given inequality can rewrite.  The
 /// index is maintained incrementally under the same Arc-CoW regime as the
-/// side itself: buckets are `Arc`-shared vectors, so a copy that inserts one
-/// literal clones only the touched buckets.
+/// side itself: buckets are `Arc`-shared vectors of the same handles, so a
+/// copy that inserts one literal clones only the touched buckets.
 ///
 /// The index is derived data, needed only while a sequent is searched.
 /// Tables that key on sequents keep a [`SequentKey`] ([`Sequent::key`]),
-/// which holds the two sides and their hashes but no index.
+/// which holds the two sides and the right-hand side's hash but no index.
 #[derive(Debug, Clone, Default)]
 pub struct Sequent {
     /// The ∈-context `Θ`.  Read-only by convention — see the type docs.
     pub ctx: InContext,
-    /// Cached hash of `ctx`, kept in sync by the constructors.
-    ctx_hash: u64,
     /// The right-hand side `Δ`.
-    rhs: Arc<Vec<Formula>>,
+    rhs: Arc<Vec<Shared<Formula>>>,
     /// Order-independent combined hash of `rhs`, maintained incrementally.
     rhs_hash: u64,
     /// Occurrence index: variable → sorted (in)equality literals (variant
     /// ranks 0–1) of `rhs` containing it.  Derived data — excluded from
     /// `Eq`/`Hash`/`Ord`.
-    occ: Arc<HashMap<Name, Arc<Vec<Formula>>>>,
+    occ: Arc<HashMap<Name, Arc<Vec<Shared<Formula>>>>>,
     /// The inequalities `t ≠ u` whose *left* term is ground, sorted.  Such a
     /// `t` can occur in a literal sharing no variable with the inequality,
     /// so rewrite joins must always consider these few (usually zero)
     /// candidates on top of the variable buckets.
-    ground_rw: Arc<Vec<Formula>>,
+    ground_rw: Arc<Vec<Shared<Formula>>>,
 }
 
 /// The per-formula contribution to an XOR-combined (order-independent) set
 /// hash: the formula's (cheap, cached-children) hash diffused through
 /// splitmix64 so that combining contributions doesn't cancel structured
 /// patterns.  Shared with `nrs-prover`, which keys its failure memo on the
-/// same combined hashes.
+/// same combined hashes.  Equal to the contribution of the formula's
+/// interned node, whose cached hash is the same structural hash.
 pub fn formula_hash_mixed(f: &Formula) -> u64 {
     let mut h = DefaultHasher::new();
     f.hash(&mut h);
-    let mut z = h.finish().wrapping_add(0x9e37_79b9_7f4a_7c15);
+    mix(h.finish())
+}
+
+/// [`formula_hash_mixed`] of an interned node, read off its cached hash.
+fn node_hash_mixed(f: &Shared<Formula>) -> u64 {
+    mix(f.hash64())
+}
+
+/// The splitmix64 finalizer.
+fn mix(hash: u64) -> u64 {
+    let mut z = hash.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-fn ctx_hash_of(ctx: &InContext) -> u64 {
-    let mut h = DefaultHasher::new();
-    ctx.hash(&mut h);
-    h.finish()
 }
 
 /// Insert `f` at `pos`, leaving the vector at exactly its new length: a
 /// shared vector is rebuilt in one allocation of the final size (where
 /// `Arc::make_mut` would copy it and `Vec::insert` then double it), an
 /// unshared one grows by one slot.
-fn insert_exact(v: &mut Arc<Vec<Formula>>, pos: usize, f: Formula) {
+fn insert_exact(v: &mut Arc<Vec<Shared<Formula>>>, pos: usize, f: Shared<Formula>) {
     if let Some(v) = Arc::get_mut(v) {
         v.reserve_exact(1);
         v.insert(pos, f);
@@ -110,7 +122,7 @@ fn insert_exact(v: &mut Arc<Vec<Formula>>, pos: usize, f: Formula) {
 
 /// Remove and return the element at `pos`; a shared vector is rebuilt at
 /// exactly its new length.
-fn remove_exact(v: &mut Arc<Vec<Formula>>, pos: usize) -> Formula {
+fn remove_exact(v: &mut Arc<Vec<Shared<Formula>>>, pos: usize) -> Shared<Formula> {
     if let Some(v) = Arc::get_mut(v) {
         return v.remove(pos);
     }
@@ -122,15 +134,20 @@ fn remove_exact(v: &mut Arc<Vec<Formula>>, pos: usize) -> Formula {
     removed
 }
 
+/// Binary search of a sorted handle slice for a formula value.
+fn find(side: &[Shared<Formula>], f: &Formula) -> Result<usize, usize> {
+    side.binary_search_by(|g| g.value().cmp(f))
+}
+
 impl Sequent {
-    /// Build a sequent, normalizing the right-hand side.
-    pub fn new(ctx: InContext, rhs: impl IntoIterator<Item = Formula>) -> Self {
-        let mut rhs: Vec<Formula> = rhs.into_iter().collect();
+    /// Build a sequent, normalizing the right-hand side.  Accepts formulas
+    /// (interned here) as well as handles.
+    pub fn new<F: Into<Shared<Formula>>>(ctx: InContext, rhs: impl IntoIterator<Item = F>) -> Self {
+        let mut rhs: Vec<Shared<Formula>> = rhs.into_iter().map(Into::into).collect();
         rhs.sort_unstable();
         rhs.dedup();
         rhs.shrink_to_fit();
         let mut s = Sequent {
-            ctx_hash: ctx_hash_of(&ctx),
             ctx,
             rhs: Arc::new(Vec::new()),
             rhs_hash: 0,
@@ -138,7 +155,7 @@ impl Sequent {
             ground_rw: Arc::new(Vec::new()),
         };
         for f in &rhs {
-            s.rhs_hash ^= formula_hash_mixed(f);
+            s.rhs_hash ^= node_hash_mixed(f);
             if f.variant_rank() <= 1 {
                 s.index_literal(f);
             }
@@ -148,7 +165,7 @@ impl Sequent {
     }
 
     /// A sequent with an empty context.
-    pub fn goals(rhs: impl IntoIterator<Item = Formula>) -> Self {
+    pub fn goals<F: Into<Shared<Formula>>>(rhs: impl IntoIterator<Item = F>) -> Self {
         Sequent::new(InContext::new(), rhs)
     }
 
@@ -165,7 +182,7 @@ impl Sequent {
     }
 
     /// The right-hand side, sorted and de-duplicated.
-    pub fn rhs(&self) -> &[Formula] {
+    pub fn rhs(&self) -> &[Shared<Formula>] {
         &self.rhs
     }
 
@@ -173,16 +190,17 @@ impl Sequent {
     pub fn key(&self) -> SequentKey {
         SequentKey {
             ctx: self.ctx.clone(),
-            ctx_hash: self.ctx_hash,
             rhs: self.rhs.clone(),
             rhs_hash: self.rhs_hash,
         }
     }
 
-    /// Insert a formula into the right-hand side (set semantics).
-    pub fn insert(&mut self, f: Formula) {
+    /// Insert a formula into the right-hand side (set semantics).  A handle
+    /// goes in as it is; a formula value is interned first.
+    pub fn insert(&mut self, f: impl Into<Shared<Formula>>) {
+        let f = f.into();
         if let Err(pos) = self.rhs.binary_search(&f) {
-            self.rhs_hash ^= formula_hash_mixed(&f);
+            self.rhs_hash ^= node_hash_mixed(&f);
             if f.variant_rank() <= 1 {
                 self.index_literal(&f);
             }
@@ -193,7 +211,7 @@ impl Sequent {
     /// Add a freshly inserted (in)equality literal to the occurrence index.
     /// The literal is known absent from `rhs`, hence from every bucket, so
     /// finding it at its slot means a repeated name already indexed it.
-    fn index_literal(&mut self, f: &Formula) {
+    fn index_literal(&mut self, f: &Shared<Formula>) {
         let occ = Arc::make_mut(&mut self.occ);
         f.for_each_free_var(&mut |v| {
             let bucket = occ.entry(*v).or_default();
@@ -202,7 +220,7 @@ impl Sequent {
                 insert_exact(bucket, pos, f.clone());
             }
         });
-        if let Formula::NeqUr(t, _) = f {
+        if let Formula::NeqUr(t, _) = f.value() {
             if t.is_ground() {
                 let pos = self.ground_rw.partition_point(|g| g < f);
                 insert_exact(&mut self.ground_rw, pos, f.clone());
@@ -211,7 +229,7 @@ impl Sequent {
     }
 
     /// Remove a just-removed (in)equality literal from the occurrence index.
-    fn unindex_literal(&mut self, f: &Formula) {
+    fn unindex_literal(&mut self, f: &Shared<Formula>) {
         let occ = Arc::make_mut(&mut self.occ);
         f.for_each_free_var(&mut |v| {
             if let Some(bucket) = occ.get_mut(v) {
@@ -224,7 +242,7 @@ impl Sequent {
                 }
             }
         });
-        if let Formula::NeqUr(t, _) = f {
+        if let Formula::NeqUr(t, _) = f.value() {
             if t.is_ground() {
                 if let Ok(pos) = self.ground_rw.binary_search(f) {
                     remove_exact(&mut self.ground_rw, pos);
@@ -234,14 +252,17 @@ impl Sequent {
     }
 
     /// A copy with one more right-hand-side formula.
-    pub fn with_formula(&self, f: Formula) -> Sequent {
+    pub fn with_formula(&self, f: impl Into<Shared<Formula>>) -> Sequent {
         let mut out = self.clone();
         out.insert(f);
         out
     }
 
     /// A copy with several more right-hand-side formulas.
-    pub fn with_formulas(&self, fs: impl IntoIterator<Item = Formula>) -> Sequent {
+    pub fn with_formulas<F: Into<Shared<Formula>>>(
+        &self,
+        fs: impl IntoIterator<Item = F>,
+    ) -> Sequent {
         let mut out = self.clone();
         for f in fs {
             out.insert(f);
@@ -252,9 +273,9 @@ impl Sequent {
     /// A copy with a formula removed (no-op if absent).
     pub fn without_formula(&self, f: &Formula) -> Sequent {
         let mut out = self.clone();
-        if let Ok(pos) = out.rhs.binary_search(f) {
+        if let Ok(pos) = find(&out.rhs, f) {
             let removed = remove_exact(&mut out.rhs, pos);
-            out.rhs_hash ^= formula_hash_mixed(&removed);
+            out.rhs_hash ^= node_hash_mixed(&removed);
             if removed.variant_rank() <= 1 {
                 out.unindex_literal(&removed);
             }
@@ -264,10 +285,8 @@ impl Sequent {
 
     /// A copy with an extra ∈-context atom.
     pub fn with_atom(&self, atom: MemAtom) -> Sequent {
-        let ctx = self.ctx.with(atom);
         Sequent {
-            ctx_hash: ctx_hash_of(&ctx),
-            ctx,
+            ctx: self.ctx.with(atom),
             rhs: self.rhs.clone(),
             rhs_hash: self.rhs_hash,
             occ: self.occ.clone(),
@@ -277,30 +296,30 @@ impl Sequent {
 
     /// Does the right-hand side contain this formula?
     pub fn contains(&self, f: &Formula) -> bool {
-        self.rhs.binary_search(f).is_ok()
+        find(&self.rhs, f).is_ok()
     }
 
     /// The subrange of the sorted right-hand side whose variant ranks lie in
     /// `lo..=hi` (see [`Formula::variant_rank`]).
-    fn rank_range(&self, lo: u8, hi: u8) -> &[Formula] {
+    fn rank_range(&self, lo: u8, hi: u8) -> &[Shared<Formula>] {
         let start = self.rhs.partition_point(|f| f.variant_rank() < lo);
         let end = self.rhs.partition_point(|f| f.variant_rank() <= hi);
         &self.rhs[start..end]
     }
 
     /// The `t =𝔘 u` formulas of the right-hand side.
-    pub fn equalities(&self) -> &[Formula] {
+    pub fn equalities(&self) -> &[Shared<Formula>] {
         self.rank_range(0, 0)
     }
 
     /// The `t ≠𝔘 u` formulas of the right-hand side.
-    pub fn inequalities(&self) -> &[Formula] {
+    pub fn inequalities(&self) -> &[Shared<Formula>] {
         self.rank_range(1, 1)
     }
 
     /// The (in)equality literals of the right-hand side (the atoms the ≠
     /// congruence rule may rewrite), as one contiguous slice.
-    pub fn eq_literals(&self) -> &[Formula] {
+    pub fn eq_literals(&self) -> &[Shared<Formula>] {
         self.rank_range(0, 1)
     }
 
@@ -309,7 +328,7 @@ impl Sequent {
     /// literal containing a term `t` contains every free variable of `t`
     /// (literals have no binders), so for a non-ground `t` the bucket of any
     /// of its variables is a superset of the literals `t` occurs in.
-    pub fn eq_literals_with_var(&self, v: &Name) -> &[Formula] {
+    pub fn eq_literals_with_var(&self, v: &Name) -> &[Shared<Formula>] {
         self.occ.get(v).map(|b| b.as_slice()).unwrap_or(&[])
     }
 
@@ -317,12 +336,12 @@ impl Sequent {
     /// sorted.  Rewrite joins driven by [`Sequent::eq_literals_with_var`]
     /// must always include these: a ground term can occur in a literal that
     /// shares no variable with its inequality.
-    pub fn ground_lhs_inequalities(&self) -> &[Formula] {
+    pub fn ground_lhs_inequalities(&self) -> &[Shared<Formula>] {
         &self.ground_rw
     }
 
     /// The bounded existentials of the right-hand side.
-    pub fn existentials(&self) -> &[Formula] {
+    pub fn existentials(&self) -> &[Shared<Formula>] {
         self.rank_range(7, 7)
     }
 
@@ -330,7 +349,7 @@ impl Sequent {
     /// right-hand side, if any — the next principal formula of the prover's
     /// invertible phase.  Equals the first match of a left-to-right scan of
     /// the sorted side, located in O(log |Δ|).
-    pub fn first_invertible(&self) -> Option<&Formula> {
+    pub fn first_invertible(&self) -> Option<&Shared<Formula>> {
         self.rank_range(4, 6).first()
     }
 
@@ -345,16 +364,23 @@ impl Sequent {
     pub fn free_vars(&self) -> BTreeSet<Name> {
         let mut out = self.ctx.free_vars();
         for f in self.rhs.iter() {
-            out.extend(f.free_vars_arc().iter().copied());
+            out.extend(f.free_vars_set().iter().copied());
         }
         out
     }
 
-    /// Substitute a term for a variable throughout the sequent.
+    /// Substitute a term for a variable throughout the sequent.  Formulas
+    /// without the variable keep their handles.
     pub fn subst_var(&self, var: &Name, replacement: &Term) -> Sequent {
         Sequent::new(
             self.ctx.subst_var(var, replacement),
-            self.rhs.iter().map(|f| f.subst_var(var, replacement)),
+            self.rhs.iter().map(|f| {
+                if f.free_vars_set().contains(var) {
+                    Shared::new(f.subst_var(var, replacement))
+                } else {
+                    f.clone()
+                }
+            }),
         )
     }
 
@@ -371,25 +397,26 @@ impl Sequent {
     /// complexity claims and the benchmark harness.
     pub fn size(&self) -> usize {
         let ctx: usize = self.ctx.iter().map(|a| a.elem.size() + a.set.size()).sum();
-        let rhs: usize = self.rhs.iter().map(Formula::size).sum();
+        let rhs: usize = self.rhs.iter().map(|f| f.size()).sum();
         ctx + rhs
     }
 }
 
-/// Equality of two sequents given as (context, its hash, right-hand side,
-/// its hash): the cached hashes first, then the sides themselves.
+/// Equality of two sequents given as (context, right-hand side, its hash):
+/// the cached hashes first (the context compares its own first), then the
+/// sides themselves — handle by handle, a pointer compare each.
 fn same_sides(
-    a: (&InContext, u64, &Arc<Vec<Formula>>, u64),
-    b: (&InContext, u64, &Arc<Vec<Formula>>, u64),
+    a: (&InContext, &Arc<Vec<Shared<Formula>>>, u64),
+    b: (&InContext, &Arc<Vec<Shared<Formula>>>, u64),
 ) -> bool {
-    a.3 == b.3 && a.1 == b.1 && (Arc::ptr_eq(a.2, b.2) || a.2 == b.2) && a.0 == b.0
+    a.2 == b.2 && (Arc::ptr_eq(a.1, b.1) || a.1 == b.1) && a.0 == b.0
 }
 
 impl PartialEq for Sequent {
     fn eq(&self, other: &Self) -> bool {
         same_sides(
-            (&self.ctx, self.ctx_hash, &self.rhs, self.rhs_hash),
-            (&other.ctx, other.ctx_hash, &other.rhs, other.rhs_hash),
+            (&self.ctx, &self.rhs, self.rhs_hash),
+            (&other.ctx, &other.rhs, other.rhs_hash),
         )
     }
 }
@@ -398,28 +425,28 @@ impl Eq for Sequent {}
 
 impl Hash for Sequent {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.ctx_hash);
+        self.ctx.hash(state);
         state.write_u64(self.rhs_hash);
     }
 }
 
-/// A sequent as a map key: its context and right-hand side with their cached
-/// hashes, without the derived occurrence index.  Equal and hashed exactly
-/// like the [`Sequent`] it came from, but a table of keys holds only the two
-/// sides, which sibling sequents share.
+/// A sequent as a map key: its context and right-hand side with the
+/// right-hand side's cached hash, without the derived occurrence index.
+/// Equal and hashed exactly like the [`Sequent`] it came from.  A table of
+/// keys holds two `Arc`s per entry, which sibling sequents share, and the
+/// handles in them point at the interned formulas every other sequent uses.
 #[derive(Debug, Clone)]
 pub struct SequentKey {
     ctx: InContext,
-    ctx_hash: u64,
-    rhs: Arc<Vec<Formula>>,
+    rhs: Arc<Vec<Shared<Formula>>>,
     rhs_hash: u64,
 }
 
 impl PartialEq for SequentKey {
     fn eq(&self, other: &Self) -> bool {
         same_sides(
-            (&self.ctx, self.ctx_hash, &self.rhs, self.rhs_hash),
-            (&other.ctx, other.ctx_hash, &other.rhs, other.rhs_hash),
+            (&self.ctx, &self.rhs, self.rhs_hash),
+            (&other.ctx, &other.rhs, other.rhs_hash),
         )
     }
 }
@@ -428,7 +455,7 @@ impl Eq for SequentKey {}
 
 impl Hash for SequentKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.ctx_hash);
+        self.ctx.hash(state);
         state.write_u64(self.rhs_hash);
     }
 }
@@ -551,12 +578,12 @@ mod tests {
 
     #[test]
     fn occurrence_index_tracks_inserts_and_removals() {
-        let xy = Formula::eq_ur("x", "y");
-        let xz = Formula::neq_ur("x", "z");
+        let xy = Shared::new(Formula::eq_ur("x", "y"));
+        let xz = Shared::new(Formula::neq_ur("x", "z"));
         let s = Sequent::goals([
             xy.clone(),
             xz.clone(),
-            Formula::exists("x", "S", Formula::True), // not a literal: unindexed
+            Shared::new(Formula::exists("x", "S", Formula::True)), // not a literal: unindexed
         ]);
         let x = Name::new("x");
         assert_eq!(s.eq_literals_with_var(&x), &[xy.clone(), xz.clone()]);
@@ -626,8 +653,8 @@ mod tests {
 
     #[test]
     fn ground_lhs_inequalities_are_tracked_separately() {
-        let ground = Formula::neq_ur(Term::Unit, Term::var("y"));
-        let vars = Formula::neq_ur("x", "y");
+        let ground = Shared::new(Formula::neq_ur(Term::Unit, Term::var("y")));
+        let vars = Shared::new(Formula::neq_ur("x", "y"));
         let s = Sequent::goals([ground.clone(), vars.clone()]);
         assert_eq!(s.ground_lhs_inequalities(), std::slice::from_ref(&ground));
         // the ground-lhs inequality still appears in its variables' buckets
@@ -654,7 +681,10 @@ mod tests {
         assert_eq!(s.eq_literals().len(), 3);
         assert_eq!(s.existentials().len(), 1);
         // the invertible scan finds the ∧ first, as a left-to-right scan would
-        assert!(matches!(s.first_invertible(), Some(Formula::And(_, _))));
+        assert!(matches!(
+            s.first_invertible().map(|f| f.value()),
+            Some(Formula::And(_, _))
+        ));
         let no_invertible = Sequent::goals([Formula::eq_ur("x", "y")]);
         assert!(no_invertible.first_invertible().is_none());
         assert!(no_invertible.rhs_all_el());

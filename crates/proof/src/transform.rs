@@ -17,11 +17,13 @@
 //! `nrs-synthesis` crate for the discussion of that design choice.
 //!
 //! Every transformation rebuilds nodes through [`Proof::by`], so the output
-//! is re-validated rule application by rule application.
+//! is re-validated rule application by rule application.  Formulas a
+//! transformation adds to every node are interned once up front, so each
+//! rebuilt sequent takes a handle to the same node.
 
 use crate::check::ProofError;
 use crate::proof::{Proof, Rule};
-use nrs_delta0::{Formula, MemAtom, Term};
+use nrs_delta0::{Formula, MemAtom, Shared, Term};
 use nrs_value::{Name, NameGen};
 
 /// Rename a free variable throughout a proof.  The new name must not occur
@@ -127,13 +129,15 @@ pub fn weaken(
     for f in extra_formulas {
         extra_vars.extend(f.free_vars());
     }
-    weaken_rec(proof, extra_atoms, extra_formulas, &extra_vars, gen)
+    let extra_formulas: Vec<Shared<Formula>> =
+        extra_formulas.iter().cloned().map(Shared::new).collect();
+    weaken_rec(proof, extra_atoms, &extra_formulas, &extra_vars, gen)
 }
 
 fn weaken_rec(
     proof: &Proof,
     extra_atoms: &[MemAtom],
-    extra_formulas: &[Formula],
+    extra_formulas: &[Shared<Formula>],
     extra_vars: &std::collections::BTreeSet<Name>,
     gen: &mut NameGen,
 ) -> Result<Proof, ProofError> {
@@ -200,7 +204,7 @@ fn weaken_rec(
 /// proof of `Θ ⊢ φ_i, Δ`.
 pub fn invert_and(proof: &Proof, conj: &Formula, keep_first: bool) -> Result<Proof, ProofError> {
     let (a, b) = match conj {
-        Formula::And(a, b) => ((**a).clone(), (**b).clone()),
+        Formula::And(a, b) => (a.clone(), b.clone()),
         other => {
             return Err(ProofError::TransformFailed(format!(
                 "invert_and: {other} is not a conjunction"
@@ -214,7 +218,7 @@ pub fn invert_and(proof: &Proof, conj: &Formula, keep_first: bool) -> Result<Pro
 fn invert_and_rec(
     proof: &Proof,
     conj: &Formula,
-    selected: &Formula,
+    selected: &Shared<Formula>,
     keep_first: bool,
 ) -> Result<Proof, ProofError> {
     if !proof.conclusion.contains(conj) {
@@ -256,7 +260,7 @@ pub fn invert_forall(proof: &Proof, quant: &Formula, fresh: &Name) -> Result<Pro
             )));
         }
     }
-    let instantiated = body.subst_var(var, &Term::Var(*fresh));
+    let instantiated = Shared::new(body.subst_var(var, &Term::Var(*fresh)));
     let atom = MemAtom::new(Term::Var(*fresh), bound.clone());
     invert_forall_rec(proof, quant, &instantiated, &atom, fresh)
 }
@@ -264,7 +268,7 @@ pub fn invert_forall(proof: &Proof, quant: &Formula, fresh: &Name) -> Result<Pro
 fn invert_forall_rec(
     proof: &Proof,
     quant: &Formula,
-    instantiated: &Formula,
+    instantiated: &Shared<Formula>,
     atom: &MemAtom,
     fresh: &Name,
 ) -> Result<Proof, ProofError> {

@@ -66,7 +66,7 @@ use crate::session::ProverSession;
 use nrs_delta0::specialize::{max_specializations, MaxSpecialization};
 use nrs_delta0::{Formula, InContext, Term};
 use nrs_proof::{formula_hash_mixed, Proof, ProofError, Rule, Sequent, SequentKey};
-use nrs_shared::{ShardStats, ShardedMap};
+use nrs_shared::{ShardStats, ShardedMap, Shared};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -278,6 +278,11 @@ pub(crate) struct SearchCaches {
     /// state), so its keys hold only what equality needs: each
     /// [`SequentKey`] shares the context and right-hand side with the
     /// searched sequent and leaves its occurrence index to be freed with it.
+    /// The right-hand sides are vectors of 8-byte interned handles, so the
+    /// thousands of keys a derivation leaves here point into one set of
+    /// formula nodes (a cold `overlapping(8)` derivation: 2,364 keys with
+    /// 91,143 slots over 134 distinct formulas) instead of each holding
+    /// 56-byte copies.
     pub(crate) memo: ShardedMap<MemoKey, usize>,
     /// Cached `max_specializations` results, keyed by (quantifier,
     /// ∈-context): the per-depth goals of one synthesis run decompose the
@@ -775,7 +780,7 @@ fn extend_used(used: &UsedSpecs, rule: &Rule) -> UsedSpecs {
 
 fn find_axiom(seq: &Sequent) -> Option<Rule> {
     for f in seq.equalities() {
-        if let Formula::EqUr(t, u) = f {
+        if let Formula::EqUr(t, u) = f.value() {
             if t == u {
                 return Some(Rule::EqRefl { term: t.clone() });
             }
@@ -950,7 +955,7 @@ fn push_exists_candidates(
 /// preserves iteration order, and no *productive* pair is ever dropped, so
 /// the generated candidates (and their sequence numbers) are identical to
 /// the full join's.
-fn atoms_for<'s>(seq: &'s Sequent, t: &Term, st: &mut State) -> &'s [Formula] {
+fn atoms_for<'s>(seq: &'s Sequent, t: &Term, st: &mut State) -> &'s [Shared<Formula>] {
     let atoms = match t.first_free_var() {
         Some(v) => seq.eq_literals_with_var(&v),
         None => seq.eq_literals(),
@@ -1014,11 +1019,11 @@ fn literal_mentions(lit: &Formula, v: &nrs_value::Name) -> bool {
 /// slices and yield in sorted order.
 enum Rewriters<'s> {
     /// The ≠ suffix of one occurrence-index bucket.
-    Bucket(std::slice::Iter<'s, Formula>),
+    Bucket(std::slice::Iter<'s, Shared<Formula>>),
     /// The inequality slice, filtered by the subset test against the
     /// literal's free variables.
     Scan {
-        inner: std::slice::Iter<'s, Formula>,
+        inner: std::slice::Iter<'s, Shared<Formula>>,
         lit: &'s Formula,
     },
 }
@@ -1027,16 +1032,16 @@ impl<'s> Iterator for Rewriters<'s> {
     type Item = &'s Formula;
     fn next(&mut self) -> Option<&'s Formula> {
         match self {
-            Rewriters::Bucket(it) => it.next(),
+            Rewriters::Bucket(it) => it.next().map(Shared::value),
             Rewriters::Scan { inner, lit } => {
                 for ineq in inner {
-                    let Formula::NeqUr(t, _) = ineq else {
+                    let Formula::NeqUr(t, _) = ineq.value() else {
                         continue;
                     };
                     let mut inside = true;
                     t.for_each_free_var(&mut |v| inside &= literal_mentions(lit, v));
                     if inside {
-                        return Some(ineq);
+                        return Some(ineq.value());
                     }
                 }
                 None
@@ -1048,17 +1053,16 @@ impl<'s> Iterator for Rewriters<'s> {
 /// The witness for a ∀ step: the smallest `ev#k` name fresh for the sequent.
 /// Equivalent to `NameGen::avoiding(seq.free_vars().iter()).fresh("ev")` —
 /// and it must stay exactly that, so identical sequents keep introducing
-/// identical witnesses — but it reads the names straight off the terms and
-/// the cached per-node free-variable sets
-/// ([`Formula::for_each_free_var`]): no set is built, so the step allocates
-/// only the witness name.
+/// identical witnesses — but it reads the names straight off the context's
+/// terms and the formulas' cached free-variable sets, and each name's
+/// suffix as the interner parsed it ([`nrs_value::Name::numeric_suffix`]):
+/// no set is built and no string is parsed, so the step allocates only the
+/// witness name.
 fn fresh_eigenvariable(seq: &Sequent) -> nrs_value::Name {
     let mut max = 0u64;
     let mut scan = |n: &nrs_value::Name| {
-        if let Some(rest) = n.as_str().rsplit('#').next() {
-            if let Ok(k) = rest.parse::<u64>() {
-                max = max.max(k + 1);
-            }
+        if let Some(k) = n.numeric_suffix() {
+            max = max.max(k + 1);
         }
     };
     for atom in seq.ctx.iter() {
@@ -1066,7 +1070,7 @@ fn fresh_eigenvariable(seq: &Sequent) -> nrs_value::Name {
         atom.set.for_each_free_var(&mut scan);
     }
     for f in seq.rhs() {
-        f.for_each_free_var(&mut scan);
+        f.free_vars_set().iter().for_each(&mut scan);
     }
     nrs_value::Name::new(format!("ev#{max}"))
 }
@@ -1078,7 +1082,7 @@ fn full_moves(seq: &Sequent, used: &UsedSpecs, st: &mut State) -> Moves {
     let mut moves = Moves::default();
     let mut batch = MoveBatch::default();
     for ineq in seq.inequalities() {
-        let Formula::NeqUr(t, _) = ineq else {
+        let Formula::NeqUr(t, _) = ineq.value() else {
             unreachable!("the inequality slice holds only ≠ literals")
         };
         for atom in atoms_for(seq, t, st) {
@@ -1366,7 +1370,7 @@ fn attempt(
     //    premise inherits the rewrite classes while its specialization
     //    classes are rebuilt under the extended ∈-context.
     if let Some(f) = seq.first_invertible() {
-        let f = f.clone();
+        let f = f.value().clone();
         let rule = match &f {
             Formula::And(_, _) => Rule::And { conj: f.clone() },
             Formula::Or(_, _) => Rule::Or { disj: f.clone() },

@@ -123,6 +123,13 @@ pub fn union_name_sets(a: &Arc<BTreeSet<Name>>, b: &Arc<BTreeSet<Name>>) -> Arc<
     }
 }
 
+impl<T: HashConsed> From<T> for Shared<T> {
+    /// Intern a value (see [`Shared::new`]).
+    fn from(value: T) -> Shared<T> {
+        Shared::new(value)
+    }
+}
+
 impl<T: HashConsed> Clone for Shared<T> {
     fn clone(&self) -> Self {
         Shared(Arc::clone(&self.0))

@@ -16,6 +16,9 @@
 //! [`Name::as_str`], `Display` and the unequal-id arm of `cmp` never touch a
 //! lock — important because `BTreeMap`/`BTreeSet` operations over formulas
 //! and sequents perform `Name::cmp` constantly on the prover's hot path.
+//! Next to each string the table records the number after its last `#`
+//! ([`Name::numeric_suffix`]), parsed once at interning: fresh-name
+//! generation reads it for every free variable of a sequent at each ∀ step.
 //! Interned strings are leaked (`Box::leak`); the table only ever grows, and
 //! in this workload the universe of distinct names is small (variables,
 //! schema objects, `prefix#counter` fresh names), so the leak is bounded and
@@ -54,7 +57,20 @@ const CHUNKS: usize = 27;
 /// Size of chunk 0.
 const FIRST: usize = 64;
 
-/// The lock-free id → string half of the interner: an append-only chunked
+/// One resolve-table slot: the interned string and its parsed `#` suffix.
+#[derive(Clone, Copy)]
+struct Entry {
+    text: &'static str,
+    suffix: Option<u64>,
+}
+
+/// The number after the last `#` of `s` — the whole of `s` when it has no
+/// `#` — if that is a `u64`.
+fn parse_suffix(s: &str) -> Option<u64> {
+    s.rsplit('#').next().and_then(|r| r.parse::<u64>().ok())
+}
+
+/// The lock-free id → entry half of the interner: an append-only chunked
 /// vector.  Chunks are allocated by writers (which are serialized by the
 /// intern-path write lock) and published with `Release` stores; readers load
 /// the chunk pointer with `Acquire`.  Slot writes are plain writes — a reader
@@ -62,7 +78,7 @@ const FIRST: usize = 64;
 /// published it (the `RwLock` on the lookup map, or whatever synchronization
 /// carried the `Name` between threads).
 struct ResolveTable {
-    chunks: [AtomicPtr<&'static str>; CHUNKS],
+    chunks: [AtomicPtr<Entry>; CHUNKS],
 }
 
 /// Chunk index and offset for an id: chunk `k` covers
@@ -87,17 +103,25 @@ impl ResolveTable {
         let (k, off) = locate(id);
         let mut ptr = self.chunks[k].load(Ordering::Acquire);
         if ptr.is_null() {
-            let chunk: Box<[&'static str]> = vec![""; FIRST << k].into_boxed_slice();
-            ptr = Box::into_raw(chunk) as *mut &'static str;
+            let empty = Entry {
+                text: "",
+                suffix: None,
+            };
+            let chunk: Box<[Entry]> = vec![empty; FIRST << k].into_boxed_slice();
+            ptr = Box::into_raw(chunk) as *mut Entry;
             self.chunks[k].store(ptr, Ordering::Release);
         }
+        let entry = Entry {
+            text: s,
+            suffix: parse_suffix(s),
+        };
         // SAFETY: `off < FIRST << k` by `locate`, and no reader touches this
         // slot until `id` is published (see the type-level comment).
-        unsafe { *ptr.add(off) = s };
+        unsafe { *ptr.add(off) = entry };
     }
 
     /// Resolve a previously published id without locking.
-    fn get(&self, id: u32) -> &'static str {
+    fn get(&self, id: u32) -> Entry {
         let (k, off) = locate(id);
         let ptr = self.chunks[k].load(Ordering::Acquire);
         debug_assert!(!ptr.is_null(), "resolve of unpublished Name id {id}");
@@ -146,7 +170,7 @@ fn intern(s: &str) -> u32 {
     id
 }
 
-fn resolve(id: u32) -> &'static str {
+fn resolve(id: u32) -> Entry {
     RESOLVE.get(id)
 }
 
@@ -169,7 +193,15 @@ impl Name {
     /// The returned reference is `'static`: interned strings live for the
     /// lifetime of the process.
     pub fn as_str(&self) -> &'static str {
-        resolve(self.0)
+        resolve(self.0).text
+    }
+
+    /// The number after the last `#` of the name (of the whole name when it
+    /// has no `#`), if it parses as a `u64` — the counter of a
+    /// [`NameGen`]-made name.  Parsed once when the name was interned, so
+    /// reading it costs no lock and no parse.
+    pub fn numeric_suffix(&self) -> Option<u64> {
+        resolve(self.0).suffix
     }
 
     /// The raw interner id — execution-local, exposed for diagnostics only.
@@ -295,10 +327,8 @@ impl NameGen {
     pub fn avoiding<'a>(names: impl IntoIterator<Item = &'a Name>) -> Self {
         let mut max = 0;
         for n in names {
-            if let Some(rest) = n.as_str().rsplit('#').next() {
-                if let Ok(k) = rest.parse::<u64>() {
-                    max = max.max(k + 1);
-                }
+            if let Some(k) = n.numeric_suffix() {
+                max = max.max(k + 1);
             }
         }
         NameGen { counter: max }
@@ -428,6 +458,49 @@ mod tests {
         }
     }
 
+    /// Strings over an alphabet weighted towards the shapes a suffix parse
+    /// distinguishes: `#` separators, digit runs (past `u64::MAX` too),
+    /// signs, letters, multi-byte characters and the empty string.
+    struct ArbitraryName;
+
+    impl Strategy for ArbitraryName {
+        type Value = String;
+        fn generate(&self, rng: &mut TestRng) -> String {
+            const PIECES: [&str; 14] = [
+                "#",
+                "#",
+                "0",
+                "7",
+                "42",
+                "18446744073709551615",
+                "18446744073709551616",
+                "+",
+                "-",
+                "x",
+                "ev",
+                "é",
+                " ",
+                "'",
+            ];
+            let len = rng.next_u64() % 7;
+            (0..len)
+                .map(|_| PIECES[(rng.next_u64() % PIECES.len() as u64) as usize])
+                .collect()
+        }
+    }
+
+    #[test]
+    fn numeric_suffix_reads_the_last_hash_segment() {
+        assert_eq!(Name::new("ev#12").numeric_suffix(), Some(12));
+        assert_eq!(Name::new("a#3#4").numeric_suffix(), Some(4));
+        assert_eq!(Name::new("a#3#").numeric_suffix(), None);
+        assert_eq!(Name::new("x").numeric_suffix(), None);
+        assert_eq!(Name::new("17").numeric_suffix(), Some(17));
+        assert_eq!(Name::new("s#-1").numeric_suffix(), None);
+        let gen = NameGen::avoiding(&[Name::new("v#4"), Name::new("w#9"), Name::new("z")]);
+        assert_eq!(gen.counter, 10);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -442,6 +515,14 @@ mod tests {
             prop_assert_eq!(na == nb, sa == sb);
             prop_assert_eq!(na.cmp(&nb), sa.as_str().cmp(sb.as_str()));
             prop_assert_eq!(na.partial_cmp(&nb), sa.partial_cmp(&sb));
+        }
+
+        /// The suffix recorded at interning is the one a parse of the
+        /// string gives.
+        #[test]
+        fn prop_numeric_suffix_agrees_with_parsing(s in ArbitraryName) {
+            let expected = s.rsplit('#').next().and_then(|r| r.parse::<u64>().ok());
+            prop_assert_eq!(Name::new(&s).numeric_suffix(), expected);
         }
 
         /// Round-tripping through serde preserves identity.
