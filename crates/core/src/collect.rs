@@ -136,7 +136,7 @@ fn extract(
             let premises = premises_of(proof)?;
             let p0 = partition.premise_partition(seq, &proof.rule, &premises[0]);
             let inner = extract(&proof.premises[0], &p0, goal, input, gen)?;
-            let (t, u) = match ineq {
+            let (t, u) = match ineq.value() {
                 Formula::NeqUr(t, u) => (t.clone(), u.clone()),
                 other => {
                     return Err(SynthesisError::Extraction(format!(
@@ -173,7 +173,7 @@ fn extract(
             }
         }
         Rule::Exists { quant, spec } => {
-            if quant == goal {
+            if quant.value() == goal {
                 main_case(proof, partition, goal, spec, input, gen)
             } else {
                 side_case(proof, partition, goal, quant, input, gen)
@@ -396,9 +396,9 @@ fn descend_to_principal<'a>(
     let mut part = partition.clone();
     for _ in 0..10_000 {
         let principal = match &node.rule {
-            Rule::And { conj } => Some(conj),
-            Rule::Or { disj } => Some(disj),
-            Rule::Forall { quant, .. } => Some(quant),
+            Rule::And { conj } => Some(conj.value()),
+            Rule::Or { disj } => Some(disj.value()),
+            Rule::Forall { quant, .. } => Some(quant.value()),
             _ => None,
         };
         if principal == Some(target) {

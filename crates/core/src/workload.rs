@@ -1138,6 +1138,26 @@ mod tests {
         }
     }
 
+    /// The prover's specialization and rewrite caches keep a compact form
+    /// of each entry; after a cold partition derivation every entry must
+    /// still say what recomputation from its key says.
+    #[test]
+    fn a_cold_partition_derivation_leaves_exact_cache_entries() {
+        let synth = crate::Synthesizer::with_config(SynthesisConfig {
+            prover: nrs_prover::ProverConfig {
+                parallel_branches: false,
+                ..Default::default()
+            },
+            check_determinacy: true,
+        });
+        synth.derive_workload(&partition_problem()).unwrap();
+        let session = synth.session();
+        let (specs, rewrites) = session.verify_caches().unwrap();
+        assert_eq!(specs, session.spec_cache_len());
+        assert_eq!(rewrites, session.rewrite_cache_len());
+        assert!(specs > 100 && rewrites > 100, "{specs} / {rewrites}");
+    }
+
     #[test]
     fn overlapping_workload_synthesizes_and_verifies() {
         let problem = overlapping_workload_problem(4);

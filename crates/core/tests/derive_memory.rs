@@ -1,22 +1,37 @@
-//! A cold derivation holds little memory at its peak.
+//! A cold derivation holds little memory at its peak, and the synthesizer
+//! it leaves behind holds less.
 //!
-//! Proof search keeps every refuted sequent in the failure memo and every
-//! proved one in its proof, so the bytes a sequent holds set the peak of a
-//! derivation.  Sequents are built at exactly their size, memo keys carry
-//! only the two sides, not the occurrence index, and a side holds 8-byte
-//! handles to interned formulas, so the thousands of refuted sequents share
-//! the hundred or so formulas they are made of.  When each slot held its own
-//! 56-byte formula copy the same derivation peaked at 8.4 MiB; when, on top
-//! of that, an insert doubled each copied vector and the memo kept whole
-//! sequents, at about 17 MiB.
+//! Proof search keeps every refuted sequent in the failure memo, every
+//! proved one in its proof, and the specializations and rewrites it
+//! computed in the session's caches, so the bytes those hold set the peak
+//! of a derivation — and what a held `Synthesizer` keeps for the next one.
+//! Sequents are built at exactly their size, memo keys carry only the two
+//! sides, a side holds 8-byte handles to interned formulas, equal contexts
+//! are one interned node, and candidate rules, proof nodes and both
+//! formula caches hold handles too: the specialization cache keeps, per
+//! (quantifier, context), an exact-size slice of (result, rank, risky?)
+//! for the specializations that used an atom.  A cold `overlapping(8)`
+//! derivation peaks at about 1.9 MiB and leaves about 1.6 MiB in its
+//! synthesizer; clearing the session's caches one by one frees about
+//! 1.0 MiB (failure memo), 0.16 MiB (specializations), 0.07 MiB
+//! (rewrites) and 0.2 MiB (goal outcomes).  When the caches, rules and
+//! proof nodes held 56-byte formula copies and every context its own
+//! vector, the same derivation peaked at 3.6 MiB and left 3.3 MiB (memo
+//! 1.4, specializations 1.1, rewrites 0.39, goals 0.22 MiB); before
+//! sequent sides held handles, at 8.4 MiB; and when, on top of that, an
+//! insert doubled each copied vector and the memo kept whole sequents, at
+//! about 17 MiB.
 //!
 //! This binary holds a single test: a counting `#[global_allocator]` sees
 //! every thread of the process (the prover session searches on a worker
 //! thread of its own), and any other test running next to it would add to
-//! the count.
+//! the count.  The partition case runs second, so names and registry
+//! entries the first case created once per process are not counted again
+//! (run alone it reads about 0.1 MiB more).
 
 use nrs_prover::ProverConfig;
-use nrs_synthesis::{overlapping_workload_problem, SynthesisConfig};
+use nrs_synthesis::views::partition_problem;
+use nrs_synthesis::{overlapping_workload_problem, SynthesisConfig, Synthesizer, WorkloadProblem};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 
@@ -68,7 +83,8 @@ unsafe impl GlobalAlloc for Peak {
 #[global_allocator]
 static ALLOCATOR: Peak = Peak;
 
-/// The most bytes live at once while `f` ran, above what was live before.
+/// Run `f` with the counter armed; returns the most bytes live at once
+/// while it ran, above what was live before, and its result.
 fn peak_live<T>(f: impl FnOnce() -> T) -> (isize, T) {
     LIVE.store(0, Ordering::SeqCst);
     PEAK.store(0, Ordering::SeqCst);
@@ -78,8 +94,14 @@ fn peak_live<T>(f: impl FnOnce() -> T) -> (isize, T) {
     (PEAK.load(Ordering::SeqCst), out)
 }
 
-#[test]
-fn a_cold_overlapping_derivation_peaks_under_6_mib() {
+fn mib(bytes: isize) -> f64 {
+    bytes as f64 / (1024.0 * 1024.0)
+}
+
+/// One cold derivation through a held `Synthesizer`: the peak live bytes,
+/// and the bytes still live once the rewriting is dropped — what the
+/// synthesizer's prover session keeps for later derivations.
+fn derive_cold(problem: &WorkloadProblem, states: usize) -> (f64, f64) {
     // sequential search: the same states on every run (a parallel race
     // could leave a different set of refuted sequents in the memo)
     let cfg = SynthesisConfig {
@@ -89,14 +111,44 @@ fn a_cold_overlapping_derivation_peaks_under_6_mib() {
         },
         ..SynthesisConfig::default()
     };
-    let problem = overlapping_workload_problem(8);
-    let (peak, rewriting) = peak_live(|| problem.derive_workload(&cfg));
-    let rewriting = rewriting.expect("overlapping(8) derives");
-    assert_eq!(rewriting.report().synthesis.states_visited, 7115);
-    let mib = peak as f64 / (1024.0 * 1024.0);
-    eprintln!("a cold overlapping(8) derivation peaked at {mib:.2} MiB live");
-    assert!(
-        mib < 6.0,
-        "a cold overlapping(8) derivation peaked at {mib:.2} MiB live (bound 6 MiB)"
-    );
+    let (peak, (synth, retained)) = peak_live(|| {
+        let synth = Synthesizer::with_config(cfg);
+        let rewriting = synth.derive_workload(problem).expect("the problem derives");
+        assert_eq!(rewriting.report().synthesis.states_visited, states);
+        drop(rewriting);
+        let retained = LIVE.load(Ordering::SeqCst);
+        (synth, retained)
+    });
+    drop(synth);
+    (mib(peak), mib(retained))
+}
+
+#[test]
+fn cold_derivations_peak_under_3_mib() {
+    let cases = [
+        (
+            "overlapping(8)",
+            overlapping_workload_problem(8),
+            7115,
+            3.0,
+            2.0,
+        ),
+        ("partition", partition_problem(), 4874, 2.0, 1.5),
+    ];
+    for (name, problem, states, peak_bound, retained_bound) in cases {
+        let (peak, retained) = derive_cold(&problem, states);
+        eprintln!(
+            "a cold {name} derivation peaked at {peak:.2} MiB live; \
+             the held synthesizer keeps {retained:.2} MiB"
+        );
+        assert!(
+            peak < peak_bound,
+            "a cold {name} derivation peaked at {peak:.2} MiB live (bound {peak_bound} MiB)"
+        );
+        assert!(
+            retained <= retained_bound,
+            "the synthesizer holds {retained:.2} MiB after a cold {name} derivation \
+             (bound {retained_bound} MiB)"
+        );
+    }
 }

@@ -3,6 +3,7 @@
 
 use crate::formula::Formula;
 use crate::term::Term;
+use nrs_shared::{HashConsed, InternTable, Shared};
 use nrs_value::Name;
 use serde::{Content, Deserialize, Error, Serialize};
 use std::cmp::Ordering;
@@ -10,7 +11,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A primitive membership atom `elem ∈ set`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -75,20 +76,66 @@ impl fmt::Display for MemAtom {
 ///
 /// Contexts behave as sets (duplicates are not stored twice) but preserve
 /// insertion order so that proofs and their transformations stay reproducible.
-/// The atom vector is `Arc`-shared copy-on-write: cloning a context (which
-/// the prover does for every visited sequent) is O(1), and only the rare
-/// extension pays a copy.
+///
+/// A context is an **interned handle** to its atom sequence (see
+/// [`nrs_shared`]): every context built with the same atoms in the same
+/// order points at one shared node, so cloning is O(1), equality is a
+/// pointer compare, and the thousands of sequents a proof search visits —
+/// and the refuted ones its failure memo keeps — share the few dozen
+/// distinct contexts they are made of instead of each holding a copy.
+/// Extending a context builds the extended sequence once, at exact size,
+/// and interns it.
 ///
 /// A context carries its own hash, extended atom by atom wherever the
 /// context is built or grown, so `Hash` writes one cached word — the
 /// prover's caches key on contexts and probe them far more often than they
-/// build them.  Equality, ordering, `Debug` and the serialized form are
-/// those of the atom sequence alone.
-#[derive(Clone, Default)]
+/// build them.  Ordering, `Debug` and the serialized form are those of the
+/// atom sequence alone.
+#[derive(Clone)]
 pub struct InContext {
-    atoms: Arc<Vec<MemAtom>>,
-    /// Order-dependent hash of `atoms` (0 for the empty context).
+    atoms: Shared<Atoms>,
+}
+
+/// The interned payload of an [`InContext`]: the atoms, stored at exact
+/// size, and their order-dependent hash (0 for the empty context).  Its
+/// `Hash` writes the cached word, so interning hashes one `u64`.
+#[derive(Clone)]
+struct Atoms {
     hash: u64,
+    atoms: Box<[MemAtom]>,
+}
+
+impl PartialEq for Atoms {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.atoms == other.atoms
+    }
+}
+
+impl Eq for Atoms {}
+
+impl Hash for Atoms {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+static ATOMS_TABLE: OnceLock<InternTable<Atoms>> = OnceLock::new();
+
+impl HashConsed for Atoms {
+    fn intern_table() -> &'static InternTable<Atoms> {
+        ATOMS_TABLE.get_or_init(InternTable::default)
+    }
+
+    fn compute_free_vars(&self) -> Arc<BTreeSet<Name>> {
+        Arc::new(self.atoms.iter().flat_map(MemAtom::free_vars).collect())
+    }
+
+    fn compute_size(&self) -> usize {
+        self.atoms
+            .iter()
+            .map(|a| a.elem.size() + a.set.size())
+            .sum()
+    }
 }
 
 /// Extend an ∈-context hash by one appended atom.
@@ -98,28 +145,54 @@ fn extend_hash(hash: u64, atom: &MemAtom) -> u64 {
     (hash.rotate_left(5) ^ h.finish()).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
 }
 
+impl Default for InContext {
+    /// The empty context (one node, shared by every empty context).
+    fn default() -> Self {
+        static EMPTY: OnceLock<InContext> = OnceLock::new();
+        EMPTY
+            .get_or_init(|| InContext::intern_hashed(0, Vec::new()))
+            .clone()
+    }
+}
+
 impl InContext {
     /// The empty context.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Intern a duplicate-free atom sequence.
+    fn intern(atoms: Vec<MemAtom>) -> Self {
+        InContext::intern_hashed(atoms.iter().fold(0, extend_hash), atoms)
+    }
+
+    /// Intern a duplicate-free atom sequence whose hash is already known.
+    fn intern_hashed(hash: u64, atoms: Vec<MemAtom>) -> Self {
+        InContext {
+            atoms: Shared::new(Atoms {
+                hash,
+                atoms: atoms.into_boxed_slice(),
+            }),
+        }
+    }
+
     /// Build from atoms, dropping duplicates while keeping first occurrence order.
     pub fn from_atoms(atoms: impl IntoIterator<Item = MemAtom>) -> Self {
-        let mut ctx = InContext::new();
+        let mut unique: Vec<MemAtom> = Vec::new();
         for a in atoms {
-            ctx.insert(a);
+            if !unique.contains(&a) {
+                unique.push(a);
+            }
         }
-        ctx
+        InContext::intern(unique)
     }
 
     /// Insert an atom (no-op if already present).  Returns whether it was new.
     pub fn insert(&mut self, atom: MemAtom) -> bool {
-        if self.atoms.contains(&atom) {
+        if self.contains(&atom) {
             false
         } else {
-            self.hash = extend_hash(self.hash, &atom);
-            Arc::make_mut(&mut self.atoms).push(atom);
+            *self = self.with(atom);
             true
         }
     }
@@ -129,79 +202,61 @@ impl InContext {
         if self.contains(&atom) {
             return self.clone();
         }
-        // one allocation of the final size: `insert` on a shared copy would
-        // clone the atoms and then grow the clone to double capacity
-        let hash = extend_hash(self.hash, &atom);
-        let mut atoms = Vec::with_capacity(self.atoms.len() + 1);
-        atoms.extend_from_slice(&self.atoms);
+        let hash = extend_hash(self.atoms.hash, &atom);
+        let mut atoms = Vec::with_capacity(self.len() + 1);
+        atoms.extend_from_slice(self.as_slice());
         atoms.push(atom);
-        InContext {
-            atoms: Arc::new(atoms),
-            hash,
-        }
+        InContext::intern_hashed(hash, atoms)
     }
 
     /// Does the context contain the atom?
     pub fn contains(&self, atom: &MemAtom) -> bool {
-        self.atoms.contains(atom)
+        self.as_slice().contains(atom)
     }
 
     /// Iterate the atoms in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &MemAtom> {
-        self.atoms.iter()
+        self.as_slice().iter()
     }
 
     /// The atoms as a slice.
     pub fn as_slice(&self) -> &[MemAtom] {
-        &self.atoms
+        &self.atoms.atoms
     }
 
     /// Number of atoms.
     pub fn len(&self) -> usize {
-        self.atoms.len()
+        self.as_slice().len()
     }
 
     /// Is the context empty?
     pub fn is_empty(&self) -> bool {
-        self.atoms.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// Union of two contexts.
     pub fn union(&self, other: &InContext) -> InContext {
-        let mut out = self.clone();
-        for a in other.iter() {
-            out.insert(a.clone());
-        }
-        out
+        InContext::from_atoms(self.iter().chain(other.iter()).cloned())
     }
 
     /// Free variables of all atoms.
     pub fn free_vars(&self) -> BTreeSet<Name> {
-        let mut out = BTreeSet::new();
-        for a in self.atoms.iter() {
-            out.extend(a.free_vars());
-        }
-        out
+        (**self.atoms.free_vars_set()).clone()
     }
 
     /// Substitute a term for a variable in every atom.
     pub fn subst_var(&self, var: &Name, replacement: &Term) -> InContext {
-        InContext::from_atoms(self.atoms.iter().map(|a| a.subst_var(var, replacement)))
+        InContext::from_atoms(self.iter().map(|a| a.subst_var(var, replacement)))
     }
 
     /// Replace a whole sub-term in every atom.
     pub fn replace_term(&self, target: &Term, replacement: &Term) -> InContext {
-        InContext::from_atoms(
-            self.atoms
-                .iter()
-                .map(|a| a.replace_term(target, replacement)),
-        )
+        InContext::from_atoms(self.iter().map(|a| a.replace_term(target, replacement)))
     }
 
     /// Does the context mention the variable at all?
     pub fn mentions(&self, var: &Name) -> bool {
-        self.atoms
-            .iter()
+        self.iter()
             .any(|a| a.elem.mentions(var) || a.set.mentions(var))
     }
 
@@ -209,23 +264,18 @@ impl InContext {
     /// in `left_vars` and the rest — used when partitioning sequents into
     /// "left" and "right" for interpolation and parameter collection.
     pub fn split_by_vars(&self, left_vars: &BTreeSet<Name>) -> (InContext, InContext) {
-        let mut l = InContext::new();
-        let mut r = InContext::new();
-        for a in self.atoms.iter() {
-            if a.free_vars().iter().all(|v| left_vars.contains(v)) {
-                l.insert(a.clone());
-            } else {
-                r.insert(a.clone());
-            }
-        }
-        (l, r)
+        let (l, r): (Vec<MemAtom>, Vec<MemAtom>) = self
+            .iter()
+            .cloned()
+            .partition(|a| a.free_vars().iter().all(|v| left_vars.contains(v)));
+        (InContext::intern(l), InContext::intern(r))
     }
 }
 
 impl PartialEq for InContext {
     fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash
-            && (Arc::ptr_eq(&self.atoms, &other.atoms) || self.atoms == other.atoms)
+        // interning makes equal atom sequences one node
+        self.atoms.ptr_eq(&other.atoms)
     }
 }
 
@@ -239,20 +289,23 @@ impl PartialOrd for InContext {
 
 impl Ord for InContext {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.atoms.cmp(&other.atoms)
+        if self == other {
+            return Ordering::Equal;
+        }
+        self.as_slice().cmp(other.as_slice())
     }
 }
 
 impl Hash for InContext {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
+        state.write_u64(self.atoms.hash);
     }
 }
 
 impl fmt::Debug for InContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("InContext")
-            .field("atoms", &self.atoms)
+            .field("atoms", &self.as_slice())
             .finish()
     }
 }
@@ -261,7 +314,7 @@ impl Serialize for InContext {
     fn serialize(&self) -> Content {
         Content::Map(vec![(
             Content::Str("atoms".to_owned()),
-            self.atoms.serialize(),
+            Content::Seq(self.iter().map(Serialize::serialize).collect()),
         )])
     }
 }
@@ -272,17 +325,13 @@ impl Deserialize for InContext {
             .get_field("atoms")
             .ok_or_else(|| Error::custom("missing field `atoms`"))?;
         let atoms: Vec<MemAtom> = Deserialize::deserialize(field)?;
-        let hash = atoms.iter().fold(0, extend_hash);
-        Ok(InContext {
-            atoms: Arc::new(atoms),
-            hash,
-        })
+        Ok(InContext::intern(atoms))
     }
 }
 
 impl fmt::Display for InContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, a) in self.atoms.iter().enumerate() {
+        for (i, a) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -385,6 +434,24 @@ mod tests {
         let replaced = built.replace_term(&Term::var("x"), &Term::var("w"));
         assert_eq!(hash_of(&replaced), hash_of(&expected));
         assert_eq!(hash_of(&InContext::new()), hash_of(&InContext::default()));
+    }
+
+    #[test]
+    fn equal_contexts_are_one_node() {
+        let (x, y) = (MemAtom::new("x", "S"), MemAtom::new("y", "x"));
+        let built = InContext::from_atoms([x.clone(), y.clone(), x.clone()]);
+        let extended = InContext::new().with(x.clone()).with(y.clone());
+        let split = built.union(&InContext::from_atoms([MemAtom::new("z", "T")]));
+        let (left, _) = split.split_by_vars(&["x", "y", "S"].into_iter().map(Name::new).collect());
+        for other in [&extended, &left] {
+            assert!(built.atoms.ptr_eq(&other.atoms));
+        }
+        assert!(InContext::new()
+            .atoms
+            .ptr_eq(&InContext::from_atoms([]).atoms));
+        // the atoms are stored at exact size
+        assert_eq!(built.len(), 2);
+        assert_eq!(built.free_vars().len(), 3);
     }
 
     #[test]

@@ -289,7 +289,9 @@ mod tests {
         let other = Formula::eq_ur("e", "f");
         let seq = Sequent::goals([conj.clone(), other.clone()]);
         let p = Partition::with_left([], [conj.clone()]);
-        let rule = Rule::And { conj: conj.clone() };
+        let rule = Rule::And {
+            conj: conj.clone().into(),
+        };
         let prems = rule.premises(&seq).unwrap();
         let p0 = p.premise_partition(&seq, &rule, &prems[0]);
         // the new conjunct a=b is Left, the passive e=f stays Right
@@ -300,7 +302,7 @@ mod tests {
         let seq2 = Sequent::goals([quant.clone(), conj.clone()]);
         let p2 = Partition::with_left([], [conj.clone()]);
         let rule2 = Rule::Forall {
-            quant: quant.clone(),
+            quant: quant.clone().into(),
             witness: Name::new("w#1"),
         };
         let prem2 = rule2.premises(&seq2).unwrap().remove(0);

@@ -97,7 +97,7 @@ fn extract(proof: &Proof, partition: &Partition) -> Result<Formula, Interpolatio
             let premises = rule_premises(proof)?;
             let p0 = partition.premise_partition(seq, &proof.rule, &premises[0]);
             let inner = extract(&proof.premises[0], &p0)?;
-            let (t, u) = match ineq {
+            let (t, u) = match ineq.value() {
                 Formula::NeqUr(t, u) => (t.clone(), u.clone()),
                 other => {
                     return Err(InterpolationError::MalformedProof(format!(

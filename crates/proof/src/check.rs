@@ -135,9 +135,9 @@ mod tests {
         let inner = Formula::and(Formula::eq_ur("x", "x"), Formula::True);
         let goal = Formula::or(inner.clone(), Formula::False);
         let root = Sequent::goals([goal.clone()]);
-        let or_rule = Rule::Or { disj: goal };
+        let or_rule = Rule::Or { disj: goal.into() };
         let after_or = or_rule.premises(&root).unwrap().remove(0);
-        let and_rule = Rule::And { conj: inner };
+        let and_rule = Rule::And { conj: inner.into() };
         let prems = and_rule.premises(&after_or).unwrap();
         let p1 = Proof::eq_refl(prems[0].clone(), Term::var("x")).unwrap();
         let p2 = Proof::top(prems[1].clone()).unwrap();
@@ -151,7 +151,7 @@ mod tests {
     fn tampered_proofs_fail_the_checker() {
         let inner = Formula::and(Formula::eq_ur("x", "x"), Formula::True);
         let root = Sequent::goals([inner.clone()]);
-        let and_rule = Rule::And { conj: inner };
+        let and_rule = Rule::And { conj: inner.into() };
         let prems = and_rule.premises(&root).unwrap();
         let p1 = Proof::eq_refl(prems[0].clone(), Term::var("x")).unwrap();
         let p2 = Proof::top(prems[1].clone()).unwrap();

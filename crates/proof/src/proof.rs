@@ -9,7 +9,7 @@
 use crate::check::ProofError;
 use crate::sequent::Sequent;
 use nrs_delta0::specialize::is_specialization;
-use nrs_delta0::{Formula, Term};
+use nrs_delta0::{Formula, Shared, Term};
 use nrs_value::Name;
 use std::fmt;
 
@@ -17,7 +17,11 @@ use std::fmt;
 ///
 /// Each variant stores the data identifying the application (principal
 /// formula, witnesses, eigenvariables) so that proof-consuming algorithms can
-/// pattern-match on it without re-deriving the information.
+/// pattern-match on it without re-deriving the information.  Formula payloads
+/// are interned handles ([`Shared<Formula>`], 8 bytes each): the prover keeps
+/// thousands of candidate rules and proof nodes over the same hundred or so
+/// formulas, and a handle both points at the node every sequent already
+/// holds and goes into a premise without being interned again.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rule {
     /// `=` axiom: the conclusion contains `t =𝔘 t`.
@@ -32,26 +36,26 @@ pub enum Rule {
     /// `t` replaced by `u`.
     Neq {
         /// The inequality `t ≠𝔘 u` (must occur in the conclusion).
-        ineq: Formula,
+        ineq: Shared<Formula>,
         /// The atomic formula `α[t/x]` occurring in the conclusion.
-        atom: Formula,
+        atom: Shared<Formula>,
         /// The rewritten atomic formula `α[u/x]` added to the premise.
-        rewritten: Formula,
+        rewritten: Shared<Formula>,
     },
     /// `∧` rule on a right-hand-side conjunction.
     And {
         /// The principal conjunction.
-        conj: Formula,
+        conj: Shared<Formula>,
     },
     /// `∨` rule on a right-hand-side disjunction.
     Or {
         /// The principal disjunction.
-        disj: Formula,
+        disj: Shared<Formula>,
     },
     /// `∀` rule: introduce a fresh eigenvariable that is a member of the bound.
     Forall {
         /// The principal universal formula.
-        quant: Formula,
+        quant: Shared<Formula>,
         /// The fresh eigenvariable.
         witness: Name,
     },
@@ -59,9 +63,9 @@ pub enum Rule {
     /// with respect to the ∈-context (the existential itself is kept).
     Exists {
         /// The principal existential formula.
-        quant: Formula,
+        quant: Shared<Formula>,
         /// The added maximal specialization.
-        spec: Formula,
+        spec: Shared<Formula>,
     },
     /// `×η` rule: replace a pair-typed variable by an explicit pair of fresh
     /// variables throughout the sequent.
@@ -129,7 +133,7 @@ impl Rule {
                 atom,
                 rewritten,
             } => {
-                let (t, u) = match ineq {
+                let (t, u) = match ineq.value() {
                     Formula::NeqUr(t, u) => (t, u),
                     other => {
                         return Err(ProofError::RuleNotApplicable(format!(
@@ -164,7 +168,7 @@ impl Rule {
                 }
                 Ok(vec![conclusion.with_formula(rewritten.clone())])
             }
-            Rule::And { conj } => match conj {
+            Rule::And { conj } => match conj.value() {
                 Formula::And(a, b) if conclusion.contains(conj) => {
                     let base = conclusion.without_formula(conj);
                     Ok(vec![
@@ -176,7 +180,7 @@ impl Rule {
                     "∧ rule: {conj} is not a conjunction in the conclusion"
                 ))),
             },
-            Rule::Or { disj } => match disj {
+            Rule::Or { disj } => match disj.value() {
                 Formula::Or(a, b) if conclusion.contains(disj) => {
                     let base = conclusion.without_formula(disj);
                     Ok(vec![base.with_formulas([a.clone(), b.clone()])])
@@ -185,7 +189,7 @@ impl Rule {
                     "∨ rule: {disj} is not a disjunction in the conclusion"
                 ))),
             },
-            Rule::Forall { quant, witness } => match quant {
+            Rule::Forall { quant, witness } => match quant.value() {
                 Formula::Forall { var, bound, body } if conclusion.contains(quant) => {
                     if conclusion.free_vars().contains(witness) {
                         return Err(ProofError::RuleNotApplicable(format!(
@@ -206,7 +210,7 @@ impl Rule {
                 ))),
             },
             Rule::Exists { quant, spec } => {
-                if !matches!(quant, Formula::Exists { .. }) || !conclusion.contains(quant) {
+                if !matches!(quant.value(), Formula::Exists { .. }) || !conclusion.contains(quant) {
                     return Err(ProofError::RuleNotApplicable(format!(
                         "∃ rule: {quant} is not an existential formula in the conclusion"
                     )));
@@ -278,9 +282,10 @@ impl Rule {
             Rule::Neq { rewritten, .. } => vec![conclusion.with_formula(rewritten.clone())],
             // Each premise edits an owned copy in place: chaining the
             // copying `with_*` builders would copy the side once per step.
-            // The components of ∧ and ∨ are interned handles already and go
-            // in as they are; a ∀ instantiation is interned once, here.
-            Rule::And { conj } => match conj {
+            // The payloads and the components of ∧ and ∨ are interned
+            // handles already and go in as they are; a ∀ instantiation is
+            // interned once, here.
+            Rule::And { conj } => match conj.value() {
                 Formula::And(a, b) => {
                     let mut second = conclusion.without_formula(conj);
                     let first = second.with_formula(a.clone());
@@ -289,7 +294,7 @@ impl Rule {
                 }
                 _ => unreachable!("∧ rule with a non-conjunction principal"),
             },
-            Rule::Or { disj } => match disj {
+            Rule::Or { disj } => match disj.value() {
                 Formula::Or(a, b) => {
                     let mut premise = conclusion.without_formula(disj);
                     premise.insert(a.clone());
@@ -298,7 +303,7 @@ impl Rule {
                 }
                 _ => unreachable!("∨ rule with a non-disjunction principal"),
             },
-            Rule::Forall { quant, witness } => match quant {
+            Rule::Forall { quant, witness } => match quant.value() {
                 Formula::Forall { var, bound, body } => {
                     let mut premise = conclusion.without_formula(quant);
                     premise.insert(body.subst_var(var, &Term::Var(*witness)));
@@ -497,7 +502,9 @@ mod tests {
     fn and_rule_produces_two_premises() {
         let conj = Formula::and(Formula::eq_ur("x", "x"), Formula::True);
         let s = Sequent::goals([conj.clone(), Formula::eq_ur("a", "b")]);
-        let rule = Rule::And { conj: conj.clone() };
+        let rule = Rule::And {
+            conj: conj.clone().into(),
+        };
         let prems = rule.premises(&s).unwrap();
         assert_eq!(prems.len(), 2);
         assert!(prems[0].contains(&Formula::eq_ur("x", "x")));
@@ -516,7 +523,11 @@ mod tests {
     fn or_and_forall_rules() {
         let disj = Formula::or(Formula::eq_ur("x", "x"), Formula::False);
         let s = Sequent::goals([disj.clone()]);
-        let prems = Rule::Or { disj: disj.clone() }.premises(&s).unwrap();
+        let prems = Rule::Or {
+            disj: disj.clone().into(),
+        }
+        .premises(&s)
+        .unwrap();
         assert_eq!(prems.len(), 1);
         assert!(prems[0].contains(&Formula::eq_ur("x", "x")));
         assert!(prems[0].contains(&Formula::False));
@@ -524,7 +535,7 @@ mod tests {
         let all = Formula::forall("z", "S", Formula::eq_ur("z", "z"));
         let s2 = Sequent::goals([all.clone()]);
         let rule = Rule::Forall {
-            quant: all.clone(),
+            quant: all.clone().into(),
             witness: Name::new("w0"),
         };
         let prems = rule.premises(&s2).unwrap();
@@ -532,7 +543,7 @@ mod tests {
         assert!(prems[0].contains(&Formula::eq_ur("w0", "w0")));
         // non-fresh eigenvariable rejected
         let bad = Rule::Forall {
-            quant: all,
+            quant: all.into(),
             witness: Name::new("S"),
         };
         assert!(bad.premises(&s2).is_err());
@@ -544,16 +555,16 @@ mod tests {
         let ctx = InContext::from_atoms([MemAtom::new("m", "S")]);
         let s = Sequent::new(ctx, [ex.clone(), Formula::eq_ur("a", "b")]);
         let good = Rule::Exists {
-            quant: ex.clone(),
-            spec: Formula::eq_ur("m", "c"),
+            quant: ex.clone().into(),
+            spec: Formula::eq_ur("m", "c").into(),
         };
         let prems = good.premises(&s).unwrap();
         assert!(prems[0].contains(&Formula::eq_ur("m", "c")));
         assert!(prems[0].contains(&ex), "the existential is retained");
         // a non-specialization is rejected
         let bad = Rule::Exists {
-            quant: ex.clone(),
-            spec: Formula::eq_ur("q", "c"),
+            quant: ex.clone().into(),
+            spec: Formula::eq_ur("q", "c").into(),
         };
         assert!(bad.premises(&s).is_err());
         // an AL formula in the context blocks the rule
@@ -566,25 +577,25 @@ mod tests {
         // from x ≠ y and goal atom x = z we may add y = z
         let s = Sequent::goals([Formula::neq_ur("x", "y"), Formula::eq_ur("x", "z")]);
         let rule = Rule::Neq {
-            ineq: Formula::neq_ur("x", "y"),
-            atom: Formula::eq_ur("x", "z"),
-            rewritten: Formula::eq_ur("y", "z"),
+            ineq: Formula::neq_ur("x", "y").into(),
+            atom: Formula::eq_ur("x", "z").into(),
+            rewritten: Formula::eq_ur("y", "z").into(),
         };
         let prems = rule.premises(&s).unwrap();
         assert!(prems[0].contains(&Formula::eq_ur("y", "z")));
         // a bogus rewrite is rejected
         let bad = Rule::Neq {
-            ineq: Formula::neq_ur("x", "y"),
-            atom: Formula::eq_ur("x", "z"),
-            rewritten: Formula::eq_ur("y", "w"),
+            ineq: Formula::neq_ur("x", "y").into(),
+            atom: Formula::eq_ur("x", "z").into(),
+            rewritten: Formula::eq_ur("y", "w").into(),
         };
         assert!(bad.premises(&s).is_err());
         // replacement may touch only some occurrences
         let s2 = Sequent::goals([Formula::neq_ur("x", "y"), Formula::eq_ur("x", "x")]);
         let partial = Rule::Neq {
-            ineq: Formula::neq_ur("x", "y"),
-            atom: Formula::eq_ur("x", "x"),
-            rewritten: Formula::eq_ur("x", "y"),
+            ineq: Formula::neq_ur("x", "y").into(),
+            atom: Formula::eq_ur("x", "x").into(),
+            rewritten: Formula::eq_ur("x", "y").into(),
         };
         assert!(partial.premises(&s2).is_ok());
     }
@@ -627,10 +638,20 @@ mod tests {
     }
 
     #[test]
+    fn rules_and_proof_nodes_are_a_few_words() {
+        // formula payloads are 8-byte handles and contexts interned
+        // handles: a rule held up to three 56-byte formulas (168 bytes on a
+        // 64-bit target), a proof node 240 bytes
+        let word = std::mem::size_of::<usize>();
+        assert!(std::mem::size_of::<Rule>() <= 4 * word);
+        assert!(std::mem::size_of::<Proof>() <= 12 * word);
+    }
+
+    #[test]
     fn premise_mismatch_is_detected() {
         let conj = Formula::and(Formula::True, Formula::True);
         let s = Sequent::goals([conj.clone()]);
-        let rule = Rule::And { conj };
+        let rule = Rule::And { conj: conj.into() };
         let wrong = Proof::top(Sequent::goals([Formula::True, Formula::eq_ur("x", "x")])).unwrap();
         let right = Proof::top(Sequent::goals([Formula::True])).unwrap();
         assert!(matches!(

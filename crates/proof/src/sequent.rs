@@ -2,7 +2,6 @@
 
 use nrs_delta0::{Formula, InContext, MemAtom, Shared, Term};
 use nrs_value::Name;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -79,19 +78,11 @@ pub struct Sequent {
 }
 
 /// The per-formula contribution to an XOR-combined (order-independent) set
-/// hash: the formula's (cheap, cached-children) hash diffused through
-/// splitmix64 so that combining contributions doesn't cancel structured
-/// patterns.  Shared with `nrs-prover`, which keys its failure memo on the
-/// same combined hashes.  Equal to the contribution of the formula's
-/// interned node, whose cached hash is the same structural hash.
-pub fn formula_hash_mixed(f: &Formula) -> u64 {
-    let mut h = DefaultHasher::new();
-    f.hash(&mut h);
-    mix(h.finish())
-}
-
-/// [`formula_hash_mixed`] of an interned node, read off its cached hash.
-fn node_hash_mixed(f: &Shared<Formula>) -> u64 {
+/// hash: the node's cached structural hash diffused through splitmix64 so
+/// that combining contributions doesn't cancel structured patterns.  Shared
+/// with `nrs-prover`, which keys its failure memo on the same combined
+/// hashes.
+pub fn formula_hash_mixed(f: &Shared<Formula>) -> u64 {
     mix(f.hash64())
 }
 
@@ -134,6 +125,16 @@ fn remove_exact(v: &mut Arc<Vec<Shared<Formula>>>, pos: usize) -> Shared<Formula
     removed
 }
 
+/// `f` with `replacement` substituted for `var`; a formula without the
+/// variable keeps its handle.
+pub(crate) fn subst_handle(f: &Shared<Formula>, var: &Name, replacement: &Term) -> Shared<Formula> {
+    if f.free_vars_set().contains(var) {
+        Shared::new(f.subst_var(var, replacement))
+    } else {
+        f.clone()
+    }
+}
+
 /// Binary search of a sorted handle slice for a formula value.
 fn find(side: &[Shared<Formula>], f: &Formula) -> Result<usize, usize> {
     side.binary_search_by(|g| g.value().cmp(f))
@@ -155,7 +156,7 @@ impl Sequent {
             ground_rw: Arc::new(Vec::new()),
         };
         for f in &rhs {
-            s.rhs_hash ^= node_hash_mixed(f);
+            s.rhs_hash ^= formula_hash_mixed(f);
             if f.variant_rank() <= 1 {
                 s.index_literal(f);
             }
@@ -200,7 +201,7 @@ impl Sequent {
     pub fn insert(&mut self, f: impl Into<Shared<Formula>>) {
         let f = f.into();
         if let Err(pos) = self.rhs.binary_search(&f) {
-            self.rhs_hash ^= node_hash_mixed(&f);
+            self.rhs_hash ^= formula_hash_mixed(&f);
             if f.variant_rank() <= 1 {
                 self.index_literal(&f);
             }
@@ -275,7 +276,7 @@ impl Sequent {
         let mut out = self.clone();
         if let Ok(pos) = find(&out.rhs, f) {
             let removed = remove_exact(&mut out.rhs, pos);
-            out.rhs_hash ^= node_hash_mixed(&removed);
+            out.rhs_hash ^= formula_hash_mixed(&removed);
             if removed.variant_rank() <= 1 {
                 out.unindex_literal(&removed);
             }
@@ -374,13 +375,7 @@ impl Sequent {
     pub fn subst_var(&self, var: &Name, replacement: &Term) -> Sequent {
         Sequent::new(
             self.ctx.subst_var(var, replacement),
-            self.rhs.iter().map(|f| {
-                if f.free_vars_set().contains(var) {
-                    Shared::new(f.subst_var(var, replacement))
-                } else {
-                    f.clone()
-                }
-            }),
+            self.rhs.iter().map(|f| subst_handle(f, var, replacement)),
         )
     }
 

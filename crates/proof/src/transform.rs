@@ -23,6 +23,7 @@
 
 use crate::check::ProofError;
 use crate::proof::{Proof, Rule};
+use crate::sequent::subst_handle;
 use nrs_delta0::{Formula, MemAtom, Shared, Term};
 use nrs_value::{Name, NameGen};
 
@@ -70,23 +71,23 @@ fn rename_unchecked(proof: &Proof, old: &Name, new: &Name) -> Result<Proof, Proo
             atom,
             rewritten,
         } => Rule::Neq {
-            ineq: ineq.subst_var(old, &repl),
-            atom: atom.subst_var(old, &repl),
-            rewritten: rewritten.subst_var(old, &repl),
+            ineq: subst_handle(ineq, old, &repl),
+            atom: subst_handle(atom, old, &repl),
+            rewritten: subst_handle(rewritten, old, &repl),
         },
         Rule::And { conj } => Rule::And {
-            conj: conj.subst_var(old, &repl),
+            conj: subst_handle(conj, old, &repl),
         },
         Rule::Or { disj } => Rule::Or {
-            disj: disj.subst_var(old, &repl),
+            disj: subst_handle(disj, old, &repl),
         },
         Rule::Forall { quant, witness } => Rule::Forall {
-            quant: quant.subst_var(old, &repl),
+            quant: subst_handle(quant, old, &repl),
             witness: *witness,
         },
         Rule::Exists { quant, spec } => Rule::Exists {
-            quant: quant.subst_var(old, &repl),
-            spec: spec.subst_var(old, &repl),
+            quant: subst_handle(quant, old, &repl),
+            spec: subst_handle(spec, old, &repl),
         },
         Rule::ProdEta { var, fst, snd } => Rule::ProdEta {
             var: if var == old { *new } else { *var },
@@ -225,7 +226,7 @@ fn invert_and_rec(
         return Ok(proof.clone());
     }
     if let Rule::And { conj: principal } = &proof.rule {
-        if principal == conj {
+        if principal.value() == conj {
             let idx = if keep_first { 0 } else { 1 };
             return Ok(proof.premises[idx].clone());
         }
@@ -280,7 +281,7 @@ fn invert_forall_rec(
         witness,
     } = &proof.rule
     {
-        if principal == quant {
+        if principal.value() == quant {
             // the sub-proof proves the premise with eigenvariable `witness`;
             // rename it to the requested fresh variable
             return rename_free_var(&proof.premises[0], witness, fresh);
@@ -310,7 +311,7 @@ mod tests {
         let conj = Formula::and(Formula::eq_ur("x", "x"), Formula::True);
         let disj = Formula::or(Formula::eq_ur("a", "b"), Formula::neq_ur("b", "b"));
         let root = Sequent::goals([conj.clone(), disj.clone()]);
-        let and_rule = Rule::And { conj };
+        let and_rule = Rule::And { conj: conj.into() };
         let prems = and_rule.premises(&root).unwrap();
         let p1 = Proof::eq_refl(prems[0].clone(), Term::var("x")).unwrap();
         let p2 = Proof::top(prems[1].clone()).unwrap();
@@ -322,7 +323,7 @@ mod tests {
         let quant = Formula::forall("z", "S", Formula::eq_ur("z", "z"));
         let root = Sequent::goals([quant.clone(), extra]);
         let rule = Rule::Forall {
-            quant: quant.clone(),
+            quant: quant.clone().into(),
             witness: Name::new("w#0"),
         };
         let prem = rule.premises(&root).unwrap().remove(0);
@@ -400,10 +401,14 @@ mod tests {
         let disj = Formula::or(Formula::eq_ur("a", "b"), Formula::neq_ur("b", "b"));
         // root: ⊢ conj, disj is sample; build: ⊢ conj ∨ conj ... simpler: use ∨ on disj
         let root = Sequent::goals([conj.clone(), disj.clone()]);
-        let or_rule = Rule::Or { disj: disj.clone() };
+        let or_rule = Rule::Or {
+            disj: disj.clone().into(),
+        };
         let prem = or_rule.premises(&root).unwrap().remove(0);
         // prove the premise: it contains conj, a=b, b≠b ; use ∧ rule then axioms
-        let and_rule = Rule::And { conj: conj.clone() };
+        let and_rule = Rule::And {
+            conj: conj.clone().into(),
+        };
         let prems = and_rule.premises(&prem).unwrap();
         let p1 = Proof::eq_refl(prems[0].clone(), Term::var("x")).unwrap();
         let p2 = Proof::top(prems[1].clone()).unwrap();
@@ -441,7 +446,9 @@ mod tests {
         let quant = Formula::forall("z", "S", Formula::eq_ur("z", "z"));
         let conj = Formula::and(Formula::eq_ur("a", "a"), Formula::True);
         let root = Sequent::goals([quant.clone(), conj.clone()]);
-        let and_rule = Rule::And { conj: conj.clone() };
+        let and_rule = Rule::And {
+            conj: conj.clone().into(),
+        };
         let prems = and_rule.premises(&root).unwrap();
         // left branch: close by a = a axiom (∀ stays passive)
         let left = Proof::eq_refl(prems[0].clone(), Term::var("a")).unwrap();

@@ -177,14 +177,10 @@ fn premises_hold_their_conclusions_nodes() {
         let seq = seq.with_atom(MemAtom::new("m", "S"));
         for f in seq.rhs() {
             let rule = match f.value() {
-                Formula::And(_, _) => Rule::And {
-                    conj: f.value().clone(),
-                },
-                Formula::Or(_, _) => Rule::Or {
-                    disj: f.value().clone(),
-                },
+                Formula::And(_, _) => Rule::And { conj: f.clone() },
+                Formula::Or(_, _) => Rule::Or { disj: f.clone() },
                 Formula::Forall { .. } => Rule::Forall {
-                    quant: f.value().clone(),
+                    quant: f.clone(),
                     witness: Name::new("w#99"),
                 },
                 _ => continue,

@@ -2,23 +2,36 @@
 //! risky (case-splitting) instantiations.
 //!
 //! Four session-lifetime caches (see `SearchCaches`) and two structural
-//! ideas keep the per-state cost near-constant.  The caches: the **failure
-//! memo** (below), the **specialization cache** (`max_specializations`
-//! results per (quantifier, context)), the **rewrite-candidate cache** —
-//! `(≠-node, literal-node) → Option<(rewritten, cost)>`, sound to share
-//! globally because both keys are interned nodes and the rewrite result
-//! depends on nothing else; across branches, deepening levels and batched
-//! goals the overwhelming majority of pairs repeat, turning a subtree
-//! rewrite into an O(1) hash probe — and the **goal-outcome cache**, which
-//! replays the proof (or failure) of a root goal the session has already
-//! settled, sound because every budget that could change the outcome is
-//! fixed in the session's [`ProverConfig`].  Candidate joins are further narrowed by
-//! the sequents' variable-occurrence index ([`Sequent::eq_literals_with_var`]):
-//! a new (in)equality is paired only against literals sharing a term, not
-//! the whole `inequalities() × eq_literals()` product.  Neither device
-//! changes which candidates are generated or their order — unproductive
-//! pairs never consumed a sequence number — so proofs are bit-identical
-//! to an uncached search's.
+//! ideas keep the per-state cost near-constant.  Every cache keys on
+//! interned handles — 8-byte [`Shared<Formula>`] pointers and interned
+//! [`InContext`]s, hashed by a cached word and compared by pointer — and
+//! hands handles back, so a probe copies no formula, and a hit hands the
+//! search the very node every sequent already points at:
+//!
+//! * the **failure memo** (below), keyed by the refuted state;
+//! * the **specialization cache**, `(∃-handle, context) → [(result, rank,
+//!   risky?)]`: per quantifier and context, the maximal specializations
+//!   that used an atom, at exact size, with the rank and class the
+//!   candidate lists sort by precomputed;
+//! * the **rewrite-candidate cache**, `(≠-handle, literal-handle) →
+//!   Option<(rewritten handle, cost)>`, sound to share globally because the
+//!   rewrite depends on nothing but the two nodes; across branches,
+//!   deepening levels and batched goals the overwhelming majority of pairs
+//!   repeat, turning a subtree rewrite into an O(1) hash probe;
+//! * the **goal-outcome cache**, which replays the proof (or failure) of a
+//!   root goal the session has already settled, sound because every budget
+//!   that could change the outcome is fixed in the session's
+//!   [`ProverConfig`].
+//!
+//! The handles the caches return go into candidate [`Rule`]s and from
+//! there into premises and proof nodes as they are: nothing on the
+//! per-state path interns a formula the caches already interned.  Candidate
+//! joins are further narrowed by the sequents' variable-occurrence index
+//! ([`Sequent::eq_literals_with_var`]): a new (in)equality is paired only
+//! against literals sharing a term, not the whole `inequalities() ×
+//! eq_literals()` product.  Neither device changes which candidates are
+//! generated or their order — unproductive pairs never consumed a sequence
+//! number — so proofs are bit-identical to an uncached search's.
 //!
 //! The structural ideas:
 //!
@@ -284,17 +297,21 @@ pub(crate) struct SearchCaches {
     /// 91,143 slots over 134 distinct formulas) instead of each holding
     /// 56-byte copies.
     pub(crate) memo: ShardedMap<MemoKey, usize>,
-    /// Cached `max_specializations` results, keyed by (quantifier,
+    /// Cached `max_specializations` results, keyed by (quantifier handle,
     /// ∈-context): the per-depth goals of one synthesis run decompose the
     /// same specification formulas under the same contexts, so a warm
     /// session stops re-enumerating their specializations goal after goal —
-    /// the shared saturation prefix of a batched synthesis run.
-    pub(crate) specs: ShardedMap<(Formula, InContext), Arc<Vec<MaxSpecialization>>>,
+    /// the shared saturation prefix of a batched synthesis run.  An entry
+    /// is an exact-size slice of [`SpecEntry`]s — only what the candidate
+    /// generation reads — whose results are handles, so the many keys that
+    /// yield the same specialization share its one node.
+    pub(crate) specs: ShardedMap<(Shared<Formula>, InContext), Arc<[SpecEntry]>>,
     /// Cached ≠-congruence candidates: `(inequality, literal) →
-    /// Option<(rewritten, cost)>`.  Branch-independent (the value depends
-    /// only on the two interned nodes), so one entry serves every branch,
-    /// deepening level and goal that re-derives the pair.
-    pub(crate) rewrites: ShardedMap<(Formula, Formula), Option<(Formula, usize)>>,
+    /// Option<(rewritten, cost)>`, all three formulas interned handles.
+    /// Branch-independent (the value depends only on the two interned
+    /// nodes), so one entry serves every branch, deepening level and goal
+    /// that re-derives the pair.
+    pub(crate) rewrites: ShardedMap<(Shared<Formula>, Shared<Formula>), Option<Rewrite>>,
     /// Completed root-goal outcomes.  A session asked to settle a goal it
     /// has already settled — the watch-mode loop re-deriving an unchanged
     /// view, a synthesis batch repeating a goal at two depths — answers from
@@ -326,6 +343,57 @@ impl SearchCaches {
             goals: ShardedMap::new(),
         }
     }
+
+    /// Recompute every specialization and rewrite entry from its key and
+    /// compare: a specialization entry must list, in order, the results of
+    /// `max_specializations` that used an atom, each ranked `size` when it
+    /// contains a conjunction (risky) and `2 + size` otherwise; a rewrite
+    /// entry must equal [`compute_rewrite`].  Returns the numbers of
+    /// specialization and rewrite entries checked, or the first
+    /// disagreement.
+    pub(crate) fn verify(&self, cfg: &ProverConfig) -> Result<(usize, usize), String> {
+        let mut first_error = None;
+        let mut specs = 0;
+        self.specs.for_each(|(quant, ctx), entries| {
+            specs += 1;
+            let expected: Vec<(Formula, usize, bool)> =
+                max_specializations(quant, ctx, cfg.spec_limit)
+                    .into_iter()
+                    .filter(|ms| !ms.used.is_empty())
+                    .map(|ms| {
+                        let (size, risky) = (ms.result.size(), contains_and(&ms.result));
+                        (ms.result, if risky { size } else { 2 + size }, risky)
+                    })
+                    .collect();
+            let cached: Vec<(Formula, usize, bool)> = entries
+                .iter()
+                .map(|e| (e.result.value().clone(), e.cost as usize, e.risky))
+                .collect();
+            if cached != expected && first_error.is_none() {
+                first_error = Some(format!(
+                    "specializations of {quant} under [{ctx}]: cached {cached:?}, expected {expected:?}"
+                ));
+            }
+        });
+        let mut rewrites = 0;
+        self.rewrites.for_each(|(ineq, atom), cached| {
+            rewrites += 1;
+            // only ≠ literals are ever probed as rewriters
+            let expected = match ineq.value() {
+                Formula::NeqUr(t, u) => Some(compute_rewrite(atom, t, u)),
+                _ => None,
+            };
+            if expected.as_ref() != Some(cached) && first_error.is_none() {
+                first_error = Some(format!(
+                    "rewrite of {atom} by {ineq}: cached {cached:?}, expected {expected:?}"
+                ));
+            }
+        });
+        match first_error {
+            Some(e) => Err(e),
+            None => Ok((specs, rewrites)),
+        }
+    }
 }
 
 /// The set of specializations introduced along the current branch (they may
@@ -343,15 +411,15 @@ struct UsedSpecs {
 
 #[derive(Debug)]
 struct UsedNode {
-    spec: Formula,
+    spec: Shared<Formula>,
     prev: Option<Arc<UsedNode>>,
 }
 
 impl UsedSpecs {
-    fn contains(&self, f: &Formula) -> bool {
+    fn contains(&self, f: &Shared<Formula>) -> bool {
         let mut cur = self.head.as_deref();
         while let Some(node) = cur {
-            if &node.spec == f {
+            if node.spec.ptr_eq(f) {
                 return true;
             }
             cur = node.prev.as_deref();
@@ -361,7 +429,7 @@ impl UsedSpecs {
 
     /// A copy with one more spec (specs are never pushed twice: candidate
     /// generation filters out already-used specs).
-    fn push(&self, spec: Formula) -> UsedSpecs {
+    fn push(&self, spec: Shared<Formula>) -> UsedSpecs {
         UsedSpecs {
             hash: self.hash ^ formula_hash_mixed(&spec),
             head: Some(Arc::new(UsedNode {
@@ -793,17 +861,17 @@ fn find_axiom(seq: &Sequent) -> Option<Rule> {
 }
 
 impl<'a> State<'a> {
-    fn specializations(&mut self, quant: &Formula, ctx: &InContext) -> Arc<Vec<MaxSpecialization>> {
-        if let Some(cached) = self.caches.specs.get(&(quant.clone(), ctx.clone())) {
+    /// The ∃ candidates of `quant` under `ctx`, through the session cache.
+    fn specializations(&mut self, quant: &Shared<Formula>, ctx: &InContext) -> Arc<[SpecEntry]> {
+        let key = (quant.clone(), ctx.clone());
+        if let Some(cached) = self.caches.specs.get(&key) {
             return cached;
         }
         // computed outside any lock: enumeration can be expensive, and two
         // workers racing on the same key simply overwrite with equal values
-        let specs = Arc::new(max_specializations(quant, ctx, self.cfg.spec_limit));
-        self.caches
-            .specs
-            .insert((quant.clone(), ctx.clone()), specs.clone());
-        specs
+        let entries = spec_entries(max_specializations(quant, ctx, self.cfg.spec_limit));
+        self.caches.specs.insert(key, entries.clone());
+        entries
     }
 
     /// The branch-independent rewrite for an (inequality, literal) pair,
@@ -812,11 +880,11 @@ impl<'a> State<'a> {
     /// re-derives the pair).
     fn rewrite_candidate(
         &mut self,
-        ineq: &Formula,
-        atom: &Formula,
+        ineq: &Shared<Formula>,
+        atom: &Shared<Formula>,
         t: &Term,
         u: &Term,
-    ) -> Option<(Formula, usize)> {
+    ) -> Option<Rewrite> {
         let key = (ineq.clone(), atom.clone());
         if let Some(cached) = self.caches.rewrites.get(&key) {
             self.rewrite_hits += 1;
@@ -835,12 +903,9 @@ impl<'a> State<'a> {
 }
 
 /// The branch-independent part of a ≠-congruence candidate: the rewritten
-/// atom and its rank, or `None` when the pair can never yield a move.
-fn compute_rewrite(
-    atom: &Formula,
-    t: &nrs_delta0::Term,
-    u: &nrs_delta0::Term,
-) -> Option<(Formula, usize)> {
+/// atom (interned) and its rank, or `None` when the pair can never yield a
+/// move.
+fn compute_rewrite(atom: &Formula, t: &Term, u: &Term) -> Option<Rewrite> {
     let rewritten = atom.replace_term(t, u);
     if &rewritten == atom || matches!(&rewritten, Formula::NeqUr(a, b) if a == b) {
         return None;
@@ -852,7 +917,43 @@ fn compute_rewrite(
     } else {
         1000
     };
-    Some((rewritten, cost))
+    Some((Shared::new(rewritten), cost))
+}
+
+/// A ≠-congruence candidate's branch-independent part: the rewritten
+/// literal and its rank.
+type Rewrite = (Shared<Formula>, usize);
+
+/// What the search reads of one maximal specialization: the result, its
+/// rank and its class.  The specialization cache keeps these, at exact
+/// size, for the specializations that used at least one atom — the others
+/// leave the quantifier as it is and are never candidates.
+#[derive(Debug)]
+pub(crate) struct SpecEntry {
+    /// The added maximal specialization.
+    result: Shared<Formula>,
+    /// Its rank: `size` for a risky result, `2 + size` for a safe one.
+    cost: u32,
+    /// Does the result contain a conjunction (a risky, case-splitting move)?
+    risky: bool,
+}
+
+/// The cached form of a `max_specializations` enumeration, in its order.
+fn spec_entries(specs: Vec<MaxSpecialization>) -> Arc<[SpecEntry]> {
+    specs
+        .into_iter()
+        .filter(|ms| !ms.used.is_empty())
+        .map(|ms| {
+            let risky = contains_and(&ms.result);
+            let size = ms.result.size();
+            let cost = if risky { size } else { 2 + size };
+            SpecEntry {
+                result: Shared::new(ms.result),
+                cost: u32::try_from(cost).unwrap_or(u32::MAX),
+                risky,
+            }
+        })
+        .collect()
 }
 
 /// Generate the ≠-congruence candidates for one (inequality, atom) pair.
@@ -862,16 +963,16 @@ fn compute_rewrite(
 /// Closing rewrites (producing `a = a`) rank first.
 fn push_neq_candidates(
     seq: &Sequent,
-    ineq: &Formula,
-    atom: &Formula,
+    ineq: &Shared<Formula>,
+    atom: &Shared<Formula>,
     batch: &mut MoveBatch,
     st: &mut State,
 ) {
-    let (t, u) = match ineq {
+    let (t, u) = match ineq.value() {
         Formula::NeqUr(t, u) if t != u => (t, u),
         _ => return,
     };
-    if !matches!(atom, Formula::EqUr(_, _) | Formula::NeqUr(_, _)) {
+    if !matches!(atom.value(), Formula::EqUr(_, _) | Formula::NeqUr(_, _)) {
         return;
     }
     let Some((rewritten, cost)) = st.rewrite_candidate(ineq, atom, t, u) else {
@@ -904,14 +1005,14 @@ fn push_neq_candidates(
 /// risky backtracking points, smallest (goal-instantiation-like) first.
 fn push_exists_candidates(
     seq: &Sequent,
-    quant: &Formula,
+    quant: &Shared<Formula>,
     used: &UsedSpecs,
     batch: &mut MoveBatch,
     st: &mut State,
 ) {
     let specs = st.specializations(quant, &seq.ctx);
-    for ms in specs.iter() {
-        if ms.used.is_empty() || used.contains(&ms.result) {
+    for entry in specs.iter() {
+        if used.contains(&entry.result) {
             continue;
         }
         // "Already present" may only be used as a *generation-time* filter
@@ -921,29 +1022,24 @@ fn push_exists_candidates(
         // formula, and an inherited list must not have dropped it for good.
         // (Application time re-checks presence either way.)
         let removable = matches!(
-            ms.result,
+            entry.result.value(),
             Formula::And(_, _) | Formula::Or(_, _) | Formula::Forall { .. }
         );
-        if !removable && seq.contains(&ms.result) {
+        if !removable && seq.contains(&entry.result) {
             continue;
         }
-        let rule = Rule::Exists {
-            quant: quant.clone(),
-            spec: ms.result.clone(),
+        let item = RankedRule {
+            cost: entry.cost as usize,
+            seqno: st.next_seqno(),
+            rule: Rule::Exists {
+                quant: quant.clone(),
+                spec: entry.result.clone(),
+            },
         };
-        let size = ms.result.size();
-        if contains_and(&ms.result) {
-            batch.risky.push(RankedRule {
-                cost: size,
-                seqno: st.next_seqno(),
-                rule,
-            });
+        if entry.risky {
+            batch.risky.push(item);
         } else {
-            batch.specs.push(RankedRule {
-                cost: 2 + size,
-                seqno: st.next_seqno(),
-                rule,
-            });
+            batch.specs.push(item);
         }
     }
 }
@@ -1029,10 +1125,10 @@ enum Rewriters<'s> {
 }
 
 impl<'s> Iterator for Rewriters<'s> {
-    type Item = &'s Formula;
-    fn next(&mut self) -> Option<&'s Formula> {
+    type Item = &'s Shared<Formula>;
+    fn next(&mut self) -> Option<&'s Shared<Formula>> {
         match self {
-            Rewriters::Bucket(it) => it.next().map(Shared::value),
+            Rewriters::Bucket(it) => it.next(),
             Rewriters::Scan { inner, lit } => {
                 for ineq in inner {
                     let Formula::NeqUr(t, _) = ineq.value() else {
@@ -1041,7 +1137,7 @@ impl<'s> Iterator for Rewriters<'s> {
                     let mut inside = true;
                     t.for_each_free_var(&mut |v| inside &= literal_mentions(lit, v));
                     if inside {
-                        return Some(ineq.value());
+                        return Some(ineq);
                     }
                 }
                 None
@@ -1103,7 +1199,7 @@ fn full_moves(seq: &Sequent, used: &UsedSpecs, st: &mut State) -> Moves {
 fn child_moves(
     premise: &Sequent,
     parent: &Moves,
-    delta: &[&Formula],
+    delta: &[&Shared<Formula>],
     dead: DeadCounts,
     used: &UsedSpecs,
     st: &mut State,
@@ -1112,7 +1208,7 @@ fn child_moves(
     moves.dead = dead;
     let mut batch = MoveBatch::default();
     for &f in delta {
-        match f {
+        match f.value() {
             Formula::EqUr(_, _) => {
                 // a new atom for every inequality that can rewrite it
                 let total = premise.inequalities().len();
@@ -1174,11 +1270,10 @@ fn forward_moves(
     match (principal, rule) {
         (Formula::And(a, b), Rule::And { .. }) => {
             let component = if premise_index == 0 { a } else { b };
-            child_moves(premise, parent, &[&**component], parent.dead, used, st)
+            child_moves(premise, parent, &[component], parent.dead, used, st)
         }
         (Formula::Or(a, b), Rule::Or { .. }) => {
-            // the disjuncts pass through as shared handles — no unsharing
-            child_moves(premise, parent, &[&**a, &**b], parent.dead, used, st)
+            child_moves(premise, parent, &[a, b], parent.dead, used, st)
         }
         (Formula::Forall { var, body, .. }, Rule::Forall { witness, .. }) => {
             let mut base = parent.clone();
@@ -1188,16 +1283,42 @@ fn forward_moves(
             for quant in premise.existentials() {
                 push_exists_candidates(premise, quant, used, &mut batch, st);
             }
-            let instantiated = body.subst_var(var, &Term::Var(*witness));
-            if matches!(instantiated, Formula::EqUr(_, _) | Formula::NeqUr(_, _)) {
-                batch.merge_into(&mut base);
-                return child_moves(premise, &base, &[&instantiated], base.dead, used, st);
-            }
             batch.merge_into(&mut base);
-            base
+            match forall_instance_literal(premise, var, body, witness) {
+                Some(literal) => child_moves(premise, &base, &[literal], base.dead, used, st),
+                None => base,
+            }
         }
         _ => unreachable!("invertible phase only decomposes ∧/∨/∀"),
     }
+}
+
+/// The instantiation `body[witness/var]` a ∀ premise holds, when it is an
+/// (in)equality literal — the only instantiations that seed candidates —
+/// read off the premise instead of substituted a second time.  The witness
+/// is fresh for the conclusion, so when the body mentions `var` the
+/// instantiation is the one formula of the premise containing the witness:
+/// a literal instantiation is the witness's whole occurrence bucket.  A body
+/// without `var` is its own instantiation.
+fn forall_instance_literal<'s>(
+    premise: &'s Sequent,
+    var: &nrs_value::Name,
+    body: &'s Shared<Formula>,
+    witness: &nrs_value::Name,
+) -> Option<&'s Shared<Formula>> {
+    let instance = if body.free_vars_set().contains(var) {
+        let bucket = premise.eq_literals_with_var(witness);
+        debug_assert!(bucket.len() <= 1, "the witness occurs in one formula");
+        bucket.first()?
+    } else {
+        body
+    };
+    debug_assert_eq!(
+        instance.value(),
+        &body.subst_var(var, &Term::Var(*witness)),
+        "the premise holds the instantiation"
+    );
+    matches!(instance.value(), Formula::EqUr(_, _) | Formula::NeqUr(_, _)).then_some(instance)
 }
 
 /// The outcome of the safe-move scan: the chosen rule (if any) with the dead
@@ -1295,7 +1416,7 @@ fn still_applicable(
 
 /// The formula a safe/risky move adds to its premise (the "delta" its child
 /// state extends the inherited candidates with).
-fn added_formula(rule: &Rule) -> &Formula {
+fn added_formula(rule: &Rule) -> &Shared<Formula> {
     match rule {
         Rule::Neq { rewritten, .. } => rewritten,
         Rule::Exists { spec, .. } => spec,
@@ -1370,8 +1491,8 @@ fn attempt(
     //    premise inherits the rewrite classes while its specialization
     //    classes are rebuilt under the extended ∈-context.
     if let Some(f) = seq.first_invertible() {
-        let f = f.value().clone();
-        let rule = match &f {
+        let f = f.clone();
+        let rule = match f.value() {
             Formula::And(_, _) => Rule::And { conj: f.clone() },
             Formula::Or(_, _) => Rule::Or { disj: f.clone() },
             // The eigenvariable is a deterministic function of the state
@@ -1995,9 +2116,41 @@ mod tests {
     }
 
     #[test]
+    fn spec_entries_keep_the_used_results_in_order_with_their_ranks() {
+        let safe = Formula::exists("w", "S", Formula::eq_ur("w", "c"));
+        let risky = Formula::exists(
+            "w",
+            "S",
+            Formula::and(Formula::eq_ur("w", "c"), Formula::neq_ur("w", "d")),
+        );
+        let ctx = InContext::from_atoms([MemAtom::new("x", "S"), MemAtom::new("y", "S")]);
+        for (quant, is_risky) in [(&safe, false), (&risky, true)] {
+            let specs = max_specializations(quant, &ctx, 10);
+            let entries = spec_entries(specs.clone());
+            assert_eq!(entries.len(), 2);
+            for (entry, ms) in entries.iter().zip(&specs) {
+                assert_eq!(
+                    entry.result.value(),
+                    &ms.result,
+                    "enumeration order is kept"
+                );
+                assert_eq!(entry.risky, is_risky);
+                let size = ms.result.size();
+                let cost = if is_risky { size } else { 2 + size };
+                assert_eq!(entry.cost as usize, cost);
+            }
+        }
+        // a quantifier no atom applies to is its own (atom-free) maximal
+        // specialization, which is never a candidate
+        let unbound = Formula::exists("w", "T", Formula::eq_ur("w", "c"));
+        assert_eq!(max_specializations(&unbound, &ctx, 10).len(), 1);
+        assert!(spec_entries(max_specializations(&unbound, &ctx, 10)).is_empty());
+    }
+
+    #[test]
     fn used_specs_behave_as_a_persistent_set() {
-        let a = Formula::eq_ur("x", "y");
-        let b = Formula::eq_ur("u", "v");
+        let a = Shared::new(Formula::eq_ur("x", "y"));
+        let b = Shared::new(Formula::eq_ur("u", "v"));
         let base = UsedSpecs::default();
         let one = base.push(a.clone());
         let two = one.push(b.clone());

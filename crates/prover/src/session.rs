@@ -13,9 +13,10 @@
 //!   with the same [`ProverConfig`].
 //!
 //! Sessions are `Sync`: independent goals may call [`prove_sequent`] from
-//! several threads (e.g. `std::thread::scope` in `nrs-core`), in which case
-//! idle workers are reused and extra workers are spawned on demand, all
-//! sharing the memo behind a mutex.
+//! several threads, in which case idle workers are reused and extra workers
+//! are spawned on demand, all sharing the session caches — sharded
+//! concurrent maps ([`nrs_shared::ShardedMap`]), so probes of different
+//! shards never wait on each other.
 //!
 //! [`prove_sequent`]: ProverSession::prove_sequent
 
@@ -42,8 +43,8 @@ struct Job {
 struct SessionInner {
     cfg: ProverConfig,
     /// The session-lifetime caches (failure memo, specialization cache,
-    /// rewrite-candidate cache), each a sharded concurrent map so parallel
-    /// workers and branch threads don't serialize on probes.
+    /// rewrite-candidate cache, goal outcomes), each a sharded concurrent
+    /// map so parallel workers and branch threads don't serialize on probes.
     caches: SearchCaches,
     idle: Mutex<Vec<Sender<Job>>>,
     /// Cooperative cancellation token: set by [`ProverSession::cancel`],
@@ -91,6 +92,16 @@ impl ProverSession {
     /// Number of cached specialization enumerations.
     pub fn spec_cache_len(&self) -> usize {
         self.inner.caches.specs.len()
+    }
+
+    /// Audit the specialization and rewrite caches: re-derive every entry
+    /// from its key and compare.  The caches keep only what the search
+    /// reads — interned results with their precomputed ranks — so this
+    /// checks that they still say what `max_specializations` and the ≠
+    /// rewrite say.  Returns the numbers of specialization and rewrite
+    /// entries checked, or the first disagreement.
+    pub fn verify_caches(&self) -> Result<(usize, usize), String> {
+        self.inner.caches.verify(&self.inner.cfg)
     }
 
     /// Lifetime lock-traffic counters of the failure memo's sharded map:

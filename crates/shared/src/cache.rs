@@ -248,6 +248,17 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         }
     }
 
+    /// Visit every entry, one shard (read-locked) at a time.  Not counted
+    /// in [`ShardedMap::stats`]: it audits the map, it does not probe it.
+    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
+        for shard in &self.shards {
+            let shard = shard.read().unwrap_or_else(|p| p.into_inner());
+            for (k, v) in shard.iter() {
+                f(k, v);
+            }
+        }
+    }
+
     /// Total number of entries across all shards.
     pub fn len(&self) -> usize {
         self.shards
@@ -302,6 +313,16 @@ mod tests {
         }
         assert_eq!(map.len(), 100);
         assert!(!map.is_empty());
+        // `for_each` visits each entry once, without counting as probes
+        let before = map.stats();
+        let mut seen = Vec::new();
+        map.for_each(|k, v| seen.push((*k, *v)));
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            (0..100u64).map(|k| (k, k as usize)).collect::<Vec<_>>()
+        );
+        assert_eq!(map.stats(), before);
     }
 
     #[test]
