@@ -42,7 +42,7 @@ fn bench_ivm(c: &mut Criterion) {
     // scaling slope.  Both sizes are built first and `ivm_single` runs at
     // them back to back: the two points of the slope are then measured
     // seconds apart, not with the other 10³ benches in between.
-    let fast = std::env::var_os("NRS_BENCH_FAST").is_some();
+    let fast = criterion::fast_mode();
     let mut points: Vec<_> = [1_000, 10_000]
         .into_iter()
         .map(|size| {

@@ -33,7 +33,7 @@ fn bench_rewriting(c: &mut Criterion) {
     // The plan-based evaluator (PR 2) executes it with indexed membership
     // probes, so the full run keeps the 100/1000 points for baseline
     // comparability and extends to 10_000; the fast/smoke mode stays small.
-    let sizes: &[usize] = if std::env::var_os("NRS_BENCH_FAST").is_some() {
+    let sizes: &[usize] = if criterion::fast_mode() {
         &[100, 500]
     } else {
         &[100, 1_000, 10_000]

@@ -85,7 +85,7 @@ fn bench_serve(c: &mut Criterion) {
     // server is built first and each of the two runs at all sizes back to
     // back: the points of one slope are then measured seconds apart, not
     // with the other benches of a size in between.
-    let fast = std::env::var_os("NRS_BENCH_FAST").is_some();
+    let fast = criterion::fast_mode();
     let sizes: &[usize] = if fast {
         &[1_000, 10_000]
     } else {

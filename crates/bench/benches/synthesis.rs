@@ -6,6 +6,7 @@
 //! expression; the claim reproduced is the absence of exponential blow-up.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use nrs_prover::ProverConfig;
 use nrs_synthesis::views::partition_problem;
 use nrs_synthesis::{SynthesisConfig, Synthesizer};
 use std::time::Duration;
@@ -16,6 +17,17 @@ fn bench_synthesis(c: &mut Criterion) {
     // and occurrence-join rework, so the group affords the criterion default
     // sample count; the 15 s budget keeps ≥5 samples even on slow runners.
     group.measurement_time(Duration::from_secs(15));
+    // Sequential branch search, as perfbench and the search pins use: the
+    // default races the first risky choice point of a goal on one thread per
+    // candidate whenever the host has two CPUs, and the time of a race
+    // depends on how the host schedules it.
+    let cfg = SynthesisConfig {
+        prover: ProverConfig {
+            parallel_branches: false,
+            ..ProverConfig::default()
+        },
+        ..SynthesisConfig::default()
+    };
     for copies in [0usize, 1, 2] {
         let mut problem = partition_problem();
         // duplicate the (always true) key-style constraint to inflate the spec
@@ -27,9 +39,7 @@ fn bench_synthesis(c: &mut Criterion) {
             );
             problem.constraints.push(extra);
         }
-        let result = problem
-            .derive_workload(&SynthesisConfig::default())
-            .expect("rewriting");
+        let result = problem.derive_workload(&cfg).expect("rewriting");
         let definition = &result.queries()[0].1;
         println!(
             "E2 row: extra_constraints={copies} proof_sizes={:?} rewriting_size={}",
@@ -41,18 +51,12 @@ fn bench_synthesis(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("derive_rewriting", copies),
             &copies,
-            |b, _| {
-                b.iter(|| {
-                    problem
-                        .derive_workload(&SynthesisConfig::default())
-                        .unwrap()
-                })
-            },
+            |b, _| b.iter(|| problem.derive_workload(&cfg).unwrap()),
         );
         // Warm path: the watch-mode steady state — one session re-deriving
         // an unchanged problem, so the proof replays from the goal-outcome
         // cache and the measurement isolates spec construction + extraction.
-        let synth = Synthesizer::new();
+        let synth = Synthesizer::with_config(cfg.clone());
         group.bench_with_input(
             BenchmarkId::new("derive_rewriting_warm", copies),
             &copies,

@@ -21,6 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nrs_ivm::UpdateBatch;
+use nrs_prover::ProverConfig;
 use nrs_synthesis::views::partition_instance;
 use nrs_synthesis::{
     overlapping_workload_problem, MaintainedWorkload, SynthesisConfig, WorkloadProblem,
@@ -38,13 +39,21 @@ fn single(problem: &WorkloadProblem, i: usize) -> WorkloadProblem {
 }
 
 fn bench_workload(c: &mut Criterion) {
-    let cfg = SynthesisConfig::default();
+    // Sequential branch search (see E2 in `synthesis.rs`): a derivation
+    // does the same work on every run.
+    let cfg = SynthesisConfig {
+        prover: ProverConfig {
+            parallel_branches: false,
+            ..ProverConfig::default()
+        },
+        ..SynthesisConfig::default()
+    };
     let mut group = c.benchmark_group("E10_workload");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
 
-    let fast = std::env::var_os("NRS_BENCH_FAST").is_some();
+    let fast = criterion::fast_mode();
     let spec_counts: &[usize] = if fast { &[4] } else { &[2, 4, 8] };
 
     for &n in spec_counts {

@@ -161,6 +161,11 @@ impl InContext {
         Self::default()
     }
 
+    /// The number of distinct contexts interned so far in this process.
+    pub fn interned_count() -> usize {
+        nrs_shared::interned_nodes::<Atoms>()
+    }
+
     /// Intern a duplicate-free atom sequence.
     fn intern(atoms: Vec<MemAtom>) -> Self {
         InContext::intern_hashed(atoms.iter().fold(0, extend_hash), atoms)

@@ -6,7 +6,7 @@
 
 mod tests {
     use crate::{Formula, Term};
-    use nrs_shared::{empty_name_set, intern_stats, union_name_sets};
+    use nrs_shared::{empty_name_set, intern_stats, union_name_sets, Shared};
     use nrs_value::Name;
     use std::collections::BTreeSet;
     use std::sync::Arc;
@@ -56,14 +56,19 @@ mod tests {
     }
 
     #[test]
-    fn dead_nodes_can_be_reinterned() {
-        let make = || Term::proj2(Term::var("shared_rs_dead_node_probe"));
-        let t = make();
-        drop(t);
-        // after dropping the only strong handle, interning again must not
-        // panic or return a dangling node
-        let u = make();
-        assert_eq!(u, make());
+    fn reinterning_returns_the_same_node() {
+        let make = || Shared::new(Term::proj2(Term::var("shared_rs_reintern_probe")));
+        // the handle is a temporary, gone at the end of the statement
+        let addr: *const Term = make().value();
+        // nodes are immortal: interning again returns the node it pointed at
+        assert!(std::ptr::eq(addr, make().value()));
+    }
+
+    #[test]
+    fn formula_handles_are_one_word_without_drop_glue() {
+        assert_eq!(std::mem::size_of::<Shared<Formula>>(), 8);
+        assert!(!std::mem::needs_drop::<Shared<Formula>>());
+        assert!(!std::mem::needs_drop::<Shared<Term>>());
     }
 
     #[test]

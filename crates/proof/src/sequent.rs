@@ -300,6 +300,17 @@ impl Sequent {
         find(&self.rhs, f).is_ok()
     }
 
+    /// Does the right-hand side contain this interned formula?  Interning
+    /// makes two handles structurally equal exactly when they point at the
+    /// same node, so this scans the slice of `f`'s variant rank by pointer
+    /// and never compares formulas structurally.
+    pub fn contains_handle(&self, f: &Shared<Formula>) -> bool {
+        let rank = f.variant_rank();
+        let found = self.rank_range(rank, rank).iter().any(|g| g.ptr_eq(f));
+        debug_assert_eq!(found, self.contains(f));
+        found
+    }
+
     /// The subrange of the sorted right-hand side whose variant ranks lie in
     /// `lo..=hi` (see [`Formula::variant_rank`]).
     fn rank_range(&self, lo: u8, hi: u8) -> &[Shared<Formula>] {

@@ -8,7 +8,8 @@
 //! end in exactly the sequent that [`Sequent::new`] builds from the final
 //! context and set: the same side order, equality, hash and memo key, and
 //! the same index, which must equal the plain filters it stands for.  A
-//! premise built by a rule must hold the very nodes its conclusion holds.
+//! premise built by a rule must hold the very nodes its conclusion holds,
+//! and membership by handle (pointer) must agree with membership by value.
 
 use nrs_delta0::{Formula, InContext, MemAtom, Shared, Term};
 use nrs_proof::{Rule, Sequent};
@@ -198,4 +199,37 @@ fn premises_hold_their_conclusions_nodes() {
         }
     }
     assert!(checked > 100, "only {checked} premises were generated");
+}
+
+/// Pointer membership agrees with structural membership, for the members of
+/// an edited sequent and for random formulas (mostly non-members).
+#[test]
+fn handle_membership_agrees_with_structural_membership() {
+    let (mut members, mut others) = (0, 0);
+    for seed in 0..400 {
+        let mut gen = Gen(seed);
+        let (seq, _, set) = edited(&mut gen);
+        for f in &set {
+            assert!(
+                seq.contains_handle(&Shared::new(f.clone())),
+                "seed {seed}: {f}"
+            );
+            members += 1;
+        }
+        for _ in 0..8 {
+            let f = gen.formula(2);
+            let expected = set.contains(&f);
+            assert_eq!(seq.contains(&f), expected, "seed {seed}: {f}");
+            assert_eq!(
+                seq.contains_handle(&Shared::new(f)),
+                expected,
+                "seed {seed}"
+            );
+            others += usize::from(!expected);
+        }
+    }
+    assert!(
+        members > 100 && others > 100,
+        "{members} members, {others} others"
+    );
 }

@@ -43,7 +43,7 @@
 //!   indexed join over the sequent's per-kind slices — instead of rescanning
 //!   all O(|Δ|²) pairs.  Filters that depend on growing state (the rewrite
 //!   budget, "already present", "already used") are re-checked at application
-//!   time; both checks are cheap hash/pointer probes on shared formulas.
+//!   time; both checks are pointer compares of interned handles.
 //! * **A failure memo shared across goals.**  Failures are keyed by the
 //!   search-relevant state — (sequent, rewrites used, used-spec set) — so a
 //!   hit prunes re-entry at the same or lower risky budget.  The memo lives
@@ -978,7 +978,7 @@ fn push_neq_candidates(
     let Some((rewritten, cost)) = st.rewrite_candidate(ineq, atom, t, u) else {
         return;
     };
-    if seq.contains(&rewritten) {
+    if seq.contains_handle(&rewritten) {
         return;
     }
     let rule = Rule::Neq {
@@ -1025,7 +1025,7 @@ fn push_exists_candidates(
             entry.result.value(),
             Formula::And(_, _) | Formula::Or(_, _) | Formula::Forall { .. }
         );
-        if !removable && seq.contains(&entry.result) {
+        if !removable && seq.contains_handle(&entry.result) {
             continue;
         }
         let item = RankedRule {
@@ -1398,8 +1398,8 @@ fn pick_safe_move<'m>(
 }
 
 /// Filters that depend on state accumulated since a candidate was generated,
-/// re-checked at application time.  All probes are O(log |Δ|) with O(1)
-/// comparisons on shared formulas.
+/// re-checked at application time.  All probes compare handles by pointer:
+/// a scan of one variant-rank slice of Δ, and a walk of the used specs.
 fn still_applicable(
     seq: &Sequent,
     rule: &Rule,
@@ -1408,8 +1408,10 @@ fn still_applicable(
     cfg: &ProverConfig,
 ) -> bool {
     match rule {
-        Rule::Neq { rewritten, .. } => rewrites_used < cfg.max_rewrites && !seq.contains(rewritten),
-        Rule::Exists { spec, .. } => !seq.contains(spec) && !used.contains(spec),
+        Rule::Neq { rewritten, .. } => {
+            rewrites_used < cfg.max_rewrites && !seq.contains_handle(rewritten)
+        }
+        Rule::Exists { spec, .. } => !seq.contains_handle(spec) && !used.contains(spec),
         _ => true,
     }
 }

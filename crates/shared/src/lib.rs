@@ -4,15 +4,15 @@
 //! syntax layer (the Δ0 formulas/terms, the first-order formulas of
 //! `nrs-fol`, and any future calculus) can share one implementation.
 //!
-//! [`Shared<T>`] is the smart pointer used for the children of syntax trees:
-//! an `Arc`-shared node carrying a cached structural hash, a cached node
-//! count, and a lazily cached free-variable set (mirroring the `SetValue`
-//! sharing introduced for values in `nrs-value`).  On top of the sharing,
-//! nodes are **interned**: every `Shared::new` consults a global per-type
-//! table and returns the existing node when a structurally equal one is
-//! alive.  The payoff, relied on throughout the provers' hot paths:
+//! [`Shared<T>`] is the handle used for the children of syntax trees: an
+//! 8-byte reference to an immortal node carrying a cached structural hash, a
+//! cached node count, and a lazily cached free-variable set.  Nodes are
+//! **interned**: every `Shared::new` consults a global per-type table and
+//! returns the existing node when a structurally equal one exists.  The
+//! payoff, relied on throughout the provers' hot paths:
 //!
-//! * `clone` is O(1) (a reference-count bump);
+//! * `clone` is a pointer copy, and a handle has no drop glue — copying or
+//!   dropping a sequent's side touches no reference count;
 //! * `Hash` is O(1) (the cached hash is written out);
 //! * `==` is O(1) (interning makes structural equality pointer equality);
 //! * free-variable queries are O(log |vars|) after the first computation,
@@ -24,8 +24,22 @@
 //! representation, and the serialized form is transparent — the wire format
 //! is unchanged.
 //!
-//! The intern tables hold [`Weak`] references and purge dead entries as they
-//! grow, so interning never leaks nodes whose last strong handle is dropped.
+//! # Immortal nodes
+//!
+//! The intern tables leak each new node once (`Box::leak`) and keep
+//! `&'static` entries, as the `Name` interner in `nrs-value` does for
+//! strings: a node lives for the rest of the process, whether or not a
+//! handle to it is still held.  That is what makes a handle a plain pointer,
+//! and it makes pointer identity structural identity unconditionally (no
+//! node is ever freed and re-created at another address).
+//!
+//! The trade-off is that the tables only grow: a process that keeps
+//! building *new* formulas keeps all of them.  The proof search builds few
+//! distinct nodes — deriving the whole synthesis mix of the benchmarks
+//! (partition with 0–2 redundant constraints and the overlapping workloads)
+//! interns about a thousand nodes of all types, and deriving it again adds
+//! none (`crates/core/tests/intern_growth.rs` checks this).
+//! [`interned_nodes`] reports a table's size.
 
 mod cache;
 
@@ -38,7 +52,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of independently locked shards per intern table (a power of two).
 const SHARDS: usize = 32;
@@ -63,12 +77,12 @@ pub trait HashConsed: Clone + Eq + Hash + Send + Sync + Sized + 'static {
     fn compute_size(&self) -> usize;
 }
 
-/// An interned, `Arc`-shared syntax node.  See the crate docs.
-pub struct Shared<T: HashConsed>(Arc<Node<T>>);
+/// A handle to an interned, immortal syntax node.  See the crate docs.
+pub struct Shared<T: HashConsed>(&'static Node<T>);
 
 impl<T: HashConsed> Shared<T> {
     /// Intern a value: return the existing node when a structurally equal one
-    /// is alive, otherwise allocate (and remember) a new one.
+    /// exists, otherwise allocate (and remember) a new one.
     pub fn new(value: T) -> Shared<T> {
         let mut hasher = DefaultHasher::new();
         value.hash(&mut hasher);
@@ -101,7 +115,7 @@ impl<T: HashConsed> Shared<T> {
     /// Do two handles point at the very same node?  Because every handle is
     /// interned, this is *equivalent* to structural equality.
     pub fn ptr_eq(&self, other: &Shared<T>) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+        std::ptr::eq(self.0, other.0)
     }
 }
 
@@ -132,13 +146,13 @@ impl<T: HashConsed> From<T> for Shared<T> {
 
 impl<T: HashConsed> Clone for Shared<T> {
     fn clone(&self) -> Self {
-        Shared(Arc::clone(&self.0))
+        Shared(self.0)
     }
 }
 
 impl<T: HashConsed> PartialEq for Shared<T> {
     fn eq(&self, other: &Self) -> bool {
-        // Interning guarantees at most one live node per structural value, so
+        // Interning guarantees at most one node per structural value, so
         // pointer equality *is* structural equality.
         self.ptr_eq(other)
     }
@@ -202,23 +216,13 @@ impl<T: HashConsed + Deserialize> Deserialize for Shared<T> {
 // The intern table
 // ---------------------------------------------------------------------------
 
-struct Shard<T> {
-    buckets: HashMap<u64, Vec<Weak<Node<T>>>>,
-    /// Purge dead weak entries when the shard outgrows this many buckets.
-    purge_at: usize,
-}
+/// One shard: the interned nodes by structural hash (colliding hashes share a
+/// bucket).
+type Shard<T> = HashMap<u64, Vec<&'static Node<T>>, FxBuildHasher>;
 
-impl<T> Default for Shard<T> {
-    fn default() -> Self {
-        Shard {
-            buckets: HashMap::new(),
-            purge_at: 64,
-        }
-    }
-}
-
-/// A sharded weak intern table; one static instance exists per consed type.
-pub struct InternTable<T> {
+/// A sharded intern table of immortal nodes; one static instance exists per
+/// consed type.
+pub struct InternTable<T: 'static> {
     shards: [Mutex<Shard<T>>; SHARDS],
 }
 
@@ -234,38 +238,38 @@ impl<T: HashConsed> InternTable<T> {
     fn intern(&self, hash: u64, value: T) -> Shared<T> {
         let shard = &self.shards[(hash as usize) & (SHARDS - 1)];
         let mut guard = shard.lock().expect("intern table poisoned");
-        if let Some(bucket) = guard.buckets.get_mut(&hash) {
-            bucket.retain(|w| w.strong_count() > 0);
-            for weak in bucket.iter() {
-                if let Some(node) = weak.upgrade() {
-                    if node.value == value {
-                        tally(1, 0);
-                        return Shared(node);
-                    }
-                }
-            }
+        let bucket = guard.entry(hash).or_default();
+        if let Some(node) = bucket.iter().find(|node| node.value == value) {
+            tally(1, 0);
+            return Shared(node);
         }
         tally(0, 1);
-        let node = Arc::new(Node {
+        let node: &'static Node<T> = Box::leak(Box::new(Node {
             hash,
             size: value.compute_size().min(u32::MAX as usize) as u32,
             free_vars: OnceLock::new(),
             value,
-        });
-        guard
-            .buckets
-            .entry(hash)
-            .or_default()
-            .push(Arc::downgrade(&node));
-        if guard.buckets.len() > guard.purge_at {
-            guard.buckets.retain(|_, bucket| {
-                bucket.retain(|w| w.strong_count() > 0);
-                !bucket.is_empty()
-            });
-            guard.purge_at = (guard.buckets.len() * 2).max(64);
-        }
+        }));
+        bucket.push(node);
         Shared(node)
     }
+}
+
+/// The number of `T` nodes interned so far in this process (the tables only
+/// grow).
+pub fn interned_nodes<T: HashConsed>() -> usize {
+    let shards = &T::intern_table().shards;
+    shards
+        .iter()
+        .map(|shard| {
+            shard
+                .lock()
+                .expect("intern table poisoned")
+                .values()
+                .map(Vec::len)
+                .sum::<usize>()
+        })
+        .sum()
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +277,7 @@ impl<T: HashConsed> InternTable<T> {
 // ---------------------------------------------------------------------------
 
 /// Interner hit/miss counters for the **current thread** (a hit is a
-/// `Shared::new` that found an existing live node).  Thread-local so that a
+/// `Shared::new` that found an existing node).  Thread-local so that a
 /// prover worker can attribute interner traffic to its own search exactly,
 /// even when sessions run goals in parallel.  The counters are global across
 /// all consed types — they measure interner *traffic*, not per-type tables.
@@ -355,19 +359,27 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_dead_node_reinterning() {
+    fn counters_and_reinterning() {
         let before = intern_stats();
+        let nodes = interned_nodes::<Tree>();
         let t = leaf("shared_lib_unique_probe");
         let mid = intern_stats();
         assert!(mid.misses > before.misses);
+        assert!(interned_nodes::<Tree>() > nodes);
         let u = leaf("shared_lib_unique_probe");
         assert!(intern_stats().hits > mid.hits);
         assert_eq!(t, u);
-        drop((t, u));
-        // after dropping the only strong handles, interning again must not
-        // panic or return a dangling node
-        let v = leaf("shared_lib_unique_probe");
-        assert_eq!(v, leaf("shared_lib_unique_probe"));
+        // nodes are immortal: interning the value again after its handles are
+        // gone returns the very same node
+        let addr: *const Tree = leaf("shared_lib_other_probe").value();
+        assert!(std::ptr::eq(addr, leaf("shared_lib_other_probe").value()));
+    }
+
+    #[test]
+    fn handles_are_one_word_without_drop_glue() {
+        assert_eq!(std::mem::size_of::<Shared<Tree>>(), 8);
+        assert!(!std::mem::needs_drop::<Shared<Tree>>());
+        assert!(!std::mem::needs_drop::<Option<Shared<Tree>>>());
     }
 
     #[test]

@@ -50,7 +50,7 @@ cargo bench -p nrs-bench 2>&1 | tee "$raw" | { grep -v '^BENCH_JSON ' || true; }
     printf '{\n'
     printf '  "schema": "nrs-bench-summary/v1",\n'
     printf '  "generated_utc": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-    printf '  "fast_mode": %s,\n' "$([ -n "${NRS_BENCH_FAST:-}" ] && echo true || echo false)"
+    printf '  "fast_mode": %s,\n' "$(case "${NRS_BENCH_FAST:-0}" in '' | 0) echo false ;; *) echo true ;; esac)"
     printf '  "rustc": "%s",\n' "$(rustc --version)"
     printf '  "benches": [\n'
     (grep '^BENCH_JSON ' "$raw" || true) | sed 's/^BENCH_JSON //' | sed '$!s/$/,/' | sed 's/^/    /'
