@@ -6,7 +6,6 @@
 //! expression; the claim reproduced is the absence of exponential blow-up.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nrs_prover::ProverConfig;
 use nrs_synthesis::views::partition_problem;
 use nrs_synthesis::{SynthesisConfig, Synthesizer};
 use std::time::Duration;
@@ -17,17 +16,7 @@ fn bench_synthesis(c: &mut Criterion) {
     // and occurrence-join rework, so the group affords the criterion default
     // sample count; the 15 s budget keeps ≥5 samples even on slow runners.
     group.measurement_time(Duration::from_secs(15));
-    // Sequential branch search, as perfbench and the search pins use: the
-    // default races the first risky choice point of a goal on one thread per
-    // candidate whenever the host has two CPUs, and the time of a race
-    // depends on how the host schedules it.
-    let cfg = SynthesisConfig {
-        prover: ProverConfig {
-            parallel_branches: false,
-            ..ProverConfig::default()
-        },
-        ..SynthesisConfig::default()
-    };
+    let cfg = SynthesisConfig::default();
     for copies in [0usize, 1, 2] {
         let mut problem = partition_problem();
         // duplicate the (always true) key-style constraint to inflate the spec

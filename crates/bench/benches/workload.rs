@@ -21,7 +21,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nrs_ivm::UpdateBatch;
-use nrs_prover::ProverConfig;
 use nrs_synthesis::views::partition_instance;
 use nrs_synthesis::{
     overlapping_workload_problem, MaintainedWorkload, SynthesisConfig, WorkloadProblem,
@@ -39,15 +38,7 @@ fn single(problem: &WorkloadProblem, i: usize) -> WorkloadProblem {
 }
 
 fn bench_workload(c: &mut Criterion) {
-    // Sequential branch search (see E2 in `synthesis.rs`): a derivation
-    // does the same work on every run.
-    let cfg = SynthesisConfig {
-        prover: ProverConfig {
-            parallel_branches: false,
-            ..ProverConfig::default()
-        },
-        ..SynthesisConfig::default()
-    };
+    let cfg = SynthesisConfig::default();
     let mut group = c.benchmark_group("E10_workload");
     group
         .sample_size(10)

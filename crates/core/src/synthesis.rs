@@ -177,8 +177,6 @@ pub struct SynthesisMetrics {
     pub occ_join_pairs: usize,
     /// Pairs the unindexed joins would additionally have enumerated.
     pub occ_join_pruned: usize,
-    /// Risky branch subtrees dispatched onto parallel prover workers.
-    pub parallel_branches: usize,
     /// Shard count of the session's failure-memo map.
     pub memo_lock_shards: usize,
     /// Lock acquisitions on the failure memo (reads + writes).
@@ -216,7 +214,6 @@ impl SynthesisMetrics {
         self.rewrite_cache_misses += stats.rewrite_cache_misses;
         self.occ_join_pairs += stats.occ_join_pairs;
         self.occ_join_pruned += stats.occ_join_pruned;
-        self.parallel_branches += stats.parallel_branches;
         self.memo_lock_shards = self.memo_lock_shards.max(stats.memo_lock.shards);
         self.memo_lock_acquisitions += stats.memo_lock.reads + stats.memo_lock.writes;
         self.memo_lock_contended +=
@@ -238,7 +235,6 @@ impl SynthesisMetrics {
         self.rewrite_cache_misses += from.rewrite_cache_misses;
         self.occ_join_pairs += from.occ_join_pairs;
         self.occ_join_pruned += from.occ_join_pruned;
-        self.parallel_branches += from.parallel_branches;
         self.memo_lock_shards = self.memo_lock_shards.max(from.memo_lock_shards);
         self.memo_lock_acquisitions += from.memo_lock_acquisitions;
         self.memo_lock_contended += from.memo_lock_contended;

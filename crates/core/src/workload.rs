@@ -1096,13 +1096,9 @@ mod tests {
     fn shared_batch_matches_cold_goal_by_goal_proving() {
         let problem = partition_problem();
         let workload = problem.workload().unwrap();
-        // sequential branch search, so the visited counts are exact
         let cfg = SynthesisConfig {
-            prover: nrs_prover::ProverConfig {
-                parallel_branches: false,
-                ..Default::default()
-            },
             check_determinacy: true,
+            ..Default::default()
         };
         let (batch, plans) = plan_workload(&workload, &cfg).unwrap();
         let shared = ProverSession::new(cfg.prover.clone()).prove_batch(&batch.seqs);
@@ -1144,11 +1140,8 @@ mod tests {
     #[test]
     fn a_cold_partition_derivation_leaves_exact_cache_entries() {
         let synth = crate::Synthesizer::with_config(SynthesisConfig {
-            prover: nrs_prover::ProverConfig {
-                parallel_branches: false,
-                ..Default::default()
-            },
             check_determinacy: true,
+            ..Default::default()
         });
         synth.derive_workload(&partition_problem()).unwrap();
         let session = synth.session();

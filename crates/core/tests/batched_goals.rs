@@ -1,10 +1,8 @@
 //! Batched-goal synthesis against ground truth: every goal of a run is
-//! proved in one `ProverSession::prove_batch` call, under the default
-//! prover (parallel branch search where the host has several cores).  The
-//! definitions must answer the query on the base, agree byte for byte with
-//! the definitions `search_pin.txt` pins under a sequential prover, and a
-//! goal beyond the prover's budgets must fail the same way under both
-//! provers.
+//! proved in one `ProverSession::prove_batch` call.  The definitions must
+//! answer the query on the base and agree byte for byte with the
+//! definitions `search_pin.txt` pins for the sequential search, and a goal
+//! beyond the prover's budgets must be named as the failing goal.
 
 mod fixtures;
 
@@ -97,7 +95,7 @@ fn batched_ur_and_product_outputs_agree_with_sequential() {
 fn batched_mode_fails_identically_on_goals_beyond_the_budgets() {
     // A nested output Set(Set(Ur)) defined as the identity on the input: the
     // depth-1 parameter-collection goal is beyond the bounded search, and
-    // the batch names it as the failing goal under either prover.
+    // the batch names it as the failing goal.
     let mut gen = NameGen::new();
     let nested = Type::set(Type::set(Type::Ur));
     let phi = d0::equiv(&nested, &Term::var("O"), &Term::var("I"), &mut gen);
@@ -108,31 +106,16 @@ fn batched_mode_fails_identically_on_goals_beyond_the_budgets() {
         output: (Name::new("O"), nested),
     };
     // small budgets keep the refutations fast
-    let small = ProverConfig::quick();
-    let provers = [
-        small.clone(),
-        ProverConfig {
-            parallel_branches: false,
-            ..small
-        },
-    ];
-    let errors: Vec<String> = provers
-        .into_iter()
-        .map(|prover| {
-            let cfg = SynthesisConfig {
-                prover,
-                ..SynthesisConfig::default()
-            };
-            match synthesize(&spec, &cfg) {
-                Err(SynthesisError::ProofNotFound { purpose, .. }) => purpose,
-                other => panic!("expected a proof failure, got {other:?}"),
-            }
-        })
-        .collect();
-    assert_eq!(errors[0], errors[1]);
+    let cfg = SynthesisConfig {
+        prover: ProverConfig::quick(),
+        ..SynthesisConfig::default()
+    };
+    let purpose = match synthesize(&spec, &cfg) {
+        Err(SynthesisError::ProofNotFound { purpose, .. }) => purpose,
+        other => panic!("expected a proof failure, got {other:?}"),
+    };
     assert!(
-        errors[0].contains("parameter-collection goal at nesting depth 1"),
-        "{}",
-        errors[0]
+        purpose.contains("parameter-collection goal at nesting depth 1"),
+        "{purpose}"
     );
 }

@@ -29,9 +29,8 @@
 //! entries the first case created once per process are not counted again
 //! (run alone it reads about 0.1 MiB more).
 
-use nrs_prover::ProverConfig;
 use nrs_synthesis::views::partition_problem;
-use nrs_synthesis::{overlapping_workload_problem, SynthesisConfig, Synthesizer, WorkloadProblem};
+use nrs_synthesis::{overlapping_workload_problem, Synthesizer, WorkloadProblem};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 
@@ -102,17 +101,8 @@ fn mib(bytes: isize) -> f64 {
 /// and the bytes still live once the rewriting is dropped — what the
 /// synthesizer's prover session keeps for later derivations.
 fn derive_cold(problem: &WorkloadProblem, states: usize) -> (f64, f64) {
-    // sequential search: the same states on every run (a parallel race
-    // could leave a different set of refuted sequents in the memo)
-    let cfg = SynthesisConfig {
-        prover: ProverConfig {
-            parallel_branches: false,
-            ..ProverConfig::default()
-        },
-        ..SynthesisConfig::default()
-    };
     let (peak, (synth, retained)) = peak_live(|| {
-        let synth = Synthesizer::with_config(cfg);
+        let synth = Synthesizer::new();
         let rewriting = synth.derive_workload(problem).expect("the problem derives");
         assert_eq!(rewriting.report().synthesis.states_visited, states);
         drop(rewriting);

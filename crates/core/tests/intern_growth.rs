@@ -4,16 +4,15 @@
 //!
 //! The mix is the benchmark's synthesis mix: partition with 0, 1 and 2
 //! redundant constraints, and the overlapping workloads of 4 and 8 queries.
-//! Each derivation runs in a fresh `Synthesizer` (nothing is replayed from
-//! a cache) with sequential branch search.
+//! Each derivation runs in a fresh default `Synthesizer` (nothing is
+//! replayed from a cache).
 //!
 //! This binary holds a single test: the tables are process-wide, and any
 //! other test running next to it would add nodes of its own.
 
 use nrs_delta0::{interned_nodes, Formula, InContext, Term};
-use nrs_prover::ProverConfig;
 use nrs_synthesis::views::partition_problem;
-use nrs_synthesis::{overlapping_workload_problem, SynthesisConfig, Synthesizer, WorkloadProblem};
+use nrs_synthesis::{overlapping_workload_problem, Synthesizer, WorkloadProblem};
 
 fn mix() -> Vec<WorkloadProblem> {
     let mut problems: Vec<WorkloadProblem> = (0..3)
@@ -36,15 +35,8 @@ fn mix() -> Vec<WorkloadProblem> {
 
 /// Derive every problem of the mix cold.
 fn derive_mix() {
-    let cfg = SynthesisConfig {
-        prover: ProverConfig {
-            parallel_branches: false,
-            ..ProverConfig::default()
-        },
-        ..SynthesisConfig::default()
-    };
     for problem in mix() {
-        Synthesizer::with_config(cfg.clone())
+        Synthesizer::new()
             .derive_workload(&problem)
             .expect("the problem derives");
     }

@@ -1,11 +1,11 @@
-//! The search is pinned: a cold derivation with a sequential prover visits
-//! the same states, finds the same proofs and emits the same definitions
-//! and interpolants, byte for byte.
+//! The search is pinned: a cold derivation under the default configuration
+//! visits the same states, finds the same proofs and emits the same
+//! definitions and interpolants, byte for byte.
 //!
 //! Speed-ups of the prover, the sequent representation and the assembly
-//! phase must not change a single search step.  The visited-state counts and
-//! proof sizes are exact under `parallel_branches: false` (one worker, one
-//! goal at a time), and `search_pin.txt` holds every definition,
+//! phase must not change a single search step.  Proof search is sequential
+//! (one worker, one goal at a time), so the visited-state counts and proof
+//! sizes are exact, and `search_pin.txt` holds every definition,
 //! interpolant and parameter-collection θ as the pipeline printed them
 //! before those speed-ups.
 //!
@@ -15,7 +15,6 @@
 
 mod fixtures;
 
-use nrs_prover::ProverConfig;
 use nrs_synthesis::views::partition_problem;
 use nrs_synthesis::{
     overlapping_workload_problem, ImplicitSpec, InterpolantKind, Name, SynthesisConfig,
@@ -25,17 +24,6 @@ use nrs_synthesis::{
 /// The checked-in definition, θ and interpolant lines, one `== <problem>`
 /// section per problem.
 const EXPECTED: &str = include_str!("search_pin.txt");
-
-/// The default configuration over a sequential prover.
-fn sequential() -> SynthesisConfig {
-    SynthesisConfig {
-        prover: ProverConfig {
-            parallel_branches: false,
-            ..ProverConfig::default()
-        },
-        ..SynthesisConfig::default()
-    }
-}
 
 /// The definition, θ and interpolant lines of every definition.
 fn pin_lines(defs: &[(Name, SynthesizedDefinition)]) -> Vec<String> {
@@ -58,11 +46,11 @@ fn pin_lines(defs: &[(Name, SynthesizedDefinition)]) -> Vec<String> {
     lines
 }
 
-/// Derive `problem` cold with a sequential prover: (visited states, proof
-/// sizes, the definition and interpolant lines of every query).
+/// Derive `problem` cold: (visited states, proof sizes, the definition and
+/// interpolant lines of every query).
 fn derive(problem: &WorkloadProblem) -> (usize, Vec<usize>, Vec<String>) {
     let rw = problem
-        .derive_workload(&sequential())
+        .derive_workload(&SynthesisConfig::default())
         .expect("the problem derives");
     let report = &rw.report().synthesis;
     (
@@ -72,10 +60,10 @@ fn derive(problem: &WorkloadProblem) -> (usize, Vec<usize>, Vec<String>) {
     )
 }
 
-/// Synthesize `spec` cold with a sequential prover, as the one entry `P` of
-/// a workload: (visited states, proof sizes, pinned lines).
+/// Synthesize `spec` cold, as the one entry `P` of a workload: (visited
+/// states, proof sizes, pinned lines).
 fn derive_spec(spec: ImplicitSpec) -> (usize, Vec<usize>, Vec<String>) {
-    let run = Synthesizer::with_config(sequential())
+    let run = Synthesizer::new()
         .synthesize_workload(&Workload::new().with_entry("P", spec))
         .expect("the spec synthesizes");
     let report = &run.report.synthesis;
@@ -112,6 +100,12 @@ fn partition_search_is_pinned() {
     assert_eq!(visited, 4874);
     assert_eq!(sizes, [121]);
     assert_lines("partition", &lines);
+    // `ProverConfig::default()`, through a held default synthesizer, reads
+    // the pinned count too: the default is the measured configuration
+    let rw = Synthesizer::new()
+        .derive_workload(&partition_problem())
+        .expect("the problem derives");
+    assert_eq!(rw.report().synthesis.states_visited, 4874);
 }
 
 #[test]
@@ -147,7 +141,7 @@ fn ur_unit_ur_product_search_is_pinned() {
 fn product_determinacy_is_proved_once() {
     let cfg = SynthesisConfig {
         check_determinacy: true,
-        ..sequential()
+        ..SynthesisConfig::default()
     };
     let run = Synthesizer::with_config(cfg)
         .synthesize_workload(&Workload::new().with_entry("P", fixtures::ur_unit_ur_spec()))

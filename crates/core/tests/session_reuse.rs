@@ -11,9 +11,8 @@
 //! Shared-batch proving against per-goal cold proving is checked by
 //! `workload::tests::shared_batch_matches_cold_goal_by_goal_proving`.
 //!
-//! The tests that compare search counters between two runs use sequential
-//! branch search: with `parallel_branches` on, branch threads race for the
-//! shared memo and the counters vary from run to run.
+//! Proof search is sequential, so the search counters the tests compare
+//! between two runs are exact.
 
 use nrs_delta0::macros as d0;
 use nrs_delta0::{InContext, Term};
@@ -58,18 +57,10 @@ fn cross_goal_memo_reuse_strictly_reduces_visited_states() {
     assert_eq!(session.goal_cache_len(), 1);
 }
 
-/// Sequential branch search, so search counters are identical across runs.
-fn sequential() -> ProverConfig {
-    ProverConfig {
-        parallel_branches: false,
-        ..ProverConfig::default()
-    }
-}
-
 #[test]
 fn rewrite_candidate_cache_persists_across_batches() {
     let seq = e2_determinacy_sequent();
-    let session = ProverSession::new(sequential());
+    let session = ProverSession::new(ProverConfig::default());
     let first = session.prove_batch(std::slice::from_ref(&seq));
     let (_, s1) = first[0].as_ref().expect("determinacy provable");
     assert!(
@@ -81,7 +72,7 @@ fn rewrite_candidate_cache_persists_across_batches() {
     // A second fresh session reproduces the same hit profile (the cache is
     // deterministic), while the original warm session replays the settled
     // goal without disturbing its persisted entries.
-    let session2 = ProverSession::new(sequential());
+    let session2 = ProverSession::new(ProverConfig::default());
     let cold = session2.prove_batch(std::slice::from_ref(&seq));
     let (_, c1) = cold[0].as_ref().expect("provable");
     assert_eq!(
@@ -102,8 +93,8 @@ fn rewrite_candidate_cache_persists_across_batches() {
 fn shared_session_synthesis_matches_cold_synthesis() {
     let problem = partition_problem();
     let cfg = SynthesisConfig {
-        prover: sequential(),
         check_determinacy: true,
+        ..SynthesisConfig::default()
     };
     // one session carried from a first derivation into the second
     let session = ProverSession::new(cfg.prover.clone());

@@ -59,28 +59,13 @@
 //!   already make the search incomplete, and every returned proof is checked
 //!   independently); the session-equivalence property test exercises goal
 //!   families whose budgets are far from binding.
-//!
-//! **Parallel branch search.**  With [`ProverConfig::parallel_branches`]
-//! set, the *first* risky choice point of each branch (where the risky
-//! budget is still at its deepening level) dispatches its applicable
-//! candidates onto concurrent big-stack workers instead of trying them in
-//! sequence.  Branches share the session caches (they are `Sync`), carry a
-//! first-success cancellation token, and commit deterministically: outcomes
-//! are scanned in candidate order and the lowest successful branch index
-//! wins, so the returned proof is the one the sequential scan would have
-//! found.  Per-branch candidate sequence numbers restart from the parent's
-//! counter; that relabeling is order-preserving within every list a branch
-//! ever compares, so branch-local verdicts equal their sequential
-//! counterparts (away from the shared-budget boundary, exactly the memo
-//! caveat above — parallel branches each get the full remaining state
-//! budget instead of consuming one shared counter).
 
 use crate::session::ProverSession;
 use nrs_delta0::specialize::{max_specializations, MaxSpecialization};
 use nrs_delta0::{Formula, InContext, Term};
 use nrs_proof::{formula_hash_mixed, Proof, ProofError, Rule, Sequent, SequentKey};
 use nrs_shared::{ShardStats, ShardedMap, Shared};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -100,7 +85,6 @@ struct ObsMetrics {
     memo_misses: Arc<nrs_obs::Counter>,
     rewrite_cache_hits: Arc<nrs_obs::Counter>,
     rewrite_cache_misses: Arc<nrs_obs::Counter>,
-    parallel_branches: Arc<nrs_obs::Counter>,
     memo_lock_acquisitions: Arc<nrs_obs::Counter>,
     memo_lock_contended: Arc<nrs_obs::Counter>,
     goal_seconds: Arc<nrs_obs::Histogram>,
@@ -124,7 +108,6 @@ fn obs() -> &'static ObsMetrics {
             memo_misses: r.counter("prover.memo_misses_total"),
             rewrite_cache_hits: r.counter("prover.rewrite_cache_hits_total"),
             rewrite_cache_misses: r.counter("prover.rewrite_cache_misses_total"),
-            parallel_branches: r.counter("prover.parallel_branches_total"),
             memo_lock_acquisitions: r.counter("prover.memo_lock_acquisitions_total"),
             memo_lock_contended: r.counter("prover.memo_lock_contended_total"),
             goal_seconds: r.timer("prover.goal_seconds"),
@@ -143,7 +126,6 @@ impl ObsMetrics {
         self.rewrite_cache_hits.add(stats.rewrite_cache_hits as u64);
         self.rewrite_cache_misses
             .add(stats.rewrite_cache_misses as u64);
-        self.parallel_branches.add(stats.parallel_branches as u64);
         self.memo_lock_acquisitions
             .add(stats.memo_lock.reads + stats.memo_lock.writes);
         self.memo_lock_contended
@@ -167,22 +149,21 @@ pub struct ProverConfig {
     pub spec_limit: usize,
     /// Global cap on visited search states.
     pub max_states: usize,
-    /// Dispatch the candidates of each branch's first risky choice point
-    /// onto concurrent big-stack workers (first success wins, lowest branch
-    /// index breaks ties — proofs are identical to the sequential scan).
-    /// Defaults to on when the machine has more than one CPU; on a single
-    /// CPU the dispatch only adds thread overhead.
-    pub parallel_branches: bool,
-    /// Wall-clock deadline per goal.  Checked at state-visit granularity (on
-    /// every branch, including parallel workers); when it fires the search
-    /// returns [`ProofError::Timeout`] — distinct from
+    /// Wall-clock deadline per goal.  Checked at every visited state; when
+    /// it fires the search returns [`ProofError::Timeout`] — distinct from
     /// [`ProofError::BudgetExhausted`], and **never cached** in the session's
     /// goal-outcome cache, since a retry under better conditions (or a longer
     /// deadline) could succeed.  `None` (the default) means no deadline.
     pub deadline: Option<Duration>,
+    /// No effect: proof search is sequential.  Kept only so that existing
+    /// struct literals naming it still compile.
+    #[doc(hidden)]
+    #[deprecated(note = "no effect: proof search is sequential")]
+    pub parallel_branches: bool,
 }
 
 impl Default for ProverConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         ProverConfig {
             max_risky: 6,
@@ -190,8 +171,8 @@ impl Default for ProverConfig {
             max_rewrites: 48,
             spec_limit: 64,
             max_states: 400_000,
-            parallel_branches: std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
             deadline: None,
+            parallel_branches: false,
         }
     }
 }
@@ -252,8 +233,6 @@ pub struct ProverStats {
     /// Additional pairs the unindexed full `inequalities() × eq_literals()`
     /// joins would have enumerated (all provably unproductive).
     pub occ_join_pruned: usize,
-    /// Risky branch subtrees dispatched onto parallel workers.
-    pub parallel_branches: usize,
     /// Whole root goals answered from the session's goal-outcome cache
     /// (1 for a replayed goal, 0 for a searched one).
     pub goal_cache_hits: usize,
@@ -278,8 +257,8 @@ pub(crate) struct MemoKey {
     used_hash: u64,
 }
 
-/// The session-lifetime caches, shared by every goal, worker and parallel
-/// branch of one [`ProverSession`].  All four are [`ShardedMap`]s —
+/// The session-lifetime caches, shared by every goal and worker of one
+/// [`ProverSession`].  All four are [`ShardedMap`]s —
 /// concurrent probes of different shards (the common case: keys are interned
 /// nodes with well-mixed cached hashes) don't serialize, and concurrent
 /// readers of one shard share a read lock; the former `Mutex` wrappers made
@@ -608,10 +587,6 @@ struct State<'a> {
     cfg: &'a ProverConfig,
     visited: usize,
     aborted: bool,
-    /// Set alongside `aborted` when the abort came from the parallel
-    /// cancellation token rather than the state budget (a cancelled branch's
-    /// result is discarded; a budget abort must stop the whole search).
-    cancelled: bool,
     /// The absolute wall-clock deadline ([`ProverConfig::deadline`] resolved
     /// against this goal's start time), if any.
     deadline: Option<Instant>,
@@ -635,16 +610,7 @@ struct State<'a> {
     rewrite_misses: usize,
     occ_pairs: usize,
     occ_pruned: usize,
-    branches_dispatched: usize,
     move_seqno: usize,
-    /// The deepening level this attempt runs at; a risky choice point is
-    /// *top-level* (eligible for parallel dispatch) while the remaining
-    /// risky budget still equals it.
-    level: usize,
-    /// On parallel branch states: the first-success cell and this branch's
-    /// candidate index.  A branch aborts (as `cancelled`) once a
-    /// lower-indexed branch has won.
-    cancel: Option<(&'a AtomicUsize, usize)>,
 }
 
 /// Prove `Θ ; ⊢ Δ` (one-sided), returning a checked proof object.
@@ -701,7 +667,6 @@ pub(crate) fn prove_sequent_inner(
         cfg,
         visited: 0,
         aborted: false,
-        cancelled: false,
         deadline: cfg.deadline.map(|d| start + d),
         timed_out: false,
         ext_cancel,
@@ -717,14 +682,10 @@ pub(crate) fn prove_sequent_inner(
         rewrite_misses: 0,
         occ_pairs: 0,
         occ_pruned: 0,
-        branches_dispatched: 0,
         move_seqno: 0,
-        level: 0,
-        cancel: None,
     };
     for level in 0..=cfg.max_risky {
         st.aborted = false;
-        st.level = level;
         let used = UsedSpecs::default();
         let mut level_span = nrs_obs::span("prover.deepen").with("level", level);
         let visited_before = st.visited;
@@ -746,7 +707,6 @@ pub(crate) fn prove_sequent_inner(
                 rewrite_cache_misses: st.rewrite_misses,
                 occ_join_pairs: st.occ_pairs,
                 occ_join_pruned: st.occ_pruned,
-                parallel_branches: st.branches_dispatched,
                 goal_cache_hits: 0,
                 memo_lock: caches.memo.stats() - memo_before,
             };
@@ -802,7 +762,6 @@ pub(crate) fn prove_sequent_inner(
     m.memo_misses.add(st.memo_misses as u64);
     m.rewrite_cache_hits.add(st.rewrite_hits as u64);
     m.rewrite_cache_misses.add(st.rewrite_misses as u64);
-    m.parallel_branches.add(st.branches_dispatched as u64);
     m.goal_seconds.record_duration(start.elapsed());
     goal_span.record("proved", false);
     goal_span.record("visited", st.visited);
@@ -1437,16 +1396,6 @@ fn attempt(
     if st.aborted {
         return None;
     }
-    if let Some((winner, index)) = st.cancel {
-        // a lower-indexed parallel branch already won: this branch's result
-        // is irrelevant, stop exploring (and stop recording failures — the
-        // abort flag guards the memo writes below)
-        if winner.load(Ordering::Relaxed) < index {
-            st.aborted = true;
-            st.cancelled = true;
-            return None;
-        }
-    }
     if st.trace {
         // The span-layer successor of the old `NRS_PROVER_TRACE` eprintln:
         // one detailed event per visited state, attached to the enclosing
@@ -1585,70 +1534,43 @@ fn attempt(
         }
 
         // 6. risky moves with backtracking (smallest specializations first:
-        //    they tend to be goal instantiations).  Applicability depends
-        //    only on this state — not on which earlier candidates were
-        //    tried — so the applicable set can be collected up front, which
-        //    is what the parallel dispatch needs.
+        //    they tend to be goal instantiations).
         if risky_budget > 0 {
-            let applicable: Vec<&RankedRule> = moves
+            let cfg = st.cfg;
+            for ranked in moves
                 .risky
                 .iter()
-                .filter(|r| still_applicable(seq, &r.rule, rewrites_used, used, st.cfg))
-                .collect();
-            // parallel dispatch only at a branch's *first* risky choice
-            // point (bounded fan-out), and never nested inside a branch
-            let parallel = st.cfg.parallel_branches
-                && st.cancel.is_none()
-                && risky_budget == st.level
-                && applicable.len() >= 2;
-            if parallel {
-                if let Some(proof) = parallel_risky(
-                    seq,
-                    &moves,
-                    &applicable,
-                    risky_budget,
-                    rewrites_used,
-                    used,
-                    safe_dead_prefix,
-                    st,
-                ) {
-                    return Some(proof);
-                }
+                .filter(|r| still_applicable(seq, &r.rule, rewrites_used, used, cfg))
+            {
                 if st.aborted {
                     return None;
                 }
-            } else {
-                for ranked in applicable {
-                    if st.aborted {
-                        return None;
-                    }
-                    let premises = ranked.rule.premises_unchecked(seq);
-                    let extended_used = extend_used(used, &ranked.rule);
-                    let delta = [added_formula(&ranked.rule)];
-                    // the append-only safe classes resume from the prefix
-                    // the safe scan refuted; the sorted classes rescan from 0
-                    let inherited = child_moves(
-                        &premises[0],
-                        &moves,
-                        &delta,
-                        safe_dead_prefix,
-                        &extended_used,
-                        st,
-                    );
-                    if let Some(sub) = attempt(
-                        &premises[0],
-                        risky_budget - 1,
-                        rewrites_used,
-                        &extended_used,
-                        Some(inherited),
-                        st,
-                    ) {
-                        return Some(Proof::by_unchecked(
-                            seq.clone(),
-                            ranked.rule.clone(),
-                            vec![sub],
-                        ));
-                    }
+                let premises = ranked.rule.premises_unchecked(seq);
+                let extended_used = extend_used(used, &ranked.rule);
+                let delta = [added_formula(&ranked.rule)];
+                // the append-only safe classes resume from the prefix the
+                // safe scan refuted; the sorted classes rescan from 0
+                let inherited = child_moves(
+                    &premises[0],
+                    &moves,
+                    &delta,
+                    safe_dead_prefix,
+                    &extended_used,
+                    st,
+                );
+                if let Some(sub) = attempt(
+                    &premises[0],
+                    risky_budget - 1,
+                    rewrites_used,
+                    &extended_used,
+                    Some(inherited),
+                    st,
+                ) {
+                    return Some(Proof::by_unchecked(
+                        seq.clone(),
+                        ranked.rule.clone(),
+                        vec![sub],
+                    ));
                 }
             }
         }
@@ -1656,221 +1578,10 @@ fn attempt(
 
     // 7. record failure — but never while aborting, which would poison the
     //    shared memo with states that merely ran out of the state budget
-    //    (or were cancelled by a winning sibling branch)
     if !st.aborted {
         st.caches
             .memo
             .merge(key, risky_budget, |cur, new| *cur = (*cur).max(new));
-    }
-    None
-}
-
-/// Stack size for parallel branch workers: each explores a full saturation
-/// subtree, so it needs the same deep-recursion stack as the session workers.
-const BRANCH_STACK: usize = 256 * 1024 * 1024;
-
-/// One parallel branch's input (moved onto its worker) and outcome.
-/// Cloning is O(1)-ish (shared formulas and Arc-backed move lists), which
-/// the spawn-failure fallback relies on.
-#[derive(Clone)]
-struct BranchInput {
-    rule: Rule,
-    premise: Sequent,
-    moves: Moves,
-    used: UsedSpecs,
-}
-
-struct BranchOutcome {
-    proof: Option<Proof>,
-    rule: Rule,
-    visited_delta: usize,
-    memo_hits: usize,
-    memo_misses: usize,
-    rewrite_hits: usize,
-    rewrite_misses: usize,
-    occ_pairs: usize,
-    occ_pruned: usize,
-    branches_dispatched: usize,
-    move_seqno: usize,
-    budget_aborted: bool,
-    /// The branch hit the wall-clock deadline: the whole search must stop
-    /// and report a timeout (unless a lower-indexed branch already proved).
-    timed_out: bool,
-    /// The branch observed the session's cancellation token.
-    ext_cancelled: bool,
-}
-
-/// Explore the applicable risky candidates of a top-level choice point on
-/// concurrent big-stack workers sharing the session caches.  Selection is
-/// deterministic: outcomes are scanned in candidate order and the first
-/// success wins (higher-indexed branches are cancelled once a lower one
-/// succeeds — their discarded results can't influence anything), so the
-/// returned proof is exactly the sequential scan's.  A branch that ran out
-/// of state budget *before* any lower-indexed success aborts the whole
-/// search, as the sequential scan would have.
-#[allow(clippy::too_many_arguments)]
-fn parallel_risky(
-    seq: &Sequent,
-    moves: &Moves,
-    applicable: &[&RankedRule],
-    risky_budget: usize,
-    rewrites_used: usize,
-    used: &UsedSpecs,
-    safe_dead_prefix: DeadCounts,
-    st: &mut State,
-) -> Option<Proof> {
-    // Build every branch's premise and inherited candidate list up front
-    // (deterministic sequence numbers: the generation step happens on the
-    // parent, in candidate order — each branch's new candidates still rank
-    // after everything it inherits).
-    let mut inputs = Vec::with_capacity(applicable.len());
-    for ranked in applicable {
-        let mut premises = ranked.rule.premises_unchecked(seq);
-        let premise = premises.swap_remove(0);
-        let extended_used = extend_used(used, &ranked.rule);
-        let delta = [added_formula(&ranked.rule)];
-        let inherited = child_moves(
-            &premise,
-            moves,
-            &delta,
-            safe_dead_prefix,
-            &extended_used,
-            st,
-        );
-        inputs.push(BranchInput {
-            rule: ranked.rule.clone(),
-            premise,
-            moves: inherited,
-            used: extended_used,
-        });
-    }
-    st.branches_dispatched += inputs.len();
-    let winner = AtomicUsize::new(usize::MAX);
-    let cfg = st.cfg;
-    let caches = st.caches;
-    let trace = st.trace;
-    let visited0 = st.visited;
-    let seqno0 = st.move_seqno;
-    let deadline0 = st.deadline;
-    let ext_cancel0 = st.ext_cancel;
-    let run = move |input: BranchInput, index: usize, winner: &AtomicUsize| -> BranchOutcome {
-        let mut bst = State {
-            cfg,
-            visited: visited0,
-            aborted: false,
-            cancelled: false,
-            deadline: deadline0,
-            timed_out: false,
-            ext_cancel: ext_cancel0,
-            ext_cancelled: false,
-            trace,
-            caches,
-            memo_hits: 0,
-            memo_misses: 0,
-            rewrite_hits: 0,
-            rewrite_misses: 0,
-            occ_pairs: 0,
-            occ_pruned: 0,
-            branches_dispatched: 0,
-            move_seqno: seqno0,
-            // a risky move was just taken, so no descendant state of this
-            // branch is top-level — parallel dispatch never nests
-            level: usize::MAX,
-            cancel: Some((winner, index)),
-        };
-        let proof = attempt(
-            &input.premise,
-            risky_budget - 1,
-            rewrites_used,
-            &input.used,
-            Some(input.moves),
-            &mut bst,
-        );
-        if proof.is_some() {
-            winner.fetch_min(index, Ordering::SeqCst);
-        }
-        BranchOutcome {
-            proof,
-            rule: input.rule,
-            visited_delta: bst.visited - visited0,
-            memo_hits: bst.memo_hits,
-            memo_misses: bst.memo_misses,
-            rewrite_hits: bst.rewrite_hits,
-            rewrite_misses: bst.rewrite_misses,
-            occ_pairs: bst.occ_pairs,
-            occ_pruned: bst.occ_pruned,
-            branches_dispatched: bst.branches_dispatched,
-            move_seqno: bst.move_seqno,
-            budget_aborted: bst.aborted && !bst.cancelled && !bst.timed_out && !bst.ext_cancelled,
-            timed_out: bst.timed_out,
-            ext_cancelled: bst.ext_cancelled,
-        }
-    };
-    let outcomes: Vec<BranchOutcome> = std::thread::scope(|scope| {
-        enum Pending<'h, T> {
-            Spawned(std::thread::ScopedJoinHandle<'h, T>),
-            Inline(T),
-        }
-        let mut pending = Vec::with_capacity(inputs.len());
-        for (index, input) in inputs.into_iter().enumerate() {
-            let winner = &winner;
-            let run = &run;
-            let spawn_input = input.clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("nrs-branch-{index}"))
-                .stack_size(BRANCH_STACK)
-                .spawn_scoped(scope, move || run(spawn_input, index, winner));
-            match spawned {
-                Ok(handle) => pending.push(Pending::Spawned(handle)),
-                // can't get a thread: run the branch on this one (the
-                // cancellation token still applies)
-                Err(_) => pending.push(Pending::Inline(run(input, index, winner))),
-            }
-        }
-        pending
-            .into_iter()
-            .map(|p| match p {
-                Pending::Spawned(handle) => match handle.join() {
-                    Ok(outcome) => outcome,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                },
-                Pending::Inline(outcome) => outcome,
-            })
-            .collect()
-    });
-    for outcome in &outcomes {
-        st.visited += outcome.visited_delta;
-        st.memo_hits += outcome.memo_hits;
-        st.memo_misses += outcome.memo_misses;
-        st.rewrite_hits += outcome.rewrite_hits;
-        st.rewrite_misses += outcome.rewrite_misses;
-        st.occ_pairs += outcome.occ_pairs;
-        st.occ_pruned += outcome.occ_pruned;
-        st.branches_dispatched += outcome.branches_dispatched;
-        st.move_seqno = st.move_seqno.max(outcome.move_seqno);
-    }
-    for outcome in outcomes {
-        // transient aborts stop the search the way the sequential scan
-        // would have: a lower-indexed proof still wins (it was found before
-        // the scan could have reached the aborting candidate), everything
-        // after the abort is moot
-        if outcome.budget_aborted {
-            st.aborted = true;
-            return None;
-        }
-        if outcome.timed_out {
-            st.aborted = true;
-            st.timed_out = true;
-            return None;
-        }
-        if outcome.ext_cancelled {
-            st.aborted = true;
-            st.ext_cancelled = true;
-            return None;
-        }
-        if let Some(sub) = outcome.proof {
-            return Some(Proof::by_unchecked(seq.clone(), outcome.rule, vec![sub]));
-        }
     }
     None
 }

@@ -44,12 +44,11 @@ struct SessionInner {
     cfg: ProverConfig,
     /// The session-lifetime caches (failure memo, specialization cache,
     /// rewrite-candidate cache, goal outcomes), each a sharded concurrent
-    /// map so parallel workers and branch threads don't serialize on probes.
+    /// map so the session's workers don't serialize on probes.
     caches: SearchCaches,
     idle: Mutex<Vec<Sender<Job>>>,
     /// Cooperative cancellation token: set by [`ProverSession::cancel`],
-    /// observed by every in-flight search (including parallel branch
-    /// workers) at state-visit granularity.
+    /// observed by every in-flight search at state-visit granularity.
     cancelled: AtomicBool,
 }
 

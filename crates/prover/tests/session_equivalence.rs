@@ -22,10 +22,6 @@ fn cfg() -> ProverConfig {
         max_rewrites: 12,
         spec_limit: 16,
         max_states: 20_000,
-        // pinned so the cold-vs-warm comparison exercises one code path
-        // regardless of the host's core count; the parallel path has its own
-        // equivalence suite (`parallel_equivalence.rs`)
-        parallel_branches: false,
         ..ProverConfig::default()
     }
 }
