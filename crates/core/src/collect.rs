@@ -23,7 +23,7 @@
 
 use crate::synthesis::SynthesisError;
 use nrs_delta0::typing::TypeEnv;
-use nrs_delta0::{Formula, Term};
+use nrs_delta0::{Formula, Shared, Term};
 use nrs_interp::partition::{Partition, Side};
 use nrs_nrc::{compile, Expr};
 use nrs_proof::{Proof, Rule, Sequent};
@@ -89,9 +89,12 @@ fn extract(
 ) -> Result<Extraction, SynthesisError> {
     let seq = &proof.conclusion;
     match &proof.rule {
-        Rule::Top => Ok(axiom_case(partition.formula_side(&Formula::True), input)),
+        Rule::Top => Ok(axiom_case(
+            partition.formula_side(&Shared::new(Formula::True)),
+            input,
+        )),
         Rule::EqRefl { term } => {
-            let ax = Formula::EqUr(term.clone(), term.clone());
+            let ax = Shared::new(Formula::EqUr(term.clone(), term.clone()));
             Ok(axiom_case(partition.formula_side(&ax), input))
         }
         Rule::And { conj } => {
@@ -327,7 +330,7 @@ fn side_case(
     proof: &Proof,
     partition: &Partition,
     goal: &Formula,
-    quant: &Formula,
+    quant: &Shared<Formula>,
     input: &CollectInput,
     gen: &mut NameGen,
 ) -> Result<Extraction, SynthesisError> {

@@ -1087,6 +1087,8 @@ pub fn overlapping_workload_problem(n: usize) -> WorkloadProblem {
 mod tests {
     use super::*;
     use crate::views::{partition_instance, partition_problem};
+    use nrs_proof::Rule;
+    use std::collections::HashSet;
 
     /// The planned batch proved through one warm `prove_batch` and, as the
     /// oracle, goal by goal with cold provers: every goal is proved both
@@ -1149,6 +1151,198 @@ mod tests {
         assert_eq!(specs, session.spec_cache_len());
         assert_eq!(rewrites, session.rewrite_cache_len());
         assert!(specs > 100 && rewrites > 100, "{specs} / {rewrites}");
+    }
+
+    /// The structural partition that the handle-keyed [`Partition`]
+    /// replaced, kept as the reference: formula marks are values and
+    /// membership is the structural `Sequent::contains`.
+    #[derive(Clone)]
+    struct ReferencePartition {
+        atoms: HashSet<MemAtom>,
+        formulas: HashSet<Formula>,
+    }
+
+    impl ReferencePartition {
+        fn of(p: &Partition) -> Self {
+            ReferencePartition {
+                atoms: p.left_atoms.clone(),
+                formulas: p.left_formulas.iter().map(|f| f.value().clone()).collect(),
+            }
+        }
+
+        fn is_left(&self, f: &Formula) -> bool {
+            self.formulas.contains(f)
+        }
+
+        fn premise_partition(
+            &self,
+            conclusion: &Sequent,
+            rule: &Rule,
+            premise: &Sequent,
+        ) -> ReferencePartition {
+            let principal_left = match rule {
+                Rule::EqRefl { .. } | Rule::Top | Rule::ProdEta { .. } | Rule::ProdBeta { .. } => {
+                    false
+                }
+                Rule::Neq { atom, .. } => self.is_left(atom),
+                Rule::And { conj: f } | Rule::Or { disj: f } => self.is_left(f),
+                Rule::Forall { quant, .. } | Rule::Exists { quant, .. } => self.is_left(quant),
+            };
+            let mut out = ReferencePartition {
+                atoms: HashSet::new(),
+                formulas: HashSet::new(),
+            };
+            // the search applies no × step, so only the other rules'
+            // branch of the old derivation is kept
+            assert!(!matches!(
+                rule,
+                Rule::ProdEta { .. } | Rule::ProdBeta { .. }
+            ));
+            for a in &self.atoms {
+                if conclusion.ctx.contains(a) {
+                    out.atoms.insert(a.clone());
+                }
+            }
+            for f in &self.formulas {
+                if conclusion.contains(f) && premise.contains(f) {
+                    out.formulas.insert(f.clone());
+                }
+            }
+            if principal_left {
+                for a in premise.ctx.iter() {
+                    if !conclusion.ctx.contains(a) {
+                        out.atoms.insert(a.clone());
+                    }
+                }
+                for f in premise.rhs() {
+                    if !conclusion.contains(f) {
+                        out.formulas.insert(f.value().clone());
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    /// The goals the assembly extracts from, each with the partition its
+    /// extraction starts from, and whether it yields an interpolant (in the
+    /// order the report lists them) or a parameter collection.
+    fn extraction_roots(plan: &OutputPlan, out: &mut Vec<(usize, Partition, bool)>) {
+        fn collect_roots(plan: &CollectPlan, out: &mut Vec<(usize, Partition, bool)>) {
+            match plan {
+                CollectPlan::Unit | CollectPlan::Ur => {}
+                CollectPlan::Prod(a, b) => {
+                    collect_roots(a, out);
+                    collect_roots(b, out);
+                }
+                CollectPlan::Set {
+                    member,
+                    goal_idx,
+                    input,
+                    ..
+                } => {
+                    collect_roots(member, out);
+                    out.push((*goal_idx, input.partition.clone(), false));
+                }
+            }
+        }
+        let phi = plan.ctx.phi.negate();
+        match &plan.shape {
+            OutputShape::Unit => {}
+            OutputShape::Ur { goal_idx } => {
+                out.push((*goal_idx, Partition::with_left([], [phi]), true));
+            }
+            OutputShape::Set {
+                ctx_atoms,
+                plan: collect,
+                mem_idx,
+                ..
+            } => {
+                collect_roots(collect, out);
+                let partition = Partition::with_left(ctx_atoms.iter().cloned(), [phi]);
+                out.push((*mem_idx, partition, true));
+            }
+            OutputShape::Prod(a, b) => {
+                extraction_roots(a, out);
+                extraction_roots(b, out);
+            }
+        }
+    }
+
+    /// Walk `proof`, deriving every premise's partition both ways from the
+    /// same parent; both must mark the same atoms and formulas left.
+    /// Returns the number of (node, premise) pairs compared.
+    fn compare_partitions(
+        proof: &nrs_proof::Proof,
+        partition: &Partition,
+        reference: &ReferencePartition,
+    ) -> usize {
+        let mut compared = 0;
+        for premise in proof.premises.iter() {
+            let (conclusion, rule) = (&proof.conclusion, &proof.rule);
+            let new = partition.premise_partition(conclusion, rule, &premise.conclusion);
+            let old = reference.premise_partition(conclusion, rule, &premise.conclusion);
+            assert_eq!(
+                new.left_atoms,
+                old.atoms,
+                "left atoms under {}",
+                rule.name()
+            );
+            assert_eq!(
+                ReferencePartition::of(&new).formulas,
+                old.formulas,
+                "left formulas under {}",
+                rule.name()
+            );
+            compared += 1 + compare_partitions(premise, &new, &old);
+        }
+        compared
+    }
+
+    /// Every premise partition of every goal proof of the partition and
+    /// `overlapping(8)` derivations is what the structural reference
+    /// derives, and the interpolants recomputed from those proofs are the
+    /// ones the derivation reports.
+    #[test]
+    fn premise_partitions_match_the_structural_reference() {
+        for (problem, min_pairs) in [
+            (partition_problem(), 100),
+            (overlapping_workload_problem(8), 200),
+        ] {
+            let workload = problem.workload().unwrap();
+            let cfg = SynthesisConfig::default();
+            let (batch, plans) = plan_workload(&workload, &cfg).unwrap();
+            let outcomes = ProverSession::new(cfg.prover.clone()).prove_batch(&batch.seqs);
+            let proofs: Vec<_> = outcomes
+                .iter()
+                .map(|o| o.as_ref().expect("every goal is proved").0.clone())
+                .collect();
+            let mut roots = Vec::new();
+            for plan in &plans {
+                extraction_roots(&plan.output, &mut roots);
+            }
+            let mut pairs = 0;
+            let mut interpolants = Vec::new();
+            for (idx, partition, interpolated) in &roots {
+                let reference = ReferencePartition::of(partition);
+                pairs += compare_partitions(&proofs[*idx], partition, &reference);
+                if *interpolated {
+                    interpolants.push(interpolate(&proofs[*idx], partition).unwrap());
+                }
+            }
+            eprintln!(
+                "{} goal roots, {pairs} premise partitions compared",
+                roots.len()
+            );
+            assert!(pairs >= min_pairs, "only {pairs} premises compared");
+            let run = assemble_workload(batch, plans, outcomes).unwrap();
+            let reported: Vec<Formula> = run
+                .definitions
+                .iter()
+                .flat_map(|(_, d)| d.report.interpolants.iter().map(|(_, k)| k.clone()))
+                .collect();
+            assert_eq!(interpolants, reported);
+        }
     }
 
     #[test]

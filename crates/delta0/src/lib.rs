@@ -35,7 +35,7 @@ pub mod typing;
 
 pub use context::{InContext, MemAtom};
 pub use formula::{Formula, Polarity};
-pub use nrs_shared::{intern_stats, interned_nodes, InternStats, Shared};
+pub use nrs_shared::{intern_stats, interned_nodes, FxBuildHasher, InternStats, Shared};
 pub use term::Term;
 
 pub use nrs_value::{Name, NameGen, Schema, Type, Value};

@@ -8,12 +8,15 @@
 //! inherits the side of its principal formula.
 //!
 //! Side lookups are hot inside the extraction inductions (`formula_side` is
-//! probed once per formula per proof node), so the left marks are kept in
-//! hash sets: formulas and atoms are hash-consed shared nodes whose cached
-//! hashes make every probe O(1), where a `BTreeSet` would pay a structural
-//! comparison per tree level.
+//! probed once per formula per proof node, and every proof node derives a
+//! premise partition), so the marks are kept in hash sets and the formula
+//! marks are interned handles: a probe hashes the node's cached hash and
+//! compares pointers, and [`Partition::premise_partition`] walks the
+//! premise's right-hand side once, testing membership in the conclusion by
+//! pointer ([`Sequent::contains_handle`]).  No step clones or compares a
+//! formula structurally.
 
-use nrs_delta0::{Formula, MemAtom};
+use nrs_delta0::{Formula, FxBuildHasher, MemAtom, Shared};
 use nrs_proof::{Rule, Sequent};
 use nrs_value::Name;
 use std::collections::{BTreeSet, HashSet};
@@ -44,8 +47,9 @@ impl Side {
 pub struct Partition {
     /// ∈-context atoms assigned to the left part.
     pub left_atoms: HashSet<MemAtom>,
-    /// Right-hand-side formulas assigned to the left part.
-    pub left_formulas: HashSet<Formula>,
+    /// Right-hand-side formulas assigned to the left part, as interned
+    /// handles.
+    pub left_formulas: HashSet<Shared<Formula>, FxBuildHasher>,
 }
 
 impl Partition {
@@ -54,14 +58,15 @@ impl Partition {
         Self::default()
     }
 
-    /// Build a partition from explicit left atoms and formulas.
-    pub fn with_left(
+    /// Build a partition from explicit left atoms and formulas (interned
+    /// here).
+    pub fn with_left<F: Into<Shared<Formula>>>(
         atoms: impl IntoIterator<Item = MemAtom>,
-        formulas: impl IntoIterator<Item = Formula>,
+        formulas: impl IntoIterator<Item = F>,
     ) -> Self {
         Partition {
             left_atoms: atoms.into_iter().collect(),
-            left_formulas: formulas.into_iter().collect(),
+            left_formulas: formulas.into_iter().map(Into::into).collect(),
         }
     }
 
@@ -75,7 +80,7 @@ impl Partition {
     }
 
     /// The side of a right-hand-side formula.
-    pub fn formula_side(&self, f: &Formula) -> Side {
+    pub fn formula_side(&self, f: &Shared<Formula>) -> Side {
         if self.left_formulas.contains(f) {
             Side::Left
         } else {
@@ -83,8 +88,9 @@ impl Partition {
         }
     }
 
-    /// Mark a formula as belonging to the given side.
-    pub fn assign_formula(&mut self, f: Formula, side: Side) {
+    /// Mark a formula (interned here) as belonging to the given side.
+    pub fn assign_formula(&mut self, f: impl Into<Shared<Formula>>, side: Side) {
+        let f = f.into();
         match side {
             Side::Left => {
                 self.left_formulas.insert(f);
@@ -151,8 +157,8 @@ impl Partition {
     pub fn left_of<'a>(&self, seq: &'a Sequent) -> Vec<&'a Formula> {
         seq.rhs()
             .iter()
-            .map(|f| f.value())
             .filter(|f| self.formula_side(f) == Side::Left)
+            .map(|f| f.value())
             .collect()
     }
 
@@ -160,8 +166,8 @@ impl Partition {
     pub fn right_of<'a>(&self, seq: &'a Sequent) -> Vec<&'a Formula> {
         seq.rhs()
             .iter()
-            .map(|f| f.value())
             .filter(|f| self.formula_side(f) == Side::Right)
+            .map(|f| f.value())
             .collect()
     }
 
@@ -185,8 +191,8 @@ impl Partition {
             // recomputed below by matching against the substituted originals
             Rule::ProdEta { .. } | Rule::ProdBeta { .. } => None,
         };
+        let inherit = principal_side == Some(Side::Left);
         let mut out = Partition::new();
-        // ∈-context atoms
         match rule {
             Rule::ProdEta { var, fst, snd } => {
                 let pair = nrs_delta0::Term::pair(
@@ -219,31 +225,34 @@ impl Partition {
                 }
             }
             // Only left marks are stored, and `out` starts empty, so the
-            // right items need no work here or below: assigning one Right
-            // would remove a mark that is not there.
+            // right items need no work here: assigning one Right would
+            // remove a mark that is not there.  A premise formula the
+            // conclusion has keeps its side; one the rule added inherits
+            // the principal's.
             _ => {
                 for a in &self.left_atoms {
                     if conclusion.ctx.contains(a) {
                         out.left_atoms.insert(a.clone());
                     }
                 }
-                for f in &self.left_formulas {
-                    if conclusion.contains(f) && premise.contains(f) {
+                for f in premise.rhs() {
+                    let left = if conclusion.contains_handle(f) {
+                        self.left_formulas.contains(f)
+                    } else {
+                        inherit
+                    };
+                    if left {
                         out.left_formulas.insert(f.clone());
                     }
                 }
             }
         }
-        // new material inherits the principal side (default Right when no principal)
-        if principal_side == Some(Side::Left) {
+        // new context atoms inherit the principal side (default Right when
+        // no principal)
+        if inherit {
             for a in premise.ctx.iter() {
                 if !conclusion.ctx.contains(a) {
                     out.left_atoms.insert(a.clone());
-                }
-            }
-            for f in premise.rhs() {
-                if !conclusion.contains(f) {
-                    out.left_formulas.insert(f.value().clone());
                 }
             }
         }
@@ -269,8 +278,8 @@ mod tests {
         let p = Partition::with_left([a_l.clone()], [f_l.clone()]);
         assert_eq!(p.atom_side(&a_l), Side::Left);
         assert_eq!(p.atom_side(&a_r), Side::Right);
-        assert_eq!(p.formula_side(&f_l), Side::Left);
-        assert_eq!(p.formula_side(&f_r), Side::Right);
+        assert_eq!(p.formula_side(&Shared::new(f_l.clone())), Side::Left);
+        assert_eq!(p.formula_side(&Shared::new(f_r.clone())), Side::Right);
         assert_eq!(Side::Left.flip(), Side::Right);
         let common: Vec<String> = p
             .common_vars(&seq)
@@ -295,8 +304,11 @@ mod tests {
         let prems = rule.premises(&seq).unwrap();
         let p0 = p.premise_partition(&seq, &rule, &prems[0]);
         // the new conjunct a=b is Left, the passive e=f stays Right
-        assert_eq!(p0.formula_side(&Formula::eq_ur("a", "b")), Side::Left);
-        assert_eq!(p0.formula_side(&other), Side::Right);
+        assert_eq!(
+            p0.formula_side(&Shared::new(Formula::eq_ur("a", "b"))),
+            Side::Left
+        );
+        assert_eq!(p0.formula_side(&Shared::new(other.clone())), Side::Right);
         // a ∀ on the Right introduces a Right atom
         let quant = Formula::forall("z", "S", Formula::eq_ur("z", "z"));
         let seq2 = Sequent::goals([quant.clone(), conj.clone()]);
@@ -308,7 +320,10 @@ mod tests {
         let prem2 = rule2.premises(&seq2).unwrap().remove(0);
         let pp = p2.premise_partition(&seq2, &rule2, &prem2);
         assert_eq!(pp.atom_side(&MemAtom::new("w#1", "S")), Side::Right);
-        assert_eq!(pp.formula_side(&Formula::eq_ur("w#1", "w#1")), Side::Right);
-        assert_eq!(pp.formula_side(&conj), Side::Left);
+        assert_eq!(
+            pp.formula_side(&Shared::new(Formula::eq_ur("w#1", "w#1"))),
+            Side::Right
+        );
+        assert_eq!(pp.formula_side(&Shared::new(conj.clone())), Side::Left);
     }
 }

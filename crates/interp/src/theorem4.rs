@@ -2,7 +2,7 @@
 //! proofs.
 
 use crate::partition::{Partition, Side};
-use nrs_delta0::{Formula, Term};
+use nrs_delta0::{Formula, Shared, Term};
 use nrs_proof::{Proof, Rule, Sequent};
 use std::collections::BTreeSet;
 
@@ -51,13 +51,13 @@ fn extract(proof: &Proof, partition: &Partition) -> Result<Formula, Interpolatio
     match &proof.rule {
         Rule::Top => {
             // the ⊤ axiom closes on whichever side ⊤ lives
-            Ok(match partition.formula_side(&Formula::True) {
+            Ok(match partition.formula_side(&Shared::new(Formula::True)) {
                 Side::Left => Formula::False,
                 Side::Right => Formula::True,
             })
         }
         Rule::EqRefl { term } => {
-            let ax = Formula::EqUr(term.clone(), term.clone());
+            let ax = Shared::new(Formula::EqUr(term.clone(), term.clone()));
             Ok(match partition.formula_side(&ax) {
                 Side::Left => Formula::False,
                 Side::Right => Formula::True,

@@ -23,8 +23,8 @@ pub mod sequent;
 pub mod transform;
 
 pub use check::{check_proof, ProofError};
-pub use proof::{Proof, Rule};
-pub use sequent::{formula_hash_mixed, Sequent, SequentKey};
+pub use proof::{Premises, Proof, Rule};
+pub use sequent::{formula_hash_mixed, Literals, LiteralsIter, Sequent, SequentKey};
 
 pub use nrs_delta0::{Formula, InContext, MemAtom, Term};
 pub use nrs_value::{Name, NameGen, Type};

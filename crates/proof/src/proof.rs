@@ -276,56 +276,76 @@ impl Rule {
     /// checked computation.
     ///
     /// [`check_proof`]: crate::check_proof
-    pub fn premises_unchecked(&self, conclusion: &Sequent) -> Vec<Sequent> {
+    pub fn premises_unchecked(&self, conclusion: &Sequent) -> Premises {
+        use Premises::{One, Two, Zero};
         let out = match self {
-            Rule::EqRefl { .. } | Rule::Top => vec![],
-            Rule::Neq { rewritten, .. } => vec![conclusion.with_formula(rewritten.clone())],
-            // Each premise edits an owned copy in place: chaining the
-            // copying `with_*` builders would copy the side once per step.
-            // The payloads and the components of ∧ and ∨ are interned
-            // handles already and go in as they are; a ∀ instantiation is
-            // interned once, here.
+            Rule::EqRefl { .. } | Rule::Top => Zero,
+            Rule::Neq { rewritten, .. } => One(conclusion.with_formula(rewritten.clone())),
+            // Each premise is one edit of the conclusion: the principal out,
+            // its components in.  The payloads and the components of ∧ and
+            // ∨ are interned handles already and go in as they are; a ∀
+            // instantiation is interned once, here.
             Rule::And { conj } => match conj.value() {
-                Formula::And(a, b) => {
-                    let mut second = conclusion.without_formula(conj);
-                    let first = second.with_formula(a.clone());
-                    second.insert(b.clone());
-                    vec![first, second]
-                }
+                Formula::And(a, b) => Two([
+                    conclusion.replaced(conj, std::slice::from_ref(a)),
+                    conclusion.replaced(conj, std::slice::from_ref(b)),
+                ]),
                 _ => unreachable!("∧ rule with a non-conjunction principal"),
             },
             Rule::Or { disj } => match disj.value() {
-                Formula::Or(a, b) => {
-                    let mut premise = conclusion.without_formula(disj);
-                    premise.insert(a.clone());
-                    premise.insert(b.clone());
-                    vec![premise]
-                }
+                Formula::Or(a, b) => One(conclusion.replaced(disj, &[a.clone(), b.clone()])),
                 _ => unreachable!("∨ rule with a non-disjunction principal"),
             },
             Rule::Forall { quant, witness } => match quant.value() {
                 Formula::Forall { var, bound, body } => {
-                    let mut premise = conclusion.without_formula(quant);
-                    premise.insert(body.subst_var(var, &Term::Var(*witness)));
-                    vec![premise
-                        .with_atom(nrs_delta0::MemAtom::new(Term::Var(*witness), bound.clone()))]
+                    let instance = Shared::new(body.subst_var(var, &Term::Var(*witness)));
+                    let atom = nrs_delta0::MemAtom::new(Term::Var(*witness), bound.clone());
+                    One(conclusion.replaced(quant, &[instance]).with_atom(atom))
                 }
                 _ => unreachable!("∀ rule with a non-universal principal"),
             },
-            Rule::Exists { spec, .. } => vec![conclusion.with_formula(spec.clone())],
+            Rule::Exists { spec, .. } => One(conclusion.with_formula(spec.clone())),
             // the product rules are applied by proof *transformations*, not
             // by the search loop — no fast path needed
-            Rule::ProdEta { .. } | Rule::ProdBeta { .. } => self
-                .premises(conclusion)
-                .expect("caller guarantees applicability"),
+            Rule::ProdEta { .. } | Rule::ProdBeta { .. } => {
+                let mut premises = self
+                    .premises(conclusion)
+                    .expect("caller guarantees applicability");
+                One(premises.remove(0))
+            }
         };
         debug_assert_eq!(
-            Some(&out),
-            self.premises(conclusion).ok().as_ref(),
+            Some(&out[..]),
+            self.premises(conclusion).ok().as_deref(),
             "premises_unchecked caller broke the applicability contract for {}",
             self.name()
         );
         out
+    }
+}
+
+/// The premises of one rule application, held inline: none (an axiom), one
+/// or two (∧).  A search step builds them without allocating a vector; they
+/// dereference to a slice in rule order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Premises {
+    /// An axiom has no premises.
+    Zero,
+    /// The premise of a one-premise rule.
+    One(Sequent),
+    /// The two premises of an ∧ step.
+    Two([Sequent; 2]),
+}
+
+impl std::ops::Deref for Premises {
+    type Target = [Sequent];
+
+    fn deref(&self) -> &[Sequent] {
+        match self {
+            Premises::Zero => &[],
+            Premises::One(premise) => std::slice::from_ref(premise),
+            Premises::Two(premises) => premises,
+        }
     }
 }
 

@@ -2,9 +2,10 @@
 //! build of the same set.
 //!
 //! A sequent is edited in place along a proof-search branch (`insert`,
-//! `with_formula`, `without_formula`, `with_atom`), keeping a sorted side of
-//! interned handles, an order-independent hash and an occurrence index up to
-//! date at every step.  Random edit sequences from a seeded generator must
+//! `with_formula`, `without_formula`, `with_atom`, and the combined
+//! `replaced` a rule premise makes), keeping a sorted side of interned
+//! handles, its kind-group starts, an order-independent hash and an
+//! occurrence index up to date at every step.  Random edit sequences from a seeded generator must
 //! end in exactly the sequent that [`Sequent::new`] builds from the final
 //! context and set: the same side order, equality, hash and memo key, and
 //! the same index, which must equal the plain filters it stands for.  A
@@ -186,8 +187,8 @@ fn premises_hold_their_conclusions_nodes() {
                 },
                 _ => continue,
             };
-            for premise in rule.premises_unchecked(&seq) {
-                assert_shares_nodes(&seq, &premise, rule.name());
+            for premise in rule.premises_unchecked(&seq).iter() {
+                assert_shares_nodes(&seq, premise, rule.name());
                 checked += 1;
             }
         }
@@ -232,4 +233,129 @@ fn handle_membership_agrees_with_structural_membership() {
         members > 100 && others > 100,
         "{members} members, {others} others"
     );
+}
+
+fn slice(s: &[Shared<Formula>]) -> Vec<&Shared<Formula>> {
+    s.iter().collect()
+}
+
+/// The kind slices, the occurrence index and the hash of `seq` are exactly
+/// what a plain filter of its side and a from-scratch build give.
+fn assert_representation(seq: &Sequent, what: &str) {
+    let side = seq.rhs();
+    let ranked = |lo: u8, hi: u8| -> Vec<&Shared<Formula>> {
+        side.iter()
+            .filter(|f| (lo..=hi).contains(&f.variant_rank()))
+            .collect()
+    };
+    assert_eq!(slice(seq.equalities()), ranked(0, 0), "{what}: =");
+    assert_eq!(slice(seq.inequalities()), ranked(1, 1), "{what}: ≠");
+    assert_eq!(slice(seq.eq_literals()), ranked(0, 1), "{what}: literals");
+    assert_eq!(slice(seq.existentials()), ranked(7, 7), "{what}: ∃");
+    assert_eq!(
+        seq.first_invertible(),
+        ranked(4, 6).first().copied(),
+        "{what}: first ∧/∨/∀"
+    );
+    assert_eq!(
+        seq.rhs_all_el(),
+        ranked(2, 2).is_empty() && ranked(4, 6).is_empty(),
+        "{what}: EL side condition"
+    );
+    for f in side {
+        assert!(seq.contains_handle(f), "{what}: {f} by handle");
+    }
+    for v in ["x", "y", "z", "v", "w#7", "S", "T"].map(Name::new) {
+        let filtered: Vec<&Shared<Formula>> = seq
+            .eq_literals()
+            .iter()
+            .filter(|f| mentions(f, &v))
+            .collect();
+        let bucket: Vec<&Shared<Formula>> = seq.eq_literals_with_var(&v).iter().collect();
+        assert_eq!(bucket, filtered, "{what}: bucket of {v}");
+    }
+    let ground: Vec<&Shared<Formula>> = seq
+        .inequalities()
+        .iter()
+        .filter(|f| matches!(f.value(), Formula::NeqUr(t, _) if t.is_ground()))
+        .collect();
+    let tracked: Vec<&Shared<Formula>> = seq.ground_lhs_inequalities().iter().collect();
+    assert_eq!(tracked, ground, "{what}: ground-lhs inequalities");
+    let fresh = Sequent::new(seq.ctx.clone(), side.iter().cloned());
+    assert_eq!(hash_of(seq), hash_of(&fresh), "{what}: hash");
+    assert_eq!(seq, &fresh, "{what}: equality");
+}
+
+/// Random edit sequences that mix the single-formula edits with the
+/// combined ones a rule makes — the principal of an ∧, ∨ or ∀ replaced by
+/// its components ([`Sequent::replaced`], and the premises
+/// [`Rule::premises_unchecked`] builds with it) — keep the representation
+/// exact after every step.
+#[test]
+fn combined_edits_keep_kind_slices_buckets_and_hash_exact() {
+    let mut combined = 0;
+    for seed in 0..300 {
+        let mut gen = Gen(1000 + seed);
+        let mut seq = Sequent::goals((0..gen.next() % 6).map(|_| gen.formula(2)));
+        assert_representation(&seq, &format!("seed {seed}: start"));
+        for step in 0..12 {
+            let what = format!("seed {seed} step {step}");
+            let principals: Vec<Shared<Formula>> = seq
+                .rhs()
+                .iter()
+                .filter(|f| (4..=6).contains(&f.variant_rank()))
+                .cloned()
+                .collect();
+            match gen.next() % 6 {
+                0 | 1 if !principals.is_empty() => {
+                    let principal = gen.pick(&principals).clone();
+                    let components: Vec<Shared<Formula>> = match principal.value() {
+                        Formula::And(a, b) | Formula::Or(a, b) => vec![a.clone(), b.clone()],
+                        Formula::Forall { body, .. } => vec![body.clone(), gen.formula(1).into()],
+                        _ => unreachable!("only ∧/∨/∀ are principals"),
+                    };
+                    let expected = components
+                        .iter()
+                        .fold(seq.without_formula(&principal), |s, f| {
+                            s.with_formula(f.clone())
+                        });
+                    seq = seq.replaced(&principal, &components);
+                    assert_eq!(seq, expected, "{what}: replaced");
+                    combined += 1;
+                }
+                2 if !principals.is_empty() => {
+                    let principal = gen.pick(&principals).clone();
+                    let rule = match principal.value() {
+                        Formula::And(_, _) => Rule::And { conj: principal },
+                        Formula::Or(_, _) => Rule::Or { disj: principal },
+                        _ => Rule::Forall {
+                            quant: principal,
+                            witness: Name::new("w#7"),
+                        },
+                    };
+                    // the witness must be fresh for the ∀ rule
+                    if seq.free_vars().contains(&Name::new("w#7")) {
+                        continue;
+                    }
+                    let premises = rule.premises_unchecked(&seq);
+                    for (i, premise) in premises.iter().enumerate() {
+                        assert_representation(premise, &format!("{what}: premise {i}"));
+                    }
+                    seq = premises[gen.next() as usize % premises.len()].clone();
+                    combined += 1;
+                }
+                3 => seq = seq.with_formula(gen.formula(2)),
+                4 => {
+                    let f = match seq.rhs() {
+                        [] => gen.formula(1).into(),
+                        side => gen.pick(side).clone(),
+                    };
+                    seq = seq.without_formula(&f);
+                }
+                _ => seq.insert(gen.formula(1)),
+            }
+            assert_representation(&seq, &what);
+        }
+    }
+    assert!(combined > 300, "only {combined} combined edits were made");
 }

@@ -63,7 +63,7 @@
 use crate::session::ProverSession;
 use nrs_delta0::specialize::{max_specializations, MaxSpecialization};
 use nrs_delta0::{Formula, InContext, Term};
-use nrs_proof::{formula_hash_mixed, Proof, ProofError, Rule, Sequent, SequentKey};
+use nrs_proof::{formula_hash_mixed, LiteralsIter, Proof, ProofError, Rule, Sequent, SequentKey};
 use nrs_shared::{ShardStats, ShardedMap, Shared};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -1010,15 +1010,42 @@ fn push_exists_candidates(
 /// preserves iteration order, and no *productive* pair is ever dropped, so
 /// the generated candidates (and their sequence numbers) are identical to
 /// the full join's.
-fn atoms_for<'s>(seq: &'s Sequent, t: &Term, st: &mut State) -> &'s [Shared<Formula>] {
+fn atoms_for<'s>(seq: &'s Sequent, t: &Term, st: &mut State) -> Atoms<'s> {
     let atoms = match t.first_free_var() {
-        Some(v) => seq.eq_literals_with_var(&v),
-        None => seq.eq_literals(),
+        Some(v) => Atoms::Bucket(seq.eq_literals_with_var(&v).iter()),
+        None => Atoms::All(seq.eq_literals().iter()),
     };
     st.occ_pairs += atoms.len();
     st.occ_pruned += seq.eq_literals().len() - atoms.len();
     atoms
 }
+
+/// Iterator behind [`atoms_for`]: one occurrence-index bucket, or the whole
+/// literal slice; both in sorted order.
+enum Atoms<'s> {
+    Bucket(LiteralsIter<'s>),
+    All(std::slice::Iter<'s, Shared<Formula>>),
+}
+
+impl<'s> Iterator for Atoms<'s> {
+    type Item = &'s Shared<Formula>;
+
+    fn next(&mut self) -> Option<&'s Shared<Formula>> {
+        match self {
+            Atoms::Bucket(it) => it.next(),
+            Atoms::All(it) => it.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Atoms::Bucket(it) => it.size_hint(),
+            Atoms::All(it) => it.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for Atoms<'_> {}
 
 /// The inequalities whose left term can occur in the literal `f`, visited in
 /// sorted (full-scan) order without allocating.  Single-variable literals —
@@ -1034,8 +1061,7 @@ fn rewriters_for<'s>(seq: &'s Sequent, f: &'s Formula) -> Rewriters<'s> {
     if seq.ground_lhs_inequalities().is_empty() {
         if let Some(v) = sole_free_var(f) {
             let bucket = seq.eq_literals_with_var(&v);
-            let start = bucket.partition_point(|g| g.variant_rank() < 1);
-            return Rewriters::Bucket(bucket[start..].iter());
+            return Rewriters::Bucket(bucket.inequalities().iter());
         }
     }
     Rewriters::Scan {
@@ -1074,7 +1100,7 @@ fn literal_mentions(lit: &Formula, v: &nrs_value::Name) -> bool {
 /// slices and yield in sorted order.
 enum Rewriters<'s> {
     /// The ≠ suffix of one occurrence-index bucket.
-    Bucket(std::slice::Iter<'s, Shared<Formula>>),
+    Bucket(LiteralsIter<'s>),
     /// The inequality slice, filtered by the subset test against the
     /// literal's free variables.
     Scan {

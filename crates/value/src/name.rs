@@ -204,7 +204,10 @@ impl Name {
         resolve(self.0).suffix
     }
 
-    /// The raw interner id — execution-local, exposed for diagnostics only.
+    /// The raw interner id — execution-local: it may order tables that
+    /// live within one process (a sequent's occurrence index sorts by it,
+    /// which needs no string comparison), but never anything persisted or
+    /// printed.
     pub fn id(&self) -> u32 {
         self.0
     }

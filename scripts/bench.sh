@@ -11,14 +11,15 @@
 #
 # Each element of the "benches" array is one benchmark:
 #   {"group":"E4_proof_search","bench":"subset_chain/2",
-#    "mean_ns":…,"min_ns":…,"max_ns":…,"samples":…}
+#    "mean_ns":…,"median_ns":…,"min_ns":…,"max_ns":…,"samples":…}
+# Pair runs on median_ns: one disturbed sample moves mean_ns several-fold.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 case "${1:-}" in
 -h | --help)
-    sed -n '2,14p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//'
     exit 0
     ;;
 --fast)

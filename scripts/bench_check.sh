@@ -47,6 +47,8 @@ min_of() {
     # is a single line, so line-oriented tools are enough.  Minima are far
     # more stable than means for the ~100 us benches being ratioed here:
     # scheduler noise inflates individual samples but rarely deflates them.
+    # The check does not read median_ns: the reference BENCH_pr10.json
+    # predates it and records only mean_ns, min_ns and max_ns.
     local file="$1" name="$2"
     grep -F "\"bench\":\"${name}\"" "$file" |
         sed 's/.*"min_ns":\([0-9.eE+-]*\).*/\1/' |
