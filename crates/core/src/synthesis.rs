@@ -172,17 +172,11 @@ pub struct SynthesisMetrics {
     pub rewrite_cache_hits: usize,
     /// Rewrite-candidate probes that had to compute the rewrite.
     pub rewrite_cache_misses: usize,
-    /// (inequality, literal) pairs enumerated by the occurrence-indexed
+    /// (inequality, literal) pairs enumerated by the variable-filtered
     /// congruence joins.
     pub occ_join_pairs: usize,
     /// Pairs the unindexed joins would additionally have enumerated.
     pub occ_join_pruned: usize,
-    /// Shard count of the session's failure-memo map.
-    pub memo_lock_shards: usize,
-    /// Lock acquisitions on the failure memo (reads + writes).
-    pub memo_lock_acquisitions: u64,
-    /// Acquisitions that found their shard held by another worker.
-    pub memo_lock_contended: u64,
     /// AST size of the synthesized expression before algebraic
     /// simplification (0 until [`SynthesizedDefinition::new`] runs).
     pub raw_ast_size: usize,
@@ -214,10 +208,6 @@ impl SynthesisMetrics {
         self.rewrite_cache_misses += stats.rewrite_cache_misses;
         self.occ_join_pairs += stats.occ_join_pairs;
         self.occ_join_pruned += stats.occ_join_pruned;
-        self.memo_lock_shards = self.memo_lock_shards.max(stats.memo_lock.shards);
-        self.memo_lock_acquisitions += stats.memo_lock.reads + stats.memo_lock.writes;
-        self.memo_lock_contended +=
-            stats.memo_lock.reads_contended + stats.memo_lock.writes_contended;
         self.per_goal.push(GoalMetrics {
             purpose: purpose.to_string(),
             proof_size,
@@ -235,9 +225,6 @@ impl SynthesisMetrics {
         self.rewrite_cache_misses += from.rewrite_cache_misses;
         self.occ_join_pairs += from.occ_join_pairs;
         self.occ_join_pruned += from.occ_join_pruned;
-        self.memo_lock_shards = self.memo_lock_shards.max(from.memo_lock_shards);
-        self.memo_lock_acquisitions += from.memo_lock_acquisitions;
-        self.memo_lock_contended += from.memo_lock_contended;
         // AST sizes describe one definition each and are not summed.
         self.per_goal.extend(from.per_goal);
     }
@@ -252,14 +239,6 @@ impl SynthesisMetrics {
         ratio(
             self.rewrite_cache_hits as u64,
             self.rewrite_cache_misses as u64,
-        )
-    }
-
-    /// Fraction of memo-lock acquisitions that had to block.
-    pub fn memo_lock_contention_ratio(&self) -> f64 {
-        ratio(
-            self.memo_lock_contended,
-            self.memo_lock_acquisitions - self.memo_lock_contended,
         )
     }
 }

@@ -5,17 +5,19 @@
 //! proved one in its proof, and the specializations and rewrites it
 //! computed in the session's caches, so the bytes those hold set the peak
 //! of a derivation — and what a held `Synthesizer` keeps for the next one.
-//! A sequent is two exact-size allocations (its side of 8-byte handles to
-//! interned formulas, and a record of the side's hash, kind-group starts
-//! and occurrence index), memo keys share the side alone, equal contexts
-//! are one interned node, and candidate rules, proof nodes, partitions and
-//! both formula caches hold handles too: the specialization cache keeps,
-//! per (quantifier, context), an exact-size slice of (result, rank,
-//! risky?) for the specializations that used an atom.  A cold
-//! `overlapping(8)` derivation peaks at about 1.9 MiB and leaves about
-//! 1.7 MiB in its synthesizer; clearing the session's caches one by one
-//! frees about 1.0 MiB (failure memo), 0.16 MiB (specializations),
-//! 0.07 MiB (rewrites) and 0.2 MiB (goal outcomes).  When the caches, rules
+//! A sequent is one allocation, its exact-size side of 8-byte handles to
+//! interned formulas, beside a 16-byte record of the side's hash,
+//! kind-group starts and ground-lhs `≠` count; memo keys share the side
+//! alone, equal contexts are one interned node, and candidate rules, proof
+//! nodes, partitions and both formula caches hold handles too: the
+//! specialization cache keeps, per (quantifier, context), an exact-size
+//! slice of (result, rank, risky?) for the specializations that used an
+//! atom.  A cold `overlapping(8)` derivation peaks at about 1.6 MiB and
+//! leaves about 1.5 MiB in its synthesizer (1.9 and 1.7 MiB while each
+//! record also held a flat occurrence index of its literals); clearing the
+//! session's caches one by one frees about 1.0 MiB (failure memo),
+//! 0.16 MiB (specializations), 0.07 MiB (rewrites) and 0.2 MiB (goal
+//! outcomes).  When the caches, rules
 //! and proof nodes held 56-byte formula copies and every context its own
 //! vector, the same derivation peaked at 3.6 MiB and left 3.3 MiB (memo
 //! 1.4, specializations 1.1, rewrites 0.39, goals 0.22 MiB); before
@@ -24,10 +26,12 @@
 //! about 17 MiB.
 //!
 //! The allocation count of each cold derivation is pinned at 1.05× its
-//! reading when a premise became one edit of two allocations (side and
-//! record) and partitions became sets of handles: in a release build
-//! `overlapping(8)` then read 86,262 allocations (121,658 before) and
-//! partition 46,896 (70,340).  The count repeats to within a few
+//! reading when sequents lost their occurrence index and kept their record
+//! in place (one allocation per premise), the candidate chains were walked
+//! in place and `ev#k` names were memoized: in a release build
+//! `overlapping(8)` then read 68,658 allocations (86,262 before, 121,658
+//! before a premise became one edit and partitions sets of handles) and
+//! partition 35,117 (46,896; 70,340).  The count repeats to within a few
 //! allocations of the prover's worker thread.
 //!
 //! This binary holds a single test: a counting `#[global_allocator]` sees
@@ -153,7 +157,7 @@ fn cold_derivations_peak_under_3_mib() {
             7115,
             3.0,
             2.0,
-            pinned(86_262, 133_392),
+            pinned(68_658, 104_400),
         ),
         (
             "partition",
@@ -161,7 +165,7 @@ fn cold_derivations_peak_under_3_mib() {
             4874,
             2.0,
             1.5,
-            pinned(46_896, 76_654),
+            pinned(35_117, 57_117),
         ),
     ];
     for (name, problem, states, peak_bound, retained_bound, alloc_bound) in cases {

@@ -11,7 +11,9 @@
 //!
 //! The product-output sections pin the definitions and proof sizes of the
 //! two fixtures in `fixtures/mod.rs`; their visited-state counts may only
-//! fall.
+//! fall.  Partition and `overlapping(8)` also pin their work counters: the
+//! pairs the congruence joins enumerate and skip, and the hits and misses
+//! of the failure memo and the rewrite cache.
 
 mod fixtures;
 
@@ -114,6 +116,44 @@ fn overlapping_workload_search_is_pinned() {
     assert_eq!(visited, 7115);
     assert_eq!(sizes, [121, 84, 52]);
     assert_lines("overlapping(8)", &lines);
+}
+
+/// The work counters of a cold derivation of `problem`: (inequality,
+/// literal) pairs the congruence joins enumerated and the pairs their
+/// variable filters skipped, failure-memo hits and misses, and
+/// rewrite-cache hits and misses.
+fn work_counters(problem: &WorkloadProblem) -> [usize; 6] {
+    let rw = problem
+        .derive_workload(&SynthesisConfig::default())
+        .expect("the problem derives");
+    let m = &rw.report().synthesis.metrics;
+    [
+        m.occ_join_pairs,
+        m.occ_join_pruned,
+        m.memo_hits,
+        m.memo_misses,
+        m.rewrite_cache_hits,
+        m.rewrite_cache_misses,
+    ]
+}
+
+/// The joins select the same literals and the caches answer the same
+/// probes, not only the same visited states: these counters repeat exactly
+/// because the search is sequential.
+#[test]
+fn partition_work_counters_are_pinned() {
+    assert_eq!(
+        work_counters(&partition_problem()),
+        [24_024, 80_229, 473, 2_123, 20_506, 1_185]
+    );
+}
+
+#[test]
+fn overlapping_workload_work_counters_are_pinned() {
+    assert_eq!(
+        work_counters(&overlapping_workload_problem(8)),
+        [36_647, 122_647, 603, 3_246, 31_621, 1_564]
+    );
 }
 
 #[test]

@@ -149,13 +149,15 @@ impl Term {
         }
     }
 
-    /// Does the variable occur in this term?
+    /// Does the variable occur in this term?  A walk that compares name
+    /// ids: terms are small, and a look-up in the cached free-variable sets
+    /// would order names by their strings.
     pub fn mentions(&self, var: &Name) -> bool {
         match self {
             Term::Var(n) => n == var,
             Term::Unit => false,
-            Term::Pair(a, b) => a.free_vars_set().contains(var) || b.free_vars_set().contains(var),
-            Term::Proj1(t) | Term::Proj2(t) => t.free_vars_set().contains(var),
+            Term::Pair(a, b) => a.mentions(var) || b.mentions(var),
+            Term::Proj1(t) | Term::Proj2(t) => t.mentions(var),
         }
     }
 

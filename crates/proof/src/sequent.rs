@@ -3,7 +3,6 @@
 use nrs_delta0::{Formula, InContext, MemAtom, Shared, Term};
 use nrs_value::Name;
 use std::cell::RefCell;
-use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -22,16 +21,17 @@ use std::sync::Arc;
 /// pointer-equality fast path), so the sorted side is exactly the order of
 /// the formulas themselves, and compare equal by pointer.
 ///
-/// Besides its context, a sequent is two shared allocations, each of
-/// exactly its size (five words of layout in all):
+/// Besides its context, a sequent is one shared allocation and a record
+/// kept in place (five words of layout in all):
 ///
-/// * the **side**, an `Arc<[Shared<Formula>]>` holding `Δ`.  Cloning a
-///   sequent is O(1), and memo keys ([`Sequent::key`]) share the side
-///   without a header allocation of their own;
-/// * the **derived record**, an `Arc` slice of slots: the order-independent
-///   combined hash of `Δ` (a mix of the handles' cached node hashes), where
-///   each kind group starts in `Δ`, and the flat occurrence index below.
-///   Hashing or comparing a sequent never walks the formulas.
+/// * the **side**, an exact-size `Arc<[Shared<Formula>]>` holding `Δ`.
+///   Cloning a sequent is O(1), and memo keys ([`Sequent::key`]) share the
+///   side without a header allocation of their own;
+/// * the **derived record**, 16 bytes: the order-independent combined hash
+///   of `Δ` (a mix of the handles' cached node hashes, cut to 32 bits),
+///   where the kind groups start in `Δ`, and how many `≠` literals have a
+///   ground left term.  Hashing or comparing a sequent never walks the
+///   formulas.
 ///
 /// Because the derived `Ord` on [`Formula`] compares the variant first, the
 /// sorted side is **grouped by formula kind** (`=`, `≠`, `⊤`, `⊥`,
@@ -40,21 +40,22 @@ use std::sync::Arc;
 /// [`Sequent::existentials`], [`Sequent::first_invertible`] and the
 /// membership tests plain subslices that touch no formula.
 ///
-/// On top of the kind groups, the (in)equality literals are **indexed by
-/// free variable** ([`Sequent::eq_literals_with_var`]): the prover's
+/// The (in)equality literals containing a free variable
+/// ([`Sequent::eq_literals_with_var`]) and the `≠` literals with a ground
+/// left term ([`Sequent::ground_lhs_inequalities`]) are **filtered views**
+/// of the `=`/`≠` slices, yielded in the order of `Δ`.  The prover's
 /// ≠-congruence joins only ever pair literals that share a term, and since
 /// literals have no binders, a literal containing a term contains every free
-/// variable of that term — so a variable bucket is a sound (and in practice
-/// tight) superset of the literals a given inequality can rewrite.  The
-/// index is flat: `(variable, literal)` slots sorted by variable id and then
-/// by literal, so a bucket is one run, in the order of `Δ`.
+/// variable of that term — so a variable's view is a sound (and in practice
+/// tight) superset of the literals a given inequality can rewrite.  A view
+/// costs a scan of the literal slices when it is read and nothing when a
+/// premise is built: a sequent keeps no index to copy or update.
 ///
 /// Every builder goes through one edit, which removes at most one formula
 /// and adds any number: the ∧, ∨ and ∀ premises (principal out, components
-/// in) are one edit each.  It stages the new side and record in per-thread
-/// buffers and copies each into one allocation, so a premise costs two
-/// allocations, and the hash, group starts and index are updated in place
-/// of being rebuilt.  The group starts are 16-bit: a sequent holds at most
+/// in) are one edit each.  It stages the new side in a per-thread buffer
+/// and copies it into one allocation, so a premise costs one allocation,
+/// and the record moves by the edited formulas in place of being rebuilt.  The group starts are 16-bit: a sequent holds at most
 /// 65,535 formulas in front of its last kind group.
 ///
 /// The `ctx` field is public for read access; it must not be mutated in
@@ -66,10 +67,9 @@ pub struct Sequent {
     pub ctx: InContext,
     /// The right-hand side `Δ`, sorted.
     rhs: Arc<[Shared<Formula>]>,
-    /// Data derived from `rhs`: [`Slot::Hash`], [`Slot::Starts`], then the
-    /// index slots in [`Slot::index_cmp`] order.  Excluded from
-    /// `Eq`/`Hash`/`Ord` (the hash stands for `rhs` itself).
-    meta: Arc<[Slot]>,
+    /// Data derived from `rhs`.  Excluded from `Eq`/`Hash`/`Ord` (the hash
+    /// stands for `rhs` itself).
+    meta: Meta,
 }
 
 /// The kind groups of a sorted side: `=`, `≠`, `⊤`, `⊥`, `∧ ∨ ∀`, `∃`,
@@ -78,8 +78,14 @@ const GROUPS: usize = 7;
 const EQ: usize = 0;
 const NEQ: usize = 1;
 const TOP: usize = 2;
+const BOTTOM: usize = 3;
 const INVERTIBLE: usize = 4;
 const EXISTS: usize = 5;
+
+/// The groups whose starts [`Meta`] stores.  `⊤` and `⊥` are one formula
+/// each, so a bit says whether their group holds it, and the `⊥` and
+/// `∧ ∨ ∀` groups start after the bits.
+const STORED: [usize; 4] = [NEQ, TOP, EXISTS, GROUPS - 1];
 
 /// The kind group of a variant rank (see [`Formula::variant_rank`]).
 fn group_of(rank: u8) -> usize {
@@ -91,93 +97,83 @@ fn group_of(rank: u8) -> usize {
     }
 }
 
-/// Slots of the derived record in front of the index.
-const HEADER: usize = 2;
-
-/// One slot of a sequent's derived record.
-#[derive(Debug, Clone)]
-enum Slot {
-    /// Slot 0: the combined hash of `Δ`.
-    Hash(u64),
-    /// Slot 1: where kind groups 1 to 6 start in `Δ` (group 0 starts at 0).
-    Starts([u16; GROUPS - 1]),
-    /// An inequality `t ≠ u` of `Δ` whose left term `t` is ground.
-    Ground(Shared<Formula>),
-    /// A variable and an (in)equality literal of `Δ` containing it.
-    Occ(Name, Shared<Formula>),
+/// A sequent's derived record: 16 bytes, kept in the sequent itself.
+#[derive(Debug, Clone, Copy, Default)]
+struct Meta {
+    /// The combined hash of `Δ`, cut to 32 bits.
+    hash: u32,
+    /// Where the [`STORED`] groups start in `Δ`.
+    starts: [u16; 4],
+    /// The number of `≠` literals of `Δ` whose left term is ground.
+    ground: u16,
+    /// Does `Δ` hold `⊤` (bit 0) and `⊥` (bit 1)?
+    units: u8,
 }
 
-impl Slot {
-    /// The run an index slot belongs to: the ground-lhs inequalities first,
-    /// then one bucket per variable.  Compares without touching a formula.
-    fn run(&self) -> (u8, u32) {
-        match self {
-            Slot::Ground(_) => (0, 0),
-            Slot::Occ(v, _) => (1, v.id()),
-            Slot::Hash(_) | Slot::Starts(_) => unreachable!("a header slot is not indexed"),
+impl Meta {
+    /// Where group `g` starts in a side of `len` formulas (`g = GROUPS`
+    /// is the end).
+    fn start_of(&self, g: usize, len: usize) -> usize {
+        let [neq, top, exists, mem] = self.starts.map(usize::from);
+        let (has_top, has_bottom) = (usize::from(self.units & 1), usize::from(self.units >> 1));
+        match g {
+            EQ => 0,
+            NEQ => neq,
+            TOP => top,
+            BOTTOM => top + has_top,
+            INVERTIBLE => top + has_top + has_bottom,
+            EXISTS => exists,
+            GROUPS => len,
+            // the `∈ ∉` group
+            _ => mem,
         }
     }
 
-    /// The literal an index slot holds.
-    fn literal(&self) -> &Shared<Formula> {
-        match self {
-            Slot::Ground(f) | Slot::Occ(_, f) => f,
-            Slot::Hash(_) | Slot::Starts(_) => unreachable!("a header slot holds no literal"),
+    /// The range of groups `lo..=hi` of a side of `len` formulas.
+    fn range(&self, lo: usize, hi: usize, len: usize) -> Range<usize> {
+        self.start_of(lo, len)..self.start_of(hi + 1, len)
+    }
+
+    /// Account for `f` entering (`grow`) or leaving `Δ`.
+    fn note(&mut self, f: &Shared<Formula>, grow: bool) {
+        // the low half of the mixed hash: XOR commutes with the cut
+        self.hash ^= formula_hash_mixed(f) as u32;
+        let group = group_of(f.variant_rank());
+        for (s, g) in self.starts.iter_mut().zip(STORED) {
+            if g > group {
+                *s = if grow {
+                    u16::try_from(usize::from(*s) + 1).expect(
+                        "a sequent holds at most 65,535 formulas before its last kind group",
+                    )
+                } else {
+                    *s - 1
+                };
+            }
+        }
+        match group {
+            TOP => self.units ^= 1,
+            BOTTOM => self.units ^= 2,
+            _ => {}
+        }
+        if is_ground_lhs(f) {
+            self.ground = if grow {
+                self.ground + 1
+            } else {
+                self.ground - 1
+            };
         }
     }
-
-    /// The index order: by run, then by literal, so every run is sorted
-    /// like `Δ`.
-    fn index_cmp(&self, other: &Slot) -> Ordering {
-        self.run()
-            .cmp(&other.run())
-            .then_with(|| self.literal().cmp(other.literal()))
-    }
 }
 
-/// Call `visit` with each index slot of the (in)equality literal `lit`: one
-/// per free-variable occurrence (a repeated variable repeats its slot), and
-/// a [`Slot::Ground`] for a `≠` with a ground left term.
-fn index_slots(lit: &Shared<Formula>, mut visit: impl FnMut(Slot)) {
-    lit.for_each_free_var(&mut |v| visit(Slot::Occ(*v, lit.clone())));
-    if let Formula::NeqUr(t, _) = lit.value() {
-        if t.is_ground() {
-            visit(Slot::Ground(lit.clone()));
-        }
-    }
-}
-
-/// A group start as stored in [`Slot::Starts`].
-fn start(at: usize) -> u16 {
-    u16::try_from(at).expect("a sequent holds at most 65,535 formulas before its last kind group")
-}
-
-/// Move the starts of the groups after `group` by one slot.
-fn shift(starts: &mut [u16; GROUPS - 1], group: usize, grow: bool) {
-    for s in &mut starts[group..] {
-        *s = if grow {
-            start(usize::from(*s) + 1)
-        } else {
-            *s - 1
-        };
-    }
-}
-
-/// The range of groups `lo..=hi` of a side of `len` formulas.
-fn group_range(starts: &[u16; GROUPS - 1], len: usize, lo: usize, hi: usize) -> Range<usize> {
-    let at = |g: usize| match g {
-        0 => 0,
-        GROUPS => len,
-        _ => usize::from(starts[g - 1]),
-    };
-    at(lo)..at(hi + 1)
+/// Is `f` an inequality `t ≠ u` whose left term `t` is ground?
+fn is_ground_lhs(f: &Formula) -> bool {
+    matches!(f, Formula::NeqUr(t, _) if t.is_ground())
 }
 
 thread_local! {
-    /// Per-thread staging for [`Sequent::edit`]: the new side and derived
-    /// record are assembled here, then copied into one allocation each.
-    static STAGING: RefCell<(Vec<Shared<Formula>>, Vec<Slot>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Per-thread staging for [`Sequent::edit`]: the new side is assembled
+    /// here, then copied into one allocation.
+    static STAGING: RefCell<Vec<Shared<Formula>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The per-formula contribution to an XOR-combined (order-independent) set
@@ -214,28 +210,10 @@ impl Sequent {
         let mut rhs: Vec<Shared<Formula>> = rhs.into_iter().map(Into::into).collect();
         rhs.sort_unstable();
         rhs.dedup();
-        let mut hash = 0;
-        let mut sizes = [0; GROUPS];
-        let mut index = Vec::new();
+        let mut meta = Meta::default();
         for f in &rhs {
-            hash ^= formula_hash_mixed(f);
-            sizes[group_of(f.variant_rank())] += 1;
-            if f.variant_rank() <= 1 {
-                index_slots(f, |slot| index.push(slot));
-            }
+            meta.note(f, true);
         }
-        index.sort_unstable_by(Slot::index_cmp);
-        index.dedup_by(|a, b| a.index_cmp(b).is_eq());
-        let mut starts = [0; GROUPS - 1];
-        let mut at = 0;
-        for (s, size) in starts.iter_mut().zip(sizes) {
-            at += size;
-            *s = start(at);
-        }
-        let meta = [Slot::Hash(hash), Slot::Starts(starts)]
-            .into_iter()
-            .chain(index)
-            .collect();
         Sequent {
             ctx,
             rhs: rhs.into(),
@@ -265,31 +243,15 @@ impl Sequent {
         &self.rhs
     }
 
-    /// The combined hash of the right-hand side.
-    fn rhs_hash(&self) -> u64 {
-        match self.meta[0] {
-            Slot::Hash(hash) => hash,
-            _ => unreachable!("slot 0 holds the hash"),
-        }
-    }
-
-    /// Where kind groups 1 to 6 start in the right-hand side.
-    fn starts(&self) -> [u16; GROUPS - 1] {
-        match self.meta[1] {
-            Slot::Starts(starts) => starts,
-            _ => unreachable!("slot 1 holds the group starts"),
-        }
-    }
-
     /// The kind groups `lo..=hi` of the right-hand side.
     fn groups(&self, lo: usize, hi: usize) -> &[Shared<Formula>] {
-        &self.rhs[group_range(&self.starts(), self.rhs.len(), lo, hi)]
+        &self.rhs[self.meta.range(lo, hi, self.rhs.len())]
     }
 
     /// The position of a formula value in the right-hand side.
     fn position(&self, f: &Formula) -> Option<usize> {
         let group = group_of(f.variant_rank());
-        let range = group_range(&self.starts(), self.rhs.len(), group, group);
+        let range = self.meta.range(group, group, self.rhs.len());
         let found = self.rhs[range.clone()].binary_search_by(|g| g.value().cmp(f));
         found.ok().map(|at| range.start + at)
     }
@@ -298,66 +260,44 @@ impl Sequent {
     /// pointer in its kind group.
     fn position_of_handle(&self, f: &Shared<Formula>) -> Option<usize> {
         let group = group_of(f.variant_rank());
-        let range = group_range(&self.starts(), self.rhs.len(), group, group);
+        let range = self.meta.range(group, group, self.rhs.len());
         let found = self.rhs[range.clone()].iter().position(|g| g.ptr_eq(f));
         found.map(|at| range.start + at)
     }
 
-    /// This sequent as an index-free map key (two `Arc` clones).
+    /// This sequent as a map key without its derived record (a clone of the
+    /// context handle and of the side `Arc`).
     pub fn key(&self) -> SequentKey {
         SequentKey {
             ctx: self.ctx.clone(),
             rhs: self.rhs.clone(),
-            rhs_hash: self.rhs_hash(),
+            rhs_hash: self.meta.hash,
         }
     }
 
     /// The one edit every builder goes through: the right-hand side without
     /// the formula at `remove` and with every formula of `add` it lacks.
-    /// The new side and record are staged in the per-thread buffers and
-    /// copied out in one allocation each; the hash and group starts move by
-    /// the edited formulas, and the index gains and loses only their slots.
+    /// The new side is staged in the per-thread buffer and copied out in one
+    /// allocation; the record moves by the edited formulas.
     fn edit(&self, remove: Option<usize>, add: &[Shared<Formula>]) -> Sequent {
-        let mut hash = self.rhs_hash();
-        let mut starts = self.starts();
-        let (rhs, meta) = STAGING.with(|staging| {
-            let (side, slots) = &mut *staging.borrow_mut();
+        let mut meta = self.meta;
+        let rhs = STAGING.with(|staging| {
+            let side = &mut *staging.borrow_mut();
             side.clear();
             side.extend_from_slice(&self.rhs);
-            slots.clear();
-            slots.extend_from_slice(&self.meta);
             if let Some(at) = remove {
-                let f = side.remove(at);
-                hash ^= formula_hash_mixed(&f);
-                shift(&mut starts, group_of(f.variant_rank()), false);
-                if f.variant_rank() <= 1 {
-                    slots.retain(
-                        |s| !matches!(s, Slot::Ground(g) | Slot::Occ(_, g) if g.ptr_eq(&f)),
-                    );
-                }
+                meta.note(&side.remove(at), false);
             }
             for f in add {
                 let group = group_of(f.variant_rank());
-                let range = group_range(&starts, side.len(), group, group);
+                let range = meta.range(group, group, side.len());
                 let Err(at) = side[range.clone()].binary_search(f) else {
                     continue;
                 };
                 side.insert(range.start + at, f.clone());
-                hash ^= formula_hash_mixed(f);
-                shift(&mut starts, group, true);
-                if f.variant_rank() <= 1 {
-                    index_slots(f, |slot| {
-                        let index = &slots[HEADER..];
-                        let at = index.partition_point(|s| s.index_cmp(&slot).is_lt());
-                        if !index.get(at).is_some_and(|s| s.index_cmp(&slot).is_eq()) {
-                            slots.insert(HEADER + at, slot);
-                        }
-                    });
-                }
+                meta.note(f, true);
             }
-            slots[0] = Slot::Hash(hash);
-            slots[1] = Slot::Starts(starts);
-            (Arc::from(&side[..]), Arc::from(&slots[..]))
+            Arc::from(&side[..])
         });
         Sequent {
             ctx: self.ctx.clone(),
@@ -410,7 +350,7 @@ impl Sequent {
         Sequent {
             ctx: self.ctx.with(atom),
             rhs: self.rhs.clone(),
-            meta: self.meta.clone(),
+            meta: self.meta,
         }
     }
 
@@ -445,29 +385,36 @@ impl Sequent {
         self.groups(EQ, NEQ)
     }
 
-    /// The index run of the given key.
-    fn run(&self, run: (u8, u32)) -> Literals<'_> {
-        let index = &self.meta[HEADER..];
-        let lo = index.partition_point(|s| s.run() < run);
-        let len = index[lo..].partition_point(|s| s.run() == run);
-        Literals(&index[lo..lo + len])
-    }
-
     /// The (in)equality literals of the right-hand side containing the given
-    /// free variable, sorted — one bucket of the occurrence index.  A
-    /// literal containing a term `t` contains every free variable of `t`
-    /// (literals have no binders), so for a non-ground `t` the bucket of any
-    /// of its variables is a superset of the literals `t` occurs in.
+    /// free variable, sorted: a view of [`Sequent::eq_literals`].  A literal
+    /// containing a term `t` contains every free variable of `t` (literals
+    /// have no binders), so for a non-ground `t` the literals with any of
+    /// its variables are a superset of the literals `t` occurs in.
     pub fn eq_literals_with_var(&self, v: &Name) -> Literals<'_> {
-        self.run((1, v.id()))
+        Literals {
+            lits: self.eq_literals(),
+            neq: self.equalities().len(),
+            filter: Filter::Var(*v),
+        }
     }
 
     /// The inequalities whose left term is ground (no free variables),
-    /// sorted.  Rewrite joins driven by [`Sequent::eq_literals_with_var`]
-    /// must always include these: a ground term can occur in a literal that
-    /// shares no variable with its inequality.
+    /// sorted: a view of [`Sequent::inequalities`], empty without a scan
+    /// when the record counts none.  Rewrite joins driven by
+    /// [`Sequent::eq_literals_with_var`] must always include these: a
+    /// ground term can occur in a literal that shares no variable with its
+    /// inequality.
     pub fn ground_lhs_inequalities(&self) -> Literals<'_> {
-        self.run((0, 0))
+        let lits = if self.meta.ground == 0 {
+            &[]
+        } else {
+            self.inequalities()
+        };
+        Literals {
+            lits,
+            neq: 0,
+            filter: Filter::GroundLhs,
+        }
     }
 
     /// The bounded existentials of the right-hand side.
@@ -532,38 +479,74 @@ impl Default for Sequent {
     }
 }
 
-/// A sorted run of (in)equality literals read off a sequent's occurrence
-/// index: one variable's bucket ([`Sequent::eq_literals_with_var`]) or the
-/// ground-lhs inequalities ([`Sequent::ground_lhs_inequalities`]).
+/// A sorted view of (in)equality literals of a sequent: those with one
+/// free variable ([`Sequent::eq_literals_with_var`]) or the ground-lhs
+/// inequalities ([`Sequent::ground_lhs_inequalities`]).  The view filters
+/// the sequent's literal slice as it is iterated, so [`Literals::len`] and
+/// [`Literals::is_empty`] scan.
 #[derive(Debug, Clone, Copy)]
-pub struct Literals<'a>(&'a [Slot]);
+pub struct Literals<'a> {
+    /// The literals the filter runs over, sorted like `Δ`.
+    lits: &'a [Shared<Formula>],
+    /// Where the `≠` literals start in `lits`.
+    neq: usize,
+    filter: Filter,
+}
+
+/// Which literals a [`Literals`] view admits.
+#[derive(Debug, Clone, Copy)]
+enum Filter {
+    /// Those with the variable free.
+    Var(Name),
+    /// The inequalities whose left term is ground.
+    GroundLhs,
+}
+
+impl Filter {
+    /// Does the view admit the `=`/`≠` literal `lit`?
+    fn admits(self, lit: &Formula) -> bool {
+        match (self, lit) {
+            (Filter::Var(v), Formula::EqUr(t, u) | Formula::NeqUr(t, u)) => {
+                t.mentions(&v) || u.mentions(&v)
+            }
+            (Filter::GroundLhs, _) => is_ground_lhs(lit),
+            (Filter::Var(_), _) => unreachable!("a view holds only = and ≠ literals"),
+        }
+    }
+}
 
 impl<'a> Literals<'a> {
-    /// The number of literals.
+    /// The number of literals (a scan).
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.iter().count()
     }
 
-    /// Is the run empty?
+    /// Is the view empty?
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.first().is_none()
     }
 
     /// The first literal.
     pub fn first(&self) -> Option<&'a Shared<Formula>> {
-        self.0.first().map(Slot::literal)
+        self.iter().next()
     }
 
-    /// The `≠` literals of the run: a suffix, since runs sort
+    /// The `≠` literals of the view: a suffix, since literals sort
     /// variant-first.
     pub fn inequalities(&self) -> Literals<'a> {
-        let start = self.0.partition_point(|s| s.literal().variant_rank() < 1);
-        Literals(&self.0[start..])
+        Literals {
+            lits: &self.lits[self.neq..],
+            neq: 0,
+            filter: self.filter,
+        }
     }
 
     /// The literals in order.
     pub fn iter(&self) -> LiteralsIter<'a> {
-        LiteralsIter(self.0.iter())
+        LiteralsIter {
+            lits: self.lits.iter(),
+            filter: self.filter,
+        }
     }
 }
 
@@ -576,30 +559,32 @@ impl<'a> IntoIterator for Literals<'a> {
     }
 }
 
-/// The iterator of a [`Literals`] run.
+/// The iterator of a [`Literals`] view.
 #[derive(Debug, Clone)]
-pub struct LiteralsIter<'a>(std::slice::Iter<'a, Slot>);
+pub struct LiteralsIter<'a> {
+    lits: std::slice::Iter<'a, Shared<Formula>>,
+    filter: Filter,
+}
 
 impl<'a> Iterator for LiteralsIter<'a> {
     type Item = &'a Shared<Formula>;
 
     fn next(&mut self) -> Option<&'a Shared<Formula>> {
-        self.0.next().map(Slot::literal)
+        let filter = self.filter;
+        self.lits.find(|f| filter.admits(f))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
+        (0, self.lits.size_hint().1)
     }
 }
-
-impl ExactSizeIterator for LiteralsIter<'_> {}
 
 /// Equality of two sequents given as (context, right-hand side, its hash):
 /// the cached hashes first (the context compares its own first), then the
 /// sides themselves — handle by handle, a pointer compare each.
 fn same_sides(
-    a: (&InContext, &Arc<[Shared<Formula>]>, u64),
-    b: (&InContext, &Arc<[Shared<Formula>]>, u64),
+    a: (&InContext, &Arc<[Shared<Formula>]>, u32),
+    b: (&InContext, &Arc<[Shared<Formula>]>, u32),
 ) -> bool {
     a.2 == b.2 && (Arc::ptr_eq(a.1, b.1) || a.1 == b.1) && a.0 == b.0
 }
@@ -607,8 +592,8 @@ fn same_sides(
 impl PartialEq for Sequent {
     fn eq(&self, other: &Self) -> bool {
         same_sides(
-            (&self.ctx, &self.rhs, self.rhs_hash()),
-            (&other.ctx, &other.rhs, other.rhs_hash()),
+            (&self.ctx, &self.rhs, self.meta.hash),
+            (&other.ctx, &other.rhs, other.meta.hash),
         )
     }
 }
@@ -618,7 +603,7 @@ impl Eq for Sequent {}
 impl Hash for Sequent {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.ctx.hash(state);
-        state.write_u64(self.rhs_hash());
+        state.write_u32(self.meta.hash);
     }
 }
 
@@ -631,7 +616,7 @@ impl Hash for Sequent {
 pub struct SequentKey {
     ctx: InContext,
     rhs: Arc<[Shared<Formula>]>,
-    rhs_hash: u64,
+    rhs_hash: u32,
 }
 
 impl PartialEq for SequentKey {
@@ -648,7 +633,7 @@ impl Eq for SequentKey {}
 impl Hash for SequentKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.ctx.hash(state);
-        state.write_u64(self.rhs_hash);
+        state.write_u32(self.rhs_hash);
     }
 }
 
@@ -782,22 +767,23 @@ mod tests {
         let s = Sequent::goals([
             xy.clone(),
             xz.clone(),
-            Shared::new(Formula::exists("x", "S", Formula::True)), // not a literal: unindexed
+            Shared::new(Formula::exists("x", "S", Formula::True)), // not a literal: in no view
         ]);
         assert_eq!(bucket(&s, "x"), [xy.clone(), xz.clone()]);
         assert_eq!(bucket(&s, "y"), std::slice::from_ref(&xy));
         assert_eq!(bucket(&s, "z"), std::slice::from_ref(&xz));
         assert!(s.eq_literals_with_var(&Name::new("S")).is_empty());
-        // buckets stay sorted like the kind slices they refine
+        // views stay sorted like the kind slices they filter
         assert_eq!(bucket(&s, "x"), s.eq_literals());
-        // removal unindexes; re-adding restores (the original is intact)
+        // removal drops it from the views; re-adding restores (the original
+        // is intact)
         let s2 = s.without_formula(&xy);
         assert_eq!(bucket(&s2, "x"), std::slice::from_ref(&xz));
         assert!(s2.eq_literals_with_var(&Name::new("y")).is_empty());
         assert_eq!(s.eq_literals_with_var(&Name::new("x")).len(), 2);
         let s3 = s2.with_formula(xy.clone());
         assert_eq!(bucket(&s3, "x"), [xy, xz]);
-        // duplicate inserts don't double-index
+        // duplicate inserts don't repeat a literal
         let s4 = s3.with_formula(Formula::neq_ur("x", "z"));
         assert_eq!(s4.eq_literals_with_var(&Name::new("x")).len(), 2);
     }
@@ -809,22 +795,22 @@ mod tests {
             Formula::neq_ur("x", "z"),
             Formula::exists("z", "S", Formula::True),
         ]);
-        // the header and one slot per (variable, literal) pair
-        assert_eq!((s.rhs.len(), s.meta.len()), (3, HEADER + 4));
-        // `s` keeps its side and record; the copy builds its own at their
-        // new length, touching only the edited literal's slots
+        assert_eq!(s.rhs.len(), 3);
+        // the record is kept in place: a sequent is five words on a 64-bit
+        // target
+        assert!(std::mem::size_of::<Sequent>() <= 40);
+        // `s` keeps its side; the copy builds its own at the new length
         let t = s.with_formula(Formula::eq_ur("x", "w"));
-        assert_eq!((t.rhs.len(), t.meta.len()), (4, HEADER + 6));
+        assert_eq!(t.rhs.len(), 4);
         assert_eq!(bucket(&t, "x").len(), 3);
         assert_eq!(s.rhs.len(), 3);
         let u = t.without_formula(&Formula::neq_ur("x", "z"));
-        assert_eq!((u.rhs.len(), u.meta.len()), (3, HEADER + 4));
+        assert_eq!(u.rhs.len(), 3);
         assert_eq!(bucket(&u, "x").len(), 2);
         assert!(bucket(&u, "z").is_empty());
-        // a literal naming one variable twice is indexed once
+        // a literal naming one variable twice is in its view once
         let v = u.with_formula(Formula::neq_ur("x", "x"));
         assert_eq!(bucket(&v, "x").len(), 3);
-        assert_eq!(v.meta.len(), HEADER + 5);
     }
 
     #[test]

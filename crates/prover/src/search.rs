@@ -2,11 +2,13 @@
 //! risky (case-splitting) instantiations.
 //!
 //! Four session-lifetime caches (see `SearchCaches`) and two structural
-//! ideas keep the per-state cost near-constant.  Every cache keys on
-//! interned handles — 8-byte [`Shared<Formula>`] pointers and interned
-//! [`InContext`]s, hashed by a cached word and compared by pointer — and
-//! hands handles back, so a probe copies no formula, and a hit hands the
-//! search the very node every sequent already points at:
+//! ideas keep the per-state cost near-constant.  The caches are hash maps
+//! without locks of their own: a session worker holds them for a whole
+//! `prove_batch` job and lends them to the search as `&mut`.  Every
+//! cache keys on interned handles — 8-byte [`Shared<Formula>`] pointers
+//! and interned [`InContext`]s, hashed by a cached word and compared by
+//! pointer — and hands handles back, so a probe copies no formula, and a
+//! hit hands the search the very node every sequent already points at:
 //!
 //! * the **failure memo** (below), keyed by the refuted state;
 //! * the **specialization cache**, `(∃-handle, context) → [(result, rank,
@@ -26,7 +28,7 @@
 //! The handles the caches return go into candidate [`Rule`]s and from
 //! there into premises and proof nodes as they are: nothing on the
 //! per-state path interns a formula the caches already interned.  Candidate
-//! joins are further narrowed by the sequents' variable-occurrence index
+//! joins are further narrowed by the sequents' variable views
 //! ([`Sequent::eq_literals_with_var`]): a new (in)equality is paired only
 //! against literals sharing a term, not the whole `inequalities() ×
 //! eq_literals()` product.  Neither device changes which candidates are
@@ -64,7 +66,12 @@ use crate::session::ProverSession;
 use nrs_delta0::specialize::{max_specializations, MaxSpecialization};
 use nrs_delta0::{Formula, InContext, Term};
 use nrs_proof::{formula_hash_mixed, LiteralsIter, Proof, ProofError, Rule, Sequent, SequentKey};
-use nrs_shared::{ShardStats, ShardedMap, Shared};
+use nrs_shared::{FxBuildHasher, Shared};
+use nrs_value::Name;
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -85,8 +92,6 @@ struct ObsMetrics {
     memo_misses: Arc<nrs_obs::Counter>,
     rewrite_cache_hits: Arc<nrs_obs::Counter>,
     rewrite_cache_misses: Arc<nrs_obs::Counter>,
-    memo_lock_acquisitions: Arc<nrs_obs::Counter>,
-    memo_lock_contended: Arc<nrs_obs::Counter>,
     goal_seconds: Arc<nrs_obs::Histogram>,
     proof_size: Arc<nrs_obs::Histogram>,
     risky_level: Arc<nrs_obs::Histogram>,
@@ -108,8 +113,6 @@ fn obs() -> &'static ObsMetrics {
             memo_misses: r.counter("prover.memo_misses_total"),
             rewrite_cache_hits: r.counter("prover.rewrite_cache_hits_total"),
             rewrite_cache_misses: r.counter("prover.rewrite_cache_misses_total"),
-            memo_lock_acquisitions: r.counter("prover.memo_lock_acquisitions_total"),
-            memo_lock_contended: r.counter("prover.memo_lock_contended_total"),
             goal_seconds: r.timer("prover.goal_seconds"),
             proof_size: r.histogram("prover.proof_size"),
             risky_level: r.histogram("prover.risky_level"),
@@ -126,10 +129,6 @@ impl ObsMetrics {
         self.rewrite_cache_hits.add(stats.rewrite_cache_hits as u64);
         self.rewrite_cache_misses
             .add(stats.rewrite_cache_misses as u64);
-        self.memo_lock_acquisitions
-            .add(stats.memo_lock.reads + stats.memo_lock.writes);
-        self.memo_lock_contended
-            .add(stats.memo_lock.reads_contended + stats.memo_lock.writes_contended);
         self.proof_size.record(stats.proof_size as u64);
         self.risky_level.record(stats.risky_level as u64);
     }
@@ -227,7 +226,7 @@ pub struct ProverStats {
     /// Rewrite-candidate probes that had to compute (and then cache) the
     /// rewrite.
     pub rewrite_cache_misses: usize,
-    /// (inequality, literal) pairs enumerated by the occurrence-indexed
+    /// (inequality, literal) pairs enumerated by the variable-filtered
     /// congruence joins.
     pub occ_join_pairs: usize,
     /// Additional pairs the unindexed full `inequalities() × eq_literals()`
@@ -236,20 +235,14 @@ pub struct ProverStats {
     /// Whole root goals answered from the session's goal-outcome cache
     /// (1 for a replayed goal, 0 for a searched one).
     pub goal_cache_hits: usize,
-    /// Lock traffic on the failure memo's [`ShardedMap`] during this goal:
-    /// acquisitions and how many of them found their shard held by another
-    /// worker.  `memo_lock.shards` is the shard count; `memo_lock.
-    /// contention_ratio()` quantifies the PR-6 "first contention point"
-    /// observation instead of assuming it.
-    pub memo_lock: ShardStats,
 }
 
 /// The memo key: the search-relevant state besides the risky budget.
 /// Failure recorded at risky budget `r` refutes re-entry at any budget ≤ `r`
 /// (fewer rewrites used and fewer used specs can only *enlarge* the move
 /// set) — up to the discovery-order caveat described in the module docs.
-/// The sequent enters as its [`SequentKey`]: the two sides, shared with the
-/// searched sequent, without its occurrence index.
+/// The sequent enters as its [`SequentKey`]: the context and side, shared
+/// with the searched sequent, without its derived record.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct MemoKey {
     seq: SequentKey,
@@ -257,25 +250,79 @@ pub(crate) struct MemoKey {
     used_hash: u64,
 }
 
-/// The session-lifetime caches, shared by every goal and worker of one
-/// [`ProverSession`].  All four are [`ShardedMap`]s —
-/// concurrent probes of different shards (the common case: keys are interned
-/// nodes with well-mixed cached hashes) don't serialize, and concurrent
-/// readers of one shard share a read lock; the former `Mutex` wrappers made
-/// every probe exclusive.  Poisoning is recovered by the map itself, keeping
-/// the sessions' existing panic-tolerance behavior.
+/// A session cache: a hash map split by key hash into [`PARTS`] tables.
+/// Keys are interned handles with cached hashes, so the Fx hasher's fixed
+/// cost is the whole hash, paid once to pick a part and once in it.
+///
+/// The split keeps every table small.  A cold `overlapping(8)` derivation
+/// refutes about 2,400 states (56-byte memo entries): in one table the
+/// memo grew to a 228 KiB block, each resize held the old and the new
+/// table at once, and perfbench's `serve_mixed`, which derives cold again
+/// and again, read 0.1–0.45 MB more `peak_rss_mb` (on 8–11 MB).  Split, a
+/// table stays a few KiB and a resize moves one part.
+pub(crate) struct Cache<K, V> {
+    parts: Vec<HashMap<K, V, FxBuildHasher>>,
+}
+
+/// The number of tables of a [`Cache`].
+const PARTS: usize = 32;
+
+impl<K, V> Default for Cache<K, V> {
+    fn default() -> Self {
+        Cache {
+            parts: (0..PARTS).map(|_| HashMap::default()).collect(),
+        }
+    }
+}
+
+impl<K: Hash + Eq, V> Cache<K, V> {
+    /// The part holding `key`: picked by hash bits that the part's own
+    /// table neither indexes by (the low bits) nor tags with (the top
+    /// seven).
+    fn part(&self, key: &K) -> usize {
+        (FxBuildHasher::default().hash_one(key) >> 32) as usize % PARTS
+    }
+
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+        self.parts[self.part(key)].get(key)
+    }
+
+    pub(crate) fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        let at = self.part(&key);
+        self.parts[at].entry(key)
+    }
+
+    pub(crate) fn insert(&mut self, key: K, value: V) {
+        let at = self.part(&key);
+        self.parts[at].insert(key, value);
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.parts.iter().map(HashMap::len).sum()
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.parts.iter().flatten()
+    }
+}
+
+/// The session-lifetime caches, shared by every goal of one
+/// [`ProverSession`].  The session keeps them behind one lock, which its
+/// worker takes once per `prove_batch` job; the search borrows them as
+/// `&mut SearchCaches`, so a probe is a hash-map lookup and takes no lock.
+#[derive(Default)]
 pub(crate) struct SearchCaches {
     /// Sequents known to fail, mapping to the largest risky budget refuted.
     /// The largest table of a cold derivation (one entry per refuted
     /// state), so its keys hold only what equality needs: each
     /// [`SequentKey`] shares the context and right-hand side with the
-    /// searched sequent and leaves its occurrence index to be freed with it.
+    /// searched sequent and leaves its derived record to be freed with it.
     /// The right-hand sides are vectors of 8-byte interned handles, so the
     /// thousands of keys a derivation leaves here point into one set of
     /// formula nodes (a cold `overlapping(8)` derivation: 2,364 keys with
     /// 91,143 slots over 134 distinct formulas) instead of each holding
     /// 56-byte copies.
-    pub(crate) memo: ShardedMap<MemoKey, usize>,
+    pub(crate) memo: Cache<MemoKey, usize>,
     /// Cached `max_specializations` results, keyed by (quantifier handle,
     /// ∈-context): the per-depth goals of one synthesis run decompose the
     /// same specification formulas under the same contexts, so a warm
@@ -284,20 +331,20 @@ pub(crate) struct SearchCaches {
     /// is an exact-size slice of [`SpecEntry`]s — only what the candidate
     /// generation reads — whose results are handles, so the many keys that
     /// yield the same specialization share its one node.
-    pub(crate) specs: ShardedMap<(Shared<Formula>, InContext), Arc<[SpecEntry]>>,
+    pub(crate) specs: Cache<(Shared<Formula>, InContext), Box<[SpecEntry]>>,
     /// Cached ≠-congruence candidates: `(inequality, literal) →
     /// Option<(rewritten, cost)>`, all three formulas interned handles.
     /// Branch-independent (the value depends only on the two interned
     /// nodes), so one entry serves every branch, deepening level and goal
     /// that re-derives the pair.
-    pub(crate) rewrites: ShardedMap<(Shared<Formula>, Shared<Formula>), Option<Rewrite>>,
+    pub(crate) rewrites: Cache<(Shared<Formula>, Shared<Formula>), Option<Rewrite>>,
     /// Completed root-goal outcomes.  A session asked to settle a goal it
     /// has already settled — the watch-mode loop re-deriving an unchanged
     /// view, a synthesis batch repeating a goal at two depths — answers from
     /// here without searching.  Keying by the goal sequent alone is sound
     /// because every search budget that could change the outcome lives in
     /// the session's [`ProverConfig`], fixed at session construction.
-    pub(crate) goals: ShardedMap<Sequent, GoalOutcome>,
+    pub(crate) goals: Cache<Sequent, GoalOutcome>,
 }
 
 /// A settled root goal, as remembered by a session: the proof found (with
@@ -314,15 +361,6 @@ pub(crate) enum GoalOutcome {
 }
 
 impl SearchCaches {
-    pub(crate) fn new() -> SearchCaches {
-        SearchCaches {
-            memo: ShardedMap::new(),
-            specs: ShardedMap::new(),
-            rewrites: ShardedMap::new(),
-            goals: ShardedMap::new(),
-        }
-    }
-
     /// Recompute every specialization and rewrite entry from its key and
     /// compare: a specialization entry must list, in order, the results of
     /// `max_specializations` that used an atom, each ranked `size` when it
@@ -331,10 +369,7 @@ impl SearchCaches {
     /// specialization and rewrite entries checked, or the first
     /// disagreement.
     pub(crate) fn verify(&self, cfg: &ProverConfig) -> Result<(usize, usize), String> {
-        let mut first_error = None;
-        let mut specs = 0;
-        self.specs.for_each(|(quant, ctx), entries| {
-            specs += 1;
+        for ((quant, ctx), entries) in self.specs.iter() {
             let expected: Vec<(Formula, usize, bool)> =
                 max_specializations(quant, ctx, cfg.spec_limit)
                     .into_iter()
@@ -348,30 +383,25 @@ impl SearchCaches {
                 .iter()
                 .map(|e| (e.result.value().clone(), e.cost as usize, e.risky))
                 .collect();
-            if cached != expected && first_error.is_none() {
-                first_error = Some(format!(
+            if cached != expected {
+                return Err(format!(
                     "specializations of {quant} under [{ctx}]: cached {cached:?}, expected {expected:?}"
                 ));
             }
-        });
-        let mut rewrites = 0;
-        self.rewrites.for_each(|(ineq, atom), cached| {
-            rewrites += 1;
+        }
+        for ((ineq, atom), cached) in self.rewrites.iter() {
             // only ≠ literals are ever probed as rewriters
             let expected = match ineq.value() {
                 Formula::NeqUr(t, u) => Some(compute_rewrite(atom, t, u)),
                 _ => None,
             };
-            if expected.as_ref() != Some(cached) && first_error.is_none() {
-                first_error = Some(format!(
+            if expected.as_ref() != Some(cached) {
+                return Err(format!(
                     "rewrite of {atom} by {ineq}: cached {cached:?}, expected {expected:?}"
                 ));
             }
-        });
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok((specs, rewrites)),
         }
+        Ok((self.specs.len(), self.rewrites.len()))
     }
 }
 
@@ -381,11 +411,13 @@ impl SearchCaches {
 ///
 /// A persistent cons list: extending is an O(1) push sharing the whole tail
 /// with the parent state, and the order-independent combined hash makes the
-/// set usable inside memo keys without materializing it.
+/// set usable inside memo keys without materializing it.  A 128-bit filter
+/// of the specs' node hashes answers most misses without walking the list.
 #[derive(Debug, Clone, Default)]
 struct UsedSpecs {
     head: Option<Arc<UsedNode>>,
     hash: u64,
+    filter: u128,
 }
 
 #[derive(Debug)]
@@ -394,8 +426,16 @@ struct UsedNode {
     prev: Option<Arc<UsedNode>>,
 }
 
+/// The bit of `f` in [`UsedSpecs::filter`].
+fn filter_bit(f: &Shared<Formula>) -> u128 {
+    1 << (f.hash64() >> 57)
+}
+
 impl UsedSpecs {
     fn contains(&self, f: &Shared<Formula>) -> bool {
+        if self.filter & filter_bit(f) == 0 {
+            return false;
+        }
         let mut cur = self.head.as_deref();
         while let Some(node) = cur {
             if node.spec.ptr_eq(f) {
@@ -411,6 +451,7 @@ impl UsedSpecs {
     fn push(&self, spec: Shared<Formula>) -> UsedSpecs {
         UsedSpecs {
             hash: self.hash ^ formula_hash_mixed(&spec),
+            filter: self.filter | filter_bit(&spec),
             head: Some(Arc::new(UsedNode {
                 spec,
                 prev: self.head.clone(),
@@ -442,6 +483,8 @@ struct Chain {
 #[derive(Debug)]
 struct ChainNode {
     batch: Vec<RankedRule>,
+    /// The number of items in the older batches.
+    start: usize,
     prev: Option<Arc<ChainNode>>,
 }
 
@@ -450,63 +493,59 @@ impl Chain {
         if batch.is_empty() {
             return;
         }
+        let start = self.len;
         self.len += batch.len();
         self.head = Some(Arc::new(ChainNode {
             batch,
+            start,
             prev: self.head.take(),
         }));
     }
 
-    /// Iterate oldest-first, skipping the first `skip` items.
+    /// Iterate oldest-first, skipping the first `skip` items.  Allocates
+    /// nothing, and an iterator past the end is empty at once.
     fn iter_from(&self, skip: usize) -> ChainIter<'_> {
-        let mut nodes = Vec::new();
+        ChainIter {
+            chain: self,
+            at: skip,
+            batch: [].iter(),
+        }
+    }
+
+    /// The rest of the batch holding item `at` (counted oldest-first), found
+    /// from the newest batch: the scans start near the end of the chain,
+    /// past the prefix their branch already refuted.
+    fn batch_from(&self, at: usize) -> std::slice::Iter<'_, RankedRule> {
         let mut cur = self.head.as_deref();
         while let Some(node) = cur {
-            nodes.push(node);
+            if node.start <= at {
+                return node.batch[at - node.start..].iter();
+            }
             cur = node.prev.as_deref();
         }
-        nodes.reverse();
-        let mut it = ChainIter {
-            nodes,
-            node: 0,
-            item: 0,
-        };
-        let mut remaining = skip;
-        while remaining > 0 && it.node < it.nodes.len() {
-            let avail = it.nodes[it.node].batch.len() - it.item;
-            if remaining >= avail {
-                remaining -= avail;
-                it.node += 1;
-                it.item = 0;
-            } else {
-                it.item += remaining;
-                remaining = 0;
-            }
-        }
-        it
+        unreachable!("item {at} of a chain of {} items", self.len)
     }
 }
 
+/// An oldest-first walk of a [`Chain`] from item `at`.
 struct ChainIter<'a> {
-    nodes: Vec<&'a ChainNode>,
-    node: usize,
-    item: usize,
+    chain: &'a Chain,
+    /// The position of the next item of `batch`.
+    at: usize,
+    batch: std::slice::Iter<'a, RankedRule>,
 }
 
 impl<'a> Iterator for ChainIter<'a> {
     type Item = &'a RankedRule;
     fn next(&mut self) -> Option<&'a RankedRule> {
-        while self.node < self.nodes.len() {
-            let batch = &self.nodes[self.node].batch;
-            if self.item < batch.len() {
-                let out = &batch[self.item];
-                self.item += 1;
-                return Some(out);
+        if self.batch.len() == 0 {
+            if self.at >= self.chain.len {
+                return None;
             }
-            self.node += 1;
-            self.item = 0;
+            self.batch = self.chain.batch_from(self.at);
         }
-        None
+        self.at += 1;
+        self.batch.next()
     }
 }
 
@@ -601,9 +640,8 @@ struct State<'a> {
     /// whole search stops and reports [`ProofError::Cancelled`], uncached.
     ext_cancelled: bool,
     trace: bool,
-    /// The session-shared caches (failure memo, specializations, rewrite
-    /// candidates) — see `SearchCaches`.
-    caches: &'a SearchCaches,
+    /// The session's caches, borrowed for the goal — see `SearchCaches`.
+    caches: &'a mut SearchCaches,
     memo_hits: usize,
     memo_misses: usize,
     rewrite_hits: usize,
@@ -628,13 +666,14 @@ pub fn prove_sequent(
     ProverSession::new(cfg.clone()).prove_sequent(sequent)
 }
 
-/// The search proper; runs on a session worker thread (big stack).
-/// `ext_cancel` is the session's cooperative cancellation token, observed at
-/// state-visit granularity alongside the wall-clock deadline.
+/// The search proper; runs on a session worker thread (big stack), with the
+/// session's caches it holds for the job.  `ext_cancel` is the session's
+/// cooperative cancellation token, observed at state-visit granularity
+/// alongside the wall-clock deadline.
 pub(crate) fn prove_sequent_inner(
     sequent: &Sequent,
     cfg: &ProverConfig,
-    caches: &SearchCaches,
+    caches: &mut SearchCaches,
     ext_cancel: Option<&AtomicBool>,
 ) -> Result<(Proof, ProverStats), ProofError> {
     nrs_obs::init_from_env();
@@ -647,21 +686,20 @@ pub(crate) fn prove_sequent_inner(
         return match outcome {
             GoalOutcome::Proved { proof, risky_level } => {
                 let stats = ProverStats {
-                    risky_level,
+                    risky_level: *risky_level,
                     proof_size: proof.size(),
                     goal_cache_hits: 1,
                     ..ProverStats::default()
                 };
-                Ok((*proof, stats))
+                Ok(((**proof).clone(), stats))
             }
             // Only budget verdicts are ever cached (timeouts and
             // cancellations return before the insertion below), so a replayed
             // failure is by construction a budget exhaustion.
-            GoalOutcome::Failed(msg) => Err(ProofError::BudgetExhausted(msg)),
+            GoalOutcome::Failed(msg) => Err(ProofError::BudgetExhausted(msg.clone())),
         };
     }
     let interner_before = nrs_delta0::intern_stats();
-    let memo_before = caches.memo.stats();
     let start = Instant::now();
     let mut st = State {
         cfg,
@@ -708,9 +746,8 @@ pub(crate) fn prove_sequent_inner(
                 occ_join_pairs: st.occ_pairs,
                 occ_join_pruned: st.occ_pruned,
                 goal_cache_hits: 0,
-                memo_lock: caches.memo.stats() - memo_before,
             };
-            caches.goals.insert(
+            st.caches.goals.insert(
                 sequent.clone(),
                 GoalOutcome::Proved {
                     proof: Box::new(proof.clone()),
@@ -753,7 +790,7 @@ pub(crate) fn prove_sequent_inner(
         "no proof found within budgets (visited {} states, max risky {})",
         st.visited, cfg.max_risky
     );
-    caches
+    st.caches
         .goals
         .insert(sequent.clone(), GoalOutcome::Failed(msg.clone()));
     m.failed.inc();
@@ -820,19 +857,6 @@ fn find_axiom(seq: &Sequent) -> Option<Rule> {
 }
 
 impl<'a> State<'a> {
-    /// The ∃ candidates of `quant` under `ctx`, through the session cache.
-    fn specializations(&mut self, quant: &Shared<Formula>, ctx: &InContext) -> Arc<[SpecEntry]> {
-        let key = (quant.clone(), ctx.clone());
-        if let Some(cached) = self.caches.specs.get(&key) {
-            return cached;
-        }
-        // computed outside any lock: enumeration can be expensive, and two
-        // workers racing on the same key simply overwrite with equal values
-        let entries = spec_entries(max_specializations(quant, ctx, self.cfg.spec_limit));
-        self.caches.specs.insert(key, entries.clone());
-        entries
-    }
-
     /// The branch-independent rewrite for an (inequality, literal) pair,
     /// through the session cache (both keys are interned nodes, so the
     /// probe is O(1) and the cached value is valid for every state that
@@ -844,15 +868,23 @@ impl<'a> State<'a> {
         t: &Term,
         u: &Term,
     ) -> Option<Rewrite> {
-        let key = (ineq.clone(), atom.clone());
-        if let Some(cached) = self.caches.rewrites.get(&key) {
-            self.rewrite_hits += 1;
-            return cached;
+        match self.caches.rewrites.entry((ineq.clone(), atom.clone())) {
+            Entry::Occupied(cached) => {
+                self.rewrite_hits += 1;
+                cached.get().clone()
+            }
+            Entry::Vacant(slot) => {
+                self.rewrite_misses += 1;
+                slot.insert(compute_rewrite(atom, t, u)).clone()
+            }
         }
-        self.rewrite_misses += 1;
-        let computed = compute_rewrite(atom, t, u);
-        self.caches.rewrites.insert(key, computed.clone());
-        computed
+    }
+
+    /// Count one join: `seen` pairs enumerated out of the `total` an
+    /// unfiltered join would have made.
+    fn count_join(&mut self, seen: usize, total: usize) {
+        self.occ_pairs += seen;
+        self.occ_pruned += total - seen;
     }
 
     fn next_seqno(&mut self) -> usize {
@@ -898,7 +930,7 @@ pub(crate) struct SpecEntry {
 }
 
 /// The cached form of a `max_specializations` enumeration, in its order.
-fn spec_entries(specs: Vec<MaxSpecialization>) -> Arc<[SpecEntry]> {
+fn spec_entries(specs: Vec<MaxSpecialization>) -> Box<[SpecEntry]> {
     specs
         .into_iter()
         .filter(|ms| !ms.used.is_empty())
@@ -969,7 +1001,13 @@ fn push_exists_candidates(
     batch: &mut MoveBatch,
     st: &mut State,
 ) {
-    let specs = st.specializations(quant, &seq.ctx);
+    // the cached entries are read in place, beside the sequence counter
+    let limit = st.cfg.spec_limit;
+    let specs = st
+        .caches
+        .specs
+        .entry((quant.clone(), seq.ctx.clone()))
+        .or_insert_with(|| spec_entries(max_specializations(quant, &seq.ctx, limit)));
     for entry in specs.iter() {
         if used.contains(&entry.result) {
             continue;
@@ -987,9 +1025,10 @@ fn push_exists_candidates(
         if !removable && seq.contains_handle(&entry.result) {
             continue;
         }
+        st.move_seqno += 1;
         let item = RankedRule {
             cost: entry.cost as usize,
-            seqno: st.next_seqno(),
+            seqno: st.move_seqno,
             rule: Rule::Exists {
                 quant: quant.clone(),
                 spec: entry.result.clone(),
@@ -1003,27 +1042,24 @@ fn push_exists_candidates(
     }
 }
 
-/// The literals a given inequality `t ≠ u` can rewrite, via the sequent's
-/// occurrence index: the bucket of one free variable of `t` (a superset of
-/// the literals `t` occurs in — see [`Sequent::eq_literals_with_var`]), or
-/// the full literal slice when `t` is ground.  Restriction of a sorted slice
-/// preserves iteration order, and no *productive* pair is ever dropped, so
-/// the generated candidates (and their sequence numbers) are identical to
-/// the full join's.
-fn atoms_for<'s>(seq: &'s Sequent, t: &Term, st: &mut State) -> Atoms<'s> {
-    let atoms = match t.first_free_var() {
-        Some(v) => Atoms::Bucket(seq.eq_literals_with_var(&v).iter()),
+/// The literals a given inequality `t ≠ u` can rewrite: those containing
+/// one free variable of `t` (a superset of the literals `t` occurs in — see
+/// [`Sequent::eq_literals_with_var`]), or the full literal slice when `t` is
+/// ground.  Filtering a sorted slice preserves iteration order, and no
+/// *productive* pair is ever dropped, so the generated candidates (and
+/// their sequence numbers) are identical to the full join's.  The caller
+/// counts the pairs as it visits them ([`State::count_join`]).
+fn atoms_for<'s>(seq: &'s Sequent, t: &Term) -> Atoms<'s> {
+    match t.first_free_var() {
+        Some(v) => Atoms::Var(seq.eq_literals_with_var(&v).iter()),
         None => Atoms::All(seq.eq_literals().iter()),
-    };
-    st.occ_pairs += atoms.len();
-    st.occ_pruned += seq.eq_literals().len() - atoms.len();
-    atoms
+    }
 }
 
-/// Iterator behind [`atoms_for`]: one occurrence-index bucket, or the whole
+/// Iterator behind [`atoms_for`]: one variable's literals, or the whole
 /// literal slice; both in sorted order.
 enum Atoms<'s> {
-    Bucket(LiteralsIter<'s>),
+    Var(LiteralsIter<'s>),
     All(std::slice::Iter<'s, Shared<Formula>>),
 }
 
@@ -1032,31 +1068,21 @@ impl<'s> Iterator for Atoms<'s> {
 
     fn next(&mut self) -> Option<&'s Shared<Formula>> {
         match self {
-            Atoms::Bucket(it) => it.next(),
+            Atoms::Var(it) => it.next(),
             Atoms::All(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            Atoms::Bucket(it) => it.size_hint(),
-            Atoms::All(it) => it.size_hint(),
         }
     }
 }
 
-impl ExactSizeIterator for Atoms<'_> {}
-
 /// The inequalities whose left term can occur in the literal `f`, visited in
 /// sorted (full-scan) order without allocating.  Single-variable literals —
-/// the common case — iterate one occurrence-index bucket directly: buckets
-/// sort variant-first, so their ≠ literals form a contiguous suffix and the
-/// whole visit is a subslice walk.  Other shapes scan the inequality slice
-/// with a free-variable subset test read off the cached node sets (if the
-/// left term occurs in `f`, every free variable of the term is free in `f`).
-/// Both paths are sorted supersets of the productive rewriters: only pairs
-/// `compute_rewrite` would reject are skipped, so the generated candidates
-/// (and their sequence numbers) are identical to the full join's.
+/// the common case — visit the inequalities containing that variable.
+/// Other shapes scan the inequality slice with a free-variable subset test
+/// read off the cached node sets (if the left term occurs in `f`, every
+/// free variable of the term is free in `f`).  Both paths are sorted
+/// supersets of the productive rewriters: only pairs `compute_rewrite`
+/// would reject are skipped, so the generated candidates (and their
+/// sequence numbers) are identical to the full join's.
 fn rewriters_for<'s>(seq: &'s Sequent, f: &'s Formula) -> Rewriters<'s> {
     if seq.ground_lhs_inequalities().is_empty() {
         if let Some(v) = sole_free_var(f) {
@@ -1099,7 +1125,7 @@ fn literal_mentions(lit: &Formula, v: &nrs_value::Name) -> bool {
 /// Iterator behind [`rewriters_for`]; both variants borrow the sequent's
 /// slices and yield in sorted order.
 enum Rewriters<'s> {
-    /// The ≠ suffix of one occurrence-index bucket.
+    /// The inequalities containing one variable.
     Bucket(LiteralsIter<'s>),
     /// The inequality slice, filtered by the subset test against the
     /// literal's free variables.
@@ -1134,14 +1160,14 @@ impl<'s> Iterator for Rewriters<'s> {
 /// The witness for a ∀ step: the smallest `ev#k` name fresh for the sequent.
 /// Equivalent to `NameGen::avoiding(seq.free_vars().iter()).fresh("ev")` —
 /// and it must stay exactly that, so identical sequents keep introducing
-/// identical witnesses — but it reads the names straight off the context's
-/// terms and the formulas' cached free-variable sets, and each name's
-/// suffix as the interner parsed it ([`nrs_value::Name::numeric_suffix`]):
-/// no set is built and no string is parsed, so the step allocates only the
-/// witness name.
-fn fresh_eigenvariable(seq: &Sequent) -> nrs_value::Name {
+/// identical witnesses — but it reads one counter per formula, cached on
+/// its interned node ([`Shared::free_var_counter`]), and the suffixes of
+/// the context's few names as the interner parsed them
+/// ([`Name::numeric_suffix`]): no set is built and no string is parsed,
+/// and the name itself comes from [`eigenvariable`].
+fn fresh_eigenvariable(seq: &Sequent) -> Name {
     let mut max = 0u64;
-    let mut scan = |n: &nrs_value::Name| {
+    let mut scan = |n: &Name| {
         if let Some(k) = n.numeric_suffix() {
             max = max.max(k + 1);
         }
@@ -1150,15 +1176,30 @@ fn fresh_eigenvariable(seq: &Sequent) -> nrs_value::Name {
         atom.elem.for_each_free_var(&mut scan);
         atom.set.for_each_free_var(&mut scan);
     }
-    for f in seq.rhs() {
-        f.free_vars_set().iter().for_each(&mut scan);
-    }
-    nrs_value::Name::new(format!("ev#{max}"))
+    let formulas = seq.rhs().iter().map(Shared::free_var_counter);
+    eigenvariable(formulas.fold(max, u64::max))
+}
+
+thread_local! {
+    /// The `ev#k` names this thread has used, by `k`.
+    static EIGENVARIABLES: RefCell<Vec<Option<Name>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The name `ev#k`, formatted and interned once per thread and `k`.
+fn eigenvariable(k: u64) -> Name {
+    let at = usize::try_from(k).expect("an eigenvariable index fits in usize");
+    EIGENVARIABLES.with(|names| {
+        let mut names = names.borrow_mut();
+        if names.len() <= at {
+            names.resize(at + 1, None);
+        }
+        *names[at].get_or_insert_with(|| Name::new(format!("ev#{k}")))
+    })
 }
 
 /// Full candidate scan, used when (re-)entering an existential-leading phase:
-/// an occurrence-indexed join of the inequality slice against the literal
-/// buckets, plus the specializations of the existential slice.
+/// a variable-filtered join of the inequality slice against the literals,
+/// plus the specializations of the existential slice.
 fn full_moves(seq: &Sequent, used: &UsedSpecs, st: &mut State) -> Moves {
     let mut moves = Moves::default();
     let mut batch = MoveBatch::default();
@@ -1166,9 +1207,12 @@ fn full_moves(seq: &Sequent, used: &UsedSpecs, st: &mut State) -> Moves {
         let Formula::NeqUr(t, _) = ineq.value() else {
             unreachable!("the inequality slice holds only ≠ literals")
         };
-        for atom in atoms_for(seq, t, st) {
+        let mut seen = 0;
+        for atom in atoms_for(seq, t) {
+            seen += 1;
             push_neq_candidates(seq, ineq, atom, &mut batch, st);
         }
+        st.count_join(seen, seq.eq_literals().len());
     }
     for quant in seq.existentials() {
         push_exists_candidates(seq, quant, used, &mut batch, st);
@@ -1180,7 +1224,7 @@ fn full_moves(seq: &Sequent, used: &UsedSpecs, st: &mut State) -> Moves {
 /// Build the candidate moves a premise inherits: the parent's moves (shared),
 /// the dead-prefix counts the parent's scan established, and the new
 /// candidates arising from the formulas the applied rule added (the
-/// "delta") — occurrence-indexed joins against the per-kind slices.
+/// "delta") — variable-filtered joins against the per-kind slices.
 fn child_moves(
     premise: &Sequent,
     parent: &Moves,
@@ -1196,23 +1240,23 @@ fn child_moves(
         match f.value() {
             Formula::EqUr(_, _) => {
                 // a new atom for every inequality that can rewrite it
-                let total = premise.inequalities().len();
                 let mut seen = 0;
                 for ineq in rewriters_for(premise, f) {
                     seen += 1;
                     push_neq_candidates(premise, ineq, f, &mut batch, st);
                 }
-                st.occ_pairs += seen;
-                st.occ_pruned += total - seen;
+                st.count_join(seen, premise.inequalities().len());
             }
             Formula::NeqUr(t, _) => {
                 // as a new inequality against every literal containing its
                 // left term (including itself)…
-                for atom in atoms_for(premise, t, st) {
+                let mut seen = 0;
+                for atom in atoms_for(premise, t) {
+                    seen += 1;
                     push_neq_candidates(premise, f, atom, &mut batch, st);
                 }
+                st.count_join(seen, premise.eq_literals().len());
                 // …and as a new atom for the other inequalities
-                let total = premise.inequalities().len();
                 let mut seen = 0;
                 for ineq in rewriters_for(premise, f) {
                     seen += 1;
@@ -1220,8 +1264,7 @@ fn child_moves(
                         push_neq_candidates(premise, ineq, f, &mut batch, st);
                     }
                 }
-                st.occ_pairs += seen;
-                st.occ_pruned += total - seen;
+                st.count_join(seen, premise.inequalities().len());
             }
             Formula::Exists { .. } => push_exists_candidates(premise, f, used, &mut batch, st),
             _ => {}
@@ -1283,8 +1326,8 @@ fn forward_moves(
 /// read off the premise instead of substituted a second time.  The witness
 /// is fresh for the conclusion, so when the body mentions `var` the
 /// instantiation is the one formula of the premise containing the witness:
-/// a literal instantiation is the witness's whole occurrence bucket.  A body
-/// without `var` is its own instantiation.
+/// a literal instantiation is the only literal with the witness free.  A
+/// body without `var` is its own instantiation.
 fn forall_instance_literal<'s>(
     premise: &'s Sequent,
     var: &nrs_value::Name,
@@ -1507,7 +1550,7 @@ fn attempt(
         rewrites_used,
         used_hash: used.hash,
     };
-    if let Some(known) = st.caches.memo.get(&key) {
+    if let Some(&known) = st.caches.memo.get(&key) {
         if risky_budget <= known {
             st.memo_hits += 1;
             return None;
@@ -1605,9 +1648,8 @@ fn attempt(
     // 7. record failure — but never while aborting, which would poison the
     //    shared memo with states that merely ran out of the state budget
     if !st.aborted {
-        st.caches
-            .memo
-            .merge(key, risky_budget, |cur, new| *cur = (*cur).max(new));
+        let known = st.caches.memo.entry(key).or_insert(risky_budget);
+        *known = (*known).max(risky_budget);
     }
     None
 }
@@ -1621,7 +1663,8 @@ mod tests {
     use nrs_delta0::MemAtom;
     use nrs_delta0::Term;
     use nrs_proof::check_proof;
-    use nrs_value::{Name, NameGen, Type};
+    use nrs_value::{NameGen, Type};
+    use std::collections::BTreeSet;
 
     fn cfg() -> ProverConfig {
         ProverConfig::default()
@@ -1884,6 +1927,47 @@ mod tests {
         let unbound = Formula::exists("w", "T", Formula::eq_ur("w", "c"));
         assert_eq!(max_specializations(&unbound, &ctx, 10).len(), 1);
         assert!(spec_entries(max_specializations(&unbound, &ctx, 10)).is_empty());
+    }
+
+    /// `fresh_eigenvariable` (with its memoized names) picks exactly the
+    /// witness a `NameGen` avoiding the sequent's free variables would,
+    /// on random sequents whose names carry `#` suffixes free and bound.
+    #[test]
+    fn eigenvariables_match_a_name_generator_avoiding_the_sequent() {
+        let mut state = 7u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let names = ["x", "y", "S", "ev#0", "ev#3", "a#12", "ev#40", "b#7x", "c#"];
+        let mut distinct = BTreeSet::new();
+        for _ in 0..300 {
+            let pick = |k: u64| names[(k % names.len() as u64) as usize];
+            let atoms: Vec<MemAtom> = (0..next() % 3)
+                .map(|_| MemAtom::new(pick(next()), pick(next())))
+                .collect();
+            let mut rhs = Vec::new();
+            for _ in 0..next() % 5 {
+                let lit = Formula::eq_ur(Term::proj1(Term::var(pick(next()))), pick(next()));
+                rhs.push(match next() % 3 {
+                    0 => lit,
+                    1 => Formula::neq_ur(pick(next()), pick(next())),
+                    // the bound variable is not free
+                    _ => Formula::forall(pick(next()), pick(next()), lit),
+                });
+            }
+            let seq = Sequent::new(InContext::from_atoms(atoms), rhs);
+            let expected = NameGen::avoiding(seq.free_vars().iter()).fresh("ev");
+            assert_eq!(fresh_eigenvariable(&seq), expected, "{seq}");
+            // a second call reads the memoized name
+            assert_eq!(fresh_eigenvariable(&seq), expected, "{seq}");
+            distinct.insert(expected);
+        }
+        assert!(distinct.len() >= 4, "only {distinct:?} were exercised");
     }
 
     #[test]

@@ -12,12 +12,14 @@
 //!   for the budgets they were recorded under, so a session proves every goal
 //!   with the same [`ProverConfig`].
 //!
-//! Sessions are `Sync`: independent goals may call [`prove_sequent`] from
-//! several threads, in which case idle workers are reused and extra workers
-//! are spawned on demand, all sharing the session caches — sharded
-//! concurrent maps ([`nrs_shared::ShardedMap`]), so probes of different
-//! shards never wait on each other.
+//! The caches are hash maps behind one lock.  A worker takes the lock once
+//! per job (one [`prove_batch`] call) and lends the maps to the search, so
+//! a probe takes no lock of its own.  Sessions are `Sync`: independent
+//! goals may call [`prove_sequent`] from several threads, in which case idle
+//! workers are reused and extra workers are spawned on demand, and their
+//! jobs take turns on the caches.
 //!
+//! [`prove_batch`]: ProverSession::prove_batch
 //! [`prove_sequent`]: ProverSession::prove_sequent
 
 use crate::search::{prove_sequent_inner, ProverConfig, ProverStats, SearchCaches};
@@ -25,7 +27,7 @@ use nrs_delta0::{Formula, InContext};
 use nrs_proof::{Proof, ProofError, Sequent};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Stack size for search workers: the saturation recursion uses one stack
 /// frame per proof step, which can run deep on the synthesis goals.
@@ -43,9 +45,10 @@ struct Job {
 struct SessionInner {
     cfg: ProverConfig,
     /// The session-lifetime caches (failure memo, specialization cache,
-    /// rewrite-candidate cache, goal outcomes), each a sharded concurrent
-    /// map so the session's workers don't serialize on probes.
-    caches: SearchCaches,
+    /// rewrite-candidate cache, goal outcomes), held by a worker for the
+    /// whole of a job.  Poisoning is recovered: a panicking search leaves at
+    /// worst an entry missing, never a torn one, since entries go in whole.
+    caches: Mutex<SearchCaches>,
     idle: Mutex<Vec<Sender<Job>>>,
     /// Cooperative cancellation token: set by [`ProverSession::cancel`],
     /// observed by every in-flight search at state-visit granularity.
@@ -64,7 +67,7 @@ impl ProverSession {
         ProverSession {
             inner: Arc::new(SessionInner {
                 cfg,
-                caches: SearchCaches::new(),
+                caches: Mutex::default(),
                 idle: Mutex::new(Vec::new()),
                 cancelled: AtomicBool::new(false),
             }),
@@ -76,21 +79,26 @@ impl ProverSession {
         &self.inner.cfg
     }
 
+    /// The caches, once no job holds them.
+    fn caches(&self) -> MutexGuard<'_, SearchCaches> {
+        lock_caches(&self.inner)
+    }
+
     /// Number of refuted search states currently memoized.
     pub fn memo_len(&self) -> usize {
-        self.inner.caches.memo.len()
+        self.caches().memo.len()
     }
 
     /// Number of cached ≠-rewrite candidates.  Grows while goals are proved
     /// and persists across [`ProverSession::prove_batch`] calls — later
     /// goals of a warm session answer most candidate probes from here.
     pub fn rewrite_cache_len(&self) -> usize {
-        self.inner.caches.rewrites.len()
+        self.caches().rewrites.len()
     }
 
     /// Number of cached specialization enumerations.
     pub fn spec_cache_len(&self) -> usize {
-        self.inner.caches.specs.len()
+        self.caches().specs.len()
     }
 
     /// Audit the specialization and rewrite caches: re-derive every entry
@@ -100,23 +108,14 @@ impl ProverSession {
     /// rewrite say.  Returns the numbers of specialization and rewrite
     /// entries checked, or the first disagreement.
     pub fn verify_caches(&self) -> Result<(usize, usize), String> {
-        self.inner.caches.verify(&self.inner.cfg)
-    }
-
-    /// Lifetime lock-traffic counters of the failure memo's sharded map:
-    /// shard count, acquisitions, and how many acquisitions found their
-    /// shard held by a concurrent worker.  Use the delta between two
-    /// snapshots to attribute contention to one workload; per-goal deltas
-    /// are already reported in [`ProverStats::memo_lock`](crate::ProverStats::memo_lock).
-    pub fn memo_shard_stats(&self) -> nrs_shared::ShardStats {
-        self.inner.caches.memo.stats()
+        self.caches().verify(&self.inner.cfg)
     }
 
     /// Number of root goals this session has settled (proved or exhausted);
     /// re-proving any of them replays the remembered outcome without
     /// searching.
     pub fn goal_cache_len(&self) -> usize {
-        self.inner.caches.goals.len()
+        self.caches().goals.len()
     }
 
     /// Cooperatively cancel every in-flight and future search of this
@@ -142,7 +141,7 @@ impl ProverSession {
 
     /// Prove `Θ ; ⊢ Δ` (one-sided), returning a checked proof object.  Runs
     /// on one of the session's big-stack workers; concurrent calls get
-    /// concurrent workers.
+    /// workers of their own, whose jobs take turns on the caches.
     pub fn prove_sequent(&self, sequent: &Sequent) -> Result<(Proof, ProverStats), ProofError> {
         self.prove_batch(std::slice::from_ref(sequent))
             .pop()
@@ -255,6 +254,7 @@ impl ProverSession {
                     // its call, so an upgrade failure means the session is
                     // gone and nobody is waiting for replies
                     let Some(inner) = inner.upgrade() else { break };
+                    let mut caches = lock_caches(&inner);
                     let mut results = Vec::with_capacity(job.seqs.len());
                     let mut failed = false;
                     for seq in &job.seqs {
@@ -267,12 +267,13 @@ impl ProverSession {
                         let out = prove_sequent_inner(
                             seq,
                             &inner.cfg,
-                            &inner.caches,
+                            &mut caches,
                             Some(&inner.cancelled),
                         );
                         failed = out.is_err();
                         results.push(out);
                     }
+                    drop(caches);
                     drop(inner);
                     // a dropped receiver just means the caller gave up
                     let _ = job.reply.send(results);
@@ -281,6 +282,11 @@ impl ProverSession {
             .map_err(|e| ProofError::SearchFailed(format!("could not spawn search worker: {e}")))?;
         Ok(job_tx)
     }
+}
+
+/// Lock a session's caches, recovering them from a panicked job.
+fn lock_caches(inner: &SessionInner) -> MutexGuard<'_, SearchCaches> {
+    inner.caches.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl std::fmt::Debug for ProverSession {

@@ -41,9 +41,9 @@
 //! none (`crates/core/tests/intern_growth.rs` checks this).
 //! [`interned_nodes`] reports a table's size.
 
-mod cache;
+mod fx;
 
-pub use cache::{FxBuildHasher, FxHasher, ShardStats, ShardedMap};
+pub use fx::{FxBuildHasher, FxHasher};
 
 use nrs_value::Name;
 use serde::{Content, Deserialize, Error, Serialize};
@@ -62,8 +62,16 @@ const SHARDS: usize = 32;
 pub struct Node<T> {
     hash: u64,
     size: u32,
-    free_vars: OnceLock<Arc<BTreeSet<Name>>>,
+    free_vars: OnceLock<FreeVars>,
     value: T,
+}
+
+/// A node's free variables with the counter read off their names.
+#[derive(Debug)]
+struct FreeVars {
+    set: Arc<BTreeSet<Name>>,
+    /// One past the largest `#` suffix of the names (0 when none has one).
+    counter: u64,
 }
 
 /// Types that can be hash-consed by [`Shared`].
@@ -107,9 +115,27 @@ impl<T: HashConsed> Shared<T> {
 
     /// The free variables of the subtree (computed once, then cached).
     pub fn free_vars_set(&self) -> &Arc<BTreeSet<Name>> {
-        self.0
-            .free_vars
-            .get_or_init(|| self.0.value.compute_free_vars())
+        &self.free_vars().set
+    }
+
+    /// The counter a [`nrs_value::NameGen`] avoiding the free variables of
+    /// the subtree starts at: one past the largest suffix
+    /// ([`Name::numeric_suffix`]) among them, or 0.  Cached with the set.
+    pub fn free_var_counter(&self) -> u64 {
+        self.free_vars().counter
+    }
+
+    fn free_vars(&self) -> &FreeVars {
+        self.0.free_vars.get_or_init(|| {
+            let set = self.0.value.compute_free_vars();
+            let counter = set
+                .iter()
+                .filter_map(|n| n.numeric_suffix())
+                .map(|k| k + 1)
+                .max()
+                .unwrap_or(0);
+            FreeVars { set, counter }
+        })
     }
 
     /// Do two handles point at the very same node?  Because every handle is

@@ -205,9 +205,8 @@ impl Name {
     }
 
     /// The raw interner id — execution-local: it may order tables that
-    /// live within one process (a sequent's occurrence index sorts by it,
-    /// which needs no string comparison), but never anything persisted or
-    /// printed.
+    /// live within one process (with no string comparison), but never
+    /// anything persisted or printed.
     pub fn id(&self) -> u32 {
         self.0
     }
