@@ -28,10 +28,11 @@
 //! The allocation count of each cold derivation is pinned at 1.05× its
 //! reading when sequents lost their occurrence index and kept their record
 //! in place (one allocation per premise), the candidate chains were walked
-//! in place and `ev#k` names were memoized: in a release build
-//! `overlapping(8)` then read 68,658 allocations (86,262 before, 121,658
-//! before a premise became one edit and partitions sets of handles) and
-//! partition 35,117 (46,896; 70,340).  The count repeats to within a few
+//! in place, `ev#k` names were memoized and the session's caches became
+//! one plain map each: in a release build `overlapping(8)` then read
+//! 68,160 allocations (86,262 before, 121,658 before a premise became one
+//! edit and partitions sets of handles) and partition 34,666 (46,896;
+//! 70,340).  The count repeats to within a few
 //! allocations of the prover's worker thread.
 //!
 //! This binary holds a single test: a counting `#[global_allocator]` sees
@@ -157,7 +158,7 @@ fn cold_derivations_peak_under_3_mib() {
             7115,
             3.0,
             2.0,
-            pinned(68_658, 104_400),
+            pinned(68_160, 103_902),
         ),
         (
             "partition",
@@ -165,7 +166,7 @@ fn cold_derivations_peak_under_3_mib() {
             4874,
             2.0,
             1.5,
-            pinned(35_117, 57_117),
+            pinned(34_666, 56_668),
         ),
     ];
     for (name, problem, states, peak_bound, retained_bound, alloc_bound) in cases {

@@ -71,7 +71,6 @@ use nrs_value::Name;
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -250,66 +249,12 @@ pub(crate) struct MemoKey {
     used_hash: u64,
 }
 
-/// A session cache: a hash map split by key hash into [`PARTS`] tables.
-/// Keys are interned handles with cached hashes, so the Fx hasher's fixed
-/// cost is the whole hash, paid once to pick a part and once in it.
-///
-/// The split keeps every table small.  A cold `overlapping(8)` derivation
-/// refutes about 2,400 states (56-byte memo entries): in one table the
-/// memo grew to a 228 KiB block, each resize held the old and the new
-/// table at once, and perfbench's `serve_mixed`, which derives cold again
-/// and again, read 0.1–0.45 MB more `peak_rss_mb` (on 8–11 MB).  Split, a
-/// table stays a few KiB and a resize moves one part.
-pub(crate) struct Cache<K, V> {
-    parts: Vec<HashMap<K, V, FxBuildHasher>>,
-}
-
-/// The number of tables of a [`Cache`].
-const PARTS: usize = 32;
-
-impl<K, V> Default for Cache<K, V> {
-    fn default() -> Self {
-        Cache {
-            parts: (0..PARTS).map(|_| HashMap::default()).collect(),
-        }
-    }
-}
-
-impl<K: Hash + Eq, V> Cache<K, V> {
-    /// The part holding `key`: picked by hash bits that the part's own
-    /// table neither indexes by (the low bits) nor tags with (the top
-    /// seven).
-    fn part(&self, key: &K) -> usize {
-        (FxBuildHasher::default().hash_one(key) >> 32) as usize % PARTS
-    }
-
-    pub(crate) fn get(&self, key: &K) -> Option<&V> {
-        self.parts[self.part(key)].get(key)
-    }
-
-    pub(crate) fn entry(&mut self, key: K) -> Entry<'_, K, V> {
-        let at = self.part(&key);
-        self.parts[at].entry(key)
-    }
-
-    pub(crate) fn insert(&mut self, key: K, value: V) {
-        let at = self.part(&key);
-        self.parts[at].insert(key, value);
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.parts.iter().map(HashMap::len).sum()
-    }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.parts.iter().flatten()
-    }
-}
-
 /// The session-lifetime caches, shared by every goal of one
 /// [`ProverSession`].  The session keeps them behind one lock, which its
 /// worker takes once per `prove_batch` job; the search borrows them as
 /// `&mut SearchCaches`, so a probe is a hash-map lookup and takes no lock.
+/// Keys are interned handles with cached hashes, so the Fx hasher's fixed
+/// cost is the whole hash.
 #[derive(Default)]
 pub(crate) struct SearchCaches {
     /// Sequents known to fail, mapping to the largest risky budget refuted.
@@ -322,7 +267,7 @@ pub(crate) struct SearchCaches {
     /// formula nodes (a cold `overlapping(8)` derivation: 2,364 keys with
     /// 91,143 slots over 134 distinct formulas) instead of each holding
     /// 56-byte copies.
-    pub(crate) memo: Cache<MemoKey, usize>,
+    pub(crate) memo: HashMap<MemoKey, usize, FxBuildHasher>,
     /// Cached `max_specializations` results, keyed by (quantifier handle,
     /// ∈-context): the per-depth goals of one synthesis run decompose the
     /// same specification formulas under the same contexts, so a warm
@@ -331,20 +276,21 @@ pub(crate) struct SearchCaches {
     /// is an exact-size slice of [`SpecEntry`]s — only what the candidate
     /// generation reads — whose results are handles, so the many keys that
     /// yield the same specialization share its one node.
-    pub(crate) specs: Cache<(Shared<Formula>, InContext), Box<[SpecEntry]>>,
+    pub(crate) specs: HashMap<(Shared<Formula>, InContext), Box<[SpecEntry]>, FxBuildHasher>,
     /// Cached ≠-congruence candidates: `(inequality, literal) →
     /// Option<(rewritten, cost)>`, all three formulas interned handles.
     /// Branch-independent (the value depends only on the two interned
     /// nodes), so one entry serves every branch, deepening level and goal
     /// that re-derives the pair.
-    pub(crate) rewrites: Cache<(Shared<Formula>, Shared<Formula>), Option<Rewrite>>,
+    pub(crate) rewrites:
+        HashMap<(Shared<Formula>, Shared<Formula>), Option<Rewrite>, FxBuildHasher>,
     /// Completed root-goal outcomes.  A session asked to settle a goal it
     /// has already settled — the watch-mode loop re-deriving an unchanged
     /// view, a synthesis batch repeating a goal at two depths — answers from
     /// here without searching.  Keying by the goal sequent alone is sound
     /// because every search budget that could change the outcome lives in
     /// the session's [`ProverConfig`], fixed at session construction.
-    pub(crate) goals: Cache<Sequent, GoalOutcome>,
+    pub(crate) goals: HashMap<Sequent, GoalOutcome, FxBuildHasher>,
 }
 
 /// A settled root goal, as remembered by a session: the proof found (with
@@ -411,13 +357,11 @@ impl SearchCaches {
 ///
 /// A persistent cons list: extending is an O(1) push sharing the whole tail
 /// with the parent state, and the order-independent combined hash makes the
-/// set usable inside memo keys without materializing it.  A 128-bit filter
-/// of the specs' node hashes answers most misses without walking the list.
+/// set usable inside memo keys without materializing it.
 #[derive(Debug, Clone, Default)]
 struct UsedSpecs {
     head: Option<Arc<UsedNode>>,
     hash: u64,
-    filter: u128,
 }
 
 #[derive(Debug)]
@@ -426,16 +370,8 @@ struct UsedNode {
     prev: Option<Arc<UsedNode>>,
 }
 
-/// The bit of `f` in [`UsedSpecs::filter`].
-fn filter_bit(f: &Shared<Formula>) -> u128 {
-    1 << (f.hash64() >> 57)
-}
-
 impl UsedSpecs {
     fn contains(&self, f: &Shared<Formula>) -> bool {
-        if self.filter & filter_bit(f) == 0 {
-            return false;
-        }
         let mut cur = self.head.as_deref();
         while let Some(node) = cur {
             if node.spec.ptr_eq(f) {
@@ -451,7 +387,6 @@ impl UsedSpecs {
     fn push(&self, spec: Shared<Formula>) -> UsedSpecs {
         UsedSpecs {
             hash: self.hash ^ formula_hash_mixed(&spec),
-            filter: self.filter | filter_bit(&spec),
             head: Some(Arc::new(UsedNode {
                 spec,
                 prev: self.head.clone(),
@@ -514,7 +449,11 @@ impl Chain {
 
     /// The rest of the batch holding item `at` (counted oldest-first), found
     /// from the newest batch: the scans start near the end of the chain,
-    /// past the prefix their branch already refuted.
+    /// past the prefix their branch already refuted.  A scan that enters k
+    /// of B batches walks O(k·B) nodes, but the scans stay short: the
+    /// 4,000,000-state lossless-join goal walks 12.6 M nodes in 1.1 M
+    /// batch entries, against the 16.1 M a walk collecting each scanned
+    /// chain would take.
     fn batch_from(&self, at: usize) -> std::slice::Iter<'_, RankedRule> {
         let mut cur = self.head.as_deref();
         while let Some(node) = cur {
@@ -1160,11 +1099,10 @@ impl<'s> Iterator for Rewriters<'s> {
 /// The witness for a ∀ step: the smallest `ev#k` name fresh for the sequent.
 /// Equivalent to `NameGen::avoiding(seq.free_vars().iter()).fresh("ev")` —
 /// and it must stay exactly that, so identical sequents keep introducing
-/// identical witnesses — but it reads one counter per formula, cached on
-/// its interned node ([`Shared::free_var_counter`]), and the suffixes of
-/// the context's few names as the interner parsed them
-/// ([`Name::numeric_suffix`]): no set is built and no string is parsed,
-/// and the name itself comes from [`eigenvariable`].
+/// identical witnesses — but it reads the names straight off the context's
+/// terms and the formulas' cached free-variable sets, and each name's
+/// suffix as the interner parsed it ([`Name::numeric_suffix`]): no set is
+/// built and no string is parsed, and the name comes from [`eigenvariable`].
 fn fresh_eigenvariable(seq: &Sequent) -> Name {
     let mut max = 0u64;
     let mut scan = |n: &Name| {
@@ -1176,18 +1114,30 @@ fn fresh_eigenvariable(seq: &Sequent) -> Name {
         atom.elem.for_each_free_var(&mut scan);
         atom.set.for_each_free_var(&mut scan);
     }
-    let formulas = seq.rhs().iter().map(Shared::free_var_counter);
-    eigenvariable(formulas.fold(max, u64::max))
+    for f in seq.rhs() {
+        f.free_vars_set().iter().for_each(&mut scan);
+    }
+    eigenvariable(max)
 }
 
+/// How many `ev#k` names a thread memoizes: `k` is one past the largest
+/// suffix among the sequent's names, which a specification may make as
+/// large as it likes, so the memo covers only the small `k` a search
+/// produces itself.
+const MEMOIZED_EIGENVARIABLES: u64 = 1024;
+
 thread_local! {
-    /// The `ev#k` names this thread has used, by `k`.
+    /// The `ev#k` names this thread has used, by `k` (below
+    /// [`MEMOIZED_EIGENVARIABLES`]).
     static EIGENVARIABLES: RefCell<Vec<Option<Name>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The name `ev#k`, formatted and interned once per thread and `k`.
+/// The name `ev#k`, formatted and interned once per thread for small `k`.
 fn eigenvariable(k: u64) -> Name {
-    let at = usize::try_from(k).expect("an eigenvariable index fits in usize");
+    if k >= MEMOIZED_EIGENVARIABLES {
+        return Name::new(format!("ev#{k}"));
+    }
+    let at = k as usize;
     EIGENVARIABLES.with(|names| {
         let mut names = names.borrow_mut();
         if names.len() <= at {
@@ -1968,6 +1918,16 @@ mod tests {
             distinct.insert(expected);
         }
         assert!(distinct.len() >= 4, "only {distinct:?} were exercised");
+        // suffixes past the memo, as large as a specification may bring
+        for name in ["a#4000000000", "4000000000", "ev#1023", "ev#1024"] {
+            let seq = Sequent::new(
+                InContext::new(),
+                [Formula::eq_ur(name, "x"), Formula::neq_ur("y", "ev#2")],
+            );
+            let expected = NameGen::avoiding(seq.free_vars().iter()).fresh("ev");
+            assert_eq!(fresh_eigenvariable(&seq), expected, "{seq}");
+        }
+        assert_eq!(eigenvariable(4_000_000_001), Name::new("ev#4000000001"));
     }
 
     #[test]

@@ -331,6 +331,35 @@ mod tests {
     }
 
     #[test]
+    fn a_session_keeps_serving_after_a_panic_poisons_its_caches() {
+        let session = ProverSession::new(ProverConfig::quick());
+        let ctx = InContext::from_atoms([MemAtom::new("x", "S")]);
+        let goal = Formula::exists("z", "S", Formula::eq_ur("z", "x"));
+        session
+            .prove(&ctx, &[], std::slice::from_ref(&goal))
+            .unwrap();
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _caches = lock_caches(&session.inner);
+                    panic!("a job panics while it holds the caches");
+                })
+                .join()
+                .is_err()
+        });
+        assert!(panicked && session.inner.caches.is_poisoned());
+        // the warm entries survive and new goals are searched and cached
+        assert_eq!(session.goal_cache_len(), 1);
+        let (_, replay) = session.prove(&ctx, &[], &[goal]).unwrap();
+        assert_eq!(replay.goal_cache_hits, 1);
+        let bad = Formula::forall("z", "S", Formula::eq_ur("z", "x"));
+        assert!(session.prove(&ctx, &[], &[bad]).is_err());
+        assert!(session.memo_len() > 0);
+        assert_eq!(session.goal_cache_len(), 2);
+        assert!(session.verify_caches().is_ok());
+    }
+
+    #[test]
     fn concurrent_goals_share_one_session() {
         let session = ProverSession::new(ProverConfig::quick());
         let goals: Vec<Formula> = (0..4)

@@ -62,16 +62,8 @@ const SHARDS: usize = 32;
 pub struct Node<T> {
     hash: u64,
     size: u32,
-    free_vars: OnceLock<FreeVars>,
+    free_vars: OnceLock<Arc<BTreeSet<Name>>>,
     value: T,
-}
-
-/// A node's free variables with the counter read off their names.
-#[derive(Debug)]
-struct FreeVars {
-    set: Arc<BTreeSet<Name>>,
-    /// One past the largest `#` suffix of the names (0 when none has one).
-    counter: u64,
 }
 
 /// Types that can be hash-consed by [`Shared`].
@@ -115,27 +107,9 @@ impl<T: HashConsed> Shared<T> {
 
     /// The free variables of the subtree (computed once, then cached).
     pub fn free_vars_set(&self) -> &Arc<BTreeSet<Name>> {
-        &self.free_vars().set
-    }
-
-    /// The counter a [`nrs_value::NameGen`] avoiding the free variables of
-    /// the subtree starts at: one past the largest suffix
-    /// ([`Name::numeric_suffix`]) among them, or 0.  Cached with the set.
-    pub fn free_var_counter(&self) -> u64 {
-        self.free_vars().counter
-    }
-
-    fn free_vars(&self) -> &FreeVars {
-        self.0.free_vars.get_or_init(|| {
-            let set = self.0.value.compute_free_vars();
-            let counter = set
-                .iter()
-                .filter_map(|n| n.numeric_suffix())
-                .map(|k| k + 1)
-                .max()
-                .unwrap_or(0);
-            FreeVars { set, counter }
-        })
+        self.0
+            .free_vars
+            .get_or_init(|| self.0.value.compute_free_vars())
     }
 
     /// Do two handles point at the very same node?  Because every handle is
