@@ -1137,20 +1137,31 @@ mod tests {
     }
 
     /// The prover's specialization and rewrite caches keep a compact form
-    /// of each entry; after a cold partition derivation every entry must
-    /// still say what recomputation from its key says.
-    #[test]
-    fn a_cold_partition_derivation_leaves_exact_cache_entries() {
+    /// of each entry, and a ∀ step shares its conclusion's specialization
+    /// lists where the atom it adds cannot apply; after a cold derivation
+    /// of `problem` every entry — shared or not — must still say what
+    /// recomputation from its key says.
+    fn assert_exact_cache_entries(problem: &WorkloadProblem) {
         let synth = crate::Synthesizer::with_config(SynthesisConfig {
             check_determinacy: true,
             ..Default::default()
         });
-        synth.derive_workload(&partition_problem()).unwrap();
+        synth.derive_workload(problem).unwrap();
         let session = synth.session();
         let (specs, rewrites) = session.verify_caches().unwrap();
         assert_eq!(specs, session.spec_cache_len());
         assert_eq!(rewrites, session.rewrite_cache_len());
         assert!(specs > 100 && rewrites > 100, "{specs} / {rewrites}");
+    }
+
+    #[test]
+    fn a_cold_partition_derivation_leaves_exact_cache_entries() {
+        assert_exact_cache_entries(&partition_problem());
+    }
+
+    #[test]
+    fn a_cold_overlapping_derivation_leaves_exact_cache_entries() {
+        assert_exact_cache_entries(&overlapping_workload_problem(8));
     }
 
     /// The structural partition that the handle-keyed [`Partition`]

@@ -10,9 +10,10 @@
 //! kind-group starts and ground-lhs `≠` count; memo keys share the side
 //! alone, equal contexts are one interned node, and candidate rules, proof
 //! nodes, partitions and both formula caches hold handles too: the
-//! specialization cache keeps, per (quantifier, context), an exact-size
-//! slice of (result, rank, risky?) for the specializations that used an
-//! atom.  A cold `overlapping(8)` derivation peaks at about 1.6 MiB and
+//! specialization cache keeps, per (quantifier, context), a shared list of
+//! (result, rank, risky?) for the specializations that used an atom, which
+//! a ∀ premise reuses when the atom it adds cannot apply.  A cold
+//! `overlapping(8)` derivation peaks at about 1.6 MiB and
 //! leaves about 1.5 MiB in its synthesizer (1.9 and 1.7 MiB while each
 //! record also held a flat occurrence index of its literals); clearing the
 //! session's caches one by one frees about 1.0 MiB (failure memo),
@@ -26,14 +27,15 @@
 //! about 17 MiB.
 //!
 //! The allocation count of each cold derivation is pinned at 1.05× its
-//! reading when sequents lost their occurrence index and kept their record
-//! in place (one allocation per premise), the candidate chains were walked
-//! in place, `ev#k` names were memoized and the session's caches became
-//! one plain map each: in a release build `overlapping(8)` then read
-//! 68,160 allocations (86,262 before, 121,658 before a premise became one
-//! edit and partitions sets of handles) and partition 34,666 (46,896;
-//! 70,340).  The count repeats to within a few
-//! allocations of the prover's worker thread.
+//! reading when ∀ premises began to reuse their conclusion's
+//! specialization lists, the candidate batches one reused buffer and
+//! exact-size merges, and a variable target of a term replacement stopped
+//! building a name set: in a release build `overlapping(8)` then read
+//! 51,572 allocations (68,160 before; 86,262 while sequents kept an
+//! occurrence index; 121,658 before a premise became one edit and
+//! partitions sets of handles) and partition 21,427 (34,666; 46,896;
+//! 70,340).  The count repeats to within a few allocations of the prover's
+//! worker thread.
 //!
 //! This binary holds a single test: a counting `#[global_allocator]` sees
 //! every thread of the process (the prover session searches on a worker
@@ -158,7 +160,7 @@ fn cold_derivations_peak_under_3_mib() {
             7115,
             3.0,
             2.0,
-            pinned(68_160, 103_902),
+            pinned(51_572, 84_200),
         ),
         (
             "partition",
@@ -166,7 +168,7 @@ fn cold_derivations_peak_under_3_mib() {
             4874,
             2.0,
             1.5,
-            pinned(34_666, 56_668),
+            pinned(21_427, 43_427),
         ),
     ];
     for (name, problem, states, peak_bound, retained_bound, alloc_bound) in cases {

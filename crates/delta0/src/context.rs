@@ -3,11 +3,10 @@
 
 use crate::formula::Formula;
 use crate::term::Term;
-use nrs_shared::{HashConsed, InternTable, Shared};
+use nrs_shared::{structural_hash, HashConsed, InternTable, Shared};
 use nrs_value::Name;
 use serde::{Content, Deserialize, Error, Serialize};
 use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -138,11 +137,10 @@ impl HashConsed for Atoms {
     }
 }
 
-/// Extend an ∈-context hash by one appended atom.
+/// Extend an ∈-context hash by one appended atom (the atom's structural
+/// hash, folded in Fx fashion: order-dependent).
 fn extend_hash(hash: u64, atom: &MemAtom) -> u64 {
-    let mut h = DefaultHasher::new();
-    atom.hash(&mut h);
-    (hash.rotate_left(5) ^ h.finish()).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+    (hash.rotate_left(5) ^ structural_hash(atom)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
 }
 
 impl Default for InContext {
@@ -247,6 +245,13 @@ impl InContext {
     /// Free variables of all atoms.
     pub fn free_vars(&self) -> BTreeSet<Name> {
         (**self.atoms.free_vars_set()).clone()
+    }
+
+    /// One past the largest numeric `#` suffix among the atoms' free
+    /// variables, or 0 (cached on the interned node — see
+    /// [`Shared::suffix_bound`]).
+    pub fn suffix_bound(&self) -> u64 {
+        self.atoms.suffix_bound()
     }
 
     /// Substitute a term for a variable in every atom.
@@ -355,6 +360,7 @@ impl FromIterator<MemAtom> for InContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::DefaultHasher;
 
     #[test]
     fn atoms_and_variable_atoms() {

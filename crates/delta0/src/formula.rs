@@ -17,7 +17,7 @@
 //! free-variable set, which substitution uses to return untouched subtrees
 //! shared instead of rebuilding them.
 
-use crate::term::Term;
+use crate::term::{TargetVars, Term};
 use nrs_shared::{empty_name_set, HashConsed, InternTable, Shared};
 use nrs_value::Name;
 use serde::{Deserialize, Serialize};
@@ -401,26 +401,26 @@ impl Formula {
     /// contains bound variables of the formula).  Unchanged subformulas keep
     /// their shared nodes, and subtrees that miss a free variable of the
     /// target (or, at the term layer, are too small to contain it) are
-    /// skipped without descending — the target's free-variable set and size
-    /// are computed once here, not once per term, which matters to the
-    /// prover's per-candidate rewrites over large literals.
+    /// skipped without descending — the target's free variables (its name,
+    /// for a variable target: no set is built) and size are read once here,
+    /// not once per term, which matters to the prover's per-candidate
+    /// rewrites over large literals.
     pub fn replace_term(&self, target: &Term, replacement: &Term) -> Formula {
-        let target_fv = target.free_vars_arc();
-        self.replace_term_gated(target, replacement, &target_fv, target.size())
+        self.replace_term_gated(target, replacement, &TargetVars::of(target), target.size())
     }
 
     fn replace_term_gated(
         &self,
         target: &Term,
         replacement: &Term,
-        target_fv: &BTreeSet<Name>,
+        target_fv: &TargetVars,
         target_size: usize,
     ) -> Formula {
         let child = |c: &Shared<Formula>| -> Shared<Formula> {
             // a subformula missing a free variable of the target cannot
             // contain it (the proof-rule contract above rules out capture,
             // so occurrences are purely syntactic)
-            if !target_fv.iter().all(|v| c.free_vars_set().contains(v)) {
+            if !target_fv.within(c.free_vars_set()) {
                 return c.clone();
             }
             let replaced =

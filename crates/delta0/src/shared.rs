@@ -55,6 +55,52 @@ mod tests {
         }
     }
 
+    /// A node's cached suffix bound is a scan of its free variables' strings:
+    /// a bound variable does not count, however large its suffix.
+    #[test]
+    fn suffix_bounds_equal_the_scan_of_the_free_variables() {
+        let scan = |set: &BTreeSet<Name>| {
+            set.iter()
+                .filter_map(|n| n.as_str().rsplit('#').next()?.parse::<u64>().ok())
+                .map(|k| k.saturating_add(1))
+                .max()
+                .unwrap_or(0)
+        };
+        let binder = Shared::new(Formula::forall("a#9", "S", Formula::eq_ur("a#9", "b#2")));
+        assert_eq!(binder.suffix_bound(), 3);
+        let formulas = [
+            binder,
+            Shared::new(Formula::exists(
+                "w",
+                "T#4",
+                Formula::neq_ur(Term::proj1(Term::var("w")), Term::var("ev#11")),
+            )),
+            Shared::new(Formula::and(Formula::eq_ur("x", "y"), Formula::True)),
+            Shared::new(Formula::or(
+                Formula::mem("17", "S"),
+                Formula::eq_ur("c#3#5", "d#"),
+            )),
+            Shared::new(Formula::eq_ur(format!("b#{}", u64::MAX).as_str(), "c")),
+        ];
+        for f in &formulas {
+            assert_eq!(f.suffix_bound(), scan(f.free_vars_set()), "{f}");
+        }
+        assert_eq!(
+            formulas
+                .iter()
+                .map(|f| f.suffix_bound())
+                .collect::<Vec<_>>(),
+            [3, 12, 0, 18, u64::MAX]
+        );
+        let ctx = crate::InContext::from_atoms([
+            crate::MemAtom::new("ev#6", "S"),
+            crate::MemAtom::new(Term::proj2(Term::var("q#2")), "x"),
+        ]);
+        assert_eq!(ctx.suffix_bound(), 7);
+        assert_eq!(ctx.suffix_bound(), scan(&ctx.free_vars()));
+        assert_eq!(crate::InContext::new().suffix_bound(), 0);
+    }
+
     #[test]
     fn reinterning_returns_the_same_node() {
         let make = || Shared::new(Term::proj2(Term::var("shared_rs_reintern_probe")));

@@ -9,6 +9,7 @@
 
 use crate::context::{InContext, MemAtom};
 use crate::formula::Formula;
+use crate::term::Term;
 
 /// One specialization step: if `formula` is `∃w ∈ b . ψ` and `atom.set == b`,
 /// return `ψ[atom.elem / w]`.
@@ -52,7 +53,25 @@ pub fn max_specializations(
     ctx: &InContext,
     limit: usize,
 ) -> Vec<MaxSpecialization> {
+    max_specializations_with_bounds(formula, ctx, limit).0
+}
+
+/// [`max_specializations`], together with the distinct bounds of the
+/// existentials the enumeration examined, in the order first met.
+///
+/// An atom whose set is none of these bounds changes nothing when appended
+/// to the context: it applies at no examined node, so the enumeration under
+/// the extended context pops the same nodes in the same order, with the
+/// same results and the same bounds — and stops at the same point under
+/// `limit`.  The prover relies on this to reuse a ∀ step's specializations
+/// across the atom the step adds.
+pub fn max_specializations_with_bounds(
+    formula: &Formula,
+    ctx: &InContext,
+    limit: usize,
+) -> (Vec<MaxSpecialization>, Vec<Term>) {
     let mut out = Vec::new();
+    let mut bounds: Vec<Term> = Vec::new();
     let mut seen = std::collections::BTreeSet::new();
     let mut stack: Vec<(Vec<MemAtom>, Formula)> = vec![(Vec::new(), formula.clone())];
     while let Some((used, current)) = stack.pop() {
@@ -60,7 +79,10 @@ pub fn max_specializations(
             break;
         }
         let mut extended = false;
-        if matches!(current, Formula::Exists { .. }) {
+        if let Formula::Exists { bound, .. } = &current {
+            if !bounds.contains(bound) {
+                bounds.push(bound.clone());
+            }
             for atom in ctx.iter() {
                 if let Some(next) = specialize_once(&current, atom) {
                     extended = true;
@@ -80,7 +102,7 @@ pub fn max_specializations(
             }
         }
     }
-    out
+    (out, bounds)
 }
 
 /// Is `candidate` a maximal specialization of `formula` with respect to `ctx`?
@@ -131,7 +153,6 @@ pub fn is_specialization(formula: &Formula, ctx: &InContext, candidate: &Formula
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Term;
 
     fn ex(var: &str, bound: &str, body: Formula) -> Formula {
         Formula::exists(var, bound, body)

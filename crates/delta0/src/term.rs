@@ -187,25 +187,24 @@ impl Term {
     /// too small to contain the target, or that miss one of its free
     /// variables, are returned as-is, shared.
     pub fn replace_term(&self, target: &Term, replacement: &Term) -> Term {
-        let target_fv = target.free_vars_arc();
-        self.replace_term_gated(target, replacement, &target_fv, target.size())
+        self.replace_term_gated(target, replacement, &TargetVars::of(target), target.size())
     }
 
     pub(crate) fn replace_term_gated(
         &self,
         target: &Term,
         replacement: &Term,
-        target_fv: &BTreeSet<Name>,
+        target_fv: &TargetVars,
         target_size: usize,
     ) -> Term {
         fn child(
             c: &Shared<Term>,
             target: &Term,
             replacement: &Term,
-            target_fv: &BTreeSet<Name>,
+            target_fv: &TargetVars,
             target_size: usize,
         ) -> Shared<Term> {
-            if c.size() < target_size || !target_fv.iter().all(|v| c.free_vars_set().contains(v)) {
+            if c.size() < target_size || !target_fv.within(c.free_vars_set()) {
                 return c.clone();
             }
             let replaced =
@@ -253,6 +252,32 @@ impl Term {
             Term::Var(_) | Term::Unit => 1,
             Term::Pair(a, b) => 1 + a.size() + b.size(),
             Term::Proj1(t) | Term::Proj2(t) => 1 + t.size(),
+        }
+    }
+}
+
+/// The free variables of a [`Term::replace_term`] target, as the gate
+/// reads them: a bare variable as its name (no set is built — the common
+/// target of the prover's rewrites), any other term as its set.
+pub(crate) enum TargetVars {
+    One(Name),
+    Set(Arc<BTreeSet<Name>>),
+}
+
+impl TargetVars {
+    pub(crate) fn of(target: &Term) -> TargetVars {
+        match target {
+            Term::Var(n) => TargetVars::One(*n),
+            _ => TargetVars::Set(target.free_vars_arc()),
+        }
+    }
+
+    /// Are all the target's free variables in `vars`?  (Otherwise a
+    /// subtree with those free variables cannot contain the target.)
+    pub(crate) fn within(&self, vars: &BTreeSet<Name>) -> bool {
+        match self {
+            TargetVars::One(v) => vars.contains(v),
+            TargetVars::Set(set) => set.iter().all(|v| vars.contains(v)),
         }
     }
 }

@@ -4,13 +4,16 @@
 //! A sequent is edited in place along a proof-search branch (`insert`,
 //! `with_formula`, `without_formula`, `with_atom`, and the combined
 //! `replaced` a rule premise makes), keeping a sorted side of interned
-//! handles, its kind-group starts, an order-independent hash and an
-//! occurrence index up to date at every step.  Random edit sequences from a seeded generator must
-//! end in exactly the sequent that [`Sequent::new`] builds from the final
-//! context and set: the same side order, equality, hash and memo key, and
-//! the same index, which must equal the plain filters it stands for.  A
-//! premise built by a rule must hold the very nodes its conclusion holds,
-//! and membership by handle (pointer) must agree with membership by value.
+//! handles, its kind-group starts, an order-independent hash and a count of
+//! ground-lhs `≠` literals up to date at every step.  Random edit sequences
+//! from a seeded generator must end in exactly the sequent that
+//! [`Sequent::new`] builds from the final context and set: the same side
+//! order, equality, hash and memo key.  The sequent keeps no occurrence
+//! index; its per-variable and ground-lhs views filter the literal slices
+//! when read, and must equal the plain filters of the side that they stand
+//! for (the filters an occurrence index once held).  A premise built by a
+//! rule must hold the very nodes its conclusion holds, and membership by
+//! handle (pointer) must agree with membership by value.
 
 use nrs_delta0::{Formula, InContext, MemAtom, Shared, Term};
 use nrs_proof::{Rule, Sequent};
@@ -239,8 +242,8 @@ fn slice(s: &[Shared<Formula>]) -> Vec<&Shared<Formula>> {
     s.iter().collect()
 }
 
-/// The kind slices, the occurrence index and the hash of `seq` are exactly
-/// what a plain filter of its side and a from-scratch build give.
+/// The kind slices, the variable and ground-lhs views and the hash of `seq`
+/// are exactly what a plain filter of its side and a from-scratch build give.
 fn assert_representation(seq: &Sequent, what: &str) {
     let side = seq.rhs();
     let ranked = |lo: u8, hi: u8| -> Vec<&Shared<Formula>> {

@@ -14,7 +14,8 @@
 //! * the **specialization cache**, `(∃-handle, context) → [(result, rank,
 //!   risky?)]`: per quantifier and context, the maximal specializations
 //!   that used an atom, at exact size, with the rank and class the
-//!   candidate lists sort by precomputed;
+//!   candidate lists sort by precomputed — a shared list that a ∀ premise
+//!   reuses across the atom the step adds when that atom cannot apply;
 //! * the **rewrite-candidate cache**, `(≠-handle, literal-handle) →
 //!   Option<(rewritten handle, cost)>`, sound to share globally because the
 //!   rewrite depends on nothing but the two nodes; across branches,
@@ -63,7 +64,7 @@
 //!   families whose budgets are far from binding.
 
 use crate::session::ProverSession;
-use nrs_delta0::specialize::{max_specializations, MaxSpecialization};
+use nrs_delta0::specialize::{max_specializations_with_bounds, MaxSpecialization};
 use nrs_delta0::{Formula, InContext, Term};
 use nrs_proof::{formula_hash_mixed, LiteralsIter, Proof, ProofError, Rule, Sequent, SequentKey};
 use nrs_shared::{FxBuildHasher, Shared};
@@ -273,10 +274,22 @@ pub(crate) struct SearchCaches {
     /// same specification formulas under the same contexts, so a warm
     /// session stops re-enumerating their specializations goal after goal —
     /// the shared saturation prefix of a batched synthesis run.  An entry
-    /// is an exact-size slice of [`SpecEntry`]s — only what the candidate
-    /// generation reads — whose results are handles, so the many keys that
-    /// yield the same specialization share its one node.
-    pub(crate) specs: HashMap<(Shared<Formula>, InContext), Box<[SpecEntry]>, FxBuildHasher>,
+    /// is a shared [`SpecList`]: an exact-size slice of [`SpecEntry`]s —
+    /// only what the candidate generation reads — whose results are
+    /// handles, so the many keys that yield the same specialization share
+    /// its one node, and the bounds of the existentials the enumeration
+    /// examined.
+    ///
+    /// The bounds make most ∀ steps free here.  A ∀ step extends the
+    /// context by one atom `ev ∈ b` and asks again for every existential of
+    /// its premise.  When `b` is none of the bounds of the conclusion's
+    /// list for `(quant, ctx)`, the atom applies at no node that
+    /// enumeration examined, so the enumeration under `ctx + atom` is the
+    /// same one, step for step — even one cut short by `spec_limit` — and
+    /// the premise's key gets the conclusion's list (see
+    /// [`max_specializations_with_bounds`]).  Only the lists whose bounds
+    /// include `b` are enumerated again.
+    pub(crate) specs: HashMap<(Shared<Formula>, InContext), Arc<SpecList>, FxBuildHasher>,
     /// Cached ≠-congruence candidates: `(inequality, literal) →
     /// Option<(rewritten, cost)>`, all three formulas interned handles.
     /// Branch-independent (the value depends only on the two interned
@@ -310,28 +323,32 @@ impl SearchCaches {
     /// Recompute every specialization and rewrite entry from its key and
     /// compare: a specialization entry must list, in order, the results of
     /// `max_specializations` that used an atom, each ranked `size` when it
-    /// contains a conjunction (risky) and `2 + size` otherwise; a rewrite
-    /// entry must equal [`compute_rewrite`].  Returns the numbers of
-    /// specialization and rewrite entries checked, or the first
-    /// disagreement.
+    /// contains a conjunction (risky) and `2 + size` otherwise, and the
+    /// bounds the enumeration examined — also for a list shared with the
+    /// key it was reused from; a rewrite entry must equal
+    /// [`compute_rewrite`].  Returns the numbers of specialization and
+    /// rewrite entries checked, or the first disagreement.
     pub(crate) fn verify(&self, cfg: &ProverConfig) -> Result<(usize, usize), String> {
-        for ((quant, ctx), entries) in self.specs.iter() {
-            let expected: Vec<(Formula, usize, bool)> =
-                max_specializations(quant, ctx, cfg.spec_limit)
-                    .into_iter()
-                    .filter(|ms| !ms.used.is_empty())
-                    .map(|ms| {
-                        let (size, risky) = (ms.result.size(), contains_and(&ms.result));
-                        (ms.result, if risky { size } else { 2 + size }, risky)
-                    })
-                    .collect();
-            let cached: Vec<(Formula, usize, bool)> = entries
+        for ((quant, ctx), list) in self.specs.iter() {
+            let (specs, bounds) = max_specializations_with_bounds(quant, ctx, cfg.spec_limit);
+            let expected: Vec<(Formula, usize, bool)> = specs
+                .into_iter()
+                .filter(|ms| !ms.used.is_empty())
+                .map(|ms| {
+                    let (size, risky) = (ms.result.size(), contains_and(&ms.result));
+                    (ms.result, if risky { size } else { 2 + size }, risky)
+                })
+                .collect();
+            let cached: Vec<(Formula, usize, bool)> = list
+                .entries
                 .iter()
                 .map(|e| (e.result.value().clone(), e.cost as usize, e.risky))
                 .collect();
-            if cached != expected {
+            if cached != expected || *list.bounds != bounds[..] {
                 return Err(format!(
-                    "specializations of {quant} under [{ctx}]: cached {cached:?}, expected {expected:?}"
+                    "specializations of {quant} under [{ctx}]: cached {cached:?} over bounds {:?}, \
+                     expected {expected:?} over {bounds:?}",
+                    list.bounds
                 ));
             }
         }
@@ -417,21 +434,23 @@ struct Chain {
 
 #[derive(Debug)]
 struct ChainNode {
-    batch: Vec<RankedRule>,
+    batch: Box<[RankedRule]>,
     /// The number of items in the older batches.
     start: usize,
     prev: Option<Arc<ChainNode>>,
 }
 
 impl Chain {
-    fn push_batch(&mut self, batch: Vec<RankedRule>) {
+    /// Append the items of `batch` as one node, copied out at exact size
+    /// (`batch` is left empty, its buffer kept for the next batch).
+    fn push_batch(&mut self, batch: &mut Vec<RankedRule>) {
         if batch.is_empty() {
             return;
         }
         let start = self.len;
         self.len += batch.len();
         self.head = Some(Arc::new(ChainNode {
-            batch,
+            batch: batch.drain(..).collect(),
             start,
             prev: self.head.take(),
         }));
@@ -511,7 +530,7 @@ struct DeadCounts {
 /// closing rewrites (cost 0), then specializations merged with equality
 /// rewrites by `(cost, seqno)`, then the noisy inequality rewrites — the
 /// same ranking the engine used when it kept one flat sorted list.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Moves {
     /// Closing rewrites (the premise gains `a = a`); cost 0.
     closing: Arc<Vec<RankedRule>>,
@@ -529,13 +548,50 @@ struct Moves {
     dead: DeadCounts,
 }
 
-fn insert_ranked(list: &mut Arc<Vec<RankedRule>>, item: RankedRule) {
-    let pos = list.partition_point(|r| (r.cost, r.seqno) <= (item.cost, item.seqno));
-    Arc::make_mut(list).insert(pos, item);
+impl Default for Moves {
+    /// No candidates; the three list classes share this thread's empty
+    /// list, so making one allocates nothing.
+    fn default() -> Self {
+        thread_local! {
+            static EMPTY: Arc<Vec<RankedRule>> = Arc::new(Vec::new());
+        }
+        let empty = EMPTY.with(Arc::clone);
+        Moves {
+            closing: empty.clone(),
+            specs: empty.clone(),
+            eqs: Chain::default(),
+            noisy: Chain::default(),
+            risky: empty,
+            dead: DeadCounts::default(),
+        }
+    }
+}
+
+/// Merge `items` into a list sorted by `(cost, seqno)`, leaving `items`
+/// empty.  The keys are distinct (every candidate draws its own sequence
+/// number), so the result is the sorted union, built in one allocation of
+/// exact size.
+fn merge_ranked(list: &mut Arc<Vec<RankedRule>>, items: &mut Vec<RankedRule>) {
+    if items.is_empty() {
+        return;
+    }
+    items.sort_unstable_by_key(|r| (r.cost, r.seqno));
+    let mut merged = Vec::with_capacity(list.len() + items.len());
+    let mut old = list.iter().peekable();
+    for item in items.drain(..) {
+        while let Some(r) = old.next_if(|r| (r.cost, r.seqno) < (item.cost, item.seqno)) {
+            merged.push(r.clone());
+        }
+        merged.push(item);
+    }
+    merged.extend(old.cloned());
+    *list = Arc::new(merged);
 }
 
 /// Freshly generated candidates, collected per class before being merged
-/// into a [`Moves`] (so the chain classes get one O(1) batch push).
+/// into a [`Moves`] (so the chain classes get one O(1) batch push).  One
+/// batch lives in the search [`State`] and is reused: merging empties it
+/// and keeps its buffers.
 #[derive(Debug, Default)]
 struct MoveBatch {
     closing: Vec<RankedRule>,
@@ -546,18 +602,13 @@ struct MoveBatch {
 }
 
 impl MoveBatch {
-    fn merge_into(self, moves: &mut Moves) {
-        if !self.closing.is_empty() {
-            Arc::make_mut(&mut moves.closing).extend(self.closing);
-        }
-        for item in self.specs {
-            insert_ranked(&mut moves.specs, item);
-        }
-        moves.eqs.push_batch(self.eqs);
-        moves.noisy.push_batch(self.noisy);
-        for item in self.risky {
-            insert_ranked(&mut moves.risky, item);
-        }
+    fn merge_into(&mut self, moves: &mut Moves) {
+        // closing rewrites all cost 0, so the merge appends them
+        merge_ranked(&mut moves.closing, &mut self.closing);
+        merge_ranked(&mut moves.specs, &mut self.specs);
+        moves.eqs.push_batch(&mut self.eqs);
+        moves.noisy.push_batch(&mut self.noisy);
+        merge_ranked(&mut moves.risky, &mut self.risky);
     }
 }
 
@@ -588,6 +639,9 @@ struct State<'a> {
     occ_pairs: usize,
     occ_pruned: usize,
     move_seqno: usize,
+    /// The candidate batch, reused by every candidate generation (taken
+    /// out while one fills it, and put back emptied).
+    batch: MoveBatch,
 }
 
 /// Prove `Θ ; ⊢ Δ` (one-sided), returning a checked proof object.
@@ -660,6 +714,7 @@ pub(crate) fn prove_sequent_inner(
         occ_pairs: 0,
         occ_pruned: 0,
         move_seqno: 0,
+        batch: MoveBatch::default(),
     };
     for level in 0..=cfg.max_risky {
         st.aborted = false;
@@ -830,6 +885,34 @@ impl<'a> State<'a> {
         self.move_seqno += 1;
         self.move_seqno
     }
+
+    /// The specialization list of `quant` under `ctx`: cached, or else
+    /// reused or enumerated, and then cached.  `grown` is set on a ∀
+    /// premise: the conclusion's context, which the step extended to `ctx`,
+    /// and the set of the atom it added.  The conclusion's list is reused
+    /// when that set is none of its bounds (see `SearchCaches::specs`).
+    fn spec_list(
+        &mut self,
+        quant: &Shared<Formula>,
+        ctx: &InContext,
+        grown: Option<(&InContext, &Term)>,
+    ) -> Arc<SpecList> {
+        let key = (quant.clone(), ctx.clone());
+        if let Some(list) = self.caches.specs.get(&key) {
+            return Arc::clone(list);
+        }
+        let reused = grown.and_then(|(base, set)| {
+            self.caches
+                .specs
+                .get(&(quant.clone(), base.clone()))
+                .filter(|list| !list.bounds.contains(set))
+                .cloned()
+        });
+        let list = reused
+            .unwrap_or_else(|| Arc::new(SpecList::enumerate(quant, ctx, self.cfg.spec_limit)));
+        self.caches.specs.insert(key, Arc::clone(&list));
+        list
+    }
 }
 
 /// The branch-independent part of a ≠-congruence candidate: the rewritten
@@ -866,6 +949,26 @@ pub(crate) struct SpecEntry {
     cost: u32,
     /// Does the result contain a conjunction (a risky, case-splitting move)?
     risky: bool,
+}
+
+/// One cached specialization enumeration (see `SearchCaches::specs`).
+#[derive(Debug)]
+pub(crate) struct SpecList {
+    /// What the candidate generation reads, in enumeration order.
+    entries: Box<[SpecEntry]>,
+    /// The distinct bounds of the existentials the enumeration examined: a
+    /// context grown by an atom over none of them enumerates the same list.
+    bounds: Box<[Term]>,
+}
+
+impl SpecList {
+    fn enumerate(quant: &Formula, ctx: &InContext, limit: usize) -> SpecList {
+        let (specs, bounds) = max_specializations_with_bounds(quant, ctx, limit);
+        SpecList {
+            entries: spec_entries(specs),
+            bounds: bounds.into_boxed_slice(),
+        }
+    }
 }
 
 /// The cached form of a `max_specializations` enumeration, in its order.
@@ -933,21 +1036,18 @@ fn push_neq_candidates(
 /// by size among the safe moves — large ones spawn fresh universals and can
 /// otherwise starve the finishing moves; conjunction-introducing ones are the
 /// risky backtracking points, smallest (goal-instantiation-like) first.
+///
+/// `grown` is set on a ∀ premise (see [`State::spec_list`]).
 fn push_exists_candidates(
     seq: &Sequent,
     quant: &Shared<Formula>,
     used: &UsedSpecs,
+    grown: Option<(&InContext, &Term)>,
     batch: &mut MoveBatch,
     st: &mut State,
 ) {
-    // the cached entries are read in place, beside the sequence counter
-    let limit = st.cfg.spec_limit;
-    let specs = st
-        .caches
-        .specs
-        .entry((quant.clone(), seq.ctx.clone()))
-        .or_insert_with(|| spec_entries(max_specializations(quant, &seq.ctx, limit)));
-    for entry in specs.iter() {
+    let specs = st.spec_list(quant, &seq.ctx, grown);
+    for entry in specs.entries.iter() {
         if used.contains(&entry.result) {
             continue;
         }
@@ -1099,25 +1199,17 @@ impl<'s> Iterator for Rewriters<'s> {
 /// The witness for a ∀ step: the smallest `ev#k` name fresh for the sequent.
 /// Equivalent to `NameGen::avoiding(seq.free_vars().iter()).fresh("ev")` —
 /// and it must stay exactly that, so identical sequents keep introducing
-/// identical witnesses — but it reads the names straight off the context's
-/// terms and the formulas' cached free-variable sets, and each name's
-/// suffix as the interner parsed it ([`Name::numeric_suffix`]): no set is
-/// built and no string is parsed, and the name comes from [`eigenvariable`].
+/// identical witnesses — but it reads one cached word per formula and one
+/// for the context, the nodes' suffix bounds
+/// ([`Shared::suffix_bound`]): no name set is walked and no string is
+/// parsed, and the name comes from [`eigenvariable`].
 fn fresh_eigenvariable(seq: &Sequent) -> Name {
-    let mut max = 0u64;
-    let mut scan = |n: &Name| {
-        if let Some(k) = n.numeric_suffix() {
-            max = max.max(k + 1);
-        }
-    };
-    for atom in seq.ctx.iter() {
-        atom.elem.for_each_free_var(&mut scan);
-        atom.set.for_each_free_var(&mut scan);
-    }
-    for f in seq.rhs() {
-        f.free_vars_set().iter().for_each(&mut scan);
-    }
-    eigenvariable(max)
+    let k = seq
+        .rhs()
+        .iter()
+        .map(Shared::suffix_bound)
+        .fold(seq.ctx.suffix_bound(), u64::max);
+    eigenvariable(k)
 }
 
 /// How many `ev#k` names a thread memoizes: `k` is one past the largest
@@ -1152,7 +1244,7 @@ fn eigenvariable(k: u64) -> Name {
 /// plus the specializations of the existential slice.
 fn full_moves(seq: &Sequent, used: &UsedSpecs, st: &mut State) -> Moves {
     let mut moves = Moves::default();
-    let mut batch = MoveBatch::default();
+    let mut batch = std::mem::take(&mut st.batch);
     for ineq in seq.inequalities() {
         let Formula::NeqUr(t, _) = ineq.value() else {
             unreachable!("the inequality slice holds only ≠ literals")
@@ -1165,9 +1257,10 @@ fn full_moves(seq: &Sequent, used: &UsedSpecs, st: &mut State) -> Moves {
         st.count_join(seen, seq.eq_literals().len());
     }
     for quant in seq.existentials() {
-        push_exists_candidates(seq, quant, used, &mut batch, st);
+        push_exists_candidates(seq, quant, used, None, &mut batch, st);
     }
     batch.merge_into(&mut moves);
+    st.batch = batch;
     moves
 }
 
@@ -1185,7 +1278,7 @@ fn child_moves(
 ) -> Moves {
     let mut moves = parent.clone();
     moves.dead = dead;
-    let mut batch = MoveBatch::default();
+    let mut batch = std::mem::take(&mut st.batch);
     for &f in delta {
         match f.value() {
             Formula::EqUr(_, _) => {
@@ -1216,11 +1309,14 @@ fn child_moves(
                 }
                 st.count_join(seen, premise.inequalities().len());
             }
-            Formula::Exists { .. } => push_exists_candidates(premise, f, used, &mut batch, st),
+            Formula::Exists { .. } => {
+                push_exists_candidates(premise, f, used, None, &mut batch, st)
+            }
             _ => {}
         }
     }
     batch.merge_into(&mut moves);
+    st.batch = batch;
     moves
 }
 
@@ -1235,16 +1331,21 @@ fn child_moves(
 /// only the pieces the step adds contribute new candidates.  A ∀ step also
 /// extends the ∈-context, which can enable new specializations of *every*
 /// existential, so its premise rebuilds the two specialization classes from
-/// the per-kind slice (memoized per (quantifier, context) in the spec cache).
+/// the per-kind slice, from the spec cache — where most lists are the
+/// conclusion's, reused across the added atom (see `SearchCaches::specs`).
 fn forward_moves(
     parent: &Moves,
-    principal: &Formula,
     rule: &Rule,
     premise_index: usize,
+    conclusion: &Sequent,
     premise: &Sequent,
     used: &UsedSpecs,
     st: &mut State,
 ) -> Moves {
+    let principal = match rule {
+        Rule::And { conj: f } | Rule::Or { disj: f } | Rule::Forall { quant: f, .. } => f.value(),
+        _ => unreachable!("invertible phase only decomposes ∧/∨/∀"),
+    };
     match (principal, rule) {
         (Formula::And(a, b), Rule::And { .. }) => {
             let component = if premise_index == 0 { a } else { b };
@@ -1253,15 +1354,20 @@ fn forward_moves(
         (Formula::Or(a, b), Rule::Or { .. }) => {
             child_moves(premise, parent, &[a, b], parent.dead, used, st)
         }
-        (Formula::Forall { var, body, .. }, Rule::Forall { witness, .. }) => {
-            let mut base = parent.clone();
-            base.specs = Arc::new(Vec::new());
-            base.risky = Arc::new(Vec::new());
-            let mut batch = MoveBatch::default();
+        (Formula::Forall { var, bound, body }, Rule::Forall { witness, .. }) => {
+            let cleared = Moves::default();
+            let mut base = Moves {
+                specs: cleared.specs,
+                risky: cleared.risky,
+                ..parent.clone()
+            };
+            let grown = Some((&conclusion.ctx, bound));
+            let mut batch = std::mem::take(&mut st.batch);
             for quant in premise.existentials() {
-                push_exists_candidates(premise, quant, used, &mut batch, st);
+                push_exists_candidates(premise, quant, used, grown, &mut batch, st);
             }
             batch.merge_into(&mut base);
+            st.batch = batch;
             match forall_instance_literal(premise, var, body, witness) {
                 Some(literal) => child_moves(premise, &base, &[literal], base.dead, used, st),
                 None => base,
@@ -1477,12 +1583,14 @@ fn attempt(
             _ => unreachable!(),
         };
         let premises = rule.premises_unchecked(seq);
-        let mut sub = Vec::with_capacity(premises.len());
+        // the sub-proofs wait here (at most two: ∧), so a failed branch
+        // allocates no vector
+        let mut proved: [Option<Proof>; 2] = [None, None];
         for (i, p) in premises.iter().enumerate() {
             let forwarded = inherited
                 .as_ref()
-                .map(|m| forward_moves(m, &f, &rule, i, p, used, st));
-            sub.push(attempt(
+                .map(|m| forward_moves(m, &rule, i, seq, p, used, st));
+            proved[i] = Some(attempt(
                 p,
                 risky_budget,
                 rewrites_used,
@@ -1491,6 +1599,8 @@ fn attempt(
                 st,
             )?);
         }
+        let mut sub = Vec::with_capacity(premises.len());
+        sub.extend(proved.into_iter().flatten());
         return Some(Proof::by_unchecked(seq.clone(), rule, sub));
     }
 
@@ -1609,6 +1719,7 @@ mod tests {
     use super::*;
     use nrs_delta0::entail::{check_sequent_bounded, BoundedCheck};
     use nrs_delta0::macros as d0;
+    use nrs_delta0::specialize::max_specializations;
     use nrs_delta0::typing::TypeEnv;
     use nrs_delta0::MemAtom;
     use nrs_delta0::Term;
@@ -1928,6 +2039,77 @@ mod tests {
             assert_eq!(fresh_eigenvariable(&seq), expected, "{seq}");
         }
         assert_eq!(eigenvariable(4_000_000_001), Name::new("ev#4000000001"));
+    }
+
+    /// The reuse a ∀ premise makes of its conclusion's specialization list
+    /// is exact: on random ∃ blocks and contexts, whenever the added atom's
+    /// set is none of the recorded bounds, enumerating under the extended
+    /// context gives the same specializations and bounds — also when
+    /// `spec_limit` cuts the enumeration short.
+    #[test]
+    fn specialization_lists_carry_over_atoms_outside_their_bounds() {
+        let mut state = 11u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let sets = ["S", "T", "U", "x", "y"];
+        let elems = ["x", "y", "z", "w"];
+        let (mut reused, mut recomputed) = (0, 0);
+        for round in 0..600 {
+            // an ∃ block of depth 1–3 whose bounds are sets or the
+            // variables bound further out
+            let depth = 1 + next() % 3;
+            let vars: Vec<String> = (0..depth).map(|i| format!("q{i}")).collect();
+            let mut body = Formula::and(
+                Formula::eq_ur(vars[0].as_str(), "c"),
+                Formula::neq_ur(vars[(depth - 1) as usize].as_str(), "d"),
+            );
+            if next() % 2 == 0 {
+                body = Formula::or(body, Formula::eq_ur("c", "d"));
+            }
+            for i in (0..depth as usize).rev() {
+                let bound = if i > 0 && next() % 3 == 0 {
+                    vars[i - 1].clone()
+                } else {
+                    sets[(next() % sets.len() as u64) as usize].to_owned()
+                };
+                body = Formula::exists(vars[i].as_str(), bound.as_str(), body);
+            }
+            let atoms: Vec<MemAtom> = (0..next() % 6)
+                .map(|_| {
+                    let elem = elems[(next() % elems.len() as u64) as usize];
+                    MemAtom::new(elem, sets[(next() % sets.len() as u64) as usize])
+                })
+                .collect();
+            let ctx = InContext::from_atoms(atoms);
+            let atom = MemAtom::new(
+                format!("ev#{round}").as_str(),
+                sets[(next() % sets.len() as u64) as usize],
+            );
+            let grown = ctx.with(atom.clone());
+            let limit = match next() % 4 {
+                0 => 64,
+                k => k as usize,
+            };
+            let (specs, bounds) = max_specializations_with_bounds(&body, &ctx, limit);
+            if bounds.contains(&atom.set) {
+                recomputed += 1;
+                continue;
+            }
+            reused += 1;
+            assert_eq!(
+                max_specializations_with_bounds(&body, &grown, limit),
+                (specs.clone(), bounds),
+                "{body} under [{ctx}] + {atom}, limit {limit}"
+            );
+            assert_eq!(specs, max_specializations(&body, &grown, limit));
+        }
+        assert!(reused > 100 && recomputed > 100, "{reused} / {recomputed}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A fast hasher for identity-keyed tables: the intern tables here and the
-//! prover's session caches, whose keys are interned nodes that hash in O(1).
+//! prover's session caches, whose keys are interned nodes that hash in O(1);
+//! and the finalizer that turns an Fx hash into a node's structural hash.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A fast multiply-rotate hasher (the FxHash construction) for the cache
 /// keys.  The keys are interned nodes whose `Hash` writes out a few cached
@@ -61,3 +62,26 @@ impl Hasher for FxHasher {
 /// [`std::hash::BuildHasher`] for [`FxHasher`]; usable directly as the `S`
 /// parameter of `HashMap`/`HashSet`.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
+/// The murmur3 64-bit finalizer (`fmix64`): every input bit affects every
+/// output bit.  An Fx hash mixes little into its low bits (a product's low
+/// bits depend only on the factors' low bits), and the intern tables pick a
+/// shard by the low five bits of a node's hash, so structural hashes are Fx
+/// hashes passed through this.
+#[inline]
+fn fmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// The structural hash of a value: its [`FxHasher`] hash, finalized by
+/// `fmix64`.  What [`crate::Shared::new`] interns by.
+#[inline]
+pub fn structural_hash<T: Hash + ?Sized>(value: &T) -> u64 {
+    let mut hasher = FxHasher::default();
+    value.hash(&mut hasher);
+    fmix64(hasher.finish())
+}

@@ -6,7 +6,8 @@
 //!
 //! [`Shared<T>`] is the handle used for the children of syntax trees: an
 //! 8-byte reference to an immortal node carrying a cached structural hash, a
-//! cached node count, and a lazily cached free-variable set.  Nodes are
+//! cached node count, and a lazily cached free-variable set (with its
+//! suffix bound, below).  Nodes are
 //! **interned**: every `Shared::new` consults a global per-type table and
 //! returns the existing node when a structurally equal one exists.  The
 //! payoff, relied on throughout the provers' hot paths:
@@ -40,15 +41,36 @@
 //! interns about a thousand nodes of all types, and deriving it again adds
 //! none (`crates/core/tests/intern_growth.rs` checks this).
 //! [`interned_nodes`] reports a table's size.
+//!
+//! # The structural hash
+//!
+//! A node's hash is the [`FxHasher`] hash of its value — one multiply and
+//! rotate per word written, where a compound value writes its children's
+//! cached hashes — passed through the murmur3 finalizer `fmix64`
+//! ([`structural_hash`]).  The finalizer is what makes the hash usable as
+//! an index: each intern table is split into 32 locked shards picked by
+//! the hash's low five bits, which an Fx hash alone mixes poorly.  Neither function resists adversarial input:
+//! a specification built so that many of its nodes share one 64-bit hash
+//! would make interning them scan one long bucket — slower, but with the
+//! same nodes, since a bucket is searched by structural equality.
+//!
+//! # The suffix bound
+//!
+//! Besides its free-variable set, a node caches [`Shared::suffix_bound`]:
+//! one past the largest numeric `#` suffix ([`Name::numeric_suffix`]) among
+//! its free variables, or 0 — where a [`nrs_value::NameGen`] avoiding those
+//! names starts counting, read as one word, so the prover finds a
+//! fresh eigenvariable for a sequent from one word per formula instead of
+//! walking name sets.  Both are computed together, once per node.
 
 mod fx;
 
-pub use fx::{FxBuildHasher, FxHasher};
+pub use fx::{structural_hash, FxBuildHasher, FxHasher};
 
+use nrs_value::name::suffix_bound;
 use nrs_value::Name;
 use serde::{Content, Deserialize, Error, Serialize};
 use std::cell::Cell;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -62,8 +84,15 @@ const SHARDS: usize = 32;
 pub struct Node<T> {
     hash: u64,
     size: u32,
-    free_vars: OnceLock<Arc<BTreeSet<Name>>>,
+    free_vars: OnceLock<FreeVars>,
     value: T,
+}
+
+/// A node's free variables and their suffix bound, computed together.
+#[derive(Debug)]
+struct FreeVars {
+    set: Arc<BTreeSet<Name>>,
+    suffix_bound: u64,
 }
 
 /// Types that can be hash-consed by [`Shared`].
@@ -84,10 +113,7 @@ impl<T: HashConsed> Shared<T> {
     /// Intern a value: return the existing node when a structurally equal one
     /// exists, otherwise allocate (and remember) a new one.
     pub fn new(value: T) -> Shared<T> {
-        let mut hasher = DefaultHasher::new();
-        value.hash(&mut hasher);
-        let hash = hasher.finish();
-        T::intern_table().intern(hash, value)
+        T::intern_table().intern(structural_hash(&value), value)
     }
 
     /// The cached structural hash of the subtree.
@@ -107,9 +133,24 @@ impl<T: HashConsed> Shared<T> {
 
     /// The free variables of the subtree (computed once, then cached).
     pub fn free_vars_set(&self) -> &Arc<BTreeSet<Name>> {
-        self.0
-            .free_vars
-            .get_or_init(|| self.0.value.compute_free_vars())
+        &self.free_vars().set
+    }
+
+    /// One past the largest numeric `#` suffix among the subtree's free
+    /// variables, or 0 ([`nrs_value::name::suffix_bound`] of
+    /// [`Shared::free_vars_set`]; computed with it, then cached).
+    pub fn suffix_bound(&self) -> u64 {
+        self.free_vars().suffix_bound
+    }
+
+    fn free_vars(&self) -> &FreeVars {
+        self.0.free_vars.get_or_init(|| {
+            let set = self.0.value.compute_free_vars();
+            FreeVars {
+                suffix_bound: suffix_bound(set.iter()),
+                set,
+            }
+        })
     }
 
     /// Do two handles point at the very same node?  Because every handle is
@@ -380,6 +421,36 @@ mod tests {
         assert_eq!(std::mem::size_of::<Shared<Tree>>(), 8);
         assert!(!std::mem::needs_drop::<Shared<Tree>>());
         assert!(!std::mem::needs_drop::<Option<Shared<Tree>>>());
+    }
+
+    /// The structural hash spreads thousands of distinct nodes evenly over
+    /// the 32 shards (no shard holds more than twice its share) and into
+    /// distinct buckets (no bucket holds more than 2 nodes).
+    #[test]
+    fn interning_hashes_spread_over_shards_and_buckets() {
+        let leaves: Vec<Shared<Tree>> = (0..2048)
+            .map(|i| leaf(&format!("shared_lib_spread_{i}")))
+            .collect();
+        let mut nodes = leaves.clone();
+        nodes.extend(
+            leaves
+                .windows(2)
+                .map(|w| Shared::new(Tree::Pair(w[0].clone(), w[1].clone()))),
+        );
+        let mut shards = [0usize; SHARDS];
+        for node in &nodes {
+            shards[(node.hash64() as usize) & (SHARDS - 1)] += 1;
+        }
+        let share = nodes.len() / SHARDS;
+        assert!(
+            shards.iter().all(|&n| n <= 2 * share),
+            "shard loads {shards:?} against a share of {share}"
+        );
+        for shard in &Tree::intern_table().shards {
+            let shard = shard.lock().expect("intern table poisoned");
+            let fullest = shard.values().map(Vec::len).max().unwrap_or(0);
+            assert!(fullest <= 2, "a bucket holds {fullest} nodes");
+        }
     }
 
     #[test]

@@ -310,6 +310,18 @@ impl serde::Deserialize for Name {
     }
 }
 
+/// One past the largest numeric `#` suffix ([`Name::numeric_suffix`])
+/// among `names`, or 0 when none has one: where a [`NameGen`] avoiding them
+/// starts counting.
+pub fn suffix_bound<'a>(names: impl IntoIterator<Item = &'a Name>) -> u64 {
+    names
+        .into_iter()
+        .filter_map(Name::numeric_suffix)
+        .map(|k| k.saturating_add(1))
+        .max()
+        .unwrap_or(0)
+}
+
 /// A generator of fresh names, shared by the proof transformations and the
 /// synthesis pipeline to maintain variable hygiene.
 #[derive(Debug, Default, Clone)]
@@ -327,13 +339,9 @@ impl NameGen {
     /// generated names use the reserved `#` separator (user-facing APIs reject
     /// `#` in names).
     pub fn avoiding<'a>(names: impl IntoIterator<Item = &'a Name>) -> Self {
-        let mut max = 0;
-        for n in names {
-            if let Some(k) = n.numeric_suffix() {
-                max = max.max(k + 1);
-            }
+        NameGen {
+            counter: suffix_bound(names),
         }
-        NameGen { counter: max }
     }
 
     /// Produce a fresh name with the given human-readable prefix.
