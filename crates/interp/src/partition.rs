@@ -115,20 +115,24 @@ impl Partition {
 
     /// The free variables of the left and of the right part of `seq`, read
     /// off the context's terms and the right-hand side's interned nodes,
-    /// which cache their free-variable sets, in one pass.
-    fn side_vars(&self, seq: &Sequent) -> [BTreeSet<Name>; 2] {
-        let mut out = [BTreeSet::new(), BTreeSet::new()];
+    /// which cache their free-variable sets, in one pass.  Each side comes
+    /// sorted by [`Name::id`] without duplicates: only the set a caller
+    /// returns is ordered by string.
+    fn side_vars(&self, seq: &Sequent) -> [Vec<Name>; 2] {
+        let mut out = [Vec::new(), Vec::new()];
         let slot = |side: Side| usize::from(side == Side::Right);
         for a in seq.ctx.iter() {
             let vars = &mut out[slot(self.atom_side(a))];
-            let mut add = |v: &Name| {
-                vars.insert(*v);
-            };
+            let mut add = |v: &Name| vars.push(*v);
             a.elem.for_each_free_var(&mut add);
             a.set.for_each_free_var(&mut add);
         }
         for f in seq.rhs() {
             out[slot(self.formula_side(f))].extend(f.free_vars_set().iter().copied());
+        }
+        for vars in &mut out {
+            vars.sort_unstable_by_key(Name::id);
+            vars.dedup();
         }
         out
     }
@@ -136,21 +140,22 @@ impl Partition {
     /// The free variables of the left part of `seq`.
     pub fn left_vars(&self, seq: &Sequent) -> BTreeSet<Name> {
         let [left, _] = self.side_vars(seq);
-        left
+        left.into_iter().collect()
     }
 
     /// The free variables of the right part of `seq`.
     pub fn right_vars(&self, seq: &Sequent) -> BTreeSet<Name> {
         let [_, right] = self.side_vars(seq);
-        right
+        right.into_iter().collect()
     }
 
     /// The variables common to the two parts of `seq` — the vocabulary an
     /// interpolant is allowed to use.
     pub fn common_vars(&self, seq: &Sequent) -> BTreeSet<Name> {
-        let [mut left, right] = self.side_vars(seq);
-        left.retain(|v| right.contains(v));
-        left
+        let [left, right] = self.side_vars(seq);
+        left.into_iter()
+            .filter(|v| right.binary_search_by_key(&v.id(), Name::id).is_ok())
+            .collect()
     }
 
     /// The left formulas of `seq`, in order.

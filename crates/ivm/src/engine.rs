@@ -7,8 +7,9 @@
 //!   membership transitions of touched elements from the children's exact
 //!   deltas;
 //! * a **filter** — the loop shape `⋃{ guard(φ(x); {x}) | x ∈ R }`, i.e.
-//!   `{x ∈ R | φ(x)}`, which every synthesized view, shared fragment and
-//!   answer compiles to — keeps **no per-member state**: each output
+//!   `{x ∈ R | φ(x)}`, which every synthesized view compiles to (an answer
+//!   or shared fragment whose condition only probes the operands of its
+//!   `∪`-range plans as their union instead) — keeps **no per-member state**: each output
 //!   element is produced only by the member equal to it, so the output set
 //!   itself records which members pass.  A round retires deleted members,
 //!   re-evaluates `φ` for the surviving members a probe delta lists, and

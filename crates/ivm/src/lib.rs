@@ -16,7 +16,7 @@
 //! key indexes, and **multiset support counts** that make deletions sound
 //! for union, projection-like loops and joins (an output tuple disappears
 //! only when its *last* producer does).  Filter loops `{x ∈ R | φ(x)}` — the
-//! shape of every synthesized view and answer — keep **no per-member
+//! shape of every synthesized view — keep **no per-member
 //! state** at all: each output element is produced only by the member equal
 //! to it, so the output set alone says which members pass, and a batch
 //! costs one condition evaluation per inserted or probe-touched member.  [`MaintainedQuery::apply`]

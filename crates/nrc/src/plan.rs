@@ -20,12 +20,18 @@
 //! [`holds_bound`]'s kernel, which turns `member` into a probe, `eq` into a
 //! value comparison, `∪` into `||`, `guard` into `&&` and `{()} \ b` into
 //! `!b`, so no `Set(Unit)` Boolean is allocated.  A filter loop
-//! `for[x in R]{guard(φ; {x})}` — the shape of every synthesized view and
-//! answer — runs set at a time ([`exec_filter`]): when `φ` is those
+//! `for[x in R]{guard(φ; {x})}` — the shape of every synthesized view —
+//! runs set at a time ([`exec_filter`]): when `φ` is those
 //! connectives over probes `member(x, H)` and `x`-free sub-conditions, each
 //! haystack is evaluated once and `R` is walked in order with one forward
 //! cursor per haystack (a haystack much larger than `R` is probed instead),
-//! and the output is bulk-built.  Lowering is purely structural — every recognizer is justified
+//! and the output is bulk-built.  A filter that only probes operands of its
+//! own `∪`-range is no filter at all: `{x ∈ ⋃O | ⋁_{h ∈ H} x ∈ h} = ⋃H` for
+//! `H ⊆ O`, so it lowers to the union of the probed operands (the range
+//! itself when all are probed) — the shape of the partition answer `Q` and
+//! of the overlapping workload's answers and shared fragments, whose
+//! interpolant tests membership in the very views their range is made of.
+//! Lowering is purely structural — every recognizer is justified
 //! by an NRC equivalence on canonical values, and the naive
 //! [`crate::eval::eval`] stays available as an oracle (see
 //! `tests/opt_equivalence.rs`).
@@ -730,6 +736,16 @@ fn is_boolean(p: &Plan) -> bool {
     }
 }
 
+/// Peephole rules for a loop `⋃{ body | var ∈ over }`: empty loops, the
+/// identity map, the range-implied filter, loops that are probes or guards,
+/// and singleton generators.  The range-implied filter is the identity
+/// `{x ∈ ⋃O | ⋁_{h ∈ H} x ∈ h} = ⋃H` for `H ⊆ O`: a filter whose condition
+/// only probes operands of its own range is the union of those operands
+/// ([`probed_operands`]).  Interpolation emits every set-valued rewriting as
+/// `{r ∈ C | κ(r)}`, and when the parameter collection `C` is a union of
+/// views the membership interpolant `κ` often tests exactly those views, so
+/// such answers execute (and are maintained) as a plain union, with no
+/// filter pass and no second copy of the range.
 fn peephole_for_union(var: Name, over: Plan, body: Plan) -> Plan {
     if matches!(over, Plan::Empty) || matches!(body, Plan::Empty) {
         return Plan::Empty;
@@ -739,6 +755,10 @@ fn peephole_for_union(var: Name, over: Plan, body: Plan) -> Plan {
         if **inner == Plan::Var(var) {
             return over;
         }
+    }
+    // range-implied filter: {x ∈ ⋃O | ⋁_{h ∈ H} x ∈ h} → ⋃H for H ⊆ O
+    if let Some(kept) = filter_cond(var, &body).and_then(|cond| probed_operands(var, &over, cond)) {
+        return kept;
     }
     // a loop whose body folded down to an equality test IS a membership probe:
     // ⋃{ eq(x, e) | x ∈ S } ≡ e ∈ S  (with x not free in e)
@@ -776,6 +796,49 @@ fn peephole_for_union(var: Name, over: Plan, body: Plan) -> Plan {
         var,
         over: over.boxed(),
         body: body.boxed(),
+    }
+}
+
+/// The range-implied filter `{var ∈ O1 ∪ … ∪ Ok | cond}` as the union of the
+/// operands it keeps, or `None` when `cond` is not a `∪`-disjunction of
+/// probes `member(var, H)` with each `H` free of `var` and equal to some
+/// operand `Oi`.  Each member of the range passes exactly when it lies in a
+/// probed operand, so the filter is the union of those operands in range
+/// order — `over` itself when every operand is probed.
+fn probed_operands(var: Name, over: &Plan, cond: &Plan) -> Option<Plan> {
+    let (mut operands, mut probes) = (Vec::new(), Vec::new());
+    union_operands(over, &mut operands);
+    union_operands(cond, &mut probes);
+    let mut kept = vec![false; operands.len()];
+    for probe in probes {
+        match probe {
+            Plan::Member { elem, set }
+                if **elem == Plan::Var(var) && !set.free_vars().contains(&var) =>
+            {
+                kept[operands.iter().position(|o| *o == &**set)?] = true;
+            }
+            _ => return None,
+        }
+    }
+    if kept.iter().all(|&k| k) {
+        return Some(over.clone());
+    }
+    operands
+        .into_iter()
+        .zip(kept)
+        .filter(|&(_, keep)| keep)
+        .map(|(operand, _)| operand.clone())
+        .reduce(|a, b| Plan::Union(a.boxed(), b.boxed()))
+}
+
+/// The operands of a `∪`-tree, left to right.
+fn union_operands<'p>(p: &'p Plan, out: &mut Vec<&'p Plan>) {
+    match p {
+        Plan::Union(a, b) => {
+            union_operands(a, out);
+            union_operands(b, out);
+        }
+        other => out.push(other),
     }
 }
 
@@ -1248,7 +1311,8 @@ fn holds(plan: &Plan, fr: &mut Frames<'_>) -> Result<bool, NrcError> {
 
 /// The condition `φ` of a filter-shaped loop body `guard(φ; {var})`: the
 /// loop `for[var in R]{guard(φ; {var})}` is the filter `{var ∈ R | φ(var)}`,
-/// the shape of every synthesized view, shared fragment and answer.
+/// the shape of every synthesized view (and, before the range-implied
+/// filter rule drops it, of the partition answers and fragments).
 pub fn filter_cond(var: Name, body: &Plan) -> Option<&Plan> {
     match body {
         Plan::Guard { cond, body } => match &**body {
@@ -1820,5 +1884,112 @@ mod tests {
             exec_plan_bound(&pair, &env, &bindings).unwrap(),
             Value::pair(Value::atom(4), Value::atom(3))
         );
+    }
+
+    /// `for[x in over]{guard(cond; {x})}`.
+    fn filter_loop(x: Name, over: Plan, cond: Plan) -> Plan {
+        Plan::ForUnion {
+            var: x,
+            over: over.boxed(),
+            body: Plan::Guard {
+                cond: cond.boxed(),
+                body: Plan::Singleton(Plan::Var(x).boxed()).boxed(),
+            }
+            .boxed(),
+        }
+    }
+
+    fn probe(elem: Name, set: Plan) -> Plan {
+        Plan::Member {
+            elem: Plan::Var(elem).boxed(),
+            set: set.boxed(),
+        }
+    }
+
+    fn union(a: Plan, b: Plan) -> Plan {
+        Plan::Union(a.boxed(), b.boxed())
+    }
+
+    #[test]
+    fn filters_probing_their_own_range_operands_become_unions() {
+        let [x, a, b, c] = ["x", "A", "B", "C"].map(Name::new);
+        let set = |ks: &[u64]| Value::set(ks.iter().map(|&k| Value::atom(k)));
+        let env =
+            Instance::from_bindings([(a, set(&[1, 2, 3])), (b, set(&[3, 4])), (c, set(&[5, 1]))]);
+        let (va, vb, vc) = (Plan::Var(a), Plan::Var(b), Plan::Var(c));
+        let a_or_b = union(va.clone(), vb.clone());
+        let cases = [
+            // {x ∈ A ∪ B | x ∈ B ∨ x ∈ A} = A ∪ B
+            (
+                filter_loop(
+                    x,
+                    a_or_b.clone(),
+                    union(probe(x, vb.clone()), probe(x, va.clone())),
+                ),
+                a_or_b.clone(),
+            ),
+            // {x ∈ A ∪ B | x ∈ A} = A
+            (
+                filter_loop(x, a_or_b.clone(), probe(x, va.clone())),
+                va.clone(),
+            ),
+            // {x ∈ (A ∪ B) ∪ C | x ∈ C ∨ x ∈ A} = A ∪ C, in range order
+            (
+                filter_loop(
+                    x,
+                    union(a_or_b.clone(), vc.clone()),
+                    union(probe(x, vc.clone()), probe(x, va.clone())),
+                ),
+                union(va.clone(), vc.clone()),
+            ),
+        ];
+        for (filter, expected) in cases {
+            let simplified = plan_simplify(filter.clone());
+            assert_eq!(simplified, expected, "{filter}");
+            assert_eq!(
+                exec_plan(&simplified, &env).unwrap(),
+                exec_plan(&filter, &env).unwrap(),
+                "{filter}"
+            );
+        }
+    }
+
+    #[test]
+    fn filters_that_are_not_range_implied_stay_filters() {
+        let [x, y, a, b, c] = ["x", "y", "A", "B", "C"].map(Name::new);
+        let (va, vb) = (Plan::Var(a), Plan::Var(b));
+        let a_or_b = union(va.clone(), vb.clone());
+        let tt = Plan::Singleton(Plan::Unit.boxed());
+        let cases = [
+            // a haystack that is not a range operand
+            filter_loop(
+                x,
+                a_or_b.clone(),
+                union(probe(x, va.clone()), probe(x, Plan::Var(c))),
+            ),
+            // a needle that is not the loop variable
+            filter_loop(x, a_or_b.clone(), probe(y, va.clone())),
+            // a haystack that mentions the loop variable: the operand `x` is
+            // the outer set, the haystack `x` the member itself
+            filter_loop(x, union(Plan::Var(x), vb.clone()), probe(x, Plan::Var(x))),
+            // a conjunction
+            filter_loop(
+                x,
+                a_or_b.clone(),
+                Plan::Guard {
+                    cond: probe(x, va.clone()).boxed(),
+                    body: probe(x, vb.clone()).boxed(),
+                },
+            ),
+            // a negation
+            filter_loop(
+                x,
+                a_or_b.clone(),
+                Plan::Diff(tt.boxed(), probe(x, va.clone()).boxed()),
+            ),
+        ];
+        for filter in cases {
+            assert_eq!(plan_simplify(filter.clone()), filter, "{filter}");
+        }
     }
 }

@@ -11,7 +11,7 @@ use nrs_delta0::macros as d0;
 use nrs_delta0::typing::TypeEnv;
 use nrs_delta0::{Formula, Term};
 use nrs_nrc::eval::eval;
-use nrs_nrc::{compile, eval_optimized, macros, CompiledQuery, Expr};
+use nrs_nrc::{compile, eval_optimized, macros, CompiledQuery, Expr, Plan};
 use nrs_value::generate::{random_value, GenConfig};
 use nrs_value::{Instance, Name, NameGen, Type, Value};
 use proptest::prelude::*;
@@ -167,8 +167,80 @@ fn random_instance(seed: u64, universe: u64, max_set: usize) -> Instance {
     Instance::from_bindings([(Name::new("B"), b), (Name::new("V"), v)])
 }
 
+/// A filter `{x ∈ O1 ∪ … ∪ Ok | x ∈ H1 ∨ … ∨ x ∈ Hm}` over the sets `A`,
+/// `B`, `C`, `D`: bit `i` of `range_mask` puts the `i`-th set into the range
+/// and bit `i` of `probe_mask` probes it, so some probes may miss the range
+/// (`D` never is in it).  Also returns whether every probe is a range
+/// operand, which is when the planner drops the filter.
+fn union_filter(range_mask: u64, probe_mask: u64) -> (Expr, bool) {
+    let mut gen = NameGen::new();
+    let sets = ["A", "B", "C", "D"];
+    let pick = |mask: u64| (0..sets.len()).filter(move |i| mask >> i & 1 == 1);
+    let range = pick(range_mask & 0b111)
+        .map(|i| Expr::var(sets[i]))
+        .reduce(Expr::union)
+        .expect("a non-empty range");
+    let cond = pick(probe_mask)
+        .map(|i| macros::member(&Type::Ur, Expr::var("x"), Expr::var(sets[i]), &mut gen))
+        .reduce(macros::or)
+        .expect("a non-empty condition");
+    let filter = Expr::big_union(
+        "x",
+        range,
+        macros::guard(cond, Expr::singleton(Expr::var("x")), &mut gen),
+    );
+    (filter, probe_mask & !(range_mask & 0b111) == 0)
+}
+
+fn has_loop(plan: &Plan) -> bool {
+    match plan {
+        Plan::ForUnion { .. } | Plan::HashJoin { .. } => true,
+        Plan::Var(_) | Plan::Unit | Plan::Empty => false,
+        Plan::Proj1(x) | Plan::Proj2(x) | Plan::Singleton(x) | Plan::Get { arg: x, .. } => {
+            has_loop(x)
+        }
+        Plan::Pair(a, b)
+        | Plan::Union(a, b)
+        | Plan::Diff(a, b)
+        | Plan::Eq(a, b)
+        | Plan::Guard { cond: a, body: b }
+        | Plan::Member { elem: a, set: b }
+        | Plan::Let {
+            value: a, body: b, ..
+        } => has_loop(a) || has_loop(b),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Filters over a union range whose condition is a disjunction of
+    /// probes agree with the oracle, whether or not every probe is a range
+    /// operand; when every one is, the plan is a loop-free union.
+    #[test]
+    fn prop_union_range_filters_agree(
+        seed in 0u64..10_000,
+        universe in 2u64..10,
+        range_mask in 1u64..8,
+        probe_mask in 1u64..16,
+    ) {
+        let set = |salt: u64| random_value(
+            &Type::set(Type::Ur),
+            &GenConfig { universe, max_set_size: 6, seed: seed ^ salt },
+        );
+        let inst = Instance::from_bindings(
+            ["A", "B", "C", "D"]
+                .into_iter()
+                .zip(1u64..)
+                .map(|(n, salt)| (Name::new(n), set(salt.wrapping_mul(0x9e37_79b9)))),
+        );
+        let (filter, range_implied) = union_filter(range_mask, probe_mask);
+        assert_agrees(&filter, &inst)?;
+        if range_implied {
+            let plan = CompiledQuery::compile(&filter);
+            prop_assert!(!has_loop(plan.plan()), "{filter} planned as {}", plan.plan());
+        }
+    }
 
     /// Structural queries agree on random keyed-nested instances.
     #[test]
